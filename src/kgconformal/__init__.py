@@ -17,7 +17,7 @@ from .core import (
     radial_norm,
 )
 from .confmap import ConformalMap, forward, inverse, inverse_conjugate
-from .diffengine import DerivativeRequest, DiffConfig, MODE_EXACT, MODE_STENCIL, differentiate, estimate_error
+from .diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL
 from .report import CaseResult, ResidualReport
 from .harness import Grid, TestFieldSpec, generate_test_field, run_suite
 
@@ -30,7 +30,6 @@ __all__ = [
     "ComplexPoint",
     "ConformalMap",
     "ConfigError",
-    "DerivativeRequest",
     "DiffConfig",
     "DomainError",
     "Grid",
@@ -44,8 +43,6 @@ __all__ = [
     "SpaceTimePoint",
     "TestFieldSpec",
     "UnitSystem",
-    "differentiate",
-    "estimate_error",
     "forward",
     "generate_test_field",
     "inverse",

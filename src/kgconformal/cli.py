@@ -2,6 +2,7 @@
 
 Exit codes are a stable contract:
   0 pass, 1 verification failure, 2 config error, 3 numerical domain error.
+Every error is reported as one line on stderr, never as a traceback.
 
 Reports are written atomically (temp file + rename).  In exact-forward
 mode the JSON report's wall_ms is zeroed by default so identical inputs
@@ -17,8 +18,20 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from .confmap import ConformalMap, forward, inverse
-from .core import ConfigError, DomainError, KgcError, NonFiniteError, SpaceTimePoint, UnitSystem
+from .core import (
+    BranchError,
+    ConfigError,
+    DomainError,
+    KgcError,
+    NoTerminationError,
+    NonFiniteError,
+    QuantumNumberError,
+    SpaceTimePoint,
+    UnitSystem,
+)
 from .diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL
 from .harness import SUITES, run_suite
 from .specfun import HYDRINO, SOMMERFELD
@@ -73,12 +86,19 @@ def _units(args) -> UnitSystem:
     )
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"not an integer: {text!r}") from None
+
+
 def _parse_range(text: str):
     """'0..3' or '4' -> list of ints."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+        return list(range(_parse_int(lo), _parse_int(hi) + 1))
+    return [_parse_int(text)]
 
 
 def _parse_states(text: str):
@@ -88,10 +108,12 @@ def _parse_states(text: str):
         chunk = chunk.strip().strip("()")
         if not chunk:
             continue
-        parts = [int(v) for v in chunk.split(",")]
+        parts = [_parse_int(v) for v in chunk.split(",")]
         if len(parts) not in (2, 3):
             raise ConfigError(f"bad state spec: {chunk!r}")
         out.append(tuple(parts))
+    if not out:
+        raise ConfigError(f"no state in {text!r}")
     return out
 
 
@@ -110,7 +132,10 @@ def _tolerance(args):
     tol = getattr(args, "tolerance", None)
     if tol is None:
         env = os.environ.get(ENV_TOLERANCE)
-        tol = float(env) if env else None
+        try:
+            tol = float(env) if env else None
+        except ValueError:
+            raise ConfigError(f"{ENV_TOLERANCE} is not a number: {env!r}") from None
     return tol
 
 
@@ -196,7 +221,7 @@ def cmd_verify(args) -> int:
     if args.branch is not None:
         params["branch"] = args.branch
     if args.state is not None:
-        params["states"] = [tuple(int(v) for v in args.state.split(","))]
+        params["states"] = _parse_states(args.state)[:1]
     if args.seed is not None:
         params["seed"] = args.seed
     if args.n_fields is not None:
@@ -229,7 +254,12 @@ def _map_from_args(args) -> ConformalMap:
     # raw parameters
     if args.b is None or args.energy is None:
         raise ConfigError("raw map needs --a, --b, --lam and --energy")
-    b = math.inf if args.b == "inf" else float(args.b)
+    try:
+        b = float(args.b)
+    except ValueError:
+        b = math.nan
+    if math.isnan(b):
+        raise ConfigError(f"--b must be a number or 'inf', not {args.b!r}")
     return ConformalMap(a=args.a, b=b, lam=args.lam, E=args.energy, units=units)
 
 
@@ -247,7 +277,10 @@ def _read_points(path):
             parts = line.split()
             if len(parts) != 4:
                 raise ConfigError(f"{path}:{lineno}: expected 'x1 x2 x3 t'")
-            x1, x2, x3, t = (float(v) for v in parts)
+            try:
+                x1, x2, x3, t = (float(v) for v in parts)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: expected 'x1 x2 x3 t' as numbers") from None
             pts.append(SpaceTimePoint(x=(x1, x2, x3), t=t))
     return pts
 
@@ -270,8 +303,25 @@ def cmd_map(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line error as a ConfigError (one line, exit 2)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kgconformal",
         description="Numerically certify the conformal-map identities of the "
         "Klein-Gordon oscillator and Coulomb systems.",
@@ -279,14 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_units(p):
-        p.add_argument("--hbar", type=float, default=1.0)
-        p.add_argument("--c", type=float, default=1.0)
-        p.add_argument("--m0", type=float, default=1.0)
+        p.add_argument("--hbar", type=_finite_float, default=1.0)
+        p.add_argument("--c", type=_finite_float, default=1.0)
+        p.add_argument("--m0", type=_finite_float, default=1.0)
 
     sp = sub.add_parser("spectrum", help="energy spectra as JSON or CSV tables")
     sp.add_argument("--system", choices=("oscillator", "coulomb"), required=True)
-    sp.add_argument("--omega", type=float, default=1.0)
-    sp.add_argument("--alpha", type=float, default=0.0072973525693)
+    sp.add_argument("--omega", type=_finite_float, default=1.0)
+    sp.add_argument("--alpha", type=_finite_float, default=0.0072973525693)
     sp.add_argument("--n", default="0..4", help="oscillator range, e.g. 0..6")
     sp.add_argument("--states", default="(0,0);(1,0);(0,1)")
     sp.add_argument("--branch", choices=(SOMMERFELD, HYDRINO), default=SOMMERFELD)
@@ -299,11 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--suite", choices=SUITES, required=True)
     vp.add_argument("--mode", choices=("exact", "exact-forward", "stencil"))
     vp.add_argument("--nmax", type=int)
-    vp.add_argument("--omega", type=float)
-    vp.add_argument("--alpha", type=float)
+    vp.add_argument("--omega", type=_finite_float)
+    vp.add_argument("--alpha", type=_finite_float)
     vp.add_argument("--branch", choices=(SOMMERFELD, HYDRINO))
     vp.add_argument("--state", help="single coulomb state as 'n,l'")
-    vp.add_argument("--tolerance", type=float)
+    vp.add_argument("--tolerance", type=_finite_float)
     vp.add_argument("--seed", type=int)
     vp.add_argument("--n-fields", dest="n_fields", type=int)
     vp.add_argument("--config", help="JSON file of suite parameters")
@@ -314,14 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     mp = sub.add_parser("map", help="apply the conformal map to a points file")
     mp.add_argument("--points", required=True, help="lines of 'x1 x2 x3 t', '#' comments")
     mp.add_argument("--system", choices=("oscillator", "coulomb", "raw"), default="raw")
-    mp.add_argument("--omega", type=float, default=1.0)
-    mp.add_argument("--alpha", type=float, default=0.0072973525693)
+    mp.add_argument("--omega", type=_finite_float, default=1.0)
+    mp.add_argument("--alpha", type=_finite_float, default=0.0072973525693)
     mp.add_argument("--state", help="coulomb state as '(n,l)'")
     mp.add_argument("--branch", choices=(SOMMERFELD, HYDRINO), default=SOMMERFELD)
-    mp.add_argument("--a", type=float, default=0.0)
+    mp.add_argument("--a", type=_finite_float, default=0.0)
     mp.add_argument("--b", help="scale length, or 'inf'")
-    mp.add_argument("--lam", type=float, default=2.0)
-    mp.add_argument("--energy", type=float)
+    mp.add_argument("--lam", type=_finite_float, default=2.0)
+    mp.add_argument("--energy", type=_finite_float)
     mp.add_argument("--output")
     add_units(mp)
     mp.set_defaults(func=cmd_map)
@@ -330,15 +380,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        args = build_parser().parse_args(argv)
+        # overflow and invalid arithmetic outside the differentiation engine
+        # raise too, instead of leaking inf or nan into a report
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            return args.func(args)
+    except (ConfigError, BranchError, QuantumNumberError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DomainError, NonFiniteError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
+    except (DomainError, NonFiniteError, NoTerminationError, ArithmeticError) as exc:
+        print(f"domain error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except KgcError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import dual
 from .core import (
     ComplexField,
@@ -28,10 +30,11 @@ from .core import (
     DomainError,
     SpaceTimePoint,
     UnitSystem,
+    as_points,
     natural_units,
     ConfigError,
 )
-from .diffengine import DerivativeRequest, DiffConfig, T_AXIS, _diff
+from .diffengine import Derivatives, DiffConfig, T_AXIS, _diff
 from .report import CaseResult, ResidualReport
 
 
@@ -73,7 +76,7 @@ class ConformalMap:
         return self.a == 0.0 and math.isinf(self.b)
 
     def bracket(self, r):
-        """a ln r + (r/b)^lambda, generic over floats and hyperduals."""
+        """a ln r + (r/b)^lambda, generic over floats, arrays and jets."""
         term = _pow_lam(r / self.b, self.lam) if not math.isinf(self.b) else 0.0
         if self.a != 0.0:
             term = term + self.a * dual.log(r)
@@ -135,28 +138,42 @@ def inverse_conjugate(cmap: ConformalMap, q_star: ComplexPoint) -> SpaceTimePoin
     return SpaceTimePoint(x=q_star.z, t=t.real)
 
 
-def _require_off_origin(cmap: ConformalMap, p: SpaceTimePoint):
-    if p.r == 0.0 and not cmap.is_identity:
+def _require_off_origin(cmap: ConformalMap, pts):
+    if not cmap.is_identity and 0.0 in pts.radii:
         raise DomainError("operator coefficients singular at r = 0")
 
 
-def d_z(cmap: ConformalMap, fld: ComplexField, p: SpaceTimePoint, cfg: DiffConfig, axis=None):
-    """d/dz_i = d/dx_i + i A_i d/dt, per component or as a 3-vector."""
-    return _first_order(cmap, fld, p, cfg, axis, +1.0)
+def _per_point(fn, pts) -> np.ndarray:
+    """A map coefficient at every point, computed in scalar arithmetic."""
+    return np.array([fn(r) for r in pts.radii])
 
 
-def d_zstar(cmap: ConformalMap, fld: ComplexField, p: SpaceTimePoint, cfg: DiffConfig, axis=None):
+# The operators below act on a field's Derivatives (see diffengine._diff) at
+# every point of its grid.  Per-point coefficients are computed in scalar
+# arithmetic and complex products go through dual.mul, so each result equals
+# the point-by-point expression in the docstring bit for bit.
+
+
+def d_z(cmap: ConformalMap, d: Derivatives, axis=None):
+    """d/dz_i = d/dx_i + i A_i d/dt, per component or as a 3-tuple."""
+    return _first_order(cmap, d, axis, +1.0)
+
+
+def d_zstar(cmap: ConformalMap, d: Derivatives, axis=None):
     """d/dz_i* = d/dx_i - i A_i d/dt (sign of the imaginary term flipped)."""
-    return _first_order(cmap, fld, p, cfg, axis, -1.0)
+    return _first_order(cmap, d, axis, -1.0)
 
 
-def _first_order(cmap, fld, p, cfg, axis, sign):
-    _require_off_origin(cmap, p)
-    a_coef = cmap.time_coupling(p.x, p.r)
-    dt = _diff(DerivativeRequest(fld, p, (T_AXIS,)), cfg)[0]
+def _first_order(cmap, d, axis, sign):
+    pts = d.points
+    _require_off_origin(cmap, pts)
+    a_coef = [cmap.time_coupling(p.x, r) for p, r in zip(pts, pts.radii)]
+    dt = d.grad[T_AXIS]
+
     def component(i):
-        dxi = _diff(DerivativeRequest(fld, p, (i,)), cfg)[0]
-        return dxi + sign * 1j * a_coef[i] * dt
+        coef = np.array([sign * 1j * a[i] for a in a_coef])
+        return d.grad[i] + dual.mul(coef, dt)
+
     if axis is not None:
         return component(axis)
     return tuple(component(i) for i in range(3))
@@ -168,75 +185,64 @@ def _first_order(cmap, fld, p, cfg, axis, sign):
 ZFORM_TERMS = ("laplacian", "time-coupling-divergence", "time-coupling-squared")
 
 
-def dzstar_dz(cmap: ConformalMap, fld: ComplexField, p: SpaceTimePoint, cfg: DiffConfig):
+def dzstar_dz(cmap: ConformalMap, d: Derivatives):
     """sum_i d_zstar_i (d_z_i f), returned as (value, error_estimate)."""
-    _require_off_origin(cmap, p)
-    r = p.r
-    lap = 0.0
-    err = 0.0
-    for i in range(3):
-        v, e = _diff(DerivativeRequest(fld, p, (i, i)), cfg)
-        lap += v
-        err += e
-    dt, e_t = _diff(DerivativeRequest(fld, p, (T_AXIS,)), cfg)
-    dtt, e_tt = _diff(DerivativeRequest(fld, p, (T_AXIS, T_AXIS)), cfg)
-    div_a = cmap.time_coupling_divergence(r)
-    sq = cmap.time_coupling_sq_sum(r)
-    value = lap + 1j * div_a * dt + sq * dtt
-    err = err + abs(div_a) * e_t + abs(sq) * e_tt
+    pts = d.points
+    _require_off_origin(cmap, pts)
+    lap, err = _laplacian(d)
+    dt, dtt = d.grad[T_AXIS], d.hess[T_AXIS]
+    div_a = _per_point(cmap.time_coupling_divergence, pts)
+    sq = _per_point(cmap.time_coupling_sq_sum, pts)
+    value = lap + dual.mul(1j * div_a, dt) + sq * dtt
+    err = err + np.abs(div_a) * d.grad_err[T_AXIS] + np.abs(sq) * d.hess_err[T_AXIS]
     return value, err
 
 
-def dz_dzstar(cmap: ConformalMap, fld: ComplexField, p: SpaceTimePoint, cfg: DiffConfig):
+def dz_dzstar(cmap: ConformalMap, d: Derivatives):
     """Reversed composition sum_i d_z_i (d_zstar_i f); the sign of the
     first-order time coupling flips.  Kept for the order-sensitivity probe."""
-    value, err = dzstar_dz(cmap, fld, p, cfg)
-    r = p.r
-    dt = _diff(DerivativeRequest(fld, p, (T_AXIS,)), cfg)[0]
-    return value - 2j * cmap.time_coupling_divergence(r) * dt, err
+    value, err = dzstar_dz(cmap, d)
+    div_a = _per_point(cmap.time_coupling_divergence, d.points)
+    return value - dual.mul(2j * div_a, d.grad[T_AXIS]), err
 
 
-def _laplacian(fld: ComplexField, p: SpaceTimePoint, cfg: DiffConfig):
-    lap = 0.0
-    err = 0.0
-    for i in range(3):
-        v, e = _diff(DerivativeRequest(fld, p, (i, i)), cfg)
-        lap += v
-        err += e
-    return lap, err
+def _laplacian(d: Derivatives):
+    """(laplacian, error estimate): the pure second partials summed over x1, x2, x3."""
+    return d.hess[0] + d.hess[1] + d.hess[2], d.hess_err[0] + d.hess_err[1] + d.hess_err[2]
 
 
-def qprop_identity_residual(cmap: ConformalMap, fld: ComplexField, p: SpaceTimePoint, cfg: DiffConfig):
+def qprop_identity_residual(cmap: ConformalMap, d: Derivatives, operator=None):
     """Oscillator operator identity on an energy eigenfield:
 
         -sum_i d_zstar_i d_z_i + 3 Omega/(hbar c) = -laplacian + (Omega/(hbar c))^2 x^2
 
     with Omega/(hbar c) = 2/b^2 for the lambda = 2, a = 0 map.  Returns
-    (|lhs - rhs|, |rhs|, error_estimate) at the point.
+    (|lhs - rhs|, |rhs|, error_estimate) at every point.  ``operator``
+    replaces dzstar_dz on the left; the reversed-order probe passes
+    dz_dzstar.
     """
     omega_hc = 2.0 / (cmap.b * cmap.b)
-    f = complex(fld.at(p))
-    ddz, e1 = dzstar_dz(cmap, fld, p, cfg)
-    lap, e2 = _laplacian(fld, p, cfg)
+    f = d.value
+    ddz, e1 = (operator or dzstar_dz)(cmap, d)
+    lap, e2 = _laplacian(d)
     lhs = -ddz + 3.0 * omega_hc * f
-    rhs = -lap + omega_hc**2 * (p.r**2) * f
-    return abs(lhs - rhs), abs(rhs), e1 + e2
+    rhs = -lap + _per_point(lambda r: omega_hc**2 * (r**2), d.points) * f
+    return dual.modulus(lhs - rhs), dual.modulus(rhs), e1 + e2
 
 
-def d2z_identity_residual(cmap: ConformalMap, fld: ComplexField, p: SpaceTimePoint, cfg: DiffConfig):
+def d2z_identity_residual(cmap: ConformalMap, d: Derivatives):
     """Coulomb operator identity on an energy eigenfield (lambda = 1 map):
 
         sum_i d_zstar_i d_z_i = laplacian + a(1-a)/r^2 + 2(1-a)/(b r) - 1/b^2
 
-    Returns (|lhs - rhs|, |rhs|, error_estimate) at the point.
+    Returns (|lhs - rhs|, |rhs|, error_estimate) at every point.
     """
-    r = p.r
-    f = complex(fld.at(p))
-    ddz, e1 = dzstar_dz(cmap, fld, p, cfg)
-    lap, e2 = _laplacian(fld, p, cfg)
-    coef = cmap.a * (1.0 - cmap.a) / (r * r) + 2.0 * (1.0 - cmap.a) / (cmap.b * r) - 1.0 / (cmap.b * cmap.b)
-    rhs = lap + coef * f
-    return abs(ddz - rhs), abs(rhs), e1 + e2
+    a, b = cmap.a, cmap.b
+    ddz, e1 = dzstar_dz(cmap, d)
+    lap, e2 = _laplacian(d)
+    coef = _per_point(lambda r: a * (1.0 - a) / (r * r) + 2.0 * (1.0 - a) / (b * r) - 1.0 / (b * b), d.points)
+    rhs = lap + coef * d.value
+    return dual.modulus(ddz - rhs), dual.modulus(rhs), e1 + e2
 
 
 def independence_check(
@@ -250,22 +256,20 @@ def independence_check(
     ds/dz_i applies the d_z operator to the scalar field s(x, t); dz_i/ds
     applies d/ds = d/dt to the coordinate fields z_i(x, t) = x_i.
     """
+    pts = as_points(points)
     s_field = ComplexField(
         fn=lambda x1, x2, x3, t: t + 1j * cmap.tau(dual.norm3(x1, x2, x3)),
         label="s(x,t)",
         singular_at_origin=cmap.a != 0.0,
     )
-    max_ds_dz = 0.0
+    max_ds_dz = max(float(dual.modulus(c).max()) for c in d_z(cmap, _diff(s_field, pts, cfg)))
     max_dz_ds = 0.0
     err = 0.0
-    for p in points:
-        comps = d_z(cmap, s_field, p, cfg)
-        max_ds_dz = max(max_ds_dz, max(abs(c) for c in comps))
-        for i in range(3):
-            z_field = ComplexField(fn=lambda x1, x2, x3, t, _i=i: (x1, x2, x3)[_i], label=f"z{i + 1}")
-            v, e = _diff(DerivativeRequest(z_field, p, (T_AXIS,)), cfg)
-            max_dz_ds = max(max_dz_ds, abs(v))
-            err = max(err, e)
+    for i in range(3):
+        z_field = ComplexField(fn=lambda x1, x2, x3, t, _i=i: (x1, x2, x3)[_i], label=f"z{i + 1}")
+        d = _diff(z_field, pts, cfg)
+        max_dz_ds = max(max_dz_ds, float(dual.modulus(d.grad[T_AXIS]).max()))
+        err = max(err, float(d.grad_err[T_AXIS].max()))
     cases = (
         CaseResult("ds/dz", max_ds_dz, err, tolerance),
         CaseResult("dz/ds", max_dz_ds, err, tolerance),
@@ -285,24 +289,23 @@ def holomorphy_residual(
     """Max of |d2f/dt2 + d2f/dtau2| / max|f| over a (t, tau) rectangle.
 
     ``f_of_t_tau`` is a callable (t, tau) -> complex, generic over
-    hyperdual arguments so the exact-forward mode applies.
+    arrays and jets so both differentiation modes apply.
     """
     wrapped = ComplexField(fn=lambda u, v, _x3, _t: f_of_t_tau(u, v), label=name)
     t_lo, t_hi = t_window
     tau_lo, tau_hi = tau_window
-    max_res = 0.0
-    max_f = 0.0
-    err = 0.0
-    for i in range(samples):
-        for j in range(samples):
-            t = t_lo + (t_hi - t_lo) * i / max(samples - 1, 1)
-            tau = tau_lo + (tau_hi - tau_lo) * j / max(samples - 1, 1)
-            p = SpaceTimePoint(x=(t, tau, 0.0), t=0.0)
-            dtt, e1 = _diff(DerivativeRequest(wrapped, p, (0, 0)), cfg)
-            dqq, e2 = _diff(DerivativeRequest(wrapped, p, (1, 1)), cfg)
-            max_res = max(max_res, abs(dtt + dqq))
-            max_f = max(max_f, abs(complex(f_of_t_tau(t, tau))))
-            err = max(err, e1 + e2)
+    points = [
+        SpaceTimePoint(
+            x=(t_lo + (t_hi - t_lo) * i / max(samples - 1, 1), tau_lo + (tau_hi - tau_lo) * j / max(samples - 1, 1), 0.0),
+            t=0.0,
+        )
+        for i in range(samples)
+        for j in range(samples)
+    ]
+    d = _diff(wrapped, points, cfg)
+    max_res = float(dual.modulus(d.hess[0] + d.hess[1]).max())
+    max_f = float(dual.modulus(d.value).max())
+    err = float((d.hess_err[0] + d.hess_err[1]).max())
     scale = max_f if max_f > 0.0 else 1.0
     case = CaseResult(name, max_res / scale, err / scale, tolerance)
     return ResidualReport(suite="holomorphy", mode=cfg.mode, cases=(case,))

@@ -6,8 +6,11 @@ for unrestricted concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 
 class KgcError(Exception):
@@ -19,7 +22,7 @@ class DomainError(KgcError):
 
 
 class NonFiniteError(KgcError):
-    """A sampled field value was NaN or infinite."""
+    """A field value or derivative on the grid was NaN or infinite."""
 
 
 class QuantumNumberError(KgcError):
@@ -93,15 +96,44 @@ def radial_norm(x) -> float:
     return (x1 * x1 + x2 * x2 + x3 * x3) ** 0.5
 
 
+class PointSet(tuple):
+    """A tuple of SpaceTimePoints that also holds them as arrays.
+
+    ``coords`` is (x1, x2, x3, t), one float array each.  ``radii`` lists
+    every point's ``r`` as SpaceTimePoint.r rounds it, so per-point
+    geometry computed from it matches a loop over the points bit for bit.
+    """
+
+    def __new__(cls, points):
+        self = super().__new__(cls, points)
+        if not self:
+            raise ConfigError("a point set needs at least one point")
+        self.coords = tuple(np.array(c, dtype=float) for c in zip(*((p.x[0], p.x[1], p.x[2], p.t) for p in self)))
+        self.radii = [p.r for p in self]
+        return self
+
+
+def as_points(points) -> PointSet:
+    """``points`` as a PointSet; a PointSet is returned unchanged."""
+    return points if isinstance(points, PointSet) else PointSet(points)
+
+
+def residual_scale(value: float) -> float:
+    """Check a residual's normaliser: zero or non-finite leaves nothing to certify."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"residual scale is {float(value)!r}: the field vanishes or overflows on the grid")
+    return value
+
+
 @dataclass(frozen=True)
 class ComplexField:
     """A deterministic scalar complex-valued function of (x1, x2, x3, t).
 
     The callable must be generic over its argument type: it is evaluated
-    with plain floats in stencil mode and with hyperdual numbers in
-    exact-forward mode.  ``energy_hint`` carries the energy eigenvalue for
-    fields with exp(-i E t / hbar) time dependence, which several operator
-    reductions rely on.  ``singular_at_origin`` declares an r = 0 singular
+    with float arrays in stencil mode, with diagonal jets over a grid in
+    exact-forward mode, and with plain floats by ``at``.  ``energy_hint``
+    carries the energy eigenvalue for fields with exp(-i E t / hbar) time
+    dependence, which several operator reductions rely on.  ``singular_at_origin`` declares an r = 0 singular
     locus that finite-difference stencils must not cross.
     """
 

@@ -21,11 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import dual
-from .core import ComplexField, ConfigError, QuantumNumberError, SpaceTimePoint, UnitSystem, natural_units
-from .confmap import ConformalMap, dzstar_dz
-from .diffengine import DerivativeRequest, DiffConfig, _diff
-from .report import CaseResult, ResidualReport
+from .core import ComplexField, ConfigError, QuantumNumberError, UnitSystem, natural_units, residual_scale
+from .confmap import ConformalMap, _laplacian, dzstar_dz
+from .diffengine import DiffConfig, _diff
+from .report import CaseResult
 from .specfun import (
     HYDRINO,
     SOMMERFELD,
@@ -178,10 +180,6 @@ def eigenfunction_z(model: CoulombModel, state: CoulombState) -> ComplexField:
     )
 
 
-def _max_abs(fld: ComplexField, points) -> float:
-    return max(abs(complex(fld.at(p))) for p in points)
-
-
 def kg_residual_x(
     model: CoulombModel,
     state: CoulombState,
@@ -194,24 +192,16 @@ def kg_residual_x(
     """Max scaled residual of -hbar^2 c^2 lap psi + m0^2 c^4 psi - (E + hbar c alpha / r)^2 psi."""
     u = model.units
     E = energy_override if energy_override is not None else state.energy
-    fld = eigenfunction_x(model, state)
+    d = _diff(eigenfunction_x(model, state), points, cfg)
+    psi = d.value
     hc = u.hbar * u.c
-    scale = E * E * _max_abs(fld, points)
-    worst = 0.0
-    err = 0.0
-    for p in points:
-        psi = complex(fld.at(p))
-        lap = 0.0
-        e_sum = 0.0
-        for i in range(3):
-            v, e = _diff(DerivativeRequest(fld, p, (i, i)), cfg)
-            lap += v
-            e_sum += e
-        pot = E + hc * model.alpha / p.r
-        res = -hc * hc * lap + u.rest_energy**2 * psi - pot * pot * psi
-        worst = max(worst, abs(res) / scale)
-        err = max(err, hc * hc * e_sum / scale)
-    return CaseResult(name or f"coulomb-x-{state.quantum_numbers}-{state.branch}", worst, err, tolerance)
+    scale = residual_scale(E * E * dual.modulus(psi).max())
+    lap, e_sum = _laplacian(d)
+    pot = np.array([E + hc * model.alpha / r for r in d.points.radii])
+    res = -hc * hc * lap + u.rest_energy**2 * psi - pot * pot * psi
+    worst = (dual.modulus(res) / scale).max()
+    err = (hc * hc * e_sum / scale).max()
+    return CaseResult(name or f"coulomb-x-{state.quantum_numbers}-{state.branch}", float(worst), float(err), tolerance)
 
 
 def kg_residual_z(
@@ -226,22 +216,19 @@ def kg_residual_z(
     """Max scaled residual of the transformed equation
     -hbar^2 c^2 sum_i d_zstar_i d_z_i psi + m0^2 c^4 psi = E^2 [1 + alpha^2/(1-eta_0)^2] psi."""
     u = model.units
-    fld = eigenfunction_z(model, state)
     cmap = coulomb_map(model, state)
     eig = transformed_eigenvalue(model, state)
     if energy_override is not None:
         eig = energy_override**2 * (1.0 + model.alpha**2 / (1.0 - cmap.a) ** 2)
+    d = _diff(eigenfunction_z(model, state), points, cfg)
+    psi = d.value
     hc2 = (u.hbar * u.c) ** 2
-    scale = state.energy**2 * _max_abs(fld, points)
-    worst = 0.0
-    err = 0.0
-    for p in points:
-        psi = complex(fld.at(p))
-        ddz, e = dzstar_dz(cmap, fld, p, cfg)
-        res = -hc2 * ddz + u.rest_energy**2 * psi - eig * psi
-        worst = max(worst, abs(res) / scale)
-        err = max(err, hc2 * e / scale)
-    return CaseResult(name or f"coulomb-z-{state.quantum_numbers}-{state.branch}", worst, err, tolerance)
+    scale = residual_scale(state.energy**2 * dual.modulus(psi).max())
+    ddz, e = dzstar_dz(cmap, d)
+    res = -hc2 * ddz + u.rest_energy**2 * psi - eig * psi
+    worst = (dual.modulus(res) / scale).max()
+    err = (hc2 * e / scale).max()
+    return CaseResult(name or f"coulomb-z-{state.quantum_numbers}-{state.branch}", float(worst), float(err), tolerance)
 
 
 def ground_state_flatness(
@@ -253,13 +240,10 @@ def ground_state_flatness(
 ) -> CaseResult:
     """For psi_000 = exp(-i E_0 s / hbar): sum_i d2 psi / dz_i* dz_i = 0."""
     state = make_state(model, 0, 0, 0, branch)
-    fld = eigenfunction_z(model, state)
     cmap = coulomb_map(model, state)
-    scale = _max_abs(fld, points) * (state.energy / (model.units.hbar * model.units.c)) ** 2
-    worst = 0.0
-    err = 0.0
-    for p in points:
-        ddz, e = dzstar_dz(cmap, fld, p, cfg)
-        worst = max(worst, abs(ddz) / scale)
-        err = max(err, e / scale)
-    return CaseResult(f"coulomb-z-ground-flat-{branch}", worst, err, tolerance)
+    d = _diff(eigenfunction_z(model, state), points, cfg)
+    scale = residual_scale(dual.modulus(d.value).max() * (state.energy / (model.units.hbar * model.units.c)) ** 2)
+    ddz, e = dzstar_dz(cmap, d)
+    worst = (dual.modulus(ddz) / scale).max()
+    err = (e / scale).max()
+    return CaseResult(f"coulomb-z-ground-flat-{branch}", float(worst), float(err), tolerance)

@@ -1,29 +1,37 @@
-"""Pointwise numerical differentiation of complex fields.
+"""Derivatives of complex fields on grids of points.
 
-Two interchangeable modes:
+One entry point, ``_diff(field, points, cfg)``, gives at every point of a
+grid the field's value, its four first partials and its four pure second
+partials, each derivative with an error estimate.  Two interchangeable
+modes:
 
-* ``exact-forward`` -- hyperdual arithmetic threaded through the field
-  evaluation; no truncation error, rounding only.  This is the reference
-  mode for acceptance runs.
+* ``exact-forward`` -- one field evaluation on diagonal jets (``dual``)
+  over the whole grid; no truncation error, rounding only, and every
+  error estimate is exactly 0.  This is the reference mode for
+  acceptance runs.
 * ``stencil`` -- 4th-order central differences with Richardson
-  extrapolation and a per-call error estimate.
+  extrapolation, from field evaluations on shifted copies of the grid
+  (one evaluation per shifted grid; the +-h and +-2h samples serve both
+  derivative orders and neighbouring Richardson levels).  The estimate is
+  the last Richardson correction plus a roundoff bound carried through
+  the Richardson table.
 
 Axes are indexed 0, 1, 2 for x1, x2, x3 and 3 (``T_AXIS``) for time.
-A request for axes (a,) is a first partial, (a, a) a second partial and
-(a, b) the mixed partial.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
+import numpy as np
+
 from . import dual
-from .core import ComplexField, DomainError, NonFiniteError, ConfigError, SpaceTimePoint
+from .core import ComplexField, ConfigError, DomainError, NonFiniteError, PointSet, as_points
 
 T_AXIS = 3
+N_AXES = 4
 
 MODE_EXACT = "exact-forward"
 MODE_STENCIL = "stencil"
@@ -31,6 +39,7 @@ MODE_STENCIL = "stencil"
 # 4th-order central stencils
 _W1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))          # / 12h
 _W2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))  # / 12h^2
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -56,126 +65,121 @@ class DiffConfig:
         return self.base_step
 
 
-@dataclass(frozen=True)
-class DerivativeRequest:
+@dataclass(frozen=True, eq=False)
+class Derivatives:
+    """A field's value and derivatives at every point of a grid.
+
+    ``value`` has shape (n,); ``grad`` and ``hess`` have shape (4, n) and
+    hold the first and the pure second partials along x1, x2, x3 and t;
+    ``grad_err`` and ``hess_err`` are their error estimates.  All are
+    complex except the estimates.
+    """
+
     field: ComplexField
-    point: SpaceTimePoint
-    axes: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.axes) not in (1, 2) or any(a not in (0, 1, 2, 3) for a in self.axes):
-            raise ConfigError(f"bad derivative axes: {self.axes!r}")
-
-
-def differentiate(req: DerivativeRequest, cfg: DiffConfig):
-    """Return the requested partial derivative as a complex number."""
-    return _diff(req, cfg)[0]
+    points: PointSet
+    value: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
+    grad_err: np.ndarray
+    hess_err: np.ndarray
 
 
-def estimate_error(req: DerivativeRequest, cfg: DiffConfig) -> float:
-    """Per-call error estimate; exactly zero in exact-forward mode."""
-    return _diff(req, cfg)[1]
+def _diff(field: ComplexField, points, cfg: DiffConfig) -> Derivatives:
+    """Differentiate ``field`` at every point of ``points`` in one pass.
+
+    Raises NonFiniteError if any value or derivative is not finite, or if
+    evaluating the field overflows or divides by zero.
+    """
+    pts = as_points(points)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            parts = _jet_pass(field, pts) if cfg.mode == MODE_EXACT else _stencil_pass(field, pts, cfg)
+    except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
+        raise NonFiniteError(f"{field.label or 'field'}: non-finite arithmetic on the grid ({exc})") from None
+    if not all(np.isfinite(a).all() for a in parts[:3]):
+        raise NonFiniteError(f"{field.label or 'field'}: non-finite value or derivative on the grid")
+    return Derivatives(field, pts, *parts)
 
 
-def _diff(req: DerivativeRequest, cfg: DiffConfig):
-    if cfg.mode == MODE_EXACT:
-        return _diff_exact(req), 0.0
-    return _diff_stencil(req, cfg)
+def _jet_pass(field: ComplexField, pts: PointSet):
+    out = field(*dual.variables(*pts.coords))
+    if isinstance(out, dual.HyperDual):
+        c = out.c.astype(complex, copy=False)
+    else:  # the field ignores its arguments
+        c = np.zeros((1 + 2 * N_AXES, len(pts)), dtype=complex)
+        c[0] = out
+    zeros = np.zeros((N_AXES, len(pts)))
+    return c[0], c[1 : 1 + N_AXES], c[1 + N_AXES :], zeros, zeros
 
 
-def _args(point: SpaceTimePoint):
-    return [point.x[0], point.x[1], point.x[2], point.t]
-
-
-def _check_finite(v):
-    vv = complex(v)
-    if not (math.isfinite(vv.real) and math.isfinite(vv.imag)):
-        raise NonFiniteError("sampled field value is non-finite")
-    return vv
-
-
-def _diff_exact(req: DerivativeRequest):
-    args = _args(req.point)
-    axes = req.axes
-    if len(axes) == 1:
-        a = axes[0]
-        args[a] = dual.seed(args[a], e1=1.0)
-        out = req.field(*args)
-        val = out.e1 if isinstance(out, dual.HyperDual) else 0.0
-    else:
-        a, b = axes
-        if a == b:
-            args[a] = dual.seed(args[a], e1=1.0, e2=1.0)
-        else:
-            args[a] = dual.seed(args[a], e1=1.0)
-            args[b] = dual.seed(args[b], e2=1.0)
-        out = req.field(*args)
-        val = out.e12 if isinstance(out, dual.HyperDual) else 0.0
-    return _check_finite(val)
-
-
-def _clamped_step(req: DerivativeRequest, cfg: DiffConfig, axis: int) -> float:
+def _clamped_step(field: ComplexField, pts: PointSet, cfg: DiffConfig, axis: int):
+    """The axis's step, per point for a field singular at r = 0."""
     h = cfg.step(axis)
-    if axis != T_AXIS and req.field.singular_at_origin:
-        r = req.point.r
-        if r == 0.0:
+    if axis != T_AXIS and field.singular_at_origin:
+        r = np.array(pts.radii)
+        if (r == 0.0).any():
             raise DomainError("stencil centered on the singular locus r = 0")
         # widest stencil reach is 2h; keep it at half the distance to r = 0
-        h = min(h, 0.25 * r)
+        h = np.minimum(h, 0.25 * r)
     return h
 
 
-def _sample(req: DerivativeRequest, offsets):
-    args = _args(req.point)
-    for axis, delta in offsets:
-        args[axis] = args[axis] + delta
-    return _check_finite(req.field(*args))
+def _sample(field: ComplexField, pts: PointSet, axis: int, delta):
+    """The field on the grid shifted by ``delta`` along ``axis``."""
+    args = list(pts.coords)
+    args[axis] = args[axis] + delta
+    return np.broadcast_to(np.asarray(field(*args), dtype=complex), (len(pts),))
 
 
-def _stencil_value(req: DerivativeRequest, h_by_axis, axes):
-    if len(axes) == 1:
-        a = axes[0]
-        h = h_by_axis[a]
-        acc = 0.0
-        for off, w in _W1:
-            acc += w * _sample(req, [(a, off * h)])
-        return acc / (12.0 * h)
-    a, b = axes
-    if a == b:
-        h = h_by_axis[a]
-        acc = 0.0
-        for off, w in _W2:
-            acc += w * _sample(req, [(a, off * h)])
-        return acc / (12.0 * h * h)
-    ha, hb = h_by_axis[a], h_by_axis[b]
-    acc = 0.0
-    for offa, wa in _W1:
-        for offb, wb in _W1:
-            acc += wa * wb * _sample(req, [(a, offa * ha), (b, offb * hb)])
-    return acc / (144.0 * ha * hb)
-
-
-def _diff_stencil(req: DerivativeRequest, cfg: DiffConfig):
-    axes = req.axes
-    base = {a: _clamped_step(req, cfg, a) for a in set(axes)}
+def _stencil_pass(field: ComplexField, pts: PointSet, cfg: DiffConfig):
     levels = cfg.richardson_levels
     n_eval = max(levels, 1) + 1  # always sample one refinement for the estimate
-    raw = []
-    for k in range(n_eval):
-        hk = {a: h / 2.0**k for a, h in base.items()}
-        raw.append(_stencil_value(req, hk, axes))
-    # Richardson table; leading error h^4, then h^6, h^8, ...
-    table = [list(raw)]
-    for j in range(1, n_eval):
-        fac = 2.0 ** (4 + 2 * (j - 1))
-        prev = table[j - 1]
-        table.append(
-            [(fac * prev[k + 1] - prev[k]) / (fac - 1.0) for k in range(len(prev) - 1)]
-        )
+    center = _sample(field, pts, 0, 0.0)
+    raw = []  # per axis: (steps, first-derivative stencils, second-derivative stencils)
+    f_max = np.abs(center)
+    for axis in range(N_AXES):
+        h = _clamped_step(field, pts, cfg, axis)
+        steps = [h / 2.0**k for k in range(n_eval)]
+        samples = {}
+
+        def at(off, k):
+            if off == 0:
+                return center
+            if abs(off) == 2 and k > 0:  # x + 2 h_k is x + h_(k-1): one sample serves both
+                off, k = off // 2, k - 1
+            if (off, k) not in samples:
+                samples[off, k] = _sample(field, pts, axis, off * steps[k])
+            return samples[off, k]
+
+        first = [sum(w * at(off, k) for off, w in _W1) / (12.0 * hk) for k, hk in enumerate(steps)]
+        second = [sum(w * at(off, k) for off, w in _W2) / (12.0 * hk * hk) for k, hk in enumerate(steps)]
+        raw.append((steps, first, second))
+        f_max = np.maximum(f_max, np.max(np.abs(np.stack(list(samples.values()))), axis=0))
+    # roundoff of one sample: two ulps of |f|, and of every coordinate the
+    # field reads, each weighted by the gradient along it
+    noise = 2.0 * _EPS * (f_max + sum(np.abs(x) * np.abs(first[0]) for x, (_, first, _) in zip(pts.coords, raw)))
+    out = [], [], [], []  # grad, hess, grad_err, hess_err
+    for steps, first, second in raw:
+        for dst, stencils, weight, order in ((0, first, 18.0, 1), (1, second, 64.0, 2)):
+            rnd = [weight * noise / (12.0 * hk**order) for hk in steps]
+            value, err = _richardson(stencils, rnd, levels)
+            out[dst].append(value)
+            out[dst + 2].append(err)
+    return (center, *(np.array(part) for part in out))
+
+
+def _richardson(raw, rnd, levels):
+    """Extrapolated value and its error estimate from stencil values at h / 2^k.
+
+    ``rnd`` bounds each raw value's roundoff; it is carried through the
+    table with the same weights, taken in absolute value.
+    """
+    table, rtable = [raw], [rnd]
+    for j in range(1, len(raw)):
+        fac = 2.0 ** (4 + 2 * (j - 1))  # leading error h^4, then h^6, h^8, ...
+        prev, rprev = table[-1], rtable[-1]
+        table.append([(fac * prev[k + 1] - prev[k]) / (fac - 1.0) for k in range(len(prev) - 1)])
+        rtable.append([(fac * rprev[k + 1] + rprev[k]) / (fac - 1.0) for k in range(len(rprev) - 1)])
     if levels == 0:
-        value = raw[0]
-        err = abs(raw[1] - raw[0])
-    else:
-        value = table[levels][0]
-        err = abs(table[levels][0] - table[levels - 1][0])
-    return value, err
+        return raw[0], np.abs(raw[1] - raw[0]) + rnd[0]
+    return table[levels][0], np.abs(table[levels][0] - table[levels - 1][0]) + rtable[levels][0]

@@ -1,15 +1,34 @@
-"""Hyperdual numbers for exact forward-mode differentiation.
+"""Diagonal jets for exact forward-mode differentiation over a grid.
 
-A HyperDual carries a value and derivative coefficients along two
-infinitesimal directions e1, e2 with e1^2 = e2^2 = 0 and e1*e2 = e12:
+A HyperDual here carries, at every point of a grid, a value ``v``, the
+first partials ``g[k]`` and the pure second partials ``h[k]`` along each
+input axis k.  Row k is what a scalar hyperdual v + b e1 + c e2 + d e12
+(e1^2 = e2^2 = 0, e1 e2 = e12) seeded with e1 = e2 = 1 on axis k would
+carry as b and d, so one field evaluation on the jets made by
+``variables`` gives the value, the gradient and the Hessian diagonal at
+every point.  This is the forward Laplacian of Li et al. 2023
+(arXiv:2307.08214), Taylor-mode AD in Griewank & Walther, *Evaluating
+Derivatives*, ch. 13.  Coefficients are numpy arrays, real or complex,
+so the same arithmetic threads through phase factors, Hermite
+recurrences, powers and logarithms without truncation error.
 
-    x = v + b*e1 + c*e2 + d*e12
+Rounding.  Every component is rounded as scalar hyperdual arithmetic in
+CPython rounds it, so a residual computed on jets equals the one a
+point-by-point evaluation gives, bit for bit.  numpy fuses the multiply
+and add of a complex product and has its own exp, log and pow, so:
 
-Seeding e1 and e2 on the same input variable makes the e12 component of
-f(x) the exact second derivative; seeding them on different variables
-gives the exact mixed partial.  Coefficients are complex, so the same
-arithmetic threads through phase factors, Hermite recurrences, powers
-and logarithms without truncation error (rounding only).
+* complex-by-complex products are split into real products (``mul``);
+* the complex reciprocal follows CPython's division (``_recip``);
+* real exp goes through complex exp, which matches libm's real exp;
+  log and non-integer powers are evaluated per element in CPython.
+
+Real products, sums, ``sqrt`` and complex-by-real products round alike
+in numpy and CPython.  Components are combined in the order of the
+scalar hyperdual: the second partial of a product is
+((v oh + h ov) + g og) + g og, and of a lifted function fp h + (fpp g) g.
+
+The functions ``exp``, ``log``, ``sqrt`` and ``powr`` also take plain
+scalars and arrays, and lift any argument that has ``_lift``.
 """
 
 from __future__ import annotations
@@ -17,34 +36,127 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 _SCALARS = (int, float, complex)
 
 
+def _is_complex(x) -> bool:
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind == "c"
+    return isinstance(x, complex)
+
+
+def mul(a, b):
+    """a * b, rounded as CPython rounds a complex product.
+
+    numpy fuses the multiply-add of complex-by-complex products; this
+    computes the real and imaginary parts from separately rounded real
+    products instead.
+    """
+    if _is_complex(a) and _is_complex(b) and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+        re = ar * br
+        re -= ai * bi
+        out = np.empty(re.shape, dtype=complex)
+        out.real = re
+        im = ar * bi
+        im += ai * br
+        out.imag = im
+        return out
+    return a * b
+
+
+def modulus(a) -> np.ndarray:
+    """|a| per element, as CPython's abs() rounds it (numpy's hypot differs)."""
+    return np.array([abs(z) for z in np.asarray(a).tolist()], dtype=float)
+
+
+def _recip(x):
+    """1.0 / x; for complex arrays, CPython's complex division."""
+    if not (isinstance(x, np.ndarray) and x.dtype.kind == "c"):
+        return 1.0 / x
+    br, bi = x.real, x.imag
+    wide = np.abs(br) >= np.abs(bi)
+    # one ratio per point, smaller component over larger, as CPython takes it
+    ratio = np.where(wide, bi, br) / np.where(wide, br, bi)
+    denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+    out = np.empty(x.shape, dtype=complex)
+    out.real = np.where(wide, 1.0, ratio) / denom
+    out.imag = np.where(wide, -ratio, -1.0) / denom
+    return out
+
+
+def _exp(x):
+    if isinstance(x, np.ndarray):
+        if x.dtype.kind == "c":
+            return np.exp(x)
+        return np.exp(x.astype(complex)).real
+    return cmath.exp(x) if isinstance(x, complex) else math.exp(x)
+
+
+def _log(x):
+    if isinstance(x, np.ndarray):
+        f = cmath.log if x.dtype.kind == "c" else math.log
+        return np.array([f(v) for v in x.tolist()])
+    return cmath.log(x) if isinstance(x, complex) else math.log(x)
+
+
+def _sqrt(x):
+    if isinstance(x, np.ndarray):
+        if x.dtype.kind == "c":
+            return np.array([cmath.sqrt(v) for v in x.tolist()])
+        return np.sqrt(x)
+    return cmath.sqrt(x) if isinstance(x, complex) else math.sqrt(x)
+
+
+def _pow(x, p):
+    if isinstance(x, np.ndarray):
+        return np.array([v**p for v in x.tolist()])
+    return x**p
+
+
 class HyperDual:
-    __slots__ = ("v", "e1", "e2", "e12")
+    """Diagonal jet along k axes at n points.
 
-    def __init__(self, v, e1=0.0, e2=0.0, e12=0.0):
-        self.v = v
-        self.e1 = e1
-        self.e2 = e2
-        self.e12 = e12
+    ``c`` has shape (1 + 2k, n): row 0 is the value v, rows 1..k the first
+    partials g, rows k+1..2k the pure second partials h.
+    """
 
-    def __repr__(self):
-        return f"HyperDual({self.v!r}, {self.e1!r}, {self.e2!r}, {self.e12!r})"
+    __slots__ = ("c",)
+    # numpy must hand mixed operations to the jet, not build object arrays
+    __array_ufunc__ = None
+
+    def __init__(self, c):
+        self.c = c
+
+    @property
+    def v(self):
+        return self.c[0]
+
+    @property
+    def g(self):
+        return self.c[1 : 1 + len(self.c) // 2]
+
+    @property
+    def h(self):
+        return self.c[1 + len(self.c) // 2 :]
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, o):
         if isinstance(o, HyperDual):
-            return HyperDual(self.v + o.v, self.e1 + o.e1, self.e2 + o.e2, self.e12 + o.e12)
+            return HyperDual(self.c + o.c)
         if isinstance(o, _SCALARS):
-            return HyperDual(self.v + o, self.e1, self.e2, self.e12)
+            c = self.c.astype(np.result_type(self.c, o))
+            c[0] += o
+            return HyperDual(c)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HyperDual(-self.v, -self.e1, -self.e2, -self.e12)
+        return HyperDual(-self.c)
 
     def __sub__(self, o):
         return self + (-o)
@@ -54,14 +166,16 @@ class HyperDual:
 
     def __mul__(self, o):
         if isinstance(o, HyperDual):
-            return HyperDual(
-                self.v * o.v,
-                self.v * o.e1 + self.e1 * o.v,
-                self.v * o.e2 + self.e2 * o.v,
-                self.v * o.e12 + self.e12 * o.v + self.e1 * o.e2 + self.e2 * o.e1,
-            )
+            a, b = self.c, o.c
+            k = len(a) // 2
+            out = mul(a[0], b)  # v ov, v og, v oh
+            out[1:] += mul(a[1:], b[0])  # + g ov, + h ov
+            gg = mul(a[1 : 1 + k], b[1 : 1 + k])
+            out[1 + k :] += gg
+            out[1 + k :] += gg
+            return HyperDual(out)
         if isinstance(o, _SCALARS):
-            return HyperDual(self.v * o, self.e1 * o, self.e2 * o, self.e12 * o)
+            return HyperDual(mul(self.c, o))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -77,21 +191,24 @@ class HyperDual:
         return self._reciprocal() * o
 
     def _reciprocal(self):
-        iv = 1.0 / self.v
-        return self._lift(iv, -iv * iv, 2.0 * iv * iv * iv)
+        iv = _recip(self.v)
+        return self._lift(iv, mul(-iv, iv), mul(mul(2.0 * iv, iv), iv))
 
     def __pow__(self, n):
         if isinstance(n, int):
             if n < 0:
-                return (self._reciprocal()) ** (-n)
-            out = HyperDual(1.0)
+                return self._reciprocal() ** (-n)
+            if n == 0:
+                return 1.0
+            # square-and-multiply, as CPython's complex power runs it
+            out = None
             base = self
-            k = n
-            while k:
-                if k & 1:
-                    out = out * base
-                base = base * base
-                k >>= 1
+            while n:
+                if n & 1:
+                    out = base if out is None else out * base
+                n >>= 1
+                if n:
+                    base = base * base
             return out
         return powr(self, n)
 
@@ -99,88 +216,58 @@ class HyperDual:
 
     def _lift(self, f, fp, fpp):
         """Compose with a scalar analytic function given f, f', f'' at v."""
-        return HyperDual(
-            f,
-            fp * self.e1,
-            fp * self.e2,
-            fp * self.e12 + fpp * self.e1 * self.e2,
-        )
-
-    def conjugate(self):
-        # Valid for real seed directions: d/dx conj(f) = conj(df/dx).
-        return HyperDual(
-            _conj(self.v), _conj(self.e1), _conj(self.e2), _conj(self.e12)
-        )
+        a = self.c
+        k = len(a) // 2
+        d = mul(fp, a[1:])  # fp g, fp h
+        fpp_g = d[:k] if fpp is fp else mul(fpp, a[1 : 1 + k])
+        d[k:] += mul(fpp_g, a[1 : 1 + k])
+        return HyperDual(np.concatenate((np.asarray(f)[np.newaxis], d)))
 
 
-def _conj(x):
-    return x.conjugate() if isinstance(x, complex) else x
+def variables(*coords):
+    """One jet per coordinate array, each seeded along its own axis."""
+    k = len(coords)
+    out = []
+    for i, x in enumerate(coords):
+        c = np.zeros((1 + 2 * k, len(x)))
+        c[0] = x
+        c[1 + i] = 1.0
+        out.append(HyperDual(c))
+    return out
 
 
-def seed(value, e1=0.0, e2=0.0) -> HyperDual:
-    """Make a hyperdual input variable with the given seed directions."""
-    return HyperDual(value, e1, e2, 0.0)
-
-
-# -- generic math: dispatch on plain scalars vs hyperduals ----------------
-
-
-def _fn(x, real_f, cplx_f):
-    if isinstance(x, complex):
-        return cplx_f(x)
-    return real_f(x)
+# -- generic math: scalars, arrays, and anything with _lift ----------------
 
 
 def exp(x):
-    if isinstance(x, HyperDual):
-        e = _fn(x.v, math.exp, cmath.exp)
+    if hasattr(x, "_lift"):
+        e = _exp(x.v)
         return x._lift(e, e, e)
-    return _fn(x, math.exp, cmath.exp)
+    return _exp(x)
 
 
 def log(x):
-    if isinstance(x, HyperDual):
-        iv = 1.0 / x.v
-        return x._lift(_fn(x.v, math.log, cmath.log), iv, -iv * iv)
-    return _fn(x, math.log, cmath.log)
+    if hasattr(x, "_lift"):
+        iv = _recip(x.v)
+        return x._lift(_log(x.v), iv, mul(-iv, iv))
+    return _log(x)
 
 
 def sqrt(x):
-    if isinstance(x, HyperDual):
-        s = _fn(x.v, math.sqrt, cmath.sqrt)
-        return x._lift(s, 0.5 / s, -0.25 / (s * x.v))
-    return _fn(x, math.sqrt, cmath.sqrt)
+    if hasattr(x, "_lift"):
+        s = _sqrt(x.v)
+        return x._lift(s, 0.5 / s, -0.25 / mul(s, x.v))
+    return _sqrt(x)
 
 
 def powr(x, p):
     """x**p for real (possibly non-integer) exponent p, x > 0."""
-    if isinstance(x, HyperDual):
-        f = x.v**p
+    if hasattr(x, "_lift"):
+        f = _pow(x.v, p)
         return x._lift(f, p * f / x.v, p * (p - 1.0) * f / (x.v * x.v))
-    return x**p
-
-
-def sin(x):
-    if isinstance(x, HyperDual):
-        s = _fn(x.v, math.sin, cmath.sin)
-        c = _fn(x.v, math.cos, cmath.cos)
-        return x._lift(s, c, -s)
-    return _fn(x, math.sin, cmath.sin)
-
-
-def cos(x):
-    if isinstance(x, HyperDual):
-        s = _fn(x.v, math.sin, cmath.sin)
-        c = _fn(x.v, math.cos, cmath.cos)
-        return x._lift(c, -s, -c)
-    return _fn(x, math.cos, cmath.cos)
+    return _pow(x, p)
 
 
 def norm3(x1, x2, x3):
-    """sqrt(x1^2 + x2^2 + x3^2), generic over floats and hyperduals."""
+    """sqrt(x1^2 + x2^2 + x3^2), generic over floats, arrays and jets."""
     return sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-
-
-def value_of(x):
-    """Strip derivative parts, returning the underlying scalar."""
-    return x.v if isinstance(x, HyperDual) else x

@@ -20,6 +20,7 @@ from . import dual
 from .confmap import (
     ConformalMap,
     d2z_identity_residual,
+    dz_dzstar,
     dzstar_dz,
     d_z,
     forward,
@@ -27,10 +28,10 @@ from .confmap import (
     independence_check,
     qprop_identity_residual,
 )
-from .core import ComplexField, ConfigError, SpaceTimePoint, natural_units
-from .diffengine import DiffConfig, MODE_EXACT
+from .core import ComplexField, ConfigError, PointSet, SpaceTimePoint, UnitSystem, natural_units, residual_scale
+from .diffengine import DiffConfig, MODE_EXACT, _diff
 from .report import CaseResult, ResidualReport
-from .specfun import SOMMERFELD
+from .specfun import HYDRINO, SOMMERFELD
 
 #: fixed, deterministic angular sample set (unit vectors, no axis bias)
 DIRECTIONS = (
@@ -79,13 +80,13 @@ class Grid:
     def radii(self):
         return np.geomspace(self.r_min, self.r_max, self.shells)
 
-    def points(self):
-        pts = []
-        for r in self.radii():
-            for d in self.directions:
-                for t in self.times:
-                    pts.append(SpaceTimePoint(x=(r * d[0], r * d[1], r * d[2]), t=t))
-        return pts
+    def points(self) -> PointSet:
+        return PointSet(
+            SpaceTimePoint(x=(r * d[0], r * d[1], r * d[2]), t=t)
+            for r in self.radii()
+            for d in self.directions
+            for t in self.times
+        )
 
 
 def default_tolerance(cfg: DiffConfig) -> float:
@@ -146,10 +147,10 @@ def generate_test_field(spec: TestFieldSpec) -> ComplexField:
 
 def run_suite(name: str, params: dict = None, cfg: DiffConfig = None) -> ResidualReport:
     """Run a named verification suite; deterministic given (params, seed)."""
-    params = dict(params or {})
     cfg = cfg or DiffConfig()
     if name not in SUITES:
         raise ConfigError(f"unknown suite: {name!r}")
+    params = _checked(dict(params or {}))
     runner = {
         "oscillator-x": _suite_oscillator_x,
         "oscillator-z": _suite_oscillator_z,
@@ -165,6 +166,53 @@ def run_suite(name: str, params: dict = None, cfg: DiffConfig = None) -> Residua
     report = runner(params, cfg)
     wall = (time.perf_counter() - t0) * 1000.0
     return report.with_wall_ms(wall)
+
+
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _count(lo):
+    return lambda v: _int(v) and v >= lo
+
+
+def _positive(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0
+
+
+def _states(v) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) > 0 and all(
+        isinstance(s, (list, tuple)) and len(s) in (2, 3) and all(map(_int, s)) for s in v
+    )
+
+
+#: every parameter a suite reads, with the values it accepts
+_PARAMS = {
+    "nmax": _count(0),
+    "shells": _count(2),
+    "seed": _count(0),
+    "n_fields": _count(1),
+    "identity_fields": _count(1),
+    "omega": _positive,
+    "alpha": _positive,
+    "energy": _positive,
+    "tolerance": _positive,
+    "tolerance_number": _positive,
+    "states": _states,
+    "branch": lambda v: v in (SOMMERFELD, HYDRINO),
+    "grid": lambda v: isinstance(v, Grid),
+    "units": lambda v: isinstance(v, UnitSystem),
+}
+
+
+def _checked(params: dict) -> dict:
+    """Reject unknown parameters and out-of-range values with ConfigError."""
+    for key, value in params.items():
+        if key not in _PARAMS:
+            raise ConfigError(f"unknown suite parameter: {key!r}")
+        if not _PARAMS[key](value):
+            raise ConfigError(f"bad value for suite parameter {key!r}: {value!r}")
+    return params
 
 
 def _osc_model(params) -> ho.OscillatorModel:
@@ -246,49 +294,42 @@ def _suite_ladder(params, cfg):
     cases = []
 
     ground = ho.make_state(model, 0, 0, 0)
-    psi0 = ho.eigenfunction_x(model, ground)
-    scale0 = max(abs(complex(psi0.at(p))) for p in points)
-    worst = 0.0
-    for p in points:
-        for i in range(3):
-            worst = max(worst, abs(ho.ladder_apply(model, ("lower", i), psi0, p, cfg)) / scale0)
-    cases.append(CaseResult("annihilate-ground", worst, 0.0, tol))
+    d0 = _diff(ho.eigenfunction_x(model, ground), points, cfg)
+    scale0 = residual_scale(dual.modulus(d0.value).max())
+    worst = max((dual.modulus(ho.ladder_apply(model, ("lower", i), d0)) / scale0).max() for i in range(3))
+    cases.append(CaseResult("annihilate-ground", float(worst), 0.0, tol))
 
     for n in range(params.get("nmax", 4) + 1):
         worst = 0.0
         err = 0.0
         for state in ho.states_with_n(model, n):
-            fld = ho.eigenfunction_x(model, state)
-            scale = max(abs(complex(fld.at(p))) for p in points) * max(n, 1)
-            for p in points:
-                val, e = ho.number_operator_apply(model, fld, p, cfg)
-                worst = max(worst, abs(val - n * complex(fld.at(p))) / scale)
-                err = max(err, e / scale)
-        cases.append(CaseResult(f"number-operator-n{n}", worst, err, tol_number))
+            d = _diff(ho.eigenfunction_x(model, state), points, cfg)
+            scale = residual_scale(dual.modulus(d.value).max() * max(n, 1))
+            val, e = ho.number_operator_apply(model, d)
+            worst = max(worst, (dual.modulus(val - n * d.value) / scale).max())
+            err = max(err, (e / scale).max())
+        cases.append(CaseResult(f"number-operator-n{n}", float(worst), float(err), tol_number))
 
     # a_1 applied to (1,0,0) is proportional to the ground state; divide out
     # the E_1 - E_0 phase difference before comparing pointwise ratios
     state1 = ho.make_state(model, 1, 0, 0)
-    excited = ho.eigenfunction_x(model, state1)
+    d1 = _diff(ho.eigenfunction_x(model, state1), points, cfg)
     d_e = state1.energy - ground.energy
     hbar = model.units.hbar
-    ratios = []
-    for p in points:
-        denom = complex(psi0.at(p))
-        val = ho.ladder_apply(model, ("lower", 0), excited, p, cfg)
-        ratios.append(val / denom * complex(math.cos(d_e * p.t / hbar), math.sin(d_e * p.t / hbar)))
+    lowered = ho.ladder_apply(model, ("lower", 0), d1)
+    ratios = [
+        val / denom * complex(math.cos(d_e * p.t / hbar), math.sin(d_e * p.t / hbar))
+        for val, denom, p in zip(lowered.tolist(), d0.value.tolist(), points)
+    ]
     mean = sum(ratios) / len(ratios)
     spread = max(abs(q - mean) for q in ratios) / abs(mean)
     cases.append(CaseResult("lowering-proportionality", spread, 0.0, tol_number))
 
     # probe: the number operator must NOT return n+1
-    fld = ho.eigenfunction_x(model, ho.make_state(model, 1, 0, 0))
-    scale = max(abs(complex(fld.at(p))) for p in points)
-    worst = 0.0
-    for p in points:
-        val, _ = ho.number_operator_apply(model, fld, p, cfg)
-        worst = max(worst, abs(val - 2 * complex(fld.at(p))) / scale)
-    cases.append(CaseResult("probe:number-operator-off-by-one", worst, 0.0, tol_number))
+    scale = residual_scale(dual.modulus(d1.value).max())
+    val, _ = ho.number_operator_apply(model, d1)
+    worst = (dual.modulus(val - 2 * d1.value) / scale).max()
+    cases.append(CaseResult("probe:number-operator-off-by-one", float(worst), 0.0, tol_number))
     return ResidualReport("ladder", cfg.mode, tuple(cases))
 
 
@@ -335,12 +376,11 @@ def _suite_coulomb_z(params, cfg):
     for seed in range(n_fields):
         spec = TestFieldSpec(seed=params.get("seed", 0) * 1000 + seed, r_max=3.0 * ground.r_scale)
         fld = _with_energy(generate_test_field(spec), ground.energy)
-        for p in _field_sample_points(spec):
-            res, rhs, e = d2z_identity_residual(cmap, fld, p, gcfg)
-            scale = max(rhs, 1e-30)
-            worst = max(worst, res / scale)
-            err = max(err, e / scale)
-    cases.append(CaseResult("d2z-operator-identity", worst, err, tol))
+        res, rhs, e = d2z_identity_residual(cmap, _diff(fld, _field_sample_points(spec), gcfg))
+        scale = np.maximum(rhs, 1e-30)
+        worst = max(worst, (res / scale).max())
+        err = max(err, (e / scale).max())
+    cases.append(CaseResult("d2z-operator-identity", float(worst), float(err), tol))
 
     st = states[0]
     cases.append(
@@ -409,11 +449,8 @@ def _suite_map_independence(params, cfg):
         fn=lambda x1, x2, x3, t: t + 1j * osc_map.tau(dual.norm3(x1, x2, x3)),
         label="s(x,t)",
     )
-    worst = 0.0
-    for p in osc_points:
-        comps = d_z(broken, s_field, p, cfg)
-        worst = max(worst, max(abs(v) for v in comps))
-    cases.append(CaseResult("probe:detuned-map", worst, 0.0, tol))
+    worst = max(dual.modulus(c).max() for c in d_z(broken, _diff(s_field, osc_points, cfg)))
+    cases.append(CaseResult("probe:detuned-map", float(worst), 0.0, tol))
     return ResidualReport("map-independence", cfg.mode, tuple(cases))
 
 
@@ -454,46 +491,35 @@ def _suite_operator_identities(params, cfg):
 
     worst_q = err_q = 0.0
     worst_d = err_d = 0.0
-    probe_field = None
+    probe = None
     for idx in range(n_fields):
         spec_o = TestFieldSpec(seed=seed0 * 10000 + idx, r_max=3.0)
         fld_o = generate_test_field(spec_o)
         omap = ho.oscillator_map(osc, fld_o.energy_hint)
-        for p in _field_sample_points(spec_o):
-            res, rhs, e = qprop_identity_residual(omap, fld_o, p, cfg)
-            scale = max(rhs, 1e-30)
-            worst_q = max(worst_q, res / scale)
-            err_q = max(err_q, e / scale)
+        d_o = _diff(fld_o, _field_sample_points(spec_o), cfg)
+        res, rhs, e = qprop_identity_residual(omap, d_o)
+        scale = np.maximum(rhs, 1e-30)
+        worst_q = max(worst_q, (res / scale).max())
+        err_q = max(err_q, (e / scale).max())
         spec_c = TestFieldSpec(seed=seed0 * 10000 + 5000 + idx, r_max=3.0 * cstate.r_scale)
         fld_c = _with_energy(generate_test_field(spec_c), cstate.energy)
         cmap = cb.coulomb_map(cmodel, cstate)
-        for p in _field_sample_points(spec_c):
-            res, rhs, e = d2z_identity_residual(cmap, fld_c, p, ccfg)
-            scale = max(rhs, 1e-30)
-            worst_d = max(worst_d, res / scale)
-            err_d = max(err_d, e / scale)
-        if probe_field is None:
-            probe_field = (fld_o, omap, _field_sample_points(spec_o))
+        res, rhs, e = d2z_identity_residual(cmap, _diff(fld_c, _field_sample_points(spec_c), ccfg))
+        scale = np.maximum(rhs, 1e-30)
+        worst_d = max(worst_d, (res / scale).max())
+        err_d = max(err_d, (e / scale).max())
+        if probe is None:
+            probe = (omap, d_o)
 
     cases = [
-        CaseResult("qprop-oscillator", worst_q, err_q, tol),
-        CaseResult("d2z-coulomb", worst_d, err_d, tol),
+        CaseResult("qprop-oscillator", float(worst_q), float(err_q), tol),
+        CaseResult("d2z-coulomb", float(worst_d), float(err_d), tol),
     ]
 
     # probe: reversing the composition order must break the identity
-    from .confmap import dz_dzstar, _laplacian
-
-    fld_o, omap, pts = probe_field
-    omega_hc = 2.0 / (omap.b * omap.b)
-    worst = 0.0
-    for p in pts:
-        f = complex(fld_o.at(p))
-        ddz, _ = dz_dzstar(omap, fld_o, p, cfg)
-        lap, _ = _laplacian(fld_o, p, cfg)
-        lhs = -ddz + 3.0 * omega_hc * f
-        rhs = -lap + omega_hc**2 * (p.r**2) * f
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-    cases.append(CaseResult("probe:reversed-composition", worst, 0.0, tol))
+    res, rhs, _ = qprop_identity_residual(*probe, operator=dz_dzstar)
+    worst = (res / np.maximum(rhs, 1e-30)).max()
+    cases.append(CaseResult("probe:reversed-composition", float(worst), 0.0, tol))
     return ResidualReport("operator-identities", cfg.mode, tuple(cases))
 
 
@@ -530,17 +556,12 @@ def _suite_reductions(params, cfg):
     points = Grid(r_min=0.1, r_max=3.0, shells=6).points()
 
     def zform_residual(kvec, e_val):
-        fld = _plane_wave(kvec, e_val)
+        d = _diff(_plane_wave(kvec, e_val), points, cfg)
         cmap = ConformalMap.identity(E=abs(e_val), units=units)
-        worst = 0.0
-        err = 0.0
-        for p in points:
-            psi = complex(fld.at(p))
-            ddz, e = dzstar_dz(cmap, fld, p, cfg)
-            res = -hc2 * ddz + units.rest_energy**2 * psi - e_val**2 * psi
-            worst = max(worst, abs(res) / (e_val**2))
-            err = max(err, hc2 * e / e_val**2)
-        return worst, err
+        psi = d.value
+        ddz, e = dzstar_dz(cmap, d)
+        res = -hc2 * ddz + units.rest_energy**2 * psi - e_val**2 * psi
+        return float((dual.modulus(res) / (e_val**2)).max()), float((hc2 * e / e_val**2).max())
 
     for i, kvec in enumerate(((0.5, 0.0, 0.0), (0.3, -0.4, 0.2), (0.0, 1.0, 0.5))):
         k2 = sum(v * v for v in kvec)

@@ -15,12 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import dual
-from .core import ComplexField, ConfigError, QuantumNumberError, SpaceTimePoint, UnitSystem, natural_units
-from .confmap import ConformalMap, d_z, d_zstar, dzstar_dz
-from .diffengine import DerivativeRequest, DiffConfig, T_AXIS, _diff
+from .core import ComplexField, ConfigError, QuantumNumberError, UnitSystem, natural_units, residual_scale
+from .confmap import ConformalMap, _laplacian, d_z, d_zstar, dzstar_dz
+from .diffengine import Derivatives, DiffConfig, T_AXIS, _diff
 from .report import CaseResult, ResidualReport
-from .specfun import hermite, hermite_l2_norm
+from .specfun import hermite
 
 
 @dataclass(frozen=True)
@@ -94,28 +96,24 @@ def oscillator_map(model: OscillatorModel, E: float) -> ConformalMap:
     return ConformalMap(a=0.0, b=model.b, lam=2.0, E=E, units=model.units)
 
 
-def eigenfunction_x(model: OscillatorModel, state: OscillatorState, normalized: bool = False) -> ComplexField:
-    """psi(x, t) = prod_j k_l H_l(xi_j) exp(-xi_j^2/2) * exp(-i E_n t / hbar)."""
+def eigenfunction_x(model: OscillatorModel, state: OscillatorState) -> ComplexField:
+    """psi(x, t) = prod_j H_l(xi_j) exp(-xi_j^2/2) * exp(-i E_n t / hbar), unnormalised."""
     scale = model.xi_scale
     hbar = model.units.hbar
     E = state.energy
     ls = state.ls
-    if normalized:
-        k = [math.sqrt(scale) / hermite_l2_norm(l) for l in ls]
-    else:
-        k = [1.0, 1.0, 1.0]
 
     def fn(x1, x2, x3, t):
         out = dual.exp(-1j * E * t / hbar)
-        for kl, l, xj in zip(k, ls, (x1, x2, x3)):
+        for l, xj in zip(ls, (x1, x2, x3)):
             xi = scale * xj
-            out = out * (kl * hermite(l, xi) * dual.exp(-0.5 * (xi * xi)))
+            out = out * (hermite(l, xi) * dual.exp(-0.5 * (xi * xi)))
         return out
 
     return ComplexField(fn=fn, label=f"osc-x{state.ls}", energy_hint=E)
 
 
-def eigenfunction_z(model: OscillatorModel, state: OscillatorState, normalized: bool = False) -> ComplexField:
+def eigenfunction_z(model: OscillatorModel, state: OscillatorState) -> ComplexField:
     """theta(z) exp(-i E_n s / hbar), evaluated through s(x, t).
 
     theta carries no gaussian factor; composing exp(-i E s / hbar) with
@@ -127,24 +125,16 @@ def eigenfunction_z(model: OscillatorModel, state: OscillatorState, normalized: 
     hbar = model.units.hbar
     E = state.energy
     ls = state.ls
-    if normalized:
-        k = [math.sqrt(scale) / hermite_l2_norm(l) for l in ls]
-    else:
-        k = [1.0, 1.0, 1.0]
 
     def fn(x1, x2, x3, t):
         r = dual.norm3(x1, x2, x3)
         s = t + 1j * cmap.tau(r)
         out = dual.exp(-1j * E * s / hbar)
-        for kl, l, xj in zip(k, ls, (x1, x2, x3)):
-            out = out * (kl * hermite(l, scale * xj))
+        for l, xj in zip(ls, (x1, x2, x3)):
+            out = out * hermite(l, scale * xj)
         return out
 
     return ComplexField(fn=fn, label=f"osc-z{state.ls}", energy_hint=E)
-
-
-def _max_abs_psi(fld: ComplexField, points) -> float:
-    return max(abs(complex(fld.at(p))) for p in points)
 
 
 def kg_residual_x(
@@ -164,24 +154,16 @@ def kg_residual_x(
     """
     u = model.units
     E = energy_override if energy_override is not None else state.energy
-    fld = eigenfunction_x(model, state)
+    d = _diff(eigenfunction_x(model, state), points, cfg)
+    psi = d.value
     hc2 = (u.hbar * u.c) ** 2
-    scale = E * E * _max_abs_psi(fld, points)
-    worst = 0.0
-    err = 0.0
-    for p in points:
-        psi = complex(fld.at(p))
-        lap = 0.0
-        e_sum = 0.0
-        for i in range(3):
-            v, e = _diff(DerivativeRequest(fld, p, (i, i)), cfg)
-            lap += v
-            e_sum += e
-        r2 = p.r**2
-        res = -hc2 * lap + u.rest_energy**2 * psi + model.omega**2 * r2 * psi - E * E * psi
-        worst = max(worst, abs(res) / scale)
-        err = max(err, hc2 * e_sum / scale)
-    return CaseResult(name or f"osc-x-{state.ls}", worst, err, tolerance)
+    scale = residual_scale(E * E * dual.modulus(psi).max())
+    lap, e_sum = _laplacian(d)
+    r2 = np.array([r**2 for r in d.points.radii])
+    res = -hc2 * lap + u.rest_energy**2 * psi + model.omega**2 * r2 * psi - E * E * psi
+    worst = (dual.modulus(res) / scale).max()
+    err = (hc2 * e_sum / scale).max()
+    return CaseResult(name or f"osc-x-{state.ls}", float(worst), float(err), tolerance)
 
 
 def kg_residual_z(
@@ -203,34 +185,36 @@ def kg_residual_z(
     u = model.units
     E = energy_override if energy_override is not None else state.energy
     cmap = oscillator_map(model, E)
-    fld = eigenfunction_z(model, state)
+    d = _diff(eigenfunction_z(model, state), points, cfg)
+    psi = d.value
     hc2 = (u.hbar * u.c) ** 2
     eig = E * E - 3.0 * u.hbar * u.c * model.omega
-    scale = E * E * _max_abs_psi(fld, points)
-    worst_kg = 0.0
-    worst_eop = 0.0
-    err = 0.0
-    for p in points:
-        psi = complex(fld.at(p))
-        ddz, e = dzstar_dz(cmap, fld, p, cfg)
-        res = -hc2 * ddz + u.rest_energy**2 * psi - eig * psi
-        worst_kg = max(worst_kg, abs(res) / scale)
-        err = max(err, hc2 * e / scale)
-        dt = _diff(DerivativeRequest(fld, p, (T_AXIS,)), cfg)[0]
-        worst_eop = max(worst_eop, abs(1j * u.hbar * dt - E * psi) / scale)
+    scale = residual_scale(E * E * dual.modulus(psi).max())
+    ddz, e = dzstar_dz(cmap, d)
+    res = -hc2 * ddz + u.rest_energy**2 * psi - eig * psi
+    worst_kg = (dual.modulus(res) / scale).max()
+    err = float((hc2 * e / scale).max())
+    eop = dual.mul(1j * u.hbar, d.grad[T_AXIS]) - E * psi
+    worst_eop = (dual.modulus(eop) / scale).max()
     base = name or f"osc-z-{state.ls}"
     return ResidualReport(
         suite="oscillator-z",
         mode=cfg.mode,
         cases=(
-            CaseResult(base, worst_kg, err, tolerance),
-            CaseResult(base + "-energy-op", worst_eop, err, tolerance),
+            CaseResult(base, float(worst_kg), err, tolerance),
+            CaseResult(base + "-energy-op", float(worst_eop), err, tolerance),
         ),
     )
 
 
-def ladder_apply(model: OscillatorModel, which, fld: ComplexField, p: SpaceTimePoint, cfg: DiffConfig):
-    """Apply a single lowering or raising operator component.
+def _map_for(model: OscillatorModel, d: Derivatives) -> ConformalMap:
+    if d.field.energy_hint is None:
+        raise ConfigError("ladder operators need the field's energy hint")
+    return oscillator_map(model, d.field.energy_hint)
+
+
+def ladder_apply(model: OscillatorModel, which, d: Derivatives):
+    """Apply a single lowering or raising operator component on the grid.
 
     ``which`` is ("lower", i) or ("raise", i) with i in {0, 1, 2}:
     a_i = sqrt(hbar c / 2 Omega) d_z_i, a_i^dag = -sqrt(hbar c / 2 Omega) d_zstar_i.
@@ -239,22 +223,18 @@ def ladder_apply(model: OscillatorModel, which, fld: ComplexField, p: SpaceTimeP
     kind, axis = which
     if kind not in ("lower", "raise") or axis not in (0, 1, 2):
         raise ConfigError(f"bad ladder selector: {which!r}")
-    if fld.energy_hint is None:
-        raise ConfigError("ladder operators need the field's energy hint")
+    cmap = _map_for(model, d)
     u = model.units
-    cmap = oscillator_map(model, fld.energy_hint)
     coef = math.sqrt(u.hbar * u.c / (2.0 * model.omega))
     if kind == "lower":
-        return coef * d_z(cmap, fld, p, cfg, axis=axis)
-    return -coef * d_zstar(cmap, fld, p, cfg, axis=axis)
+        return coef * d_z(cmap, d, axis=axis)
+    return -coef * d_zstar(cmap, d, axis=axis)
 
 
-def number_operator_apply(model: OscillatorModel, fld: ComplexField, p: SpaceTimePoint, cfg: DiffConfig):
+def number_operator_apply(model: OscillatorModel, d: Derivatives):
     """sum_i a_i^dag a_i psi = -(hbar c / 2 Omega) sum_i d_zstar_i d_z_i psi."""
-    if fld.energy_hint is None:
-        raise ConfigError("number operator needs the field's energy hint")
+    cmap = _map_for(model, d)
+    value, err = dzstar_dz(cmap, d)
     u = model.units
-    cmap = oscillator_map(model, fld.energy_hint)
-    value, err = dzstar_dz(cmap, fld, p, cfg)
     coef = u.hbar * u.c / (2.0 * model.omega)
     return -coef * value, coef * err

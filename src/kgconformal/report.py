@@ -1,9 +1,11 @@
 """Residual report data model and serialization.
 
 A case whose name starts with ``probe:`` is a deliberate fail-probe: it
-is expected to violate its tolerance.  A suite passes iff every regular
-case passes and every probe fails; a probe that passes marks the whole
-suite as failed (it means the machinery is returning vacuous zeros).
+is expected to violate its tolerance.  A suite passes iff it has at least
+one regular case, every regular case passes and every probe fails; a
+probe that passes marks the whole suite as failed (it means the
+machinery is returning vacuous zeros), and so does a suite with nothing
+but probes.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class ResidualReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.behaved for c in self.cases)
+        return all(c.behaved for c in self.cases) and any(not c.is_probe for c in self.cases)
 
     def merge(self, other: "ResidualReport") -> "ResidualReport":
         """Associative, order-independent aggregation of case lists."""
@@ -79,6 +81,3 @@ class ResidualReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
-
-def single_case_report(suite: str, mode: str, case: CaseResult) -> ResidualReport:
-    return ResidualReport(suite=suite, mode=mode, cases=(case,))

@@ -2,8 +2,9 @@
 
 Physicists' Hermite polynomials, orthonormal spherical harmonics
 (Condon-Shortley phase) and the Coulomb radial polynomial obtained by
-series termination.  Every evaluation path accepts hyperdual arguments
-so the exact-forward differentiation mode can thread straight through.
+series termination.  Every evaluation path accepts float arrays and
+diagonal jets as well as scalars, so both differentiation modes thread
+straight through.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ def hermite(l: int, xi):
     """Physicists' Hermite polynomial H_l via the three-term recurrence.
 
     H_{k+1}(xi) = 2 xi H_k(xi) - 2 k H_{k-1}(xi).  Works for float,
-    complex or hyperdual ``xi``.
+    complex, array or jet ``xi``.
     """
     if l < 0:
         raise QuantumNumberError("hermite degree must be non-negative")

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kgconformal.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main
+from kgconformal.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_FAIL, EXIT_PASS, main
+from kgconformal.harness import SUITES
 
 
 def run(capsys, *argv):
@@ -145,3 +149,76 @@ def test_map_malformed_points_file(tmp_path, capsys):
     )
     assert code == EXIT_CONFIG
     assert "expected" in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("--suite", "ladder", "--omega", "0"), EXIT_CONFIG),
+    (("--suite", "oscillator-x", "--omega", "-1"), EXIT_CONFIG),
+    (("--suite", "oscillator-x", "--omega", "1e-300"), EXIT_DOMAIN),
+    (("--suite", "coulomb-x", "--alpha", "0.9"), EXIT_CONFIG),
+    (("--suite", "coulomb-x", "--state", "0,0,5"), EXIT_CONFIG),
+    (("--suite", "coulomb-x", "--state", "zero,one"), EXIT_CONFIG),
+    (("--suite", "coulomb-z", "--branch", "hydrino"), EXIT_DOMAIN),
+    (("--suite", "holomorphy", "--tolerance", "nan"), EXIT_CONFIG),
+    (("--suite", "operator-identities", "--n-fields", "0"), EXIT_CONFIG),
+    (("--suite", "oscillator-x", "--nmax", "-1"), EXIT_CONFIG),
+    (("--suite", "no-such-suite"), EXIT_CONFIG),
+    (("--suite", "holomorphy", "--nmax", "two"), EXIT_CONFIG),
+])
+def test_verify_bad_input_exit_codes(capsys, argv, code):
+    got, _, err = run(capsys, "verify", "--mode", "exact", *argv)
+    assert got == code
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_spectrum_nonfinite_option_is_config_error(capsys):
+    code, _, err = run(capsys, "spectrum", "--system", "coulomb", "--alpha", "nan")
+    assert code == EXIT_CONFIG
+    assert len(err.splitlines()) == 1 and "finite" in err
+
+
+def test_verify_config_file_values_are_checked(tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"nmax": "four"}))
+    code, _, err = run(capsys, "verify", "--suite", "oscillator-x", "--config", str(cfg))
+    assert code == EXIT_CONFIG and "nmax" in err
+    cfg.write_text(json.dumps({"nmaxx": 1}))
+    code, _, err = run(capsys, "verify", "--suite", "oscillator-x", "--config", str(cfg))
+    assert code == EXIT_CONFIG and "nmaxx" in err
+
+
+numbers = st.one_of(
+    st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "0.9", "0.49"]),
+    st.floats(min_value=-2.0, max_value=3.0, allow_nan=False).map(repr),
+)
+options = st.fixed_dictionaries({}, optional={
+    "--omega": numbers,
+    "--alpha": numbers,
+    "--tolerance": numbers,
+    "--nmax": st.integers(min_value=-2, max_value=2).map(str),
+    "--n-fields": st.integers(min_value=-1, max_value=3).map(str),
+    "--seed": st.integers(min_value=-2, max_value=3).map(str),
+    "--state": st.sampled_from(["0,0", "1,1,-1", "0,0,5", "-1,0", "2", "a,b", "(0,1)"]),
+    "--branch": st.sampled_from(["sommerfeld", "hydrino"]),
+})
+
+
+@given(st.sampled_from(SUITES), st.sampled_from(["exact", "stencil"]), options)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_verify_fuzz_keeps_the_exit_code_contract(suite, mode, opts):
+    """Whatever the input, verify exits 0-3 and reports an error as one
+    stderr line, never a traceback."""
+    argv = ["verify", "--suite", suite, "--mode", mode]
+    if suite in ("oscillator-x", "oscillator-z", "ladder") and "--nmax" not in opts:
+        opts["--nmax"] = "1"
+    if suite == "operator-identities" and "--n-fields" not in opts:
+        opts["--n-fields"] = "2"
+    for key, value in opts.items():
+        argv += [key, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_DOMAIN)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (1 if code in (EXIT_CONFIG, EXIT_DOMAIN) else 0), lines
+    assert "Traceback" not in err.getvalue()

@@ -1,20 +1,15 @@
-import cmath
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from kgconformal import coulomb as cb
 from kgconformal import dual
-from kgconformal.core import ComplexField, ConfigError, DomainError, NonFiniteError, SpaceTimePoint
-from kgconformal.diffengine import (
-    DerivativeRequest,
-    DiffConfig,
-    MODE_EXACT,
-    MODE_STENCIL,
-    T_AXIS,
-    differentiate,
-    estimate_error,
-)
+from kgconformal import oscillator as ho
+from kgconformal.core import ComplexField, ConfigError, DomainError, NonFiniteError, SpaceTimePoint, natural_units
+from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL, T_AXIS, _diff
+from kgconformal.harness import Grid, TestFieldSpec, _field_sample_points, _with_energy, generate_test_field, scaled_cfg
 
 GAUSS = ComplexField(fn=lambda x1, x2, x3, t: dual.exp(-(x1 * x1) / 2.0), label="gauss")
 ORIGIN = SpaceTimePoint(x=(1.0, 0.0, 0.0), t=0.0)
@@ -31,77 +26,64 @@ def _wave():
 
 def test_gaussian_first_derivative_oracle(exact_cfg):
     # d/dx exp(-x^2/2) at x = 1 is -exp(-1/2) = -0.6065306597...
-    req = DerivativeRequest(GAUSS, ORIGIN, (0,))
-    assert differentiate(req, exact_cfg) == pytest.approx(-0.6065306597126334, abs=1e-15)
+    d = _diff(GAUSS, [ORIGIN], exact_cfg)
+    assert d.grad[0, 0] == pytest.approx(-0.6065306597126334, abs=1e-15)
+    assert d.value[0] == pytest.approx(math.exp(-0.5), abs=1e-15)
 
 
 def test_gaussian_second_derivative_oracle(exact_cfg):
-    # (x^2 - 1) exp(-x^2/2) vanishes at x = 1
-    req = DerivativeRequest(GAUSS, ORIGIN, (0, 0))
-    assert abs(differentiate(req, exact_cfg)) < 1e-15
+    # (x^2 - 1) exp(-x^2/2) vanishes at x = 1; nothing depends on x2, x3, t
+    d = _diff(GAUSS, [ORIGIN], exact_cfg)
+    assert abs(d.hess[0, 0]) < 1e-15
+    assert (d.grad[1:] == 0).all() and (d.hess[1:] == 0).all()
 
 
 def test_stencil_matches_exact(stencil_cfg, exact_cfg):
     fld = _wave()
-    p = SpaceTimePoint(x=(0.3, -0.2, 0.9), t=0.1)
-    for axes in [(0,), (1, 1), (0, 2), (T_AXIS,), (1, T_AXIS)]:
-        req = DerivativeRequest(fld, p, axes)
-        a = differentiate(req, exact_cfg)
-        b = differentiate(req, stencil_cfg)
-        assert abs(a - b) < 1e-10, axes
+    points = [SpaceTimePoint(x=(0.3, -0.2, 0.9), t=0.1)]
+    a = _diff(fld, points, exact_cfg)
+    b = _diff(fld, points, stencil_cfg)
+    for axis in (0, 1, 2, T_AXIS):
+        assert abs(a.grad[axis, 0] - b.grad[axis, 0]) < 1e-10, axis
+    assert abs(a.hess[1, 0] - b.hess[1, 0]) < 1e-10
+    assert a.value[0] == b.value[0]
 
 
 def test_exact_mode_error_is_zero(exact_cfg):
-    req = DerivativeRequest(GAUSS, ORIGIN, (0,))
-    assert estimate_error(req, exact_cfg) == 0.0
+    d = _diff(GAUSS, [ORIGIN], exact_cfg)
+    assert (d.grad_err == 0.0).all() and (d.hess_err == 0.0).all()
 
 
 def test_stencil_error_estimate_converges():
     """Refining the base step by 10x must shrink the estimate by >= 10x."""
-    req = DerivativeRequest(_wave(), SpaceTimePoint(x=(0.5, 0.1, -0.3), t=0.0), (0, 0))
-    coarse = estimate_error(req, DiffConfig(mode=MODE_STENCIL, base_step=1e-1, richardson_levels=1))
-    fine = estimate_error(req, DiffConfig(mode=MODE_STENCIL, base_step=1e-2, richardson_levels=1))
-    assert fine < coarse / 10.0
+    points = [SpaceTimePoint(x=(0.5, 0.1, -0.3), t=0.0)]
+    coarse = _diff(_wave(), points, DiffConfig(mode=MODE_STENCIL, base_step=1e-1, richardson_levels=1))
+    fine = _diff(_wave(), points, DiffConfig(mode=MODE_STENCIL, base_step=1e-2, richardson_levels=1))
+    assert fine.hess_err[0, 0] < coarse.hess_err[0, 0] / 10.0
 
 
 def test_error_estimate_bounds_true_error(stencil_cfg, exact_cfg):
-    fld = _wave()
-    p = SpaceTimePoint(x=(0.5, 0.1, -0.3), t=0.2)
-    for axes in [(0,), (2, 2), (0, 1)]:
-        req = DerivativeRequest(fld, p, axes)
-        truth = differentiate(req, exact_cfg)
-        got = differentiate(req, stencil_cfg)
-        est = estimate_error(req, stencil_cfg)
-        assert abs(got - truth) < max(10.0 * est, 1e-12)
+    points = [SpaceTimePoint(x=(0.5, 0.1, -0.3), t=0.2)]
+    truth = _diff(_wave(), points, exact_cfg)
+    got = _diff(_wave(), points, stencil_cfg)
+    assert (np.abs(got.grad - truth.grad) <= got.grad_err).all()
+    assert (np.abs(got.hess - truth.hess) <= got.hess_err).all()
 
 
 @given(coords, coords, st.floats(min_value=-1.0, max_value=1.0))
 @settings(max_examples=40, deadline=None)
 def test_linearity(x, y, lam):
-    """differentiate(f + lam g) = differentiate(f) + lam differentiate(g)."""
+    """_diff(f + lam g) = _diff(f) + lam _diff(g), on every axis."""
     cfg = DiffConfig(mode=MODE_EXACT)
     f = _wave()
     g = GAUSS
     combo = ComplexField(
         fn=lambda x1, x2, x3, t: f.fn(x1, x2, x3, t) + lam * g.fn(x1, x2, x3, t)
     )
-    p = SpaceTimePoint(x=(x, y, 0.2), t=0.1)
-    for axes in [(0,), (0, 0)]:
-        req_c = DerivativeRequest(combo, p, axes)
-        df = differentiate(DerivativeRequest(f, p, axes), cfg)
-        dg = differentiate(DerivativeRequest(g, p, axes), cfg)
-        assert differentiate(req_c, cfg) == pytest.approx(df + lam * dg, rel=1e-12, abs=1e-12)
-
-
-@given(coords, coords, coords)
-@settings(max_examples=40, deadline=None)
-def test_mixed_partial_symmetry(x, y, z):
-    cfg = DiffConfig(mode=MODE_EXACT)
-    fld = _wave()
-    p = SpaceTimePoint(x=(x, y, z), t=0.05)
-    ab = differentiate(DerivativeRequest(fld, p, (0, 1)), cfg)
-    ba = differentiate(DerivativeRequest(fld, p, (1, 0)), cfg)
-    assert ab == pytest.approx(ba, rel=1e-13, abs=1e-13)
+    p = [SpaceTimePoint(x=(x, y, 0.2), t=0.1)]
+    dc, df, dg = (_diff(fld, p, cfg) for fld in (combo, f, g))
+    assert dc.grad[:, 0] == pytest.approx(df.grad[:, 0] + lam * dg.grad[:, 0], rel=1e-12, abs=1e-12)
+    assert dc.hess[:, 0] == pytest.approx(df.hess[:, 0] + lam * dg.hess[:, 0], rel=1e-12, abs=1e-12)
 
 
 def test_singular_field_step_clamped():
@@ -110,25 +92,32 @@ def test_singular_field_step_clamped():
         fn=lambda x1, x2, x3, t: 1.0 / dual.norm3(x1, x2, x3),
         singular_at_origin=True,
     )
-    p = SpaceTimePoint(x=(0.01, 0.0, 0.0), t=0.0)
-    cfg = DiffConfig(mode=MODE_STENCIL, base_step=5e-3)  # 2h = 1e-2 would hit r = 0
-    got = differentiate(DerivativeRequest(fld, p, (0,)), cfg)
+    # 2h = 1e-2 would hit r = 0 at the first point; the second keeps the full step
+    points = [SpaceTimePoint(x=(0.01, 0.0, 0.0), t=0.0), SpaceTimePoint(x=(2.0, 0.0, 0.0), t=0.0)]
+    d = _diff(fld, points, DiffConfig(mode=MODE_STENCIL, base_step=5e-3))
     # accuracy is limited this close to the pole; the point is that the
     # clamped stencil never touches r <= 0 and the sign/magnitude are right
-    assert got == pytest.approx(-1.0 / 0.01**2, rel=1e-4)
+    assert d.grad[0, 0] == pytest.approx(-1.0 / 0.01**2, rel=1e-4)
+    assert d.grad[0, 1] == pytest.approx(-1.0 / 2.0**2, rel=1e-10)
 
 
 def test_singular_field_at_origin_raises():
     fld = ComplexField(fn=lambda *a: 1.0, singular_at_origin=True)
     p = SpaceTimePoint(x=(0.0, 0.0, 0.0), t=0.0)
     with pytest.raises(DomainError):
-        differentiate(DerivativeRequest(fld, p, (0,)), DiffConfig(mode=MODE_STENCIL))
+        _diff(fld, [ORIGIN, p], DiffConfig(mode=MODE_STENCIL))
 
 
-def test_nonfinite_sample_raises(stencil_cfg):
+def test_nonfinite_sample_raises(stencil_cfg, exact_cfg):
     fld = ComplexField(fn=lambda x1, x2, x3, t: math.inf)
-    with pytest.raises(NonFiniteError):
-        differentiate(DerivativeRequest(fld, ORIGIN, (0,)), stencil_cfg)
+    for cfg in (stencil_cfg, exact_cfg):
+        with pytest.raises(NonFiniteError):
+            _diff(fld, [ORIGIN], cfg)
+    # overflow inside the field is reported the same way
+    big = ComplexField(fn=lambda x1, x2, x3, t: dual.exp(800.0 * x1))
+    for cfg in (stencil_cfg, exact_cfg):
+        with pytest.raises(NonFiniteError):
+            _diff(big, [ORIGIN], cfg)
 
 
 def test_config_validation():
@@ -139,12 +128,79 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         DiffConfig(richardson_levels=9)
     with pytest.raises(ConfigError):
-        DerivativeRequest(GAUSS, ORIGIN, (0, 1, 2))
-    with pytest.raises(ConfigError):
-        DerivativeRequest(GAUSS, ORIGIN, (5,))
+        _diff(GAUSS, [], DiffConfig())
 
 
 def test_step_overrides():
     cfg = DiffConfig(mode=MODE_STENCIL, base_step=1e-3, step_overrides={0: 2e-3})
     assert cfg.step(0) == 2e-3
     assert cfg.step(1) == 1e-3
+
+
+def test_one_field_call_per_grid_and_shifted_grid(exact_cfg, stencil_cfg):
+    calls = []
+
+    def fn(x1, x2, x3, t):
+        calls.append(1)
+        return _wave().fn(x1, x2, x3, t)
+
+    points = Grid(r_min=0.1, r_max=2.0, shells=3).points()
+    _diff(ComplexField(fn=fn), points, exact_cfg)
+    assert len(calls) == 1
+    calls.clear()
+    _diff(ComplexField(fn=fn), points, stencil_cfg)
+    # the center, then +-2h, +-h, +-h/2, +-h/4 along each of the four axes
+    assert len(calls) == 1 + 4 * 8
+
+
+# -- the stencil estimate bounds the stencil's error -----------------------
+
+OSC = ho.OscillatorModel(omega=1.0, units=natural_units())
+COULOMB = cb.CoulombModel(alpha=0.0072973525693, units=natural_units())
+OSC_POINTS = Grid(r_min=0.1, r_max=4.0, shells=10).points()
+COULOMB_GROUND = cb.make_state(COULOMB, 0, 0)
+
+
+def _oscillator_case(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    l1 = draw(st.integers(min_value=0, max_value=n))
+    l2 = draw(st.integers(min_value=0, max_value=n - l1))
+    state = ho.make_state(OSC, l1, l2, n - l1 - l2)
+    make = draw(st.sampled_from((ho.eigenfunction_x, ho.eigenfunction_z)))
+    return make(OSC, state), OSC_POINTS, DiffConfig(mode=MODE_STENCIL)
+
+
+def _coulomb_case(draw):
+    n, l = draw(st.sampled_from(((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))))
+    k = draw(st.integers(min_value=-l, max_value=l))
+    state = cb.make_state(COULOMB, n, l, k)
+    make = draw(st.sampled_from((cb.eigenfunction_x, cb.eigenfunction_z)))
+    points = Grid(r_min=0.1 * state.r_scale, r_max=20.0 * state.r_scale, shells=8).points()
+    return make(COULOMB, state), points, scaled_cfg(DiffConfig(mode=MODE_STENCIL), state.r_scale)
+
+
+def _test_field_case(draw):
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    if draw(st.booleans()):
+        spec = TestFieldSpec(seed=seed, r_max=3.0)
+        return generate_test_field(spec), _field_sample_points(spec), DiffConfig(mode=MODE_STENCIL)
+    spec = TestFieldSpec(seed=seed, r_max=3.0 * COULOMB_GROUND.r_scale)
+    fld = _with_energy(generate_test_field(spec), COULOMB_GROUND.energy)
+    return fld, _field_sample_points(spec), scaled_cfg(DiffConfig(mode=MODE_STENCIL), COULOMB_GROUND.r_scale)
+
+
+@st.composite
+def stencil_cases(draw):
+    return draw(st.sampled_from((_oscillator_case, _coulomb_case, _test_field_case)))(draw)
+
+
+@given(stencil_cases())
+@settings(max_examples=30, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+def test_stencil_estimate_bounds_error_everywhere(case):
+    """On the eigen suites' grids and on seeded test fields, every stencil
+    error estimate is at least the distance to the exact-mode derivative."""
+    fld, points, cfg = case
+    got = _diff(fld, points, cfg)
+    truth = _diff(fld, points, DiffConfig(mode=MODE_EXACT))
+    assert (np.abs(got.grad - truth.grad) <= got.grad_err).all()
+    assert (np.abs(got.hess - truth.hess) <= got.hess_err).all()

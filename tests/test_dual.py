@@ -1,25 +1,32 @@
-"""Hyperdual arithmetic against closed-form derivative oracles.
+"""Jet arithmetic against closed-form derivative oracles, and its array
+primitives against CPython's scalar arithmetic.
 
-Seeding x -> x + e1 + e2 turns the e1 slot into f'(x), the e12 slot
-into f''(x); every oracle below is an independently known derivative.
+A jet seeded with ``dual.variables`` carries f(x), f'(x) and f''(x) in
+its value, first-partial and second-partial rows; every oracle below is
+an independently known derivative.
 """
 
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from kgconformal import dual
-from kgconformal.dual import HyperDual, seed
 
 xs = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 xs_pos = st.floats(min_value=0.05, max_value=5.0, allow_nan=False)
 
 
+def jet(x):
+    (out,) = dual.variables(np.array([x]))
+    return out
+
+
 def d2(f, x):
-    out = f(seed(x, e1=1.0, e2=1.0))
-    return out.v, out.e1, out.e12
+    out = f(jet(x))
+    return out.v[0], out.g[0, 0], out.h[0, 0]
 
 
 def test_exp_derivatives():
@@ -45,13 +52,11 @@ def test_sqrt_derivatives():
 
 
 def test_trig_derivatives():
-    v, d1, dd = d2(dual.sin, 1.1)
-    assert v == pytest.approx(math.sin(1.1), rel=1e-14)
-    assert d1 == pytest.approx(math.cos(1.1), rel=1e-14)
-    assert dd == pytest.approx(-math.sin(1.1), rel=1e-14)
-    v, d1, dd = d2(dual.cos, 1.1)
-    assert d1 == pytest.approx(-math.sin(1.1), rel=1e-14)
-    assert dd == pytest.approx(-math.cos(1.1), rel=1e-14)
+    # exp(i x) = cos x + i sin x: its derivatives carry the trig oracles
+    v, d1, dd = d2(lambda x: dual.exp(1j * x), 1.1)
+    assert v == pytest.approx(complex(math.cos(1.1), math.sin(1.1)), rel=1e-14)
+    assert d1 == pytest.approx(complex(-math.sin(1.1), math.cos(1.1)), rel=1e-14)
+    assert dd == pytest.approx(complex(-math.cos(1.1), -math.sin(1.1)), rel=1e-14)
 
 
 def test_powr_noninteger():
@@ -63,59 +68,81 @@ def test_powr_noninteger():
 
 
 def test_int_pow_matches_repeated_product():
-    x = seed(1.3, e1=1.0, e2=1.0)
-    assert (x**5).e12 == pytest.approx((x * x * x * x * x).e12, rel=1e-14)
-    assert (x**5).e1 == pytest.approx(5 * 1.3**4, rel=1e-14)
+    x = jet(1.3)
+    assert (x**5).h[0, 0] == pytest.approx((x * x * x * x * x).h[0, 0], rel=1e-14)
+    assert (x**5).g[0, 0] == pytest.approx(5 * 1.3**4, rel=1e-14)
 
 
 def test_complex_coefficients():
     # d/dx exp(i x) = i exp(i x)
-    out = dual.exp(1j * seed(0.4, e1=1.0))
-    assert out.e1 == pytest.approx(1j * cmath.exp(0.4j), rel=1e-15)
+    out = dual.exp(1j * jet(0.4))
+    assert out.g[0, 0] == pytest.approx(1j * cmath.exp(0.4j), rel=1e-15)
 
 
 def test_norm3_gradient():
-    # d r / d x1 = x1 / r
-    out = dual.norm3(seed(1.0, e1=1.0), 2.0, 2.0)
-    assert out.v == pytest.approx(3.0, rel=1e-15)
-    assert out.e1 == pytest.approx(1.0 / 3.0, rel=1e-15)
-
-
-def test_value_of_passthrough():
-    assert dual.value_of(2.5) == 2.5
-    assert dual.value_of(seed(2.5, e1=1.0)) == 2.5
+    # d r / d x_i = x_i / r, every axis from one evaluation
+    x1, x2, x3 = dual.variables(np.array([1.0]), np.array([2.0]), np.array([2.0]))
+    out = dual.norm3(x1, x2, x3)
+    assert out.v[0] == pytest.approx(3.0, rel=1e-15)
+    assert out.g[:, 0] == pytest.approx([1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], rel=1e-15)
 
 
 @given(xs, xs)
 def test_product_rule(a, b):
-    x = seed(a, e1=1.0, e2=1.0)
-    f = dual.sin(x)
-    g = dual.cos(x) + 2.0
+    x = jet(a)
+    f = dual.exp(0.3 * x)
+    g = x * x + (2.0 + b)
     fg = f * g
-    assert fg.e1 == pytest.approx(f.e1 * g.v + f.v * g.e1, rel=1e-12, abs=1e-12)
+    assert fg.g[0, 0] == pytest.approx(f.g[0, 0] * g.v[0] + f.v[0] * g.g[0, 0], rel=1e-12, abs=1e-12)
     # second derivative: f''g + 2f'g' + fg''
-    want = f.e12 * g.v + 2.0 * f.e1 * g.e1 + f.v * g.e12
-    assert fg.e12 == pytest.approx(want, rel=1e-12, abs=1e-12)
-    # b unused by design: hypothesis shrinks better with two draws
+    want = f.h[0, 0] * g.v[0] + 2.0 * f.g[0, 0] * g.g[0, 0] + f.v[0] * g.h[0, 0]
+    assert fg.h[0, 0] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @given(xs_pos)
 def test_exp_log_roundtrip(x):
-    out = dual.exp(dual.log(seed(x, e1=1.0, e2=1.0)))
-    assert out.v == pytest.approx(x, rel=1e-13)
-    assert out.e1 == pytest.approx(1.0, rel=1e-12, abs=1e-12)
-    assert abs(out.e12) < 1e-10 * max(1.0, 1.0 / x)
+    out = dual.exp(dual.log(jet(x)))
+    assert out.v[0] == pytest.approx(x, rel=1e-13)
+    assert out.g[0, 0] == pytest.approx(1.0, rel=1e-12, abs=1e-12)
+    assert abs(out.h[0, 0]) < 1e-10 * max(1.0, 1.0 / x)
 
 
 def test_reciprocal_and_division():
-    x = seed(2.0, e1=1.0, e2=1.0)
+    x = jet(2.0)
     inv = 1.0 / x
-    assert inv.v == pytest.approx(0.5)
-    assert inv.e1 == pytest.approx(-0.25)
-    assert inv.e12 == pytest.approx(0.25)  # 2/x^3 at x=2
+    assert inv.v[0] == pytest.approx(0.5)
+    assert inv.g[0, 0] == pytest.approx(-0.25)
+    assert inv.h[0, 0] == pytest.approx(0.25)  # 2/x^3 at x=2
 
 
-def test_conjugate():
-    h = HyperDual(1 + 2j, 3 - 1j, 0.0, 5j)
-    c = h.conjugate()
-    assert c.v == 1 - 2j and c.e1 == 3 + 1j and c.e12 == -5j
+# -- array primitives round as CPython's scalar arithmetic ------------------
+
+RNG = np.random.default_rng(20101)
+REALS = RNG.normal(size=2000) * 3.0
+POSITIVE = np.abs(REALS) + 1e-3
+COMPLEX = REALS + 1j * RNG.normal(size=2000) * 3.0
+COMPLEX2 = RNG.normal(size=2000) * 3.0 + 1j * RNG.normal(size=2000)
+
+
+def test_complex_product_is_cpython_exact():
+    want = [a * b for a, b in zip(COMPLEX.tolist(), COMPLEX2.tolist())]
+    assert dual.mul(COMPLEX, COMPLEX2).tolist() == want
+    scalar = 0.3 - 1.7j
+    assert dual.mul(scalar, COMPLEX).tolist() == [scalar * b for b in COMPLEX.tolist()]
+
+
+def test_reciprocal_is_cpython_exact():
+    x, y = dual.variables(REALS, COMPLEX2.imag)
+    for z, values in ((x, REALS), (x + 1j * y, REALS + 1j * COMPLEX2.imag)):
+        assert (1.0 / z).v.tolist() == [1.0 / v for v in values.tolist()]
+
+
+def test_exp_log_pow_are_cpython_exact():
+    assert dual.exp(REALS).tolist() == [math.exp(v) for v in REALS.tolist()]
+    assert dual.exp(COMPLEX).tolist() == [cmath.exp(v) for v in COMPLEX.tolist()]
+    assert dual.log(POSITIVE).tolist() == [math.log(v) for v in POSITIVE.tolist()]
+    assert dual.log(COMPLEX).tolist() == [cmath.log(v) for v in COMPLEX.tolist()]
+    for p in (-0.3, 0.5, 2.0, 2.7):
+        assert dual.powr(POSITIVE, p).tolist() == [v**p for v in POSITIVE.tolist()]
+        assert dual.powr(COMPLEX, p).tolist() == [v**p for v in COMPLEX.tolist()]
+    assert dual.modulus(COMPLEX).tolist() == [abs(v) for v in COMPLEX.tolist()]

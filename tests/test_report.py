@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from kgconformal.report import CaseResult, PROBE_PREFIX, ResidualReport, single_case_report
+from kgconformal.report import CaseResult, PROBE_PREFIX, ResidualReport
 
 res = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 names = st.text(alphabet="abcdefgh-", min_size=1, max_size=8)
@@ -39,8 +39,15 @@ def test_report_passed_requires_probes_to_fail():
     assert not rep.passed  # a passing probe poisons the suite
 
 
+def test_report_passed_requires_a_regular_case():
+    failing_probe = CaseResult(PROBE_PREFIX + "b", 1.0, 0.0, 1e-10)
+    assert not ResidualReport("s", "exact-forward", ()).passed
+    assert not ResidualReport("s", "exact-forward", (failing_probe,)).passed
+    assert ResidualReport("s", "exact-forward", (CaseResult("a", 0.0, 0.0, 1e-10), failing_probe)).passed
+
+
 def test_json_schema():
-    rep = single_case_report("demo", "stencil", CaseResult("only", 1e-9, 2e-10, 1e-8))
+    rep = ResidualReport("demo", "stencil", (CaseResult("only", 1e-9, 2e-10, 1e-8),))
     doc = json.loads(rep.to_json())
     assert set(doc) == {"suite", "mode", "cases", "summary"}
     assert doc["suite"] == "demo" and doc["mode"] == "stencil"
@@ -52,7 +59,7 @@ def test_json_schema():
 
 
 def test_json_rejects_nan():
-    rep = single_case_report("demo", "exact-forward", CaseResult("c", float("nan"), 0.0, 1.0))
+    rep = ResidualReport("demo", "exact-forward", (CaseResult("c", float("nan"), 0.0, 1.0),))
     with pytest.raises(ValueError):
         rep.to_json()
 

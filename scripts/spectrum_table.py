@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Print the oscillator and Coulomb spectra, optionally cross-checked
-against the shooting-method solver (slow, a few seconds per state)."""
+against the shooting-method solver (about half a second per state).
+
+With --check-shooting each Coulomb state also shows the relative
+difference in eps = (1 - E^2)/alpha^2 between the shooting solver and
+the closed form, next to that of the nonrelativistic eps = 1/N^2, and
+the script exits 1 if any state misses the oracle's gate."""
 
 import argparse
 import sys
@@ -8,7 +13,7 @@ import sys
 from kgconformal.core import natural_units
 from kgconformal import coulomb as cb
 from kgconformal import oscillator as ho
-from kgconformal.shooting import shooting_eigenvalue
+from kgconformal.shooting import EPS_RTOL, binding_parameter, shooting_eigenvalue
 
 
 def main() -> int:
@@ -31,15 +36,24 @@ def main() -> int:
     print(f"\ncoulomb (alpha = {args.alpha}):")
     header = f"  {'n':>2s} {'l':>2s}  {'E_nl':>20s}  {'binding':>13s}"
     if args.check_shooting:
-        header += f"  {'shooting':>20s}  {'rel diff':>9s}"
+        header += f"  {'shooting':>20s}  {'eps diff':>9s}  {'nonrel':>9s}"
     print(header)
+    missed = []
     for n, l in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
         state = cb.make_state(model, n, l)
         line = f"  {n:2d} {l:2d}  {state.energy:20.15f}  {state.energy - 1.0:13.6e}"
         if args.check_shooting:
             e_num = shooting_eigenvalue(n, l, args.alpha)
-            line += f"  {e_num:20.15f}  {abs(e_num - state.energy) / state.energy:9.2e}"
+            eps = binding_parameter(state.energy, args.alpha)
+            diff = abs(binding_parameter(e_num, args.alpha) - eps) / eps
+            nonrel = abs(1.0 / (n + l + 1) ** 2 - eps) / eps
+            line += f"  {e_num:20.15f}  {diff:9.2e}  {nonrel:9.2e}"
+            if not diff < EPS_RTOL:
+                missed.append((n, l))
         print(line)
+    if missed:
+        print(f"\nshooting misses the relative eps gate {EPS_RTOL:.0e} on {missed}")
+        return 1
     return 0
 
 

@@ -18,7 +18,7 @@ from kgconformal.confmap import ZFORM_TERMS
 from kgconformal.core import natural_units
 from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL
 from kgconformal.harness import Grid, SUITES, run_suite
-from kgconformal.shooting import shooting_eigenvalue
+from kgconformal.shooting import EPS_RTOL, binding_parameter, shooting_eigenvalue
 
 ALPHA = 0.0072973525693
 EXACT = DiffConfig(mode=MODE_EXACT)
@@ -104,13 +104,21 @@ def test_criterion_04_operator_identities_on_random_fields(announce):
 
 
 def test_criterion_05_spectrum_against_shooting_oracle(announce):
-    """Closed-form Coulomb energies vs the independent ODE solver."""
+    """Closed-form Coulomb energies vs the independent ODE solver.
+
+    They are compared on eps = (1 - E^2)/alpha^2, where a relative 1e-7
+    holds the oracle (2.5e-8 at worst) and rejects the nonrelativistic
+    eps = 1/N^2 (1.18e-6 at best).  E itself cannot tell the two apart:
+    the Bohr energies lie within a relative 1.8e-9 of the closed form.
+    """
     model = cb.CoulombModel(alpha=ALPHA, units=natural_units())
     ok = True
-    for n, l in ((0, 0), (1, 0), (0, 1)):
-        e_formula = cb.make_state(model, n, l).energy
-        e_shoot = shooting_eigenvalue(n, l, ALPHA)
-        ok &= abs(e_shoot - e_formula) / e_formula < 1e-6
+    for n, l in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+        eps_formula = binding_parameter(cb.make_state(model, n, l).energy, ALPHA)
+        eps_shoot = binding_parameter(shooting_eigenvalue(n, l, ALPHA), ALPHA)
+        ok &= abs(eps_shoot - eps_formula) / eps_formula < EPS_RTOL
+        # probe: the nonrelativistic spectrum fails the same gate
+        ok &= abs(1.0 / (n + l + 1) ** 2 - eps_formula) / eps_formula >= EPS_RTOL
     # nonrelativistic limit: binding energy within 1e-4 of Rydberg
     binding = cb.make_state(model, 0, 0).energy - 1.0
     rydberg = cb.nonrelativistic_binding(model, 0, 0)

@@ -4,7 +4,7 @@ import pytest
 
 from kgconformal.core import BranchError, QuantumNumberError, SpaceTimePoint, natural_units
 from kgconformal.harness import Grid, scaled_cfg
-from kgconformal.shooting import shooting_eigenvalue
+from kgconformal.shooting import EPS_RTOL, binding_parameter, shooting_eigenvalue
 from kgconformal.specfun import HYDRINO, SOMMERFELD
 from kgconformal import coulomb as cb
 
@@ -69,9 +69,13 @@ def test_relativistic_binding_close_to_rydberg():
 
 
 def test_shooting_oracle_ground_state():
-    """The closed-form spectrum against the independent shooting solver."""
-    e_num = shooting_eigenvalue(0, 0, ALPHA)
-    assert e_num == pytest.approx(cb.make_state(MODEL, 0, 0).energy, rel=1e-8)
+    """The closed-form spectrum against the independent shooting solver,
+    compared on eps = (1 - E^2)/alpha^2 at a bound that the
+    nonrelativistic eps = 1/N^2 fails."""
+    eps_num = binding_parameter(shooting_eigenvalue(0, 0, ALPHA), ALPHA)
+    eps_formula = binding_parameter(cb.make_state(MODEL, 0, 0).energy, ALPHA)
+    assert eps_num == pytest.approx(eps_formula, rel=EPS_RTOL)
+    assert 1.0 != pytest.approx(eps_formula, rel=EPS_RTOL)
 
 
 def test_map_coefficients_identities():

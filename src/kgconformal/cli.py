@@ -79,11 +79,7 @@ def _load_config_file(path):
 
 
 def _units(args) -> UnitSystem:
-    return UnitSystem(
-        hbar=getattr(args, "hbar", 1.0),
-        c=getattr(args, "c", 1.0),
-        m0=getattr(args, "m0", 1.0),
-    )
+    return UnitSystem(hbar=args.hbar, c=args.c, m0=args.m0)
 
 
 def _parse_int(text: str) -> int:
@@ -159,7 +155,7 @@ def _spectrum_rows(args):
         n, l = spec[0], spec[1]
         k = spec[2] if len(spec) > 2 else 0
         state = cb.make_state(model, n, l, k, args.branch)
-        coeff = cb.map_coefficients(model, state)
+        cmap = cb.coulomb_map(model, state)
         rows.append(
             {
                 "n": n,
@@ -169,8 +165,8 @@ def _spectrum_rows(args):
                 "eta_l": state.eta,
                 "energy": state.energy,
                 "r_nl": state.r_scale,
-                "a": coeff.a,
-                "b": coeff.b,
+                "a": cmap.a,
+                "b": cmap.b,
             }
         )
     return rows

@@ -14,12 +14,20 @@ fixes the sign of the first-order time coupling) expands to
     laplacian + i (div A) d/dt + (sum_i A_i^2) d^2/dt^2
 
 with the mixed x-t terms cancelling, which is what `dzstar_dz` applies.
+
+Every check is one operator applied to one field on one grid.  An
+operator maps a field's Derivatives to (|residual|, error estimate,
+scale) over the grid; a suite declares Samples (field, grid, the cases
+that read it), and `evaluate` differentiates each Sample once and folds
+max |residual| / scale into each reading case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -211,15 +219,77 @@ def _laplacian(d: Derivatives):
     return d.hess[0] + d.hess[1] + d.hess[2], d.hess_err[0] + d.hess_err[1] + d.hess_err[2]
 
 
+# ---------------------------------------------------------------------------
+# the residual loop
+
+
+class Read(NamedTuple):
+    """A case's reading of a sample: ``operator`` maps the sample's
+    Derivatives to (|residual|, error estimate, scale) over the grid."""
+
+    case: str
+    operator: Callable
+    tolerance: float
+
+
+class Sample(NamedTuple):
+    """One field on one grid, differentiated once for every case that reads it."""
+
+    field: ComplexField
+    points: Sequence
+    cfg: DiffConfig
+    reads: tuple = ()
+
+
+def _scaled_max(residual):
+    """(max |residual| / scale, max error / scale) of one operator result."""
+    res, err, scale = residual
+    return float(np.asarray(res / scale).max()), float(np.asarray(err / scale).max())
+
+
+def case_result(name: str, residual, tolerance: float) -> CaseResult:
+    """The case of one operator result on one grid."""
+    return CaseResult(name, *_scaled_max(residual), tolerance)
+
+
+def evaluate(suite: str, mode: str, declaration) -> ResidualReport:
+    """Run a suite declaration, a generator of Samples and CaseResults.
+
+    Each Sample's field is differentiated once; every case that reads it
+    folds the result into its running max.  A CaseResult is reported as
+    it is.  The Derivatives of each Sample are sent back into the
+    generator, so a case that compares two fields reads them without
+    another pass.  Cases are reported in order of first appearance.
+    """
+    cases = {}
+    d = None
+    while True:
+        try:
+            item = declaration.send(d)
+        except StopIteration:
+            return ResidualReport(suite, mode, tuple(cases.values()))
+        if isinstance(item, CaseResult):
+            d = None
+            cases[item.name] = item
+            continue
+        d = _diff(item.field, item.points, item.cfg)
+        for read in item.reads:
+            worst, err = _scaled_max(read.operator(d))
+            if read.case in cases:
+                old = cases[read.case]
+                worst, err = max(old.max_residual, worst), max(old.error_estimate, err)
+            cases[read.case] = CaseResult(read.case, worst, err, read.tolerance)
+
+
 def qprop_identity_residual(cmap: ConformalMap, d: Derivatives, operator=None):
     """Oscillator operator identity on an energy eigenfield:
 
         -sum_i d_zstar_i d_z_i + 3 Omega/(hbar c) = -laplacian + (Omega/(hbar c))^2 x^2
 
-    with Omega/(hbar c) = 2/b^2 for the lambda = 2, a = 0 map.  Returns
-    (|lhs - rhs|, |rhs|, error_estimate) at every point.  ``operator``
-    replaces dzstar_dz on the left; the reversed-order probe passes
-    dz_dzstar.
+    with Omega/(hbar c) = 2/b^2 for the lambda = 2, a = 0 map, as an
+    operator: (|lhs - rhs|, error estimate, |rhs|) at every point, the
+    scale floored at 1e-30.  ``operator`` replaces dzstar_dz on the left;
+    the reversed-order probe passes dz_dzstar.
     """
     omega_hc = 2.0 / (cmap.b * cmap.b)
     f = d.value
@@ -227,7 +297,7 @@ def qprop_identity_residual(cmap: ConformalMap, d: Derivatives, operator=None):
     lap, e2 = _laplacian(d)
     lhs = -ddz + 3.0 * omega_hc * f
     rhs = -lap + _per_point(lambda r: omega_hc**2 * (r**2), d.points) * f
-    return dual.modulus(lhs - rhs), dual.modulus(rhs), e1 + e2
+    return dual.modulus(lhs - rhs), e1 + e2, np.maximum(dual.modulus(rhs), 1e-30)
 
 
 def d2z_identity_residual(cmap: ConformalMap, d: Derivatives):
@@ -235,46 +305,53 @@ def d2z_identity_residual(cmap: ConformalMap, d: Derivatives):
 
         sum_i d_zstar_i d_z_i = laplacian + a(1-a)/r^2 + 2(1-a)/(b r) - 1/b^2
 
-    Returns (|lhs - rhs|, |rhs|, error_estimate) at every point.
+    as an operator: (|lhs - rhs|, error estimate, |rhs|) at every point,
+    the scale floored at 1e-30.
     """
     a, b = cmap.a, cmap.b
     ddz, e1 = dzstar_dz(cmap, d)
     lap, e2 = _laplacian(d)
     coef = _per_point(lambda r: a * (1.0 - a) / (r * r) + 2.0 * (1.0 - a) / (b * r) - 1.0 / (b * b), d.points)
     rhs = lap + coef * d.value
-    return dual.modulus(ddz - rhs), dual.modulus(rhs), e1 + e2
+    return dual.modulus(ddz - rhs), e1 + e2, np.maximum(dual.modulus(rhs), 1e-30)
 
 
-def independence_check(
-    cmap: ConformalMap,
-    cfg: DiffConfig,
-    points,
-    tolerance: float = 1e-10,
-) -> ResidualReport:
-    """Verify ds/dz_i = 0 and dz_i/ds = 0 numerically on the given points.
-
-    ds/dz_i applies the d_z operator to the scalar field s(x, t); dz_i/ds
-    applies d/ds = d/dt to the coordinate fields z_i(x, t) = x_i.
-    """
-    pts = as_points(points)
-    s_field = ComplexField(
+def time_field(cmap: ConformalMap) -> ComplexField:
+    """The complex time s(x, t) = t + i tau(r) of the map, as a field."""
+    return ComplexField(
         fn=lambda x1, x2, x3, t: t + 1j * cmap.tau(dual.norm3(x1, x2, x3)),
         label="s(x,t)",
         singular_at_origin=cmap.a != 0.0,
     )
-    max_ds_dz = max(float(dual.modulus(c).max()) for c in d_z(cmap, _diff(s_field, pts, cfg)))
-    max_dz_ds = 0.0
-    err = 0.0
+
+
+def ds_dz(cmap: ConformalMap, d: Derivatives):
+    """Operator: |d_z_i s| over the three components; 0 when d holds s(x, t)."""
+    return dual.modulus(np.concatenate(d_z(cmap, d))), 0.0, 1.0
+
+
+def _dz_ds(d: Derivatives):
+    return dual.modulus(d.grad[T_AXIS]), d.grad_err[T_AXIS], 1.0
+
+
+def _dz_ds_error(d: Derivatives):
+    return 0.0, d.grad_err[T_AXIS], 1.0
+
+
+def independence_check(cmap: ConformalMap, cfg: DiffConfig, points, tolerance: float = 1e-10, prefix: str = ""):
+    """Samples verifying ds/dz_i = 0 and dz_i/ds = 0 on the given points.
+
+    ds/dz_i applies the d_z operator to the field s(x, t); dz_i/ds
+    applies d/ds = d/dt to the coordinate fields z_i(x, t) = x_i.  Both
+    cases report the coordinate fields' d/dt error estimate.  Case names
+    carry ``prefix``.
+    """
+    pts = as_points(points)
+    yield Sample(time_field(cmap), pts, cfg, (Read(prefix + "ds/dz", partial(ds_dz, cmap), tolerance),))
     for i in range(3):
         z_field = ComplexField(fn=lambda x1, x2, x3, t, _i=i: (x1, x2, x3)[_i], label=f"z{i + 1}")
-        d = _diff(z_field, pts, cfg)
-        max_dz_ds = max(max_dz_ds, float(dual.modulus(d.grad[T_AXIS]).max()))
-        err = max(err, float(d.grad_err[T_AXIS].max()))
-    cases = (
-        CaseResult("ds/dz", max_ds_dz, err, tolerance),
-        CaseResult("dz/ds", max_dz_ds, err, tolerance),
-    )
-    return ResidualReport(suite="map-independence", mode=cfg.mode, cases=cases)
+        reads = (Read(prefix + "dz/ds", _dz_ds, tolerance), Read(prefix + "ds/dz", _dz_ds_error, tolerance))
+        yield Sample(z_field, pts, cfg, reads)
 
 
 def holomorphy_residual(
@@ -283,10 +360,10 @@ def holomorphy_residual(
     tau_window: tuple[float, float],
     cfg: DiffConfig,
     tolerance: float = 1e-10,
-    samples: int = 7,
     name: str = "holomorphy",
-) -> ResidualReport:
-    """Max of |d2f/dt2 + d2f/dtau2| / max|f| over a (t, tau) rectangle.
+) -> Sample:
+    """The sample checking |d2f/dt2 + d2f/dtau2| / max|f| on a 7 x 7 grid
+    over a (t, tau) rectangle.
 
     ``f_of_t_tau`` is a callable (t, tau) -> complex, generic over
     arrays and jets so both differentiation modes apply.
@@ -295,17 +372,14 @@ def holomorphy_residual(
     t_lo, t_hi = t_window
     tau_lo, tau_hi = tau_window
     points = [
-        SpaceTimePoint(
-            x=(t_lo + (t_hi - t_lo) * i / max(samples - 1, 1), tau_lo + (tau_hi - tau_lo) * j / max(samples - 1, 1), 0.0),
-            t=0.0,
-        )
-        for i in range(samples)
-        for j in range(samples)
+        SpaceTimePoint(x=(t_lo + (t_hi - t_lo) * i / 6, tau_lo + (tau_hi - tau_lo) * j / 6, 0.0), t=0.0)
+        for i in range(7)
+        for j in range(7)
     ]
-    d = _diff(wrapped, points, cfg)
-    max_res = float(dual.modulus(d.hess[0] + d.hess[1]).max())
-    max_f = float(dual.modulus(d.value).max())
-    err = float((d.hess_err[0] + d.hess_err[1]).max())
-    scale = max_f if max_f > 0.0 else 1.0
-    case = CaseResult(name, max_res / scale, err / scale, tolerance)
-    return ResidualReport(suite="holomorphy", mode=cfg.mode, cases=(case,))
+
+    def laplace(d):
+        max_f = float(dual.modulus(d.value).max())
+        scale = max_f if max_f > 0.0 else 1.0
+        return dual.modulus(d.hess[0] + d.hess[1]), d.hess_err[0] + d.hess_err[1], scale
+
+    return Sample(wrapped, points, cfg, (Read(name, laplace, tolerance),))

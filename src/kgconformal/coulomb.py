@@ -26,12 +26,9 @@ import numpy as np
 from . import dual
 from .core import ComplexField, ConfigError, QuantumNumberError, UnitSystem, natural_units, residual_scale
 from .confmap import ConformalMap, _laplacian, dzstar_dz
-from .diffengine import DiffConfig, _diff
-from .report import CaseResult
+from .diffengine import Derivatives
 from .specfun import (
-    HYDRINO,
     SOMMERFELD,
-    RadialPolynomial,
     eta_exponent,
     radial_polynomial,
     sph_harm_cartesian,
@@ -71,14 +68,6 @@ class CoulombState:
         return (self.n, self.l, self.k)
 
 
-@dataclass(frozen=True)
-class MapCoefficients:
-    """a = eta_0 and b = hbar c (1 - eta_0) / (alpha E_nl); a(1-a) = alpha^2."""
-
-    a: float
-    b: float
-
-
 def eta(model: CoulombModel, l: int, branch: str = SOMMERFELD) -> float:
     return eta_exponent(l, model.alpha, branch)
 
@@ -96,33 +85,26 @@ def make_state(model: CoulombModel, n: int, l: int, k: int = 0, branch: str = SO
     return CoulombState(n=n, l=l, k=k, branch=branch, eta=eta_l, energy=e_nl, r_scale=r_nl)
 
 
-def energy(model: CoulombModel, state: CoulombState) -> float:
-    """Sommerfeld-form eigenvalue E_nl = m0 c^2 [1 + alpha^2/(n+1-eta_l)^2]^{-1/2}."""
-    return state.energy
-
-
 def nonrelativistic_binding(model: CoulombModel, n: int, l: int) -> float:
     """Leading-order binding -alpha^2 m0 c^2 / (2 N^2), N = n + l + 1."""
     big_n = n + l + 1
     return -model.alpha**2 * model.units.rest_energy / (2.0 * big_n**2)
 
 
-def map_coefficients(model: CoulombModel, state: CoulombState) -> MapCoefficients:
+def coulomb_map(model: CoulombModel, state: CoulombState) -> ConformalMap:
+    """The lambda = 1 map with a = eta_0 and b = hbar c (1 - eta_0) / (alpha E_nl);
+    a(1-a) = alpha^2."""
     eta0 = eta_exponent(0, model.alpha, state.branch)
     u = model.units
     b = u.hbar * u.c * (1.0 - eta0) / (model.alpha * state.energy)
-    return MapCoefficients(a=eta0, b=b)
+    return ConformalMap(a=eta0, b=b, lam=1.0, E=state.energy, units=model.units)
 
 
-def coulomb_map(model: CoulombModel, state: CoulombState) -> ConformalMap:
-    coeff = map_coefficients(model, state)
-    return ConformalMap(a=coeff.a, b=coeff.b, lam=1.0, E=state.energy, units=model.units)
-
-
-def transformed_eigenvalue(model: CoulombModel, state: CoulombState) -> float:
-    """E_nl^2 [1 + alpha^2 / (1 - eta_0)^2], the z-form eigenvalue."""
+def transformed_eigenvalue(model: CoulombModel, state: CoulombState, E: float) -> float:
+    """E^2 [1 + alpha^2 / (1 - eta_0)^2], the z-form eigenvalue on ``state``'s
+    branch; E is E_nl, or a perturbed energy for a probe."""
     eta0 = eta_exponent(0, model.alpha, state.branch)
-    return state.energy**2 * (1.0 + model.alpha**2 / (1.0 - eta0) ** 2)
+    return E**2 * (1.0 + model.alpha**2 / (1.0 - eta0) ** 2)
 
 
 def eigenfunction_x(model: CoulombModel, state: CoulombState) -> ComplexField:
@@ -180,70 +162,38 @@ def eigenfunction_z(model: CoulombModel, state: CoulombState) -> ComplexField:
     )
 
 
-def kg_residual_x(
-    model: CoulombModel,
-    state: CoulombState,
-    points,
-    cfg: DiffConfig,
-    tolerance: float,
-    name: str = None,
-    energy_override: float = None,
-) -> CaseResult:
-    """Max scaled residual of -hbar^2 c^2 lap psi + m0^2 c^4 psi - (E + hbar c alpha / r)^2 psi."""
+def kg_residual_x(model: CoulombModel, E: float, d: Derivatives):
+    """Operator of -hbar^2 c^2 lap psi + m0^2 c^4 psi - (E + hbar c alpha / r)^2 psi,
+    with scale E^2 max|psi| over the grid."""
     u = model.units
-    E = energy_override if energy_override is not None else state.energy
-    d = _diff(eigenfunction_x(model, state), points, cfg)
     psi = d.value
     hc = u.hbar * u.c
     scale = residual_scale(E * E * dual.modulus(psi).max())
     lap, e_sum = _laplacian(d)
     pot = np.array([E + hc * model.alpha / r for r in d.points.radii])
     res = -hc * hc * lap + u.rest_energy**2 * psi - pot * pot * psi
-    worst = (dual.modulus(res) / scale).max()
-    err = (hc * hc * e_sum / scale).max()
-    return CaseResult(name or f"coulomb-x-{state.quantum_numbers}-{state.branch}", float(worst), float(err), tolerance)
+    return dual.modulus(res), hc * hc * e_sum, scale
 
 
-def kg_residual_z(
-    model: CoulombModel,
-    state: CoulombState,
-    points,
-    cfg: DiffConfig,
-    tolerance: float,
-    name: str = None,
-    energy_override: float = None,
-) -> CaseResult:
-    """Max scaled residual of the transformed equation
-    -hbar^2 c^2 sum_i d_zstar_i d_z_i psi + m0^2 c^4 psi = E^2 [1 + alpha^2/(1-eta_0)^2] psi."""
+def kg_residual_z(model: CoulombModel, state: CoulombState, E: float, d: Derivatives):
+    """Operator of the transformed equation of ``state``'s map,
+    -hbar^2 c^2 sum_i d_zstar_i d_z_i psi + m0^2 c^4 psi = E^2 [1 + alpha^2/(1-eta_0)^2] psi,
+    with scale E_nl^2 max|psi| over the grid."""
     u = model.units
     cmap = coulomb_map(model, state)
-    eig = transformed_eigenvalue(model, state)
-    if energy_override is not None:
-        eig = energy_override**2 * (1.0 + model.alpha**2 / (1.0 - cmap.a) ** 2)
-    d = _diff(eigenfunction_z(model, state), points, cfg)
+    eig = transformed_eigenvalue(model, state, E)
     psi = d.value
     hc2 = (u.hbar * u.c) ** 2
     scale = residual_scale(state.energy**2 * dual.modulus(psi).max())
     ddz, e = dzstar_dz(cmap, d)
     res = -hc2 * ddz + u.rest_energy**2 * psi - eig * psi
-    worst = (dual.modulus(res) / scale).max()
-    err = (hc2 * e / scale).max()
-    return CaseResult(name or f"coulomb-z-{state.quantum_numbers}-{state.branch}", float(worst), float(err), tolerance)
+    return dual.modulus(res), hc2 * e, scale
 
 
-def ground_state_flatness(
-    model: CoulombModel,
-    points,
-    cfg: DiffConfig,
-    tolerance: float,
-    branch: str = SOMMERFELD,
-) -> CaseResult:
-    """For psi_000 = exp(-i E_0 s / hbar): sum_i d2 psi / dz_i* dz_i = 0."""
-    state = make_state(model, 0, 0, 0, branch)
+def ground_state_flatness(model: CoulombModel, state: CoulombState, d: Derivatives):
+    """Operator of sum_i d2 psi / dz_i* dz_i = 0 for the ground state
+    psi_000 = exp(-i E_0 s / hbar), scaled by max|psi| (E_0 / hbar c)^2."""
     cmap = coulomb_map(model, state)
-    d = _diff(eigenfunction_z(model, state), points, cfg)
     scale = residual_scale(dual.modulus(d.value).max() * (state.energy / (model.units.hbar * model.units.c)) ** 2)
     ddz, e = dzstar_dz(cmap, d)
-    worst = (dual.modulus(ddz) / scale).max()
-    err = (e / scale).max()
-    return CaseResult(f"coulomb-z-ground-flat-{branch}", float(worst), float(err), tolerance)
+    return dual.modulus(ddz), e, scale

@@ -20,8 +20,7 @@ import numpy as np
 from . import dual
 from .core import ComplexField, ConfigError, QuantumNumberError, UnitSystem, natural_units, residual_scale
 from .confmap import ConformalMap, _laplacian, d_z, d_zstar, dzstar_dz
-from .diffengine import Derivatives, DiffConfig, T_AXIS, _diff
-from .report import CaseResult, ResidualReport
+from .diffengine import Derivatives, T_AXIS
 from .specfun import hermite
 
 
@@ -137,74 +136,49 @@ def eigenfunction_z(model: OscillatorModel, state: OscillatorState) -> ComplexFi
     return ComplexField(fn=fn, label=f"osc-z{state.ls}", energy_hint=E)
 
 
-def kg_residual_x(
-    model: OscillatorModel,
-    state: OscillatorState,
-    points,
-    cfg: DiffConfig,
-    tolerance: float,
-    name: str = None,
-    energy_override: float = None,
-) -> CaseResult:
-    """Max scaled residual of the x-representation Klein-Gordon equation.
+def kg_residual_x(model: OscillatorModel, E: float, d: Derivatives):
+    """Operator of the x-representation Klein-Gordon equation at energy E:
 
     | -hbar^2 c^2 laplacian(psi) + m0^2 c^4 psi + Omega^2 r^2 psi - E^2 psi |
-    scaled by E^2 max|psi| over the grid.  ``energy_override`` supports the
-    deliberate fail-probes.
+    with scale E^2 max|psi| over the grid.
     """
     u = model.units
-    E = energy_override if energy_override is not None else state.energy
-    d = _diff(eigenfunction_x(model, state), points, cfg)
     psi = d.value
     hc2 = (u.hbar * u.c) ** 2
     scale = residual_scale(E * E * dual.modulus(psi).max())
     lap, e_sum = _laplacian(d)
     r2 = np.array([r**2 for r in d.points.radii])
     res = -hc2 * lap + u.rest_energy**2 * psi + model.omega**2 * r2 * psi - E * E * psi
-    worst = (dual.modulus(res) / scale).max()
-    err = (hc2 * e_sum / scale).max()
-    return CaseResult(name or f"osc-x-{state.ls}", float(worst), float(err), tolerance)
+    return dual.modulus(res), hc2 * e_sum, scale
 
 
-def kg_residual_z(
-    model: OscillatorModel,
-    state: OscillatorState,
-    points,
-    cfg: DiffConfig,
-    tolerance: float,
-    name: str = None,
-    energy_override: float = None,
-) -> ResidualReport:
-    """Residuals of the z-representation equation and the energy operator.
+def kg_residual_z(model: OscillatorModel, E: float, d: Derivatives):
+    """Operator of the z-representation equation at energy E.
 
     The transformed equation reads
     -hbar^2 c^2 sum_i d_zstar_i d_z_i psi + m0^2 c^4 psi = (E^2 - 3 hbar c Omega) psi
-    and carries no potential term; E psi = i hbar d psi / ds is checked
-    through d/ds = d/dt.
+    and carries no potential term; the map is the one of energy E and the
+    scale is E^2 max|psi|.
     """
     u = model.units
-    E = energy_override if energy_override is not None else state.energy
     cmap = oscillator_map(model, E)
-    d = _diff(eigenfunction_z(model, state), points, cfg)
     psi = d.value
     hc2 = (u.hbar * u.c) ** 2
     eig = E * E - 3.0 * u.hbar * u.c * model.omega
     scale = residual_scale(E * E * dual.modulus(psi).max())
     ddz, e = dzstar_dz(cmap, d)
     res = -hc2 * ddz + u.rest_energy**2 * psi - eig * psi
-    worst_kg = (dual.modulus(res) / scale).max()
-    err = float((hc2 * e / scale).max())
+    return dual.modulus(res), hc2 * e, scale
+
+
+def energy_operator_residual(model: OscillatorModel, E: float, d: Derivatives):
+    """Operator of E psi = i hbar d psi / ds, checked through d/ds = d/dt;
+    scale E^2 max|psi| as for kg_residual_z."""
+    u = model.units
+    psi = d.value
+    scale = residual_scale(E * E * dual.modulus(psi).max())
     eop = dual.mul(1j * u.hbar, d.grad[T_AXIS]) - E * psi
-    worst_eop = (dual.modulus(eop) / scale).max()
-    base = name or f"osc-z-{state.ls}"
-    return ResidualReport(
-        suite="oscillator-z",
-        mode=cfg.mode,
-        cases=(
-            CaseResult(base, float(worst_kg), err, tolerance),
-            CaseResult(base + "-energy-op", float(worst_eop), err, tolerance),
-        ),
-    )
+    return dual.modulus(eop), u.hbar * d.grad_err[T_AXIS], scale
 
 
 def _map_for(model: OscillatorModel, d: Derivatives) -> ConformalMap:

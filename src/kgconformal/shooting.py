@@ -26,10 +26,11 @@ from scipy.optimize import brentq
 
 from .core import ConfigError, UnitSystem, natural_units
 
-# relative accuracy of the oracle's eps on the six lowest states: at most
-# 2.5e-8 for l = 0 and 4e-11 for l >= 1, while the nonrelativistic
-# eps = 1/N^2 is off by at least 1.18e-6 there, so a gate at this bound
-# tells the relativistic spectrum from the Bohr spectrum
+# relative accuracy of the oracle's eps: at most 4.0e-9 on the l = 0 states
+# up to (9, 0) and 4e-11 on the l >= 1 states up to N = 3, while the
+# nonrelativistic eps = 1/N^2 is off by at least 1.18e-6 on the six lowest
+# states, so a gate at this bound tells the relativistic spectrum from the
+# Bohr spectrum
 EPS_RTOL = 1e-7
 
 
@@ -48,8 +49,8 @@ def _window(big_n: int) -> tuple[float, float]:
 
 
 def _shoot(eps: float, l: int, alpha: float, big_n: int):
-    """Integrate the regular solution over [1e-3 N, 40 N]."""
-    x_lo, x_hi = 1e-3 * big_n, 40.0 * big_n
+    """Integrate the regular solution over [1e-3, 40 N]."""
+    x_lo, x_hi = 1e-3, 40.0 * big_n
     sigma = _indicial_sigma(l, alpha)
     ll = l * (l + 1) - alpha * alpha
     ebar = math.sqrt(max(1.0 - eps * alpha * alpha, 0.0))

@@ -36,11 +36,6 @@ def hermite(l: int, xi):
     return h
 
 
-def hermite_l2_norm(l: int) -> float:
-    """L2 norm of H_l(xi) exp(-xi^2/2) over the real line: sqrt(2^l l! sqrt(pi))."""
-    return math.sqrt(2.0**l * math.factorial(l) * math.sqrt(math.pi))
-
-
 def _legendre_poly_part(l: int, m: int, u):
     """Associated Legendre P_l^m with the (1-u^2)^{m/2} factor stripped.
 

@@ -107,7 +107,7 @@ def test_criterion_05_spectrum_against_shooting_oracle(announce):
     """Closed-form Coulomb energies vs the independent ODE solver.
 
     They are compared on eps = (1 - E^2)/alpha^2, where a relative 1e-7
-    holds the oracle (2.5e-8 at worst) and rejects the nonrelativistic
+    holds the oracle (4.0e-9 at worst) and rejects the nonrelativistic
     eps = 1/N^2 (1.18e-6 at best).  E itself cannot tell the two apart:
     the Bohr energies lie within a relative 1.8e-9 of the closed form.
     """

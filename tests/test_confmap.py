@@ -9,15 +9,19 @@ from kgconformal import dual
 from kgconformal.confmap import (
     ConformalMap,
     ZFORM_TERMS,
+    case_result,
     d_z,
     d_zstar,
     dz_dzstar,
+    ds_dz,
     dzstar_dz,
+    evaluate,
     forward,
     holomorphy_residual,
     independence_check,
     inverse,
     inverse_conjugate,
+    time_field,
 )
 from kgconformal.core import ComplexField, ConfigError, DomainError, SpaceTimePoint, natural_units
 from kgconformal.diffengine import DiffConfig, MODE_EXACT, _diff
@@ -203,21 +207,28 @@ def test_independence_check_passes(exact_cfg):
         SpaceTimePoint(x=(0.5, 0.2, -0.3), t=0.0),
         SpaceTimePoint(x=(1.0, -0.8, 0.4), t=0.5),
     ]
-    rep = independence_check(OSC_MAP, exact_cfg, points, 1e-10)
+    rep = evaluate("map-independence", exact_cfg.mode, independence_check(OSC_MAP, exact_cfg, points, 1e-10))
     assert rep.passed
-    names = {c.name for c in rep.cases}
-    assert names == {"ds/dz", "dz/ds"}
+    assert [c.name for c in rep.cases] == ["ds/dz", "dz/ds"]
+    # s(x, t) of a detuned map is not annihilated by d_z
+    detuned = ConformalMap(a=0.0, b=1.1, lam=2.0, E=2.0, units=U)
+    d = _diff(time_field(OSC_MAP), points, exact_cfg)
+    assert not case_result("detuned", ds_dz(detuned, d), 1e-10).passed
+
+
+def _holomorphy(sample, cfg):
+    return evaluate("holomorphy", cfg.mode, (s for s in [sample]))
 
 
 def test_holomorphy_residual(exact_cfg):
-    rep = holomorphy_residual(
+    rep = _holomorphy(holomorphy_residual(
         lambda t, tau: dual.exp(-1j * (t + 1j * tau)),
         (-1.0, 1.0), (0.1, 2.0), exact_cfg, 1e-10, name="phase",
-    )
+    ), exact_cfg)
     assert rep.passed
-    rep_bad = holomorphy_residual(
+    rep_bad = _holomorphy(holomorphy_residual(
         lambda t, tau: t * t, (-1.0, 1.0), (0.1, 2.0), exact_cfg, 1e-10, name="probe:tsq",
-    )
+    ), exact_cfg)
     (case,) = rep_bad.cases
     assert case.max_residual > 1e-10
     assert case.behaved  # probe failing its tolerance counts as behaved

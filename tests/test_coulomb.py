@@ -1,8 +1,11 @@
 import math
+from functools import partial
 
 import pytest
 
+from kgconformal.confmap import case_result
 from kgconformal.core import BranchError, QuantumNumberError, SpaceTimePoint, natural_units
+from kgconformal.diffengine import _diff
 from kgconformal.harness import Grid, scaled_cfg
 from kgconformal.shooting import EPS_RTOL, binding_parameter, shooting_eigenvalue
 from kgconformal.specfun import HYDRINO, SOMMERFELD
@@ -80,21 +83,21 @@ def test_shooting_oracle_ground_state():
 
 def test_map_coefficients_identities():
     state = cb.make_state(MODEL, 1, 0)
-    co = cb.map_coefficients(MODEL, state)
-    # a is the l = 0 sommerfeld exponent and solves a(1 - a) = alpha^2
-    assert co.a * (1.0 - co.a) == pytest.approx(ALPHA**2, abs=1e-16)
-    # b = hbar c (1 - a) / (alpha E)
-    assert co.b == pytest.approx((1.0 - co.a) / (ALPHA * state.energy), rel=1e-14)
     cmap = cb.coulomb_map(MODEL, state)
+    # a is the l = 0 sommerfeld exponent and solves a(1 - a) = alpha^2
+    assert cmap.a == cb.eta(MODEL, 0)
+    assert cmap.a * (1.0 - cmap.a) == pytest.approx(ALPHA**2, abs=1e-16)
+    # b = hbar c (1 - a) / (alpha E)
+    assert cmap.b == pytest.approx((1.0 - cmap.a) / (ALPHA * state.energy), rel=1e-14)
     assert cmap.lam == 1.0
-    assert cmap.a == co.a
+    assert cmap.E == state.energy
 
 
 def test_transformed_eigenvalue():
     state = cb.make_state(MODEL, 0, 1)
     eta0 = cb.eta(MODEL, 0)
     want = state.energy**2 * (1.0 + ALPHA**2 / (1.0 - eta0) ** 2)
-    assert cb.transformed_eigenvalue(MODEL, state) == pytest.approx(want, rel=1e-15)
+    assert cb.transformed_eigenvalue(MODEL, state, state.energy) == pytest.approx(want, rel=1e-15)
 
 
 def test_decay_rate_bookkeeping():
@@ -107,39 +110,48 @@ def test_decay_rate_bookkeeping():
         assert lhs - c1 == pytest.approx(1.0, abs=1e-13)
 
 
+def _case(field, operator, state, cfg, shells=6, tolerance=1e-10):
+    """``operator`` on ``field`` of ``state`` over the state's grid, one pass."""
+    d = _diff(field(MODEL, state), _points(state, shells), cfg)
+    return case_result("case", operator(d), tolerance)
+
+
 def test_kg_residual_x(exact_cfg):
     state = cb.make_state(MODEL, 0, 0)
-    case = cb.kg_residual_x(MODEL, state, _points(state), exact_cfg, 1e-10)
+    case = _case(cb.eigenfunction_x, partial(cb.kg_residual_x, MODEL, state.energy), state, exact_cfg)
     assert case.passed
     assert case.max_residual < 1e-12
 
 
 def test_kg_residual_x_excited(exact_cfg):
     state = cb.make_state(MODEL, 1, 1, 1)
-    case = cb.kg_residual_x(MODEL, state, _points(state), exact_cfg, 1e-10)
+    case = _case(cb.eigenfunction_x, partial(cb.kg_residual_x, MODEL, state.energy), state, exact_cfg)
     assert case.passed
 
 
 def test_kg_residual_x_detects_wrong_energy(exact_cfg):
     state = cb.make_state(MODEL, 0, 0)
-    case = cb.kg_residual_x(
-        MODEL, state, _points(state), exact_cfg, 1e-10,
-        energy_override=state.energy * (1.0 + 1e-4),
-    )
-    assert not case.passed
+    wrong = partial(cb.kg_residual_x, MODEL, state.energy * (1.0 + 1e-4))
+    assert not _case(cb.eigenfunction_x, wrong, state, exact_cfg).passed
 
 
 def test_kg_residual_z(exact_cfg):
     state = cb.make_state(MODEL, 1, 0)
-    case = cb.kg_residual_z(MODEL, state, _points(state), exact_cfg, 1e-10)
+    case = _case(cb.eigenfunction_z, partial(cb.kg_residual_z, MODEL, state, state.energy), state, exact_cfg)
     assert case.passed
     assert case.max_residual < 1e-12
+    wrong = partial(cb.kg_residual_z, MODEL, state, state.energy * (1.0 + 1e-4))
+    assert not _case(cb.eigenfunction_z, wrong, state, exact_cfg).passed
 
 
 def test_ground_state_flatness(exact_cfg):
-    case = cb.ground_state_flatness(MODEL, _points(cb.make_state(MODEL, 0, 0)), exact_cfg, 1e-10)
+    ground = cb.make_state(MODEL, 0, 0)
+    case = _case(cb.eigenfunction_z, partial(cb.ground_state_flatness, MODEL, ground), ground, exact_cfg)
     assert case.passed
     assert case.max_residual < 1e-13
+    # an excited state is not flat
+    excited = cb.make_state(MODEL, 1, 0)
+    assert not _case(cb.eigenfunction_z, partial(cb.ground_state_flatness, MODEL, excited), excited, exact_cfg).passed
 
 
 def test_pointwise_z_equals_x(exact_cfg):
@@ -157,7 +169,7 @@ def test_stencil_mode_with_scaled_steps(stencil_cfg):
     """Stencil differentiation needs steps on the Bohr scale to converge."""
     state = cb.make_state(MODEL, 0, 0)
     cfg = scaled_cfg(stencil_cfg, state.r_scale)
-    case = cb.kg_residual_x(MODEL, state, _points(state, shells=4), cfg, 1e-8)
+    case = _case(cb.eigenfunction_x, partial(cb.kg_residual_x, MODEL, state.energy), state, cfg, 4, 1e-8)
     assert case.passed
 
 

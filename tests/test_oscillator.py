@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kgconformal.confmap import case_result
 from kgconformal.core import QuantumNumberError, SpaceTimePoint, natural_units
 from kgconformal.diffengine import _diff
 from kgconformal.harness import Grid
@@ -74,24 +75,32 @@ def test_eigenfunction_x_separable_form():
     assert complex(fld.at(q)) / want_q == pytest.approx(ratio, rel=1e-12)
 
 
+def _case(operator, state, exact_cfg, field=ho.eigenfunction_x, **kwargs):
+    """The operator's case on ``state`` at the default tolerance, one pass."""
+    d = _diff(field(MODEL, state), POINTS, exact_cfg)
+    return case_result("case", operator(MODEL, kwargs.get("E", state.energy), d), 1e-10)
+
+
 def test_kg_residual_x_ground_state(exact_cfg):
-    case = ho.kg_residual_x(MODEL, ho.make_state(MODEL, 0, 0, 0), POINTS, exact_cfg, 1e-10)
+    case = _case(ho.kg_residual_x, ho.make_state(MODEL, 0, 0, 0), exact_cfg)
     assert case.passed
     assert case.max_residual < 1e-13
 
 
 def test_kg_residual_x_detects_wrong_energy(exact_cfg):
     st = ho.make_state(MODEL, 0, 0, 0)
-    case = ho.kg_residual_x(
-        MODEL, st, POINTS, exact_cfg, 1e-10, energy_override=st.energy + 0.05
-    )
+    case = _case(ho.kg_residual_x, st, exact_cfg, E=st.energy + 0.05)
     assert not case.passed
 
 
 def test_kg_residual_z(exact_cfg):
-    rep = ho.kg_residual_z(MODEL, ho.make_state(MODEL, 1, 1, 0), POINTS, exact_cfg, 1e-10)
-    assert rep.passed
-    assert len(rep.cases) == 2  # equation + energy-operator check
+    st = ho.make_state(MODEL, 1, 1, 0)
+    # the equation and the energy operator both hold at the true energy
+    for operator in (ho.kg_residual_z, ho.energy_operator_residual):
+        assert _case(operator, st, exact_cfg, field=ho.eigenfunction_z).passed
+    # and both fail at a perturbed one
+    for operator in (ho.kg_residual_z, ho.energy_operator_residual):
+        assert not _case(operator, st, exact_cfg, field=ho.eigenfunction_z, E=st.energy + 0.1).passed
 
 
 def test_z_eigenvalue_is_energy_shift():

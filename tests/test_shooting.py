@@ -2,6 +2,7 @@
 
 import pytest
 
+from kgconformal import coulomb as cb
 from kgconformal import shooting
 from kgconformal.core import ConfigError
 
@@ -42,3 +43,11 @@ def test_one_state_takes_at_most_25_integrations(monkeypatch):
     # (0, 0) takes the most integrations of the six lowest states
     shooting.shooting_eigenvalue(0, 0, ALPHA)
     assert 0 < len(calls) <= 25
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 9])
+def test_high_l0_states_meet_the_eps_gate(n):
+    """The start point x = 1e-3 keeps the Frobenius start accurate for every N."""
+    eps_formula = shooting.binding_parameter(cb.make_state(cb.CoulombModel(alpha=ALPHA), n, 0).energy, ALPHA)
+    eps_shoot = shooting.binding_parameter(shooting.shooting_eigenvalue(n, 0, ALPHA), ALPHA)
+    assert eps_shoot == pytest.approx(eps_formula, rel=shooting.EPS_RTOL)

@@ -11,7 +11,6 @@ from kgconformal.specfun import (
     SOMMERFELD,
     eta_exponent,
     hermite,
-    hermite_l2_norm,
     radial_polynomial,
     sph_harm_cartesian,
     spherical_harmonic,
@@ -45,14 +44,6 @@ def test_hermite_matches_series_oracle(l, x):
 @given(st.integers(min_value=0, max_value=9), st.floats(min_value=0.0, max_value=3.0))
 def test_hermite_parity(l, x):
     assert hermite(l, -x) == pytest.approx((-1.0) ** l * hermite(l, x), rel=1e-12, abs=1e-10)
-
-
-def test_hermite_l2_norm():
-    # integral of H_l^2 exp(-xi^2) is 2^l l! sqrt(pi)
-    xi = np.linspace(-12.0, 12.0, 20001)
-    for l in (0, 1, 4):
-        integrand = np.array([hermite(l, v) ** 2 * math.exp(-v * v) for v in xi])
-        assert np.trapezoid(integrand, xi) == pytest.approx(hermite_l2_norm(l) ** 2, rel=1e-8)
 
 
 def test_sph_harm_frozen_oracles():

@@ -146,24 +146,36 @@ def inverse_conjugate(cmap: ConformalMap, q_star: ComplexPoint) -> SpaceTimePoin
     return SpaceTimePoint(x=q_star.z, t=t.real)
 
 
-def _require_off_origin(cmap: ConformalMap, pts):
-    if not cmap.is_identity and 0.0 in pts.radii:
+def _maps(cmap, pts):
+    """One map per point.  ``cmap`` is a map, or a sequence of maps with one
+    per point: a family of fields whose maps differ in their energy."""
+    if isinstance(cmap, ConformalMap):
+        return (cmap,) * len(pts)
+    if len(cmap) != len(pts):
+        raise ConfigError(f"{len(cmap)} maps for {len(pts)} points")
+    return cmap
+
+
+def _require_off_origin(maps, pts):
+    if 0.0 in pts.radii and any(r == 0.0 and not m.is_identity for m, r in zip(maps, pts.radii)):
         raise DomainError("operator coefficients singular at r = 0")
 
 
-def _per_point(fn, pts) -> np.ndarray:
-    """A map coefficient at every point, computed in scalar arithmetic."""
-    return np.array([fn(r) for r in pts.radii])
+def _per_point(coefficient, maps, pts) -> np.ndarray:
+    """``coefficient(map, r)`` at every point, computed in scalar arithmetic."""
+    return np.array([coefficient(m, r) for m, r in zip(maps, pts.radii)])
 
 
 # The operators below act on a field's Derivatives (see diffengine._diff) at
-# every point of its grid.  Per-point coefficients are computed in scalar
-# arithmetic and complex products go through dual.mul, so each result equals
-# the point-by-point expression in the docstring bit for bit.
+# every point of its grid, with ``cmap`` one map or one map per point (see
+# _maps).  Per-point coefficients are computed in scalar arithmetic and
+# complex products go through dual.mul, so each result equals the
+# point-by-point expression in the docstring bit for bit.
 
 
 def d_z(cmap: ConformalMap, d: Derivatives, axis=None):
-    """d/dz_i = d/dx_i + i A_i d/dt, per component or as a 3-tuple."""
+    """d/dz_i = d/dx_i + i A_i d/dt as (value, error estimate), per
+    component or as a 3-tuple of them."""
     return _first_order(cmap, d, axis, +1.0)
 
 
@@ -174,13 +186,15 @@ def d_zstar(cmap: ConformalMap, d: Derivatives, axis=None):
 
 def _first_order(cmap, d, axis, sign):
     pts = d.points
-    _require_off_origin(cmap, pts)
-    a_coef = [cmap.time_coupling(p.x, r) for p, r in zip(pts, pts.radii)]
-    dt = d.grad[T_AXIS]
+    maps = _maps(cmap, pts)
+    _require_off_origin(maps, pts)
+    a_coef = [m.time_coupling(p.x, r) for m, p, r in zip(maps, pts, pts.radii)]
+    dt, dt_err = d.grad[T_AXIS], d.grad_err[T_AXIS]
 
     def component(i):
         coef = np.array([sign * 1j * a[i] for a in a_coef])
-        return d.grad[i] + dual.mul(coef, dt)
+        err = np.abs(np.array([a[i] for a in a_coef])) * dt_err + d.grad_err[i]
+        return d.grad[i] + dual.mul(coef, dt), err
 
     if axis is not None:
         return component(axis)
@@ -196,11 +210,12 @@ ZFORM_TERMS = ("laplacian", "time-coupling-divergence", "time-coupling-squared")
 def dzstar_dz(cmap: ConformalMap, d: Derivatives):
     """sum_i d_zstar_i (d_z_i f), returned as (value, error_estimate)."""
     pts = d.points
-    _require_off_origin(cmap, pts)
+    maps = _maps(cmap, pts)
+    _require_off_origin(maps, pts)
     lap, err = _laplacian(d)
     dt, dtt = d.grad[T_AXIS], d.hess[T_AXIS]
-    div_a = _per_point(cmap.time_coupling_divergence, pts)
-    sq = _per_point(cmap.time_coupling_sq_sum, pts)
+    div_a = _per_point(ConformalMap.time_coupling_divergence, maps, pts)
+    sq = _per_point(ConformalMap.time_coupling_sq_sum, maps, pts)
     value = lap + dual.mul(1j * div_a, dt) + sq * dtt
     err = err + np.abs(div_a) * d.grad_err[T_AXIS] + np.abs(sq) * d.hess_err[T_AXIS]
     return value, err
@@ -210,7 +225,7 @@ def dz_dzstar(cmap: ConformalMap, d: Derivatives):
     """Reversed composition sum_i d_z_i (d_zstar_i f); the sign of the
     first-order time coupling flips.  Kept for the order-sensitivity probe."""
     value, err = dzstar_dz(cmap, d)
-    div_a = _per_point(cmap.time_coupling_divergence, d.points)
+    div_a = _per_point(ConformalMap.time_coupling_divergence, _maps(cmap, d.points), d.points)
     return value - dual.mul(2j * div_a, d.grad[T_AXIS]), err
 
 
@@ -233,7 +248,12 @@ class Read(NamedTuple):
 
 
 class Sample(NamedTuple):
-    """One field on one grid, differentiated once for every case that reads it."""
+    """One field on one grid, differentiated once for every case that reads it.
+
+    The field may be a family of many fields, each on its own points: its
+    parameters then hold one value per point, and ``points`` concatenates
+    the fields' grids, so one pass differentiates them all.
+    """
 
     field: ComplexField
     points: Sequence
@@ -255,11 +275,12 @@ def case_result(name: str, residual, tolerance: float) -> CaseResult:
 def evaluate(suite: str, mode: str, declaration) -> ResidualReport:
     """Run a suite declaration, a generator of Samples and CaseResults.
 
-    Each Sample's field is differentiated once; every case that reads it
-    folds the result into its running max.  A CaseResult is reported as
-    it is.  The Derivatives of each Sample are sent back into the
-    generator, so a case that compares two fields reads them without
-    another pass.  Cases are reported in order of first appearance.
+    Each Sample's field is differentiated once (one pass for a family of
+    fields too); every case that reads it folds the result into its
+    running max.  A CaseResult is reported as it is.  The Derivatives of
+    each Sample are sent back into the generator, so a case that compares
+    two fields reads them without another pass.  Cases are reported in
+    order of first appearance.
     """
     cases = {}
     d = None
@@ -288,15 +309,17 @@ def qprop_identity_residual(cmap: ConformalMap, d: Derivatives, operator=None):
 
     with Omega/(hbar c) = 2/b^2 for the lambda = 2, a = 0 map, as an
     operator: (|lhs - rhs|, error estimate, |rhs|) at every point, the
-    scale floored at 1e-30.  ``operator`` replaces dzstar_dz on the left;
-    the reversed-order probe passes dz_dzstar.
+    scale floored at 1e-30.  ``cmap`` may hold one map per point, each at
+    its field's energy.  ``operator`` replaces dzstar_dz on the left; the
+    reversed-order probe passes dz_dzstar.
     """
-    omega_hc = 2.0 / (cmap.b * cmap.b)
+    maps = _maps(cmap, d.points)
+    omega_hc = [2.0 / (m.b * m.b) for m in maps]
     f = d.value
     ddz, e1 = (operator or dzstar_dz)(cmap, d)
     lap, e2 = _laplacian(d)
-    lhs = -ddz + 3.0 * omega_hc * f
-    rhs = -lap + _per_point(lambda r: omega_hc**2 * (r**2), d.points) * f
+    lhs = -ddz + 3.0 * np.array(omega_hc) * f
+    rhs = -lap + np.array([w**2 * (r**2) for w, r in zip(omega_hc, d.points.radii)]) * f
     return dual.modulus(lhs - rhs), e1 + e2, np.maximum(dual.modulus(rhs), 1e-30)
 
 
@@ -311,7 +334,7 @@ def d2z_identity_residual(cmap: ConformalMap, d: Derivatives):
     a, b = cmap.a, cmap.b
     ddz, e1 = dzstar_dz(cmap, d)
     lap, e2 = _laplacian(d)
-    coef = _per_point(lambda r: a * (1.0 - a) / (r * r) + 2.0 * (1.0 - a) / (b * r) - 1.0 / (b * b), d.points)
+    coef = np.array([a * (1.0 - a) / (r * r) + 2.0 * (1.0 - a) / (b * r) - 1.0 / (b * b) for r in d.points.radii])
     rhs = lap + coef * d.value
     return dual.modulus(ddz - rhs), e1 + e2, np.maximum(dual.modulus(rhs), 1e-30)
 
@@ -326,32 +349,29 @@ def time_field(cmap: ConformalMap) -> ComplexField:
 
 
 def ds_dz(cmap: ConformalMap, d: Derivatives):
-    """Operator: |d_z_i s| over the three components; 0 when d holds s(x, t)."""
-    return dual.modulus(np.concatenate(d_z(cmap, d))), 0.0, 1.0
+    """Operator: |d_z_i s| over the three components, with d_z's estimate;
+    0 when d holds s(x, t)."""
+    values, errs = zip(*d_z(cmap, d))
+    return dual.modulus(np.concatenate(values)), np.concatenate(errs), 1.0
 
 
 def _dz_ds(d: Derivatives):
     return dual.modulus(d.grad[T_AXIS]), d.grad_err[T_AXIS], 1.0
 
 
-def _dz_ds_error(d: Derivatives):
-    return 0.0, d.grad_err[T_AXIS], 1.0
-
-
 def independence_check(cmap: ConformalMap, cfg: DiffConfig, points, tolerance: float = 1e-10, prefix: str = ""):
     """Samples verifying ds/dz_i = 0 and dz_i/ds = 0 on the given points.
 
     ds/dz_i applies the d_z operator to the field s(x, t); dz_i/ds
-    applies d/ds = d/dt to the coordinate fields z_i(x, t) = x_i.  Both
-    cases report the coordinate fields' d/dt error estimate.  Case names
+    applies d/ds = d/dt to the coordinate fields z_i(x, t) = x_i.  Each
+    case reports the error estimate of its own derivative.  Case names
     carry ``prefix``.
     """
     pts = as_points(points)
     yield Sample(time_field(cmap), pts, cfg, (Read(prefix + "ds/dz", partial(ds_dz, cmap), tolerance),))
     for i in range(3):
         z_field = ComplexField(fn=lambda x1, x2, x3, t, _i=i: (x1, x2, x3)[_i], label=f"z{i + 1}")
-        reads = (Read(prefix + "dz/ds", _dz_ds, tolerance), Read(prefix + "ds/dz", _dz_ds_error, tolerance))
-        yield Sample(z_field, pts, cfg, reads)
+        yield Sample(z_field, pts, cfg, (Read(prefix + "dz/ds", _dz_ds, tolerance),))
 
 
 def holomorphy_residual(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -133,13 +133,15 @@ class ComplexField:
     with float arrays in stencil mode, with diagonal jets over a grid in
     exact-forward mode, and with plain floats by ``at``.  ``energy_hint``
     carries the energy eigenvalue for fields with exp(-i E t / hbar) time
-    dependence, which several operator reductions rely on.  ``singular_at_origin`` declares an r = 0 singular
-    locus that finite-difference stencils must not cross.
+    dependence, which several operator reductions rely on; a family of
+    fields evaluated on their concatenated points carries one energy per
+    point.  ``singular_at_origin`` declares an r = 0 singular locus that
+    finite-difference stencils must not cross.
     """
 
     fn: Callable
     label: str = ""
-    energy_hint: Optional[float] = None
+    energy_hint: Optional[Union[float, np.ndarray]] = None
     singular_at_origin: bool = False
 
     def __call__(self, x1, x2, x3, t):

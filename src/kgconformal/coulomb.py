@@ -80,6 +80,11 @@ def make_state(model: CoulombModel, n: int, l: int, k: int = 0, branch: str = SO
     eta_l = eta_exponent(l, model.alpha, branch)
     u = model.units
     nu = n + 1.0 - eta_l
+    if nu <= 0.0:
+        # the hydrino branch has eta_l near l + 1, so n < l leaves no positive radial scale
+        raise QuantumNumberError(
+            f"(n, l) = ({n}, {l}) has no state on the {branch} branch: nu = n + 1 - eta_l = {nu:.6g} <= 0"
+        )
     e_nl = u.rest_energy / math.sqrt(1.0 + model.alpha**2 / nu**2)
     r_nl = u.hbar * u.c * nu / (model.alpha * e_nl)
     return CoulombState(n=n, l=l, k=k, branch=branch, eta=eta_l, energy=e_nl, r_scale=r_nl)

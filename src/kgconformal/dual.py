@@ -27,6 +27,11 @@ in numpy and CPython.  Components are combined in the order of the
 scalar hyperdual: the second partial of a product is
 ((v oh + h ov) + g og) + g og, and of a lifted function fp h + (fpp g) g.
 
+A constant combined with a jet is a Python scalar, or an array of shape
+(n,) with one value per point (a family of fields whose parameters differ
+from point to point); either way the arithmetic is elementwise, so an
+array constant rounds at each point as that point's scalar would.
+
 The functions ``exp``, ``log``, ``sqrt`` and ``powr`` also take plain
 scalars and arrays, and lift any argument that has ``_lift``.
 """
@@ -38,7 +43,8 @@ import math
 
 import numpy as np
 
-_SCALARS = (int, float, complex)
+#: constants a jet combines with: scalars, and (n,) arrays of one value per point
+_CONSTANTS = (int, float, complex, np.ndarray)
 
 
 def _is_complex(x) -> bool:
@@ -147,7 +153,7 @@ class HyperDual:
     def __add__(self, o):
         if isinstance(o, HyperDual):
             return HyperDual(self.c + o.c)
-        if isinstance(o, _SCALARS):
+        if isinstance(o, _CONSTANTS):
             c = self.c.astype(np.result_type(self.c, o))
             c[0] += o
             return HyperDual(c)
@@ -174,7 +180,7 @@ class HyperDual:
             out[1 + k :] += gg
             out[1 + k :] += gg
             return HyperDual(out)
-        if isinstance(o, _SCALARS):
+        if isinstance(o, _CONSTANTS):
             return HyperDual(mul(self.c, o))
         return NotImplemented
 
@@ -183,8 +189,8 @@ class HyperDual:
     def __truediv__(self, o):
         if isinstance(o, HyperDual):
             return self * o._reciprocal()
-        if isinstance(o, _SCALARS):
-            return self * (1.0 / o)
+        if isinstance(o, _CONSTANTS):
+            return self * _recip(o)
         return NotImplemented
 
     def __rtruediv__(self, o):

@@ -110,19 +110,59 @@ class TestFieldSpec:
     energy_range: tuple = (0.8, 2.0)
 
 
-def generate_test_field(spec: TestFieldSpec) -> ComplexField:
-    rng = np.random.default_rng(spec.seed)
-    center = rng.uniform(-spec.r_max / 4.0, spec.r_max / 4.0, size=3)
-    margin = spec.r_max - float(np.linalg.norm(center))
+#: sample points of one test field (see _family_points)
+FIELD_POINTS = 3
+#: test fields differentiated in one pass, at most.  A pass costs nearly
+#: the same for 3 points as for 120, but its jets grow with the point count
+#: (about 0.4 MB live at 40 fields); chunks keep memory flat at any number
+#: of fields
+FAMILY_SIZE = 40
+
+
+def _uniform(seeds, lo, hi) -> np.ndarray:
+    """Generator.uniform(lo[j], hi[j]) for j = 0..k-1 from each seed's
+    stream, one row per seed.
+
+    numpy draws a uniform as lo + (hi - lo) u from one standard double u,
+    so one ``random(k)`` call per seed gives the same draws bit for bit.
+    """
+    u = np.array([np.random.default_rng(seed).random(lo.shape[-1]) for seed in seeds])
+    return lo + (hi - lo) * u
+
+
+def _field_bounds(spec: TestFieldSpec):
+    """(lo, hi) of the draws of one field: centre, linear and quadratic
+    coefficients, constant term and phase energy."""
+    q = spec.r_max / 4.0
+    e_lo, e_hi = spec.energy_range
+    return (-q,) * 3 + (-1.0,) * 3 + (-0.5,) * 3 + (0.5, e_lo), (q,) * 3 + (1.0,) * 3 + (0.5,) * 3 + (1.5, e_hi)
+
+
+def generate_test_family(specs) -> ComplexField:
+    """The test fields of ``specs`` as one field on their sample points.
+
+    Every parameter holds one value per point of ``_family_points(specs)``,
+    so one differentiation pass over those points gives each field on its
+    own points, rounded as the field alone would round.  A family of one
+    keeps its parameters as floats, so it can be evaluated anywhere; its
+    energy hint is a float, a larger family's is one energy per point.
+    """
+    specs = tuple(specs)
+    lo, hi = (np.array(rows) for rows in zip(*map(_field_bounds, specs)))
+    draws = _uniform([spec.seed for spec in specs], lo, hi)
+    center = draws[:, :3]
+    # sqrt(c . c) is how np.linalg.norm rounds a 3-vector; a row sum rounds otherwise
+    margin = np.array([spec.r_max for spec in specs]) - np.sqrt([c.dot(c) for c in center])
     sigma = margin / 6.0  # exp(-18) < 1e-7 at the boundary
-    lin = rng.uniform(-1.0, 1.0, size=3)
-    quad = rng.uniform(-0.5, 0.5, size=3)
-    c0 = float(rng.uniform(0.5, 1.5))
-    e_val = float(rng.uniform(*spec.energy_range))
-    cx, cy, cz = (float(v) for v in center)
-    l1, l2, l3 = (float(v) for v in lin)
-    q1, q2, q3 = (float(v) for v in quad)
     inv2s2 = 1.0 / (2.0 * sigma * sigma)
+    params = np.column_stack((draws[:, :10], inv2s2, draws[:, 10]))
+    if len(specs) == 1:
+        values = params[0].tolist()
+        label = f"testfield-{specs[0].seed}"
+    else:
+        values = np.repeat(params, FIELD_POINTS, axis=0).T
+        label = f"testfields-{specs[0].seed}..{specs[-1].seed}"
+    cx, cy, cz, l1, l2, l3, q1, q2, q3, c0, inv2s2, e_val = values
 
     def fn(x1, x2, x3, t):
         d1, d2, d3 = x1 - cx, x2 - cy, x3 - cz
@@ -130,7 +170,38 @@ def generate_test_field(spec: TestFieldSpec) -> ComplexField:
         poly = c0 + l1 * x1 + l2 * x2 + l3 * x3 + q1 * x1 * x1 + q2 * x2 * x2 + q3 * x3 * x3
         return poly * bump * dual.exp(-1j * e_val * t)
 
-    return ComplexField(fn=fn, label=f"testfield-{spec.seed}", energy_hint=e_val)
+    return ComplexField(fn=fn, label=label, energy_hint=e_val)
+
+
+def generate_test_field(spec: TestFieldSpec) -> ComplexField:
+    """The seeded test field of ``spec``: its family of one."""
+    return generate_test_family((spec,))
+
+
+def _family_points(specs) -> PointSet:
+    """FIELD_POINTS sample points per spec, in spec order: x uniform within
+    a third of r_max on each axis, t uniform in (-0.5, 0.5)."""
+    hi = np.array([((spec.r_max / 3.0,) * 3 + (0.5,)) * FIELD_POINTS for spec in specs])
+    draws = _uniform([spec.seed + 987654321 for spec in specs], -hi, hi)
+    return PointSet(SpaceTimePoint(x=(x1, x2, x3), t=t) for x1, x2, x3, t in draws.reshape(-1, 4).tolist())
+
+
+def _field_sample_points(spec: TestFieldSpec) -> PointSet:
+    """The sample points of one test field."""
+    return _family_points((spec,))
+
+
+def _with_energy(fld: ComplexField, e_val: float) -> ComplexField:
+    """Rebind a test field's phase energy so map reductions apply exactly;
+    a family's old energies are per point, the new one is shared."""
+    inner = fld.fn
+    old_e = fld.energy_hint
+
+    def fn(x1, x2, x3, t):
+        # swap exp(-i old_e t) for exp(-i e_val t)
+        return inner(x1, x2, x3, t) * dual.exp(-1j * (e_val - old_e) * t)
+
+    return ComplexField(fn=fn, label=fld.label, energy_hint=e_val)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +326,9 @@ def _suite_oscillator_z(params, cfg, tol):
 
 
 def _annihilation_residual(model, d):
-    """|a_i psi| over the three components, scaled by max|psi|."""
-    lowered = [dual.modulus(ho.ladder_apply(model, ("lower", i), d)) for i in range(3)]
-    return np.concatenate(lowered), 0.0, residual_scale(dual.modulus(d.value).max())
+    """|a_i psi| over the three components, with a_i's estimate, scaled by max|psi|."""
+    values, errs = zip(*(ho.ladder_apply(model, ("lower", i), d) for i in range(3)))
+    return dual.modulus(np.concatenate(values)), np.concatenate(errs), residual_scale(dual.modulus(d.value).max())
 
 
 def _number_residual(model, n, eigenvalue, d):
@@ -288,14 +359,17 @@ def _suite_ladder(params, cfg, tol):
     # the E_1 - E_0 phase difference before comparing pointwise ratios
     d_e = state1.energy - ground.energy
     hbar = model.units.hbar
-    lowered = ho.ladder_apply(model, ("lower", 0), d1)
+    lowered, lowered_err = ho.ladder_apply(model, ("lower", 0), d1)
     ratios = [
         val / denom * complex(math.cos(d_e * p.t / hbar), math.sin(d_e * p.t / hbar))
         for val, denom, p in zip(lowered.tolist(), d0.value.tolist(), points)
     ]
     mean = sum(ratios) / len(ratios)
     spread = max(abs(q - mean) for q in ratios) / abs(mean)
-    yield CaseResult("lowering-proportionality", spread, 0.0, tol_number)
+    # a ratio is off by at most eps = max err / |psi_0|, and so is the mean;
+    # to first order the spread then moves by (2 + spread) eps / |mean|
+    eps = float((lowered_err / dual.modulus(d0.value)).max())
+    yield CaseResult("lowering-proportionality", spread, (2.0 + spread) * eps / abs(mean), tol_number)
 
     # probe: the number operator must NOT return n+1
     yield case_result("probe:number-operator-off-by-one", _number_residual(model, 1, 2, d1), tol_number)
@@ -325,39 +399,16 @@ def _suite_coulomb_z(params, cfg, tol):
     flat = Read(f"coulomb-z-ground-flat-{branch}", partial(cb.ground_state_flatness, model, ground), tol)
     yield _coulomb_sample(cb.eigenfunction_z(model, ground), ground, cfg, flat)
 
-    # the second-order operator identity, on seeded smooth test fields
+    # the second-order operator identity, on a family of seeded smooth test fields
     identity = Read("d2z-operator-identity", partial(d2z_identity_residual, cb.coulomb_map(model, ground)), tol)
-    gcfg = scaled_cfg(cfg, ground.r_scale)
-    for seed in range(5):
-        spec = TestFieldSpec(seed=params.get("seed", 0) * 1000 + seed, r_max=3.0 * ground.r_scale)
-        fld = _with_energy(generate_test_field(spec), ground.energy)
-        yield Sample(fld, _field_sample_points(spec), gcfg, (identity,))
+    seed0 = params.get("seed", 0) * 1000
+    specs = [TestFieldSpec(seed=seed0 + seed, r_max=3.0 * ground.r_scale) for seed in range(5)]
+    fld = _with_energy(generate_test_family(specs), ground.energy)
+    yield Sample(fld, _family_points(specs), scaled_cfg(cfg, ground.r_scale), (identity,))
 
     st = states[0]
     probe = Read("probe:perturbed-energy", partial(cb.kg_residual_z, model, st, st.energy * (1.0 + 1e-4)), tol)
     yield _coulomb_sample(cb.eigenfunction_z(model, st), st, cfg, probe)
-
-
-def _with_energy(fld: ComplexField, e_val: float) -> ComplexField:
-    """Rebind a test field's phase energy so map reductions apply exactly."""
-    inner = fld.fn
-    old_e = fld.energy_hint
-
-    def fn(x1, x2, x3, t):
-        # swap exp(-i old_e t) for exp(-i e_val t)
-        return inner(x1, x2, x3, t) * dual.exp(-1j * (e_val - old_e) * t)
-
-    return ComplexField(fn=fn, label=fld.label, energy_hint=e_val)
-
-
-def _field_sample_points(spec: TestFieldSpec):
-    rng = np.random.default_rng(spec.seed + 987654321)
-    pts = []
-    for _ in range(3):
-        x = rng.uniform(-spec.r_max / 3.0, spec.r_max / 3.0, size=3)
-        t = float(rng.uniform(-0.5, 0.5))
-        pts.append(SpaceTimePoint(x=(float(x[0]), float(x[1]), float(x[2])), t=t))
-    return pts
 
 
 def _suite_map_independence(params, cfg, tol):
@@ -400,7 +451,8 @@ def _suite_holomorphy(params, cfg, tol):
 
 
 def _suite_operator_identities(params, cfg, tol):
-    seed0 = params.get("seed", 0)
+    seed0 = params.get("seed", 0) * 10000
+    n_fields = params.get("n_fields", 100)
     osc = _osc_model(params)
     cmodel = _coulomb_model(params)
     cstate = cb.make_state(cmodel, 0, 0, 0)
@@ -408,20 +460,27 @@ def _suite_operator_identities(params, cfg, tol):
     d2z = Read("d2z-coulomb", partial(d2z_identity_residual, cb.coulomb_map(cmodel, cstate)), tol)
 
     probe = None
-    for idx in range(params.get("n_fields", 100)):
-        spec_o = TestFieldSpec(seed=seed0 * 10000 + idx, r_max=3.0)
-        fld_o = generate_test_field(spec_o)
-        omap = ho.oscillator_map(osc, fld_o.energy_hint)
-        qprop = Read("qprop-oscillator", partial(qprop_identity_residual, omap), tol)
-        d_o = yield Sample(fld_o, _field_sample_points(spec_o), cfg, (qprop,))
-        spec_c = TestFieldSpec(seed=seed0 * 10000 + 5000 + idx, r_max=3.0 * cstate.r_scale)
-        fld_c = _with_energy(generate_test_field(spec_c), cstate.energy)
-        yield Sample(fld_c, _field_sample_points(spec_c), ccfg, (d2z,))
+    for start in range(0, n_fields, FAMILY_SIZE):
+        chunk = range(start, min(start + FAMILY_SIZE, n_fields))
+        specs = [TestFieldSpec(seed=seed0 + idx, r_max=3.0) for idx in chunk]
+        points = _family_points(specs)
+        family = generate_test_family(specs)
+        # each point reads the map of its own field's energy
+        energies = np.broadcast_to(family.energy_hint, len(points)).tolist()
+        by_energy = {e: ho.oscillator_map(osc, e) for e in set(energies)}
+        maps = [by_energy[e] for e in energies]
+        qprop = Read("qprop-oscillator", partial(qprop_identity_residual, maps), tol)
+        d = yield Sample(family, points, cfg, (qprop,))
         if probe is None:
-            probe = (omap, d_o)
+            # probe: reversing the composition order must break the identity
+            # on the first field's points
+            probe = [part[:FIELD_POINTS] for part in qprop_identity_residual(maps, d, operator=dz_dzstar)]
 
-    # probe: reversing the composition order must break the identity
-    yield case_result("probe:reversed-composition", qprop_identity_residual(*probe, operator=dz_dzstar), tol)
+        specs = [TestFieldSpec(seed=seed0 + 5000 + idx, r_max=3.0 * cstate.r_scale) for idx in chunk]
+        family = _with_energy(generate_test_family(specs), cstate.energy)
+        yield Sample(family, _family_points(specs), ccfg, (d2z,))
+
+    yield case_result("probe:reversed-composition", probe, tol)
 
 
 def _plane_wave(kvec, e_val) -> ComplexField:

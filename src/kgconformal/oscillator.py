@@ -188,7 +188,8 @@ def _map_for(model: OscillatorModel, d: Derivatives) -> ConformalMap:
 
 
 def ladder_apply(model: OscillatorModel, which, d: Derivatives):
-    """Apply a single lowering or raising operator component on the grid.
+    """Apply a single lowering or raising operator component on the grid,
+    as (value, error estimate).
 
     ``which`` is ("lower", i) or ("raise", i) with i in {0, 1, 2}:
     a_i = sqrt(hbar c / 2 Omega) d_z_i, a_i^dag = -sqrt(hbar c / 2 Omega) d_zstar_i.
@@ -201,8 +202,10 @@ def ladder_apply(model: OscillatorModel, which, d: Derivatives):
     u = model.units
     coef = math.sqrt(u.hbar * u.c / (2.0 * model.omega))
     if kind == "lower":
-        return coef * d_z(cmap, d, axis=axis)
-    return -coef * d_zstar(cmap, d, axis=axis)
+        value, err = d_z(cmap, d, axis=axis)
+        return coef * value, coef * err
+    value, err = d_zstar(cmap, d, axis=axis)
+    return -coef * value, coef * err
 
 
 def number_operator_apply(model: OscillatorModel, d: Derivatives):

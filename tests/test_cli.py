@@ -158,7 +158,7 @@ def test_map_malformed_points_file(tmp_path, capsys):
     (("--suite", "coulomb-x", "--alpha", "0.9"), EXIT_CONFIG),
     (("--suite", "coulomb-x", "--state", "0,0,5"), EXIT_CONFIG),
     (("--suite", "coulomb-x", "--state", "zero,one"), EXIT_CONFIG),
-    (("--suite", "coulomb-z", "--branch", "hydrino"), EXIT_DOMAIN),
+    (("--suite", "coulomb-z", "--branch", "hydrino", "--state", "1,0"), EXIT_DOMAIN),
     (("--suite", "holomorphy", "--tolerance", "nan"), EXIT_CONFIG),
     (("--suite", "operator-identities", "--n-fields", "0"), EXIT_CONFIG),
     (("--suite", "oscillator-x", "--nmax", "-1"), EXIT_CONFIG),
@@ -169,6 +169,13 @@ def test_verify_bad_input_exit_codes(capsys, argv, code):
     got, _, err = run(capsys, "verify", "--mode", "exact", *argv)
     assert got == code
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_hydrino_state_without_radial_scale_is_config_error(capsys):
+    code, _, err = run(capsys, "verify", "--suite", "coulomb-x", "--mode", "exact",
+                       "--branch", "hydrino", "--state", "0,1")
+    assert code == EXIT_CONFIG
+    assert len(err.splitlines()) == 1 and "(0, 1)" in err and "hydrino" in err
 
 
 def test_spectrum_nonfinite_option_is_config_error(capsys):

@@ -178,3 +178,13 @@ def test_hydrino_branch_state():
     assert state.eta == pytest.approx(1.0 - ALPHA**2, rel=1e-3)
     # hydrino ground state binds much deeper than the sommerfeld one
     assert state.energy < cb.make_state(MODEL, 0, 0).energy
+
+
+@pytest.mark.parametrize("n,l", [(0, 1), (0, 2), (1, 2)])
+def test_hydrino_state_without_radial_scale_is_rejected(n, l):
+    """On the hydrino branch eta_l is near l + 1, so n < l gives nu = n + 1 - eta_l < 0
+    and no radial scale; make_state names the state and the branch."""
+    with pytest.raises(QuantumNumberError, match=rf"\({n}, {l}\).*hydrino"):
+        cb.make_state(MODEL, n, l, 0, HYDRINO)
+    # the same quantum numbers are a state on the sommerfeld branch
+    assert cb.make_state(MODEL, n, l, 0, SOMMERFELD).r_scale > 0.0

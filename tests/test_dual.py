@@ -146,3 +146,25 @@ def test_exp_log_pow_are_cpython_exact():
         assert dual.powr(POSITIVE, p).tolist() == [v**p for v in POSITIVE.tolist()]
         assert dual.powr(COMPLEX, p).tolist() == [v**p for v in COMPLEX.tolist()]
     assert dual.modulus(COMPLEX).tolist() == [abs(v) for v in COMPLEX.tolist()]
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_array_constant_is_each_points_scalar(kind):
+    """A jet combined with an (n,) array constant equals, point by point,
+    the jet combined with that point's scalar, bit for bit."""
+    rng = np.random.default_rng(11)
+    n = 7
+    x, y = dual.variables(rng.uniform(-2.0, 2.0, n), rng.uniform(0.5, 2.0, n))
+    base = dual.exp(-1j * 0.7 * y) * x if kind == "complex" else x * x + y
+    consts = rng.uniform(-3.0, 3.0, n)
+    if kind == "complex":
+        consts = consts + 1j * rng.uniform(-3.0, 3.0, n)
+    ops = (
+        lambda j, c: j + c, lambda j, c: c + j, lambda j, c: j - c, lambda j, c: c - j,
+        lambda j, c: j * c, lambda j, c: c * j, lambda j, c: j / c,
+    )
+    for op in ops:
+        batched = op(base, consts).c
+        for i, c in enumerate(consts.tolist()):
+            single = op(dual.HyperDual(base.c[:, i : i + 1]), c).c[:, 0]
+            assert np.array_equal(batched[:, i], single)

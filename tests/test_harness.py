@@ -1,14 +1,24 @@
 import math
 
+import numpy as np
 import pytest
 
+from kgconformal import coulomb as cb
+from kgconformal import harness
 from kgconformal.core import ConfigError, SpaceTimePoint
-from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL
+from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL, _diff
 from kgconformal.harness import (
+    FIELD_POINTS,
     Grid,
     SUITES,
     TestFieldSpec,
+    _family_points,
+    _field_bounds,
+    _field_sample_points,
+    _uniform,
+    _with_energy,
     default_tolerance,
+    generate_test_family,
     generate_test_field,
     run_suite,
     scaled_cfg,
@@ -105,3 +115,92 @@ def test_ladder_suite_small():
 def test_all_suites_registered():
     assert len(SUITES) == 9
     assert len(set(SUITES)) == 9
+
+
+# -- test-field families ----------------------------------------------------
+
+GROUND = cb.make_state(cb.CoulombModel(alpha=0.0072973525693), 0, 0)
+FAMILIES = {
+    "oscillator": ([TestFieldSpec(seed=s, r_max=3.0) for s in (0, 1, 2, 7, 11, 5000, 12345)], None),
+    "coulomb": ([TestFieldSpec(seed=5000 + s, r_max=3.0 * GROUND.r_scale) for s in (0, 1, 2, 3, 4, 9, 77)],
+                GROUND.energy),
+}
+
+
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_STENCIL])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_derivatives_equal_each_fields(family, mode):
+    """One pass over a family gives, bit for bit, what each field's own
+    pass gives on its own points, in both modes."""
+    specs, energy = FAMILIES[family]
+    cfg = DiffConfig(mode=mode) if energy is None else scaled_cfg(DiffConfig(mode=mode), GROUND.r_scale)
+
+    def energized(fld):
+        return fld if energy is None else _with_energy(fld, energy)
+
+    fam = _diff(energized(generate_test_family(specs)), _family_points(specs), cfg)
+    singles = [_diff(energized(generate_test_field(s)), _field_sample_points(s), cfg) for s in specs]
+    assert list(fam.points) == [p for d in singles for p in d.points]
+    for part in ("value", "grad", "hess", "grad_err", "hess_err"):
+        want = np.concatenate([getattr(d, part) for d in singles], axis=-1)
+        assert np.array_equal(getattr(fam, part), want), part
+    assert np.array_equal(np.broadcast_to(fam.field.energy_hint, len(fam.points)),
+                          [d.field.energy_hint for d in singles for _ in d.points])
+
+
+def _uniform_calls(seed, calls):
+    """The draws of successive Generator.uniform(lo, hi, size) calls on one seed."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for lo, hi, size in calls:
+        out += [rng.uniform(lo, hi)] if size is None else rng.uniform(lo, hi, size).tolist()
+    return out
+
+
+def test_one_random_call_per_seed_reproduces_uniform_draws():
+    """Every field and sample-point draw of the 16 benchmark variants of
+    operator-identities (seeds v * 10000 + i and + 5000 + i, i < 1500):
+    one random(k) call per seed gives Generator.uniform's draws."""
+    for offset, r_max in ((0, 3.0), (5000, 3.0 * GROUND.r_scale)):
+        specs = [TestFieldSpec(seed=v * 10000 + offset + i, r_max=r_max) for v in range(16) for i in range(1500)]
+        q, e_lo, e_hi = r_max / 4.0, *specs[0].energy_range
+        field_calls = ((-q, q, 3), (-1.0, 1.0, 3), (-0.5, 0.5, 3), (0.5, 1.5, None), (e_lo, e_hi, None))
+        lo, hi = (np.array(rows) for rows in zip(*map(_field_bounds, specs)))
+        got = _uniform([s.seed for s in specs], lo, hi)
+        want = np.array([_uniform_calls(s.seed, field_calls) for s in specs])
+        assert np.array_equal(got, want)
+
+        point_calls = ((-r_max / 3.0, r_max / 3.0, 3), (-0.5, 0.5, None)) * FIELD_POINTS
+        got = np.array([p.x + (p.t,) for p in _family_points(specs)])
+        want = np.array([_uniform_calls(s.seed + 987654321, point_calls) for s in specs]).reshape(-1, 4)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_STENCIL])
+def test_operator_identities_report_does_not_depend_on_chunking(monkeypatch, mode):
+    """Families of FAMILY_SIZE fields, and a last family of one, report what
+    one field per pass reports."""
+    params, cfg = {"n_fields": harness.FAMILY_SIZE + 1, "seed": 2}, DiffConfig(mode=mode)
+    chunked = run_suite("operator-identities", params, cfg).with_wall_ms(0.0).to_json()
+    monkeypatch.setattr(harness, "FAMILY_SIZE", 1)
+    assert run_suite("operator-identities", params, cfg).with_wall_ms(0.0).to_json() == chunked
+
+
+#: stencil-mode cases whose estimate is propagated through d_z
+STENCIL_ESTIMATED = {
+    "ladder": ("annihilate-ground", "lowering-proportionality"),
+    "map-independence": ("oscillator-map-ds/dz", "coulomb-map-ds/dz", "identity-map-ds/dz", "probe:detuned-map"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(STENCIL_ESTIMATED))
+def test_stencil_estimates_bound_the_distance_to_exact(suite):
+    """Each of these cases reports its own stencil estimate: positive, and
+    at least the distance between its stencil and exact residuals."""
+    stencil = {c.name: c for c in run_suite(suite, {}, DiffConfig(mode=MODE_STENCIL)).cases}
+    exact = {c.name: c for c in run_suite(suite, {}, DiffConfig(mode=MODE_EXACT)).cases}
+    for name in STENCIL_ESTIMATED[suite]:
+        got, truth = stencil[name], exact[name]
+        assert truth.error_estimate == 0.0
+        assert got.error_estimate > 0.0, name
+        assert got.error_estimate >= abs(got.max_residual - truth.max_residual), name

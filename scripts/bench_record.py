@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Record the benchmark of a change against its parent as a BENCH_*.json file.
+
+Run from the root of the change's checkout, with a second checkout of
+the parent commit (made with ``git clone`` or ``git archive``):
+
+    python3 scripts/bench_record.py --parent ../parent --out BENCH_6.json
+
+For each workload and each of ``--pairs`` seeds it runs
+
+    python3 perfbench/run.py --workload W --seed S --seconds 25
+
+once in each checkout, alternating which side runs first.  The file
+holds every run's metrics and failed checks and, for each side, the
+median and quartiles of ``certify_s``, ``setup_s`` and ``peak_rss_mb``,
+plus the pairs in which the change's ``certify_s`` was lower.  If the
+file exists, workloads not run this time keep their entries, so
+workloads can be recorded with different pair counts.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOADS = ("eigen-exact", "eigen-stencil", "random-fields", "shooting-oracle")
+METRICS = ("certify_s", "setup_s", "peak_rss_mb")
+SECONDS = 25
+
+
+def run(checkout: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(SECONDS)]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    return {"seed": seed, "failed": result["failed"], "attempted": result["attempted"],
+            **{m: result["metrics"][m]["value"] for m in METRICS}}
+
+
+def summary(runs: list) -> dict:
+    out = {}
+    for m in METRICS:
+        q1, median, q3 = statistics.quantiles([r[m] for r in runs], n=4, method="inclusive")
+        out[m] = {"median": median, "q1": q1, "q3": q3}
+    out["failed"] = sum(r["failed"] for r in runs)
+    out["attempted"] = sum(r["attempted"] for r in runs)
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, default=Path("."), help="checkout of the change")
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--first-seed", type=int, default=0)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    record["command"] = f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS}"
+    for workload in args.workloads:
+        runs = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            seed = args.first_seed + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run(getattr(args, side), workload, seed))
+            print(workload, seed, {s: runs[s][-1]["certify_s"] for s in order}, flush=True)
+        wins = sum(c["certify_s"] < p["certify_s"] for p, c in zip(runs["parent"], runs["change"]))
+        record.setdefault("workloads", {})[workload] = {
+            "pairs": args.pairs,
+            "change_faster_pairs": wins,
+            **{side: {**summary(r), "runs": r} for side, r in runs.items()},
+        }
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,4 +1,4 @@
-"""Independent shooting-method eigenvalue oracle for the Coulomb sector.
+"""Independent eigenvalue oracle for the Coulomb sector.
 
 Solves the radial reduction of the Klein-Gordon Coulomb equation as a
 boundary-value problem, with no reference to the closed-form spectrum.
@@ -8,12 +8,13 @@ With u = r R and x = alpha r (natural length of the problem) the ODE is
 
 where Ebar = E / (m0 c^2) and eps = (1 - Ebar^2) / alpha^2 is the
 dimensionless binding parameter (eps ~ 1/N^2 nonrelativistically,
-N = n + l + 1).  The regular solution behaves as u ~ x^sigma at the
-origin with sigma the positive indicial root of
-sigma (sigma - 1) = l(l+1) - alpha^2.  An eigenvalue is a zero of the
-large-x miss function u(x_max).  The nodes of u at the two ends of an
-eps window check that the window holds exactly the level with n radial
-nodes (Sturm oscillation), and Brent's method finds the zero inside it.
+N = n + l + 1).  With sigma the positive root of sigma (sigma - 1) =
+l(l+1) - alpha^2, u = x^sigma w turns it into the eigenproblem
+x w'' + 2 sigma w' + 2 Ebar w = eps x w, collocated at 80
+Chebyshev-Gauss-Lobatto points on [0, X] with w(X) = 0 (Trefethen,
+Spectral Methods in MATLAB, ch. 6 and 13).  Its (n+1)-th largest eps is
+the level with n radial nodes, and one shot of the regular solution at
+eps (1 -/+ TAU) confirms it by Sturm oscillation.
 """
 
 from __future__ import annotations
@@ -22,16 +23,16 @@ import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
+from scipy.linalg import eigvals
 
-from .core import ConfigError, UnitSystem, natural_units
+from .core import BranchError, ConfigError, UnitSystem, natural_units
 
-# relative accuracy of the oracle's eps: at most 4.0e-9 on the l = 0 states
-# up to (9, 0) and 4e-11 on the l >= 1 states up to N = 3, while the
-# nonrelativistic eps = 1/N^2 is off by at least 1.18e-6 on the six lowest
-# states, so a gate at this bound tells the relativistic spectrum from the
-# Bohr spectrum
-EPS_RTOL = 1e-7
+# relative error of the oracle's eps: at most 7.4e-10 over l <= 3, n <= 9 (on
+# (9, 3)), while the nonrelativistic eps = 1/N^2 misses by at least 4.75e-7
+EPS_RTOL = 2e-9
+# the confirming bracket: above the shot's own error (4.0e-9 on (0, 0)), below the Bohr miss
+TAU = 2.5e-8
+POINTS = 80
 
 
 def binding_parameter(ebar: float, alpha: float) -> float:
@@ -43,29 +44,52 @@ def _indicial_sigma(l: int, alpha: float) -> float:
     return 0.5 + math.sqrt((l + 0.5) ** 2 - alpha * alpha)
 
 
-def _window(big_n: int) -> tuple[float, float]:
-    """The eps window of the N-th level; nonrelativistic spacing isolates it."""
-    return 1.0 / (big_n + 0.49) ** 2, 1.0 / (big_n - 0.49) ** 2
+def _cutoff(big_n: int) -> float:
+    """X: at 40 N alone the tail costs (9, 3) 8.6e-8 in eps."""
+    return max(40.0 * big_n, 6.0 * big_n * big_n)
 
 
-def _shoot(eps: float, l: int, alpha: float, big_n: int):
-    """Integrate the regular solution over [1e-3, 40 N]."""
-    x_lo, x_hi = 1e-3, 40.0 * big_n
+def _spectral_eps(n: int, l: int, alpha: float, x_hi: float) -> float:
+    k = np.arange(POINTS)
+    t = np.cos(np.pi * k / (POINTS - 1))
+    c = np.where((k == 0) | (k == POINTS - 1), 2.0, 1.0) * (-1.0) ** k
+    d = np.outer(c, 1.0 / c) / (t[:, None] - t[None, :] + np.eye(POINTS))
+    d -= np.diag(d.sum(axis=1))
+    # x = x_hi (1 + t) / 2; dropping k = 0 drops x = x_hi, where w = 0
+    x, d = x_hi * (1.0 + t[1:]) / 2.0, d[1:, 1:] * (2.0 / x_hi)
+    operator = x[:, None] * (d @ d) + 2.0 * _indicial_sigma(l, alpha) * d
+    ebar = 1.0
+    for _ in range(4):
+        eps = eigvals(operator + 2.0 * ebar * np.eye(len(x)), np.diag(x))
+        eps = np.sort(eps[np.isfinite(eps) & (eps.imag == 0.0) & (eps.real > 0.0)].real)[::-1]
+        if len(eps) <= n:
+            raise ConfigError(f"the eigensolve resolves {len(eps)} levels of l = {l}, not n = {n}")
+        # eps / Ebar^2 does not depend on Ebar (rescale x), so this update meets
+        # Ebar^2 = 1 - alpha^2 eps in one solve; Ebar <- sqrt(that) gains alpha^2
+        new = 1.0 / math.sqrt(1.0 + alpha * alpha * eps[n] / (ebar * ebar))
+        if new == ebar:
+            break
+        ebar = new
+    return float(eps[n])
+
+
+def _shoot(eps: tuple, l: int, alpha: float, x_hi: float):
+    """Integrate the regular solution over [1e-3, x_hi] for every eps as
+    one system: sol.y holds u for each eps, then u' for each."""
+    x_lo, k = 1e-3, len(eps)
+    eps = np.asarray(eps, dtype=float)
     sigma = _indicial_sigma(l, alpha)
     ll = l * (l + 1) - alpha * alpha
-    ebar = math.sqrt(max(1.0 - eps * alpha * alpha, 0.0))
+    ebar = np.sqrt(np.maximum(1.0 - eps * alpha * alpha, 0.0))
 
     def rhs(x, y):
-        u, up = y
-        return (up, (ll / (x * x) - 2.0 * ebar / x + eps) * u)
+        return np.concatenate((y[k:], (ll / (x * x) - 2.0 * ebar / x + eps) * y[:k]))
 
     # two terms of the Frobenius series u = x^sigma sum_k a_k x^k, where
     # k (2 sigma + k - 1) a_k = -2 Ebar a_{k-1} + eps a_{k-2} and a_0 = 1
     a1 = -ebar / sigma
-    y0 = (
-        x_lo**sigma * (1.0 + a1 * x_lo),
-        x_lo ** (sigma - 1.0) * (sigma + (sigma + 1.0) * a1 * x_lo),
-    )
+    y0 = np.concatenate((x_lo**sigma * (1.0 + a1 * x_lo),
+                         x_lo ** (sigma - 1.0) * (sigma + (sigma + 1.0) * a1 * x_lo)))
     # t_eval=None keeps every accepted step in sol.y, which _nodes counts on
     sol = solve_ivp(rhs, (x_lo, x_hi), y0, method="DOP853", rtol=1e-12, atol=1e-300)
     if not sol.success:
@@ -73,49 +97,40 @@ def _shoot(eps: float, l: int, alpha: float, big_n: int):
     return sol
 
 
-def _nodes(sol) -> int:
-    """Sign changes of u over the accepted steps of one shot."""
-    neg = np.signbit(sol.y[0])
-    return int(np.count_nonzero(neg[1:] != neg[:-1]))
+def _nodes(sol) -> list:
+    """Sign changes of each u over the accepted steps of one shot."""
+    neg = np.signbit(sol.y[: len(sol.y) // 2])
+    return np.count_nonzero(neg[:, 1:] != neg[:, :-1], axis=1).tolist()
 
 
-def _bracket(n: int, l: int, alpha: float, eps_lo: float, eps_hi: float):
-    """Shoot at both ends of [eps_lo, eps_hi] and return the miss function
-    u(x_max) of eps, with the two end shots memoised.
-
-    The node count of u falls by one across each level as eps grows, so
-    the window holds exactly one level, the one with n radial nodes, if
-    and only if the ends count n + 1 and n nodes.  Anything else is a
-    ConfigError.
-    """
-    big_n = n + l + 1
-    ends, counts = {}, []
-    for eps in (eps_lo, eps_hi):
-        sol = _shoot(eps, l, alpha, big_n)
-        ends[eps] = sol.y[0][-1]
-        counts.append(_nodes(sol))
+def _bracket(n: int, l: int, alpha: float, eps_lo: float, eps_hi: float) -> None:
+    """Shoot once at both ends of [eps_lo, eps_hi].  The node count of u
+    falls by one across each level as eps grows, so the window holds just
+    the level with n radial nodes iff the ends count n + 1 and n (and so
+    u(X) changes sign).  Anything else is a ConfigError."""
+    counts = _nodes(_shoot((eps_lo, eps_hi), l, alpha, _cutoff(n + l + 1)))
     if counts != [n + 1, n]:
         raise ConfigError(
             f"expected the eps window of (n, l) = ({n}, {l}) to hold exactly that "
             f"level ({n + 1} and {n} nodes at its ends), found {counts[0]} and {counts[1]}"
         )
 
-    def miss(eps):
-        if eps in ends:
-            return ends[eps]
-        return _shoot(eps, l, alpha, big_n).y[0][-1]
-
-    return miss
-
 
 def shooting_eigenvalue(n: int, l: int, alpha: float, units: UnitSystem = None) -> float:
     """Eigenvalue E of the (n, l) bound state (Sommerfeld-branch ordering).
 
-    Returns the energy in the given unit system.
+    Returns the energy in the given unit system.  Raises ConfigError for
+    n or l not a non-negative int, for alpha <= 0 and for a shot that does
+    not confirm the eigensolve, and BranchError for alpha >= l + 1/2.
     """
+    for name, q in (("n", n), ("l", l)):
+        if not isinstance(q, int) or isinstance(q, bool) or q < 0:
+            raise ConfigError(f"{name} must be a non-negative integer, not {q!r}")
+    if not alpha > 0.0:
+        raise ConfigError(f"alpha must be positive, not {alpha!r}")
+    if alpha >= l + 0.5:
+        raise BranchError(f"alpha = {alpha} >= l + 1/2 = {l + 0.5}: complex exponent")
     units = units or natural_units()
-    eps_lo, eps_hi = _window(n + l + 1)
-    miss = _bracket(n, l, alpha, eps_lo, eps_hi)
-    eps_star = brentq(miss, eps_lo, eps_hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
-    ebar = math.sqrt(1.0 - eps_star * alpha * alpha)
-    return ebar * units.rest_energy
+    eps = _spectral_eps(n, l, alpha, _cutoff(n + l + 1))
+    _bracket(n, l, alpha, eps * (1.0 - TAU), eps * (1.0 + TAU))
+    return math.sqrt(1.0 - eps * alpha * alpha) * units.rest_energy

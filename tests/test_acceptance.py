@@ -6,6 +6,7 @@ run log shows the verdicts at a glance.  The criteria check residual
 magnitudes directly rather than trusting suite-internal tolerances.
 """
 
+import itertools
 import json
 import time
 
@@ -104,16 +105,18 @@ def test_criterion_04_operator_identities_on_random_fields(announce):
 
 
 def test_criterion_05_spectrum_against_shooting_oracle(announce):
-    """Closed-form Coulomb energies vs the independent ODE solver.
+    """Closed-form Coulomb energies vs the independent oracle, on the 40
+    states with l <= 3 and n <= 9.
 
-    They are compared on eps = (1 - E^2)/alpha^2, where a relative 1e-7
-    holds the oracle (4.0e-9 at worst) and rejects the nonrelativistic
-    eps = 1/N^2 (1.18e-6 at best).  E itself cannot tell the two apart:
-    the Bohr energies lie within a relative 1.8e-9 of the closed form.
+    They are compared on eps = (1 - E^2)/alpha^2, where a relative 2e-9
+    holds the oracle (7.4e-10 at worst, on (9, 3)) and rejects the
+    nonrelativistic eps = 1/N^2 on every state (4.75e-7 at best, on
+    (0, 3)).  E itself cannot tell the two apart: the Bohr energies lie
+    within a relative 1.8e-9 of the closed form.
     """
     model = cb.CoulombModel(alpha=ALPHA, units=natural_units())
     ok = True
-    for n, l in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+    for n, l in itertools.product(range(10), range(4)):
         eps_formula = binding_parameter(cb.make_state(model, n, l).energy, ALPHA)
         eps_shoot = binding_parameter(shooting_eigenvalue(n, l, ALPHA), ALPHA)
         ok &= abs(eps_shoot - eps_formula) / eps_formula < EPS_RTOL

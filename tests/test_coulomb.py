@@ -72,8 +72,8 @@ def test_relativistic_binding_close_to_rydberg():
 
 
 def test_shooting_oracle_ground_state():
-    """The closed-form spectrum against the independent shooting solver,
-    compared on eps = (1 - E^2)/alpha^2 at a bound that the
+    """The closed-form spectrum against the independent oracle, compared
+    on eps = (1 - E^2)/alpha^2 at the oracle's bound EPS_RTOL, which the
     nonrelativistic eps = 1/N^2 fails."""
     eps_num = binding_parameter(shooting_eigenvalue(0, 0, ALPHA), ALPHA)
     eps_formula = binding_parameter(cb.make_state(MODEL, 0, 0).energy, ALPHA)

@@ -39,7 +39,7 @@ from .specfun import (
 class CoulombModel:
     """Dimensionless coupling alpha plus the unit convention.
 
-    alpha must be positive; the alpha -> 0 limit is exercised through the
+    alpha must be positive and finite; the alpha -> 0 limit is exercised through the
     closed-form operations only (the map scale b diverges).
     """
 
@@ -47,8 +47,8 @@ class CoulombModel:
     units: UnitSystem = None
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ConfigError("alpha must be positive (b diverges as alpha -> 0)")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ConfigError(f"alpha must be positive and finite (b diverges as alpha -> 0), not {self.alpha!r}")
         if self.units is None:
             object.__setattr__(self, "units", natural_units())
 

@@ -33,8 +33,8 @@ class OscillatorModel:
     units: UnitSystem = None
 
     def __post_init__(self):
-        if self.omega < 0:
-            raise ConfigError("omega must be non-negative")
+        if not (math.isfinite(self.omega) and self.omega >= 0.0):
+            raise ConfigError(f"omega must be non-negative and finite, not {self.omega!r}")
         if self.units is None:
             object.__setattr__(self, "units", natural_units())
 

@@ -4,7 +4,7 @@ from functools import partial
 import pytest
 
 from kgconformal.confmap import case_result
-from kgconformal.core import BranchError, QuantumNumberError, SpaceTimePoint, natural_units
+from kgconformal.core import BranchError, ConfigError, QuantumNumberError, SpaceTimePoint, natural_units
 from kgconformal.diffengine import _diff
 from kgconformal.harness import Grid, scaled_cfg
 from kgconformal.shooting import EPS_RTOL, binding_parameter, shooting_eigenvalue
@@ -32,6 +32,12 @@ def test_model_validation():
         cb.make_state(MODEL, -1, 0, 0)
     with pytest.raises(QuantumNumberError):
         cb.make_state(MODEL, 0, 1, 2)  # |k| > l
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ConfigError, match="finite"):
+        cb.CoulombModel(alpha=alpha)
 
 
 def test_eta_branches():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kgconformal.confmap import case_result
-from kgconformal.core import QuantumNumberError, SpaceTimePoint, natural_units
+from kgconformal.core import ConfigError, QuantumNumberError, SpaceTimePoint, natural_units
 from kgconformal.diffengine import _diff
 from kgconformal.harness import Grid
 from kgconformal import oscillator as ho
@@ -21,6 +21,12 @@ def test_spectrum_frozen_oracles():
     assert ho.energy(MODEL, 1) == pytest.approx(2.449489742783178, abs=1e-14)
     assert ho.energy(MODEL, 2) == pytest.approx(2.8284271247461903, abs=1e-14)
     assert ho.energy(MODEL, 3) == pytest.approx(3.1622776601683795, abs=1e-14)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite_omega(omega):
+    with pytest.raises(ConfigError, match="finite"):
+        ho.OscillatorModel(omega=omega)
 
 
 def test_spectrum_units_scaling():

@@ -2,8 +2,12 @@
 bracket, its input contract and its cost per state."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kgconformal import coulomb as cb
@@ -85,12 +89,43 @@ def test_cutoff_grows_with_n_squared_for_high_states():
     assert eps_shoot == pytest.approx(_eps_formula(9, 3), rel=shooting.EPS_RTOL)
 
 
-@pytest.mark.parametrize("n, l, alpha", [(0, 0, 0.3), (2, 0, 0.3), (0, 1, 1.2), (0, 2, 1.2)])
+@pytest.mark.parametrize("n, l, alpha", [(0, 0, 0.3), (2, 0, 0.3), (0, 1, 1.2), (0, 2, 1.2),
+                                         (0, 0, 0.35), (2, 0, 0.45), (0, 0, 0.499), (9, 1, 1.49)])
 def test_strong_coupling_states_meet_the_eps_gate(n, l, alpha):
-    """Four eigensolves settle Ebar even where alpha^2 is not small."""
+    """Four eigensolves settle Ebar even where alpha^2 is not small.  Near
+    the branch point (sigma near 1/2) the shot needs its third Frobenius
+    term: with two, the last four cases raise.  It needs short first steps
+    too: on a grid uniform in log(x + 0.1), the last three raise."""
     eps_formula = shooting.binding_parameter(cb.make_state(cb.CoulombModel(alpha=alpha), n, l).energy, alpha)
     eps_shoot = shooting.binding_parameter(shooting.shooting_eigenvalue(n, l, alpha), alpha)
     assert eps_shoot == pytest.approx(eps_formula, rel=shooting.EPS_RTOL)
+
+
+def test_shot_counts_two_q_values_per_step_and_eps():
+    eps = _spectral(0, 0)
+    sol = shooting._shoot((eps, eps), 0, ALPHA, shooting._cutoff(1))
+    assert sol.y.shape == (4, shooting.STEPS + 1)
+    assert sol.nfev == 2 * 2 * shooting.STEPS
+
+
+def test_shot_that_overflows_raises():
+    """u'' = 400 u grows by e^20 a step here: the chain overflows to inf."""
+    with pytest.raises(ConfigError, match="not finite"):
+        shooting.solve_ivp(lambda x: np.full((1, len(x)), 400.0), np.linspace(0.0, 2000.0, 2001), np.ones(2))
+
+
+def test_no_module_imports_scipy():
+    """The package, its CLI, harness and oracle load and run on numpy alone."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = (
+        "import sys\n"
+        "import kgconformal, kgconformal.cli, kgconformal.harness, kgconformal.shooting\n"
+        f"kgconformal.shooting.shooting_eigenvalue(0, 2, {ALPHA!r})\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(
@@ -137,3 +172,10 @@ def test_spectrum_table_bad_alpha_exits_2_with_one_line(argv, capsys):
     assert _spectrum_table().main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--alpha", "nan"], ["--alpha", "inf"], ["--omega", "nan"], ["--omega", "inf"]])
+def test_spectrum_table_non_finite_parameter_exits_2_with_one_line(argv, capsys):
+    assert _spectrum_table().main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "finite" in err

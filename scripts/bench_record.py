@@ -16,6 +16,12 @@ median and quartiles of ``certify_s``, ``setup_s`` and ``peak_rss_mb``,
 plus the pairs in which the change's ``certify_s`` was lower.  If the
 file exists, workloads not run this time keep their entries, so
 workloads can be recorded with different pair counts.
+
+After each workload it prints one verdict line per metric: the change's
+median against the parent's, the relative move against the metric's
+bound in the change's ``BENCHMARK.json``, and the pairs in which the
+change was better.  Quartiles need at least two pairs, so ``--pairs``
+below 2 is rejected before any run.
 """
 
 import argparse
@@ -49,6 +55,24 @@ def summary(runs: list) -> dict:
     return out
 
 
+def verdicts(workload: str, runs: dict, end_to_end: dict) -> list:
+    """One line per metric: parent and change medians, the relative move
+    against the metric's bound, and the pairs the change won."""
+    lines = []
+    for m in METRICS:
+        spec = end_to_end[m]
+        parent, change = (statistics.median(r[m] for r in runs[side]) for side in ("parent", "change"))
+        move = (change - parent) / parent
+        worse = 1.0 if spec["better"] == "lower" else -1.0  # the sign of a move for the worse
+        won = sum(worse * (c[m] - p[m]) < 0 for p, c in zip(runs["parent"], runs["change"]))
+        lines.append(
+            f"{workload} {m}: parent {parent:.4g} -> change {change:.4g} {spec['unit']} ({move:+.1%}; "
+            f"bound {spec['bound']:.0%} worse: {'within' if worse * move <= spec['bound'] else 'PAST'}), "
+            f"change better in {won} of {len(runs['change'])} pairs"
+        )
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -58,6 +82,10 @@ def main(argv=None) -> int:
     ap.add_argument("--first-seed", type=int, default=0)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error(f"--pairs must be at least 2 (quartiles of the runs), not {args.pairs}")
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    end_to_end = {spec["name"]: spec for spec in benchmark["end_to_end"]}
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record["command"] = f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS}"
@@ -76,6 +104,7 @@ def main(argv=None) -> int:
             **{side: {**summary(r), "runs": r} for side, r in runs.items()},
         }
         args.out.write_text(json.dumps(record, indent=1) + "\n")
+        print("\n".join(verdicts(workload, runs, end_to_end)), flush=True)
     return 0
 
 

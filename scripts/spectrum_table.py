@@ -7,8 +7,10 @@ With --check-shooting each Coulomb state also shows the relative
 difference in eps = (1 - E^2)/alpha^2 between the oracle (an eigensolve
 confirmed by one shot, see kgconformal.shooting) and the closed form,
 next to that of the nonrelativistic eps = 1/N^2, and the script exits 1
-if any state misses the oracle's gate.  A bad input, such as an alpha
-at or above l + 1/2, exits 2 with one line on stderr."""
+if any state misses the oracle's gate.  --states picks the Coulomb
+states as n,l pairs.  A bad input, such as an alpha at or above l + 1/2
+or a state outside the oracle's validated range with --check-shooting,
+exits 2 with one line on stderr and prints no table."""
 
 import argparse
 import sys
@@ -18,12 +20,23 @@ from kgconformal import coulomb as cb
 from kgconformal import oscillator as ho
 from kgconformal.shooting import EPS_RTOL, binding_parameter, shooting_eigenvalue
 
+DEFAULT_STATES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def _state(text: str) -> tuple:
+    try:
+        n, l = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected n,l, not {text!r}") from None
+    return n, l
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--omega", type=float, default=1.0)
     ap.add_argument("--alpha", type=float, default=0.0072973525693)
     ap.add_argument("--nmax", type=int, default=4)
+    ap.add_argument("--states", nargs="+", type=_state, default=DEFAULT_STATES, metavar="N,L")
     ap.add_argument("--check-shooting", action="store_true")
     args = ap.parse_args(argv)
     try:
@@ -37,6 +50,9 @@ def _tables(args) -> int:
     units = natural_units()
     osc = ho.OscillatorModel(omega=args.omega, units=units)
     model = cb.CoulombModel(alpha=args.alpha, units=units)
+    states = [cb.make_state(model, n, l) for n, l in args.states]
+    # the oracle runs before anything is printed, so a bad state leaves no table
+    oracle = [shooting_eigenvalue(n, l, args.alpha) for n, l in args.states] if args.check_shooting else [None] * len(states)
     print(f"oscillator (Omega = {args.omega}):")
     print(f"  {'n':>2s}  {'degeneracy':>10s}  {'E_n':>18s}")
     for n in range(args.nmax + 1):
@@ -49,11 +65,9 @@ def _tables(args) -> int:
         header += f"  {'shooting':>20s}  {'eps diff':>9s}  {'nonrel':>9s}"
     print(header)
     missed = []
-    for n, l in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
-        state = cb.make_state(model, n, l)
+    for (n, l), state, e_num in zip(args.states, states, oracle):
         line = f"  {n:2d} {l:2d}  {state.energy:20.15f}  {state.energy - 1.0:13.6e}"
         if args.check_shooting:
-            e_num = shooting_eigenvalue(n, l, args.alpha)
             eps = binding_parameter(state.energy, args.alpha)
             diff = abs(binding_parameter(e_num, args.alpha) - eps) / eps
             nonrel = abs(1.0 / (n + l + 1) ** 2 - eps) / eps

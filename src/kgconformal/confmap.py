@@ -58,7 +58,9 @@ class ConformalMap:
 
     b may be math.inf, in which case the power term drops and (with
     a = 0) the map is the identity.  E is the per-eigenstate energy
-    constant; the map is state-dependent.
+    constant; the map is state-dependent.  E may also be an (n,) array
+    with one energy per point: the maps of a family of fields whose
+    energies differ, applied to the family's concatenated points.
     """
 
     a: float
@@ -70,7 +72,7 @@ class ConformalMap:
     def __post_init__(self):
         if self.b <= 0:
             raise ConfigError("map scale length b must be positive")
-        if self.E <= 0:
+        if np.any(np.asarray(self.E) <= 0):
             raise ConfigError("map energy E must be positive")
         if self.lam <= 0:
             raise ConfigError("map exponent lambda must be positive")
@@ -94,29 +96,30 @@ class ConformalMap:
         """Imaginary time displacement tau(r) = -(hbar/E) [a ln r + (r/b)^lam]."""
         return -(self.units.hbar / self.E) * self.bracket(r)
 
-    # -- chain-rule coefficients ----------------------------------------
+    # -- chain-rule coefficients, generic over floats, per-point arrays and jets
+
+    def _power(self, r):
+        """(r/b)^lambda, per element in CPython arithmetic (see d_z)."""
+        return dual.powr(r / self.b, self.lam) if not math.isinf(self.b) else 0.0
 
     def time_coupling(self, x, r):
         """Per-component A_i = (x_i/r^2)[a + lam (r/b)^lam](hbar/E)."""
         if self.is_identity:
-            return (0.0, 0.0, 0.0)
-        w = _pow_lam(r / self.b, self.lam) if not math.isinf(self.b) else 0.0
-        g = (self.a + self.lam * w) / (r * r) * (self.units.hbar / self.E)
+            return (0.0 * r,) * 3
+        g = (self.a + self.lam * self._power(r)) / (r * r) * (self.units.hbar / self.E)
         return tuple(xi * g for xi in x)
 
     def time_coupling_divergence(self, r):
         """sum_i dA_i/dx_i = (hbar/E)[a + lam(lam+1)(r/b)^lam] / r^2."""
         if self.is_identity:
-            return 0.0
-        w = _pow_lam(r / self.b, self.lam) if not math.isinf(self.b) else 0.0
-        return (self.units.hbar / self.E) * (self.a + self.lam * (self.lam + 1.0) * w) / (r * r)
+            return 0.0 * r
+        return (self.units.hbar / self.E) * (self.a + self.lam * (self.lam + 1.0) * self._power(r)) / (r * r)
 
     def time_coupling_sq_sum(self, r):
         """sum_i A_i^2 = (hbar/E)^2 [a + lam (r/b)^lam]^2 / r^2."""
         if self.is_identity:
-            return 0.0
-        w = _pow_lam(r / self.b, self.lam) if not math.isinf(self.b) else 0.0
-        return ((self.units.hbar / self.E) * (self.a + self.lam * w)) ** 2 / (r * r)
+            return 0.0 * r
+        return dual.powr((self.units.hbar / self.E) * (self.a + self.lam * self._power(r)), 2) / (r * r)
 
 
 def forward(cmap: ConformalMap, p: SpaceTimePoint) -> ComplexPoint:
@@ -146,31 +149,22 @@ def inverse_conjugate(cmap: ConformalMap, q_star: ComplexPoint) -> SpaceTimePoin
     return SpaceTimePoint(x=q_star.z, t=t.real)
 
 
-def _maps(cmap, pts):
-    """One map per point.  ``cmap`` is a map, or a sequence of maps with one
-    per point: a family of fields whose maps differ in their energy."""
-    if isinstance(cmap, ConformalMap):
-        return (cmap,) * len(pts)
-    if len(cmap) != len(pts):
-        raise ConfigError(f"{len(cmap)} maps for {len(pts)} points")
-    return cmap
-
-
-def _require_off_origin(maps, pts):
-    if 0.0 in pts.radii and any(r == 0.0 and not m.is_identity for m, r in zip(maps, pts.radii)):
+def _require_off_origin(cmap, pts):
+    if not cmap.is_identity and 0.0 in pts.radii:
         raise DomainError("operator coefficients singular at r = 0")
 
 
-def _per_point(coefficient, maps, pts) -> np.ndarray:
-    """``coefficient(map, r)`` at every point, computed in scalar arithmetic."""
-    return np.array([coefficient(m, r) for m, r in zip(maps, pts.radii)])
-
-
 # The operators below act on a field's Derivatives (see diffengine._diff) at
-# every point of its grid, with ``cmap`` one map or one map per point (see
-# _maps).  Per-point coefficients are computed in scalar arithmetic and
-# complex products go through dual.mul, so each result equals the
-# point-by-point expression in the docstring bit for bit.
+# every point of its grid; ``cmap`` may hold one energy per point (see
+# ConformalMap).  Each computes its map coefficients once per call, as float
+# arrays over the grid, and each result equals the point-by-point scalar
+# expression in its docstring bit for bit.  Sums, products and quotients
+# round alike in numpy and CPython, so they run on whole arrays, in the
+# scalar expression's left-to-right order.  Powers do not: numpy's ** takes
+# fast paths (a square for x**2, a square root for x**0.5) that round
+# otherwise than CPython's libm pow, so (r/b)^lambda, r^2 and squares of
+# coefficients go through dual.powr, per element in CPython.  Complex
+# products go through dual.mul.
 
 
 def d_z(cmap: ConformalMap, d: Derivatives, axis=None):
@@ -186,15 +180,13 @@ def d_zstar(cmap: ConformalMap, d: Derivatives, axis=None):
 
 def _first_order(cmap, d, axis, sign):
     pts = d.points
-    maps = _maps(cmap, pts)
-    _require_off_origin(maps, pts)
-    a_coef = [m.time_coupling(p.x, r) for m, p, r in zip(maps, pts, pts.radii)]
+    _require_off_origin(cmap, pts)
+    a_coef = cmap.time_coupling(pts.coords[:3], pts.radii)
     dt, dt_err = d.grad[T_AXIS], d.grad_err[T_AXIS]
 
     def component(i):
-        coef = np.array([sign * 1j * a[i] for a in a_coef])
-        err = np.abs(np.array([a[i] for a in a_coef])) * dt_err + d.grad_err[i]
-        return d.grad[i] + dual.mul(coef, dt), err
+        err = np.abs(a_coef[i]) * dt_err + d.grad_err[i]
+        return d.grad[i] + dual.mul(sign * 1j * a_coef[i], dt), err
 
     if axis is not None:
         return component(axis)
@@ -207,26 +199,30 @@ def _first_order(cmap, d, axis, sign):
 ZFORM_TERMS = ("laplacian", "time-coupling-divergence", "time-coupling-squared")
 
 
-def dzstar_dz(cmap: ConformalMap, d: Derivatives):
-    """sum_i d_zstar_i (d_z_i f), returned as (value, error_estimate)."""
+def dzstar_dz(cmap: ConformalMap, d: Derivatives, reverse: bool = False):
+    """sum_i d_zstar_i (d_z_i f), returned as (value, error_estimate).
+
+    With ``reverse`` it is the reversed composition sum_i d_z_i (d_zstar_i f),
+    whose first-order time coupling has the opposite sign: the value less
+    2i (div A) df/dt, with the same estimate.
+    """
     pts = d.points
-    maps = _maps(cmap, pts)
-    _require_off_origin(maps, pts)
+    _require_off_origin(cmap, pts)
     lap, err = _laplacian(d)
     dt, dtt = d.grad[T_AXIS], d.hess[T_AXIS]
-    div_a = _per_point(ConformalMap.time_coupling_divergence, maps, pts)
-    sq = _per_point(ConformalMap.time_coupling_sq_sum, maps, pts)
+    div_a = cmap.time_coupling_divergence(pts.radii)
+    sq = cmap.time_coupling_sq_sum(pts.radii)
     value = lap + dual.mul(1j * div_a, dt) + sq * dtt
     err = err + np.abs(div_a) * d.grad_err[T_AXIS] + np.abs(sq) * d.hess_err[T_AXIS]
+    if reverse:
+        value = value - dual.mul(2j * div_a, dt)
     return value, err
 
 
 def dz_dzstar(cmap: ConformalMap, d: Derivatives):
     """Reversed composition sum_i d_z_i (d_zstar_i f); the sign of the
     first-order time coupling flips.  Kept for the order-sensitivity probe."""
-    value, err = dzstar_dz(cmap, d)
-    div_a = _per_point(ConformalMap.time_coupling_divergence, _maps(cmap, d.points), d.points)
-    return value - dual.mul(2j * div_a, d.grad[T_AXIS]), err
+    return dzstar_dz(cmap, d, reverse=True)
 
 
 def _laplacian(d: Derivatives):
@@ -309,17 +305,16 @@ def qprop_identity_residual(cmap: ConformalMap, d: Derivatives, operator=None):
 
     with Omega/(hbar c) = 2/b^2 for the lambda = 2, a = 0 map, as an
     operator: (|lhs - rhs|, error estimate, |rhs|) at every point, the
-    scale floored at 1e-30.  ``cmap`` may hold one map per point, each at
-    its field's energy.  ``operator`` replaces dzstar_dz on the left; the
+    scale floored at 1e-30.  ``cmap`` may hold one energy per point, each
+    its field's.  ``operator`` replaces dzstar_dz on the left; the
     reversed-order probe passes dz_dzstar.
     """
-    maps = _maps(cmap, d.points)
-    omega_hc = [2.0 / (m.b * m.b) for m in maps]
+    omega_hc = 2.0 / (cmap.b * cmap.b)
     f = d.value
     ddz, e1 = (operator or dzstar_dz)(cmap, d)
     lap, e2 = _laplacian(d)
-    lhs = -ddz + 3.0 * np.array(omega_hc) * f
-    rhs = -lap + np.array([w**2 * (r**2) for w, r in zip(omega_hc, d.points.radii)]) * f
+    lhs = -ddz + 3.0 * omega_hc * f
+    rhs = -lap + omega_hc**2 * dual.powr(d.points.radii, 2) * f
     return dual.modulus(lhs - rhs), e1 + e2, np.maximum(dual.modulus(rhs), 1e-30)
 
 
@@ -334,7 +329,8 @@ def d2z_identity_residual(cmap: ConformalMap, d: Derivatives):
     a, b = cmap.a, cmap.b
     ddz, e1 = dzstar_dz(cmap, d)
     lap, e2 = _laplacian(d)
-    coef = np.array([a * (1.0 - a) / (r * r) + 2.0 * (1.0 - a) / (b * r) - 1.0 / (b * b) for r in d.points.radii])
+    r = d.points.radii
+    coef = a * (1.0 - a) / (r * r) + 2.0 * (1.0 - a) / (b * r) - 1.0 / (b * b)
     rhs = lap + coef * d.value
     return dual.modulus(ddz - rhs), e1 + e2, np.maximum(dual.modulus(rhs), 1e-30)
 

@@ -99,9 +99,10 @@ def radial_norm(x) -> float:
 class PointSet(tuple):
     """A tuple of SpaceTimePoints that also holds them as arrays.
 
-    ``coords`` is (x1, x2, x3, t), one float array each.  ``radii`` lists
-    every point's ``r`` as SpaceTimePoint.r rounds it, so per-point
-    geometry computed from it matches a loop over the points bit for bit.
+    ``coords`` is (x1, x2, x3, t), one float array each.  ``radii`` holds
+    every point's ``r`` as SpaceTimePoint.r rounds it, as a float array, so
+    per-point geometry computed from it matches a loop over the points bit
+    for bit.
     """
 
     def __new__(cls, points):
@@ -109,7 +110,7 @@ class PointSet(tuple):
         if not self:
             raise ConfigError("a point set needs at least one point")
         self.coords = tuple(np.array(c, dtype=float) for c in zip(*((p.x[0], p.x[1], p.x[2], p.t) for p in self)))
-        self.radii = [p.r for p in self]
+        self.radii = np.array([p.r for p in self])
         return self
 
 

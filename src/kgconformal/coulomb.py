@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import dual
 from .core import ComplexField, ConfigError, QuantumNumberError, UnitSystem, natural_units, residual_scale
 from .confmap import ConformalMap, _laplacian, dzstar_dz
@@ -175,7 +173,7 @@ def kg_residual_x(model: CoulombModel, E: float, d: Derivatives):
     hc = u.hbar * u.c
     scale = residual_scale(E * E * dual.modulus(psi).max())
     lap, e_sum = _laplacian(d)
-    pot = np.array([E + hc * model.alpha / r for r in d.points.radii])
+    pot = E + hc * model.alpha / d.points.radii
     res = -hc * hc * lap + u.rest_energy**2 * psi - pot * pot * psi
     return dual.modulus(res), hc * hc * e_sum, scale
 

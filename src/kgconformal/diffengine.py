@@ -116,7 +116,7 @@ def _clamped_step(field: ComplexField, pts: PointSet, cfg: DiffConfig, axis: int
     """The axis's step, per point for a field singular at r = 0."""
     h = cfg.step(axis)
     if axis != T_AXIS and field.singular_at_origin:
-        r = np.array(pts.radii)
+        r = pts.radii
         if (r == 0.0).any():
             raise DomainError("stencil centered on the singular locus r = 0")
         # widest stencil reach is 2h; keep it at half the distance to r = 0

@@ -466,15 +466,13 @@ def _suite_operator_identities(params, cfg, tol):
         points = _family_points(specs)
         family = generate_test_family(specs)
         # each point reads the map of its own field's energy
-        energies = np.broadcast_to(family.energy_hint, len(points)).tolist()
-        by_energy = {e: ho.oscillator_map(osc, e) for e in set(energies)}
-        maps = [by_energy[e] for e in energies]
-        qprop = Read("qprop-oscillator", partial(qprop_identity_residual, maps), tol)
+        cmap = ho.oscillator_map(osc, family.energy_hint)
+        qprop = Read("qprop-oscillator", partial(qprop_identity_residual, cmap), tol)
         d = yield Sample(family, points, cfg, (qprop,))
         if probe is None:
             # probe: reversing the composition order must break the identity
             # on the first field's points
-            probe = [part[:FIELD_POINTS] for part in qprop_identity_residual(maps, d, operator=dz_dzstar)]
+            probe = [part[:FIELD_POINTS] for part in qprop_identity_residual(cmap, d, operator=dz_dzstar)]
 
         specs = [TestFieldSpec(seed=seed0 + 5000 + idx, r_max=3.0 * cstate.r_scale) for idx in chunk]
         family = _with_energy(generate_test_family(specs), cstate.energy)

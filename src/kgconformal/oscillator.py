@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import dual
 from .core import ComplexField, ConfigError, QuantumNumberError, UnitSystem, natural_units, residual_scale
 from .confmap import ConformalMap, _laplacian, d_z, d_zstar, dzstar_dz
@@ -89,7 +87,8 @@ def states_with_n(model: OscillatorModel, n: int):
 
 
 def oscillator_map(model: OscillatorModel, E: float) -> ConformalMap:
-    """The lambda = 2, a = 0 map with b = sqrt(2 hbar c / Omega)."""
+    """The lambda = 2, a = 0 map with b = sqrt(2 hbar c / Omega); E may be
+    one energy per point (see ConformalMap)."""
     if model.omega == 0.0:
         return ConformalMap.identity(E=E, units=model.units)
     return ConformalMap(a=0.0, b=model.b, lam=2.0, E=E, units=model.units)
@@ -147,7 +146,7 @@ def kg_residual_x(model: OscillatorModel, E: float, d: Derivatives):
     hc2 = (u.hbar * u.c) ** 2
     scale = residual_scale(E * E * dual.modulus(psi).max())
     lap, e_sum = _laplacian(d)
-    r2 = np.array([r**2 for r in d.points.radii])
+    r2 = dual.powr(d.points.radii, 2)
     res = -hc2 * lap + u.rest_energy**2 * psi + model.omega**2 * r2 * psi - E * E * psi
     return dual.modulus(res), hc2 * e_sum, scale
 

@@ -38,6 +38,9 @@ EPS_RTOL = 2e-9
 TAU = 2.5e-8
 POINTS = 80
 STEPS = 2000
+# every state with n <= 9, l <= 4 meets EPS_RTOL from alpha 0.0073 to l + 0.49; (7, 5)
+# misses it by 5.6e-9, and (3, 9), (0, 15) and l = 100 and 150 fail the shot
+MAX_N, MAX_L = 9, 4
 
 
 def binding_parameter(ebar: float, alpha: float) -> float:
@@ -157,12 +160,15 @@ def shooting_eigenvalue(n: int, l: int, alpha: float, units: UnitSystem = None) 
     """Eigenvalue E of the (n, l) bound state (Sommerfeld-branch ordering).
 
     Returns the energy in the given unit system.  Raises ConfigError for
-    n or l not a non-negative int, for alpha <= 0 and for a shot that does
-    not confirm the eigensolve, and BranchError for alpha >= l + 1/2.
+    n or l not a non-negative int or past MAX_N or MAX_L, for alpha <= 0
+    and for a shot that does not confirm the eigensolve, and BranchError
+    for alpha >= l + 1/2.
     """
     for name, q in (("n", n), ("l", l)):
         if not isinstance(q, int) or isinstance(q, bool) or q < 0:
             raise ConfigError(f"{name} must be a non-negative integer, not {q!r}")
+    if n > MAX_N or l > MAX_L:
+        raise ConfigError(f"the oracle is validated for n <= {MAX_N} and l <= {MAX_L}, not (n, l) = ({n}, {l})")
     if not alpha > 0.0:
         raise ConfigError(f"alpha must be positive, not {alpha!r}")
     if alpha >= l + 0.5:

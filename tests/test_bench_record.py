@@ -1,0 +1,77 @@
+"""scripts/bench_record.py: its pair count check and its verdict lines, with
+the benchmark runs replaced by fixed numbers."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", ROOT / "scripts" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _fake_run(calls):
+    """certify_s 0.150 in the parent and 0.120 in the change, except the
+    change's seed-3 run (0.160); setup_s equal; peak_rss_mb 1% higher."""
+
+    def run(checkout, workload, seed):
+        calls.append((checkout.name, workload, seed))
+        change = checkout.name == "change"
+        certify = (0.160 if seed == 3 else 0.120) if change else 0.150
+        return {"seed": seed, "failed": 0, "attempted": 10,
+                "certify_s": certify, "setup_s": 0.13, "peak_rss_mb": 40.4 if change else 40.0}
+
+    return run
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_fewer_than_two_pairs_is_rejected_before_any_run(pairs, tmp_path, monkeypatch, capsys):
+    module = _bench_record()
+    calls = []
+    monkeypatch.setattr(module, "run", _fake_run(calls))
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--parent", str(tmp_path), "--out", str(tmp_path / "out.json"), "--pairs", pairs])
+    assert exc.value.code == 2
+    assert calls == [] and not (tmp_path / "out.json").exists()
+    assert "--pairs must be at least 2" in capsys.readouterr().err
+
+
+def test_one_verdict_line_per_metric(tmp_path, monkeypatch, capsys):
+    module = _bench_record()
+    calls = []
+    monkeypatch.setattr(module, "run", _fake_run(calls))
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workloads", "eigen-exact",
+            "--pairs", "4", "--first-seed", "1", "--out", str(out)]
+    assert module.main(argv) == 0
+    assert len(calls) == 8
+    lines = [line for line in capsys.readouterr().out.splitlines() if ": parent " in line]
+    assert lines == [
+        "eigen-exact certify_s: parent 0.15 -> change 0.12 s (-20.0%; bound 25% worse: within), "
+        "change better in 3 of 4 pairs",
+        "eigen-exact setup_s: parent 0.13 -> change 0.13 s (+0.0%; bound 25% worse: within), "
+        "change better in 0 of 4 pairs",
+        "eigen-exact peak_rss_mb: parent 40 -> change 40.4 MB (+1.0%; bound 10% worse: within), "
+        "change better in 0 of 4 pairs",
+    ]
+    record = json.loads(out.read_text())["workloads"]["eigen-exact"]
+    assert record["change_faster_pairs"] == 3 and record["change"]["certify_s"]["median"] == 0.12
+
+
+def test_a_move_past_the_bound_is_named():
+    module = _bench_record()
+    runs = {"parent": [{m: 1.0 for m in module.METRICS}] * 2, "change": [{m: 1.3 for m in module.METRICS}] * 2}
+    end_to_end = {m: {"unit": "s", "better": "lower", "bound": 0.25} for m in module.METRICS}
+    (line, *_) = module.verdicts("w", runs, end_to_end)
+    assert line == "w certify_s: parent 1 -> change 1.3 s (+30.0%; bound 25% worse: PAST), change better in 0 of 2 pairs"

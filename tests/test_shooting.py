@@ -147,6 +147,25 @@ def test_bad_input_raises(n, l, alpha, error):
         shooting.shooting_eigenvalue(n, l, alpha)
 
 
+OUTSIDE = [(0, 150), (0, 100), (9, 6), (3, 9), (0, 15), (7, 5), (10, 0)]
+
+
+@pytest.mark.parametrize("n, l", OUTSIDE)
+def test_state_outside_the_validated_range_raises(n, l):
+    """Unchecked, (0, 150) found 0 and 0 nodes, (0, 100) a non-finite u,
+    (9, 6), (3, 9) and (0, 15) the wrong node counts, and (7, 5) returned
+    an eps 5.6e-9 off, outside the gate."""
+    with pytest.raises(ConfigError, match=r"validated for n <= 9 and l <= 4, not \(n, l\)"):
+        shooting.shooting_eigenvalue(n, l, ALPHA)
+
+
+@pytest.mark.parametrize("n, l, alpha", [(9, 4, ALPHA), (9, 4, 0.49), (5, 4, 4.49), (0, 4, ALPHA)])
+def test_edge_of_the_validated_range_meets_the_eps_gate(n, l, alpha):
+    eps_formula = shooting.binding_parameter(cb.make_state(cb.CoulombModel(alpha=alpha), n, l).energy, alpha)
+    eps_shoot = shooting.binding_parameter(shooting.shooting_eigenvalue(n, l, alpha), alpha)
+    assert eps_shoot == pytest.approx(eps_formula, rel=shooting.EPS_RTOL)
+
+
 def _spectrum_table():
     path = Path(__file__).resolve().parent.parent / "scripts" / "spectrum_table.py"
     spec = importlib.util.spec_from_file_location("spectrum_table", path)
@@ -179,3 +198,16 @@ def test_spectrum_table_non_finite_parameter_exits_2_with_one_line(argv, capsys)
     assert _spectrum_table().main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and "finite" in err
+
+
+@pytest.mark.parametrize("state", ["0,150", "0,100", "9,6", "3,9", "0,15"])
+def test_spectrum_table_state_outside_the_range_exits_2_with_one_line(state, capsys):
+    assert _spectrum_table().main(["--check-shooting", "--states", "0,0", state]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "validated for n <= 9 and l <= 4" in err
+
+
+def test_spectrum_table_prints_the_states_asked_for(capsys):
+    assert _spectrum_table().main(["--check-shooting", "--states", "9,4", "0,3"]) == 0
+    rows = capsys.readouterr().out.split("coulomb")[1].splitlines()[2:]
+    assert [tuple(map(int, row.split()[:2])) for row in rows] == [(9, 4), (0, 3)]

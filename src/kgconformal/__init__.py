@@ -16,7 +16,7 @@ from .core import (
     natural_units,
     radial_norm,
 )
-from .confmap import ConformalMap, forward, inverse, inverse_conjugate
+from .confmap import ConformalMap, forward, inverse
 from .diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL
 from .report import CaseResult, ResidualReport
 from .harness import Grid, TestFieldSpec, generate_test_field, run_suite
@@ -46,7 +46,6 @@ __all__ = [
     "forward",
     "generate_test_field",
     "inverse",
-    "inverse_conjugate",
     "natural_units",
     "radial_norm",
     "run_suite",

@@ -43,9 +43,6 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 
-ENV_MODE = "KGCONFORMAL_MODE"
-ENV_TOLERANCE = "KGCONFORMAL_TOLERANCE"
-
 
 def _atomic_write(path: str, text: str):
     d = os.path.dirname(os.path.abspath(path))
@@ -93,7 +90,10 @@ def _parse_range(text: str):
     """'0..3' or '4' -> list of ints."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(_parse_int(lo), _parse_int(hi) + 1))
+        out = list(range(_parse_int(lo), _parse_int(hi) + 1))
+        if not out:
+            raise ConfigError(f"empty range: {text!r}")
+        return out
     return [_parse_int(text)]
 
 
@@ -113,28 +113,6 @@ def _parse_states(text: str):
     return out
 
 
-def _diff_config(args) -> DiffConfig:
-    mode = getattr(args, "mode", None) or os.environ.get(ENV_MODE) or MODE_EXACT
-    if mode in ("exact", "exact-forward"):
-        mode = MODE_EXACT
-    elif mode == "stencil":
-        mode = MODE_STENCIL
-    else:
-        raise ConfigError(f"unknown mode: {mode!r}")
-    return DiffConfig(mode=mode)
-
-
-def _tolerance(args):
-    tol = getattr(args, "tolerance", None)
-    if tol is None:
-        env = os.environ.get(ENV_TOLERANCE)
-        try:
-            tol = float(env) if env else None
-        except ValueError:
-            raise ConfigError(f"{ENV_TOLERANCE} is not a number: {env!r}") from None
-    return tol
-
-
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -147,8 +125,6 @@ def _spectrum_rows(args):
             {"n": n, "energy": ho.energy(model, n)}
             for n in _parse_range(args.n)
         ]
-    if args.alpha == 0.0:
-        raise ConfigError("alpha = 0 is degenerate: the map scale b diverges")
     model = cb.CoulombModel(alpha=args.alpha, units=units)
     rows = []
     for spec in _parse_states(args.states):
@@ -201,13 +177,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _diff_config(args)
+    cfg = DiffConfig(mode=MODE_STENCIL if args.mode == "stencil" else MODE_EXACT)
     params = {}
     if args.config:
         params.update(_load_config_file(args.config))
-    tol = _tolerance(args)
-    if tol is not None:
-        params["tolerance"] = tol
+    if args.tolerance is not None:
+        params["tolerance"] = args.tolerance
     if args.nmax is not None:
         params["nmax"] = args.nmax
     if args.omega is not None:
@@ -217,7 +192,7 @@ def cmd_verify(args) -> int:
     if args.branch is not None:
         params["branch"] = args.branch
     if args.state is not None:
-        params["states"] = _parse_states(args.state)[:1]
+        params["states"] = _parse_states(args.state)
     if args.seed is not None:
         params["seed"] = args.seed
     if args.n_fields is not None:
@@ -241,8 +216,6 @@ def _map_from_args(args) -> ConformalMap:
         e_val = args.energy if args.energy is not None else ho.energy(model, 0)
         return ho.oscillator_map(model, e_val)
     if args.system == "coulomb":
-        if args.alpha == 0.0:
-            raise ConfigError("alpha = 0 is degenerate: the map scale b diverges")
         model = cb.CoulombModel(alpha=args.alpha, units=units)
         spec = _parse_states(args.state or "(0,0)")[0]
         state = cb.make_state(model, spec[0], spec[1], 0, args.branch)
@@ -348,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--omega", type=_finite_float)
     vp.add_argument("--alpha", type=_finite_float)
     vp.add_argument("--branch", choices=(SOMMERFELD, HYDRINO))
-    vp.add_argument("--state", help="single coulomb state as 'n,l'")
+    vp.add_argument("--state", help="coulomb states as 'n,l' or 'n,l,k', separated by ';'")
     vp.add_argument("--tolerance", type=_finite_float)
     vp.add_argument("--seed", type=int)
     vp.add_argument("--n-fields", dest="n_fields", type=int)

@@ -140,15 +140,6 @@ def inverse(cmap: ConformalMap, q: ComplexPoint) -> SpaceTimePoint:
     return SpaceTimePoint(x=q.z, t=t.real)
 
 
-def inverse_conjugate(cmap: ConformalMap, q_star: ComplexPoint) -> SpaceTimePoint:
-    """Conjugate-representation inverse: x = z*, t = s* - i (hbar/E)[...]."""
-    r = q_star.r
-    if r == 0.0 and cmap.a != 0.0:
-        raise DomainError("inverse map undefined at r_z = 0 when a != 0")
-    t = q_star.s - 1j * (cmap.units.hbar / cmap.E) * cmap.bracket(r)
-    return SpaceTimePoint(x=q_star.z, t=t.real)
-
-
 def _require_off_origin(cmap, pts):
     if not cmap.is_identity and 0.0 in pts.radii:
         raise DomainError("operator coefficients singular at r = 0")
@@ -191,12 +182,6 @@ def _first_order(cmap, d, axis, sign):
     if axis is not None:
         return component(axis)
     return tuple(component(i) for i in range(3))
-
-
-#: term descriptors of the z-representation second-order operator; there is
-#: deliberately no term multiplying the field by the oscillator or Coulomb
-#: potential (structural invariant of the transformed equation).
-ZFORM_TERMS = ("laplacian", "time-coupling-divergence", "time-coupling-squared")
 
 
 def dzstar_dz(cmap: ConformalMap, d: Derivatives, reverse: bool = False):

@@ -66,10 +66,6 @@ class CoulombState:
         return (self.n, self.l, self.k)
 
 
-def eta(model: CoulombModel, l: int, branch: str = SOMMERFELD) -> float:
-    return eta_exponent(l, model.alpha, branch)
-
-
 def make_state(model: CoulombModel, n: int, l: int, k: int = 0, branch: str = SOMMERFELD) -> CoulombState:
     if n < 0 or l < 0:
         raise QuantumNumberError("n and l must be non-negative")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Optional
 
 import numpy as np
 
@@ -40,29 +39,28 @@ MODE_STENCIL = "stencil"
 _W1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))          # / 12h
 _W2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))  # / 12h^2
 _EPS = sys.float_info.epsilon
+#: stencil step at unit length: 5e-3 balances roundoff (~eps/h^2 on second
+#: derivatives) against truncation for the fields at desk scale; 1e-3
+#: leaves no margin at n = 6
+STEP = 5e-3
+#: Richardson levels above the base stencil
+LEVELS = 2
 
 
 @dataclass(frozen=True)
 class DiffConfig:
+    """The derivative mode, and in stencil mode the problem's natural
+    length: the spatial steps are ``STEP * length_scale``, the time step
+    is ``STEP``."""
+
     mode: str = MODE_EXACT
-    # 5e-3 balances roundoff (~eps/h^2 on second derivatives) against
-    # truncation for the fields at desk scale; 1e-3 leaves no margin at n = 6
-    base_step: float = 5e-3
-    richardson_levels: int = 2
-    step_overrides: Optional[Mapping[int, float]] = None
+    length_scale: float = 1.0
 
     def __post_init__(self):
         if self.mode not in (MODE_EXACT, MODE_STENCIL):
             raise ConfigError(f"unknown differentiation mode: {self.mode!r}")
-        if self.base_step <= 0:
-            raise ConfigError("base_step must be positive")
-        if not (0 <= self.richardson_levels <= 4):
-            raise ConfigError("richardson_levels must be in [0, 4]")
-
-    def step(self, axis: int) -> float:
-        if self.step_overrides and axis in self.step_overrides:
-            return float(self.step_overrides[axis])
-        return self.base_step
+        if not self.length_scale > 0:
+            raise ConfigError("length_scale must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,8 +112,10 @@ def _jet_pass(field: ComplexField, pts: PointSet):
 
 def _clamped_step(field: ComplexField, pts: PointSet, cfg: DiffConfig, axis: int):
     """The axis's step, per point for a field singular at r = 0."""
-    h = cfg.step(axis)
-    if axis != T_AXIS and field.singular_at_origin:
+    if axis == T_AXIS:
+        return STEP
+    h = STEP * cfg.length_scale
+    if field.singular_at_origin:
         r = pts.radii
         if (r == 0.0).any():
             raise DomainError("stencil centered on the singular locus r = 0")
@@ -132,14 +132,12 @@ def _sample(field: ComplexField, pts: PointSet, axis: int, delta):
 
 
 def _stencil_pass(field: ComplexField, pts: PointSet, cfg: DiffConfig):
-    levels = cfg.richardson_levels
-    n_eval = max(levels, 1) + 1  # always sample one refinement for the estimate
     center = _sample(field, pts, 0, 0.0)
     raw = []  # per axis: (steps, first-derivative stencils, second-derivative stencils)
     f_max = np.abs(center)
     for axis in range(N_AXES):
         h = _clamped_step(field, pts, cfg, axis)
-        steps = [h / 2.0**k for k in range(n_eval)]
+        steps = [h / 2.0**k for k in range(LEVELS + 1)]
         samples = {}
 
         def at(off, k):
@@ -162,13 +160,13 @@ def _stencil_pass(field: ComplexField, pts: PointSet, cfg: DiffConfig):
     for steps, first, second in raw:
         for dst, stencils, weight, order in ((0, first, 18.0, 1), (1, second, 64.0, 2)):
             rnd = [weight * noise / (12.0 * hk**order) for hk in steps]
-            value, err = _richardson(stencils, rnd, levels)
+            value, err = _richardson(stencils, rnd)
             out[dst].append(value)
             out[dst + 2].append(err)
     return (center, *(np.array(part) for part in out))
 
 
-def _richardson(raw, rnd, levels):
+def _richardson(raw, rnd):
     """Extrapolated value and its error estimate from stencil values at h / 2^k.
 
     ``rnd`` bounds each raw value's roundoff; it is carried through the
@@ -180,6 +178,4 @@ def _richardson(raw, rnd, levels):
         prev, rprev = table[-1], rtable[-1]
         table.append([(fac * prev[k + 1] - prev[k]) / (fac - 1.0) for k in range(len(prev) - 1)])
         rtable.append([(fac * rprev[k + 1] + rprev[k]) / (fac - 1.0) for k in range(len(rprev) - 1)])
-    if levels == 0:
-        return raw[0], np.abs(raw[1] - raw[0]) + rnd[0]
-    return table[levels][0], np.abs(table[levels][0] - table[levels - 1][0]) + rtable[levels][0]
+    return table[-1][0], np.abs(table[-1][0] - table[-2][0]) + rtable[-1][0]

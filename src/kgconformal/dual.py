@@ -74,8 +74,10 @@ def mul(a, b):
 
 
 def modulus(a) -> np.ndarray:
-    """|a| per element, as CPython's abs() rounds it (numpy's hypot differs)."""
-    return np.array([abs(z) for z in np.asarray(a).tolist()], dtype=float)
+    """|a| per element, as CPython's abs() rounds it: both call libm's
+    hypot on the real and imaginary parts (np.abs rounds otherwise)."""
+    a = np.asarray(a)
+    return np.hypot(a.real, a.imag)
 
 
 def _recip(x):

@@ -61,7 +61,6 @@ class Grid:
     r_min: float
     r_max: float
     shells: int = 12
-    directions: tuple = DIRECTIONS
     times: tuple = DEFAULT_TIMES
 
     def __post_init__(self):
@@ -77,21 +76,13 @@ class Grid:
         return PointSet(
             SpaceTimePoint(x=(r * d[0], r * d[1], r * d[2]), t=t)
             for r in self.radii()
-            for d in self.directions
+            for d in DIRECTIONS
             for t in self.times
         )
 
 
 def default_tolerance(cfg: DiffConfig) -> float:
     return TOL_EXACT if cfg.mode == MODE_EXACT else TOL_STENCIL
-
-
-def scaled_cfg(cfg: DiffConfig, length_scale: float) -> DiffConfig:
-    """Scale the spatial stencil steps to the problem's natural length."""
-    if cfg.mode == MODE_EXACT or length_scale == 1.0:
-        return cfg
-    h = cfg.base_step * length_scale
-    return replace(cfg, step_overrides={0: h, 1: h, 2: h})
 
 
 @dataclass(frozen=True)
@@ -107,9 +98,10 @@ class TestFieldSpec:
 
     seed: int
     r_max: float = 3.0
-    energy_range: tuple = (0.8, 2.0)
 
 
+#: range of the phase energy E of a test field
+ENERGY_RANGE = (0.8, 2.0)
 #: sample points of one test field (see _family_points)
 FIELD_POINTS = 3
 #: test fields differentiated in one pass, at most.  A pass costs nearly
@@ -134,7 +126,7 @@ def _field_bounds(spec: TestFieldSpec):
     """(lo, hi) of the draws of one field: centre, linear and quadratic
     coefficients, constant term and phase energy."""
     q = spec.r_max / 4.0
-    e_lo, e_hi = spec.energy_range
+    e_lo, e_hi = ENERGY_RANGE
     return (-q,) * 3 + (-1.0,) * 3 + (-0.5,) * 3 + (0.5, e_lo), (q,) * 3 + (1.0,) * 3 + (0.5,) * 3 + (1.5, e_hi)
 
 
@@ -291,7 +283,7 @@ def _coulomb_states(model, params):
 def _coulomb_sample(field, state, cfg, read) -> Sample:
     """``field`` on the state's grid, 0.1 to 20 r_nl, with steps on that scale."""
     grid = Grid(r_min=0.1 * state.r_scale, r_max=20.0 * state.r_scale, shells=8)
-    return Sample(field, grid.points(), scaled_cfg(cfg, state.r_scale), (read,))
+    return Sample(field, grid.points(), replace(cfg, length_scale=state.r_scale), (read,))
 
 
 def _suite_oscillator_x(params, cfg, tol):
@@ -404,7 +396,7 @@ def _suite_coulomb_z(params, cfg, tol):
     seed0 = params.get("seed", 0) * 1000
     specs = [TestFieldSpec(seed=seed0 + seed, r_max=3.0 * ground.r_scale) for seed in range(5)]
     fld = _with_energy(generate_test_family(specs), ground.energy)
-    yield Sample(fld, _family_points(specs), scaled_cfg(cfg, ground.r_scale), (identity,))
+    yield Sample(fld, _family_points(specs), replace(cfg, length_scale=ground.r_scale), (identity,))
 
     st = states[0]
     probe = Read("probe:perturbed-energy", partial(cb.kg_residual_z, model, st, st.energy * (1.0 + 1e-4)), tol)
@@ -420,7 +412,7 @@ def _suite_map_independence(params, cfg, tol):
     cmodel = _coulomb_model(params)
     cstate = cb.make_state(cmodel, 0, 0, 0)
     c_points = Grid(r_min=0.2 * cstate.r_scale, r_max=20.0 * cstate.r_scale, shells=8).points()
-    ccfg = scaled_cfg(cfg, cstate.r_scale)
+    ccfg = replace(cfg, length_scale=cstate.r_scale)
     yield from independence_check(cb.coulomb_map(cmodel, cstate), ccfg, c_points, tol, "coulomb-map-")
 
     yield from independence_check(ConformalMap.identity(E=1.0), cfg, osc_points, tol, "identity-map-")
@@ -456,7 +448,7 @@ def _suite_operator_identities(params, cfg, tol):
     osc = _osc_model(params)
     cmodel = _coulomb_model(params)
     cstate = cb.make_state(cmodel, 0, 0, 0)
-    ccfg = scaled_cfg(cfg, cstate.r_scale)
+    ccfg = replace(cfg, length_scale=cstate.r_scale)
     d2z = Read("d2z-coulomb", partial(d2z_identity_residual, cb.coulomb_map(cmodel, cstate)), tol)
 
     probe = None

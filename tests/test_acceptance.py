@@ -15,11 +15,11 @@ import pytest
 from kgconformal import coulomb as cb
 from kgconformal import oscillator as ho
 from kgconformal.cli import EXIT_PASS, main
-from kgconformal.confmap import ZFORM_TERMS
-from kgconformal.core import natural_units
-from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL
+from kgconformal.core import ComplexField, natural_units
+from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL, _diff
 from kgconformal.harness import Grid, SUITES, run_suite
 from kgconformal.shooting import EPS_RTOL, binding_parameter, shooting_eigenvalue
+from kgconformal.specfun import eta_exponent
 
 ALPHA = 0.0072973525693
 EXACT = DiffConfig(mode=MODE_EXACT)
@@ -71,14 +71,28 @@ def test_criterion_02_oscillator_z_residuals(announce):
         rep = run_suite("oscillator-z", {"nmax": 6}, cfg)
         ok &= all(c.max_residual < tol for c in regular(rep))
         ok &= all(not c.passed for c in probes(rep))
-    # structural invariant: the transformed operator has no term that
-    # multiplies the field by a potential
-    ok &= not any("potential" in term for term in ZFORM_TERMS)
-    ok &= len(ZFORM_TERMS) == 3
+    # no potential term: on the constant field 1 each z-equation's residual
+    # is the same at every grid point, while each x-equation's potential
+    # makes its residual vary with r
+    one = ComplexField(fn=lambda x1, x2, x3, t: 1.0, label="one")
+    omodel = ho.OscillatorModel(omega=1.0, units=natural_units())
+    cmodel = cb.CoulombModel(alpha=ALPHA, units=natural_units())
+    state = cb.make_state(cmodel, 1, 0)
+    e_osc = ho.energy(omodel, 0)
+    systems = (
+        (1.0, lambda d: ho.kg_residual_z(omodel, e_osc, d), lambda d: ho.kg_residual_x(omodel, e_osc, d)),
+        (state.r_scale, lambda d: cb.kg_residual_z(cmodel, state, state.energy, d),
+         lambda d: cb.kg_residual_x(cmodel, state.energy, d)),
+    )
+    for r_scale, z_res, x_res in systems:
+        pts = Grid(r_min=0.1 * r_scale, r_max=20.0 * r_scale, shells=6).points()
+        for cfg in (EXACT, STENCIL):
+            d = _diff(one, pts, cfg)
+            z, x = z_res(d)[0], x_res(d)[0]
+            ok &= bool((z == z[0]).all() and x.min() < x.max())
     # and the eigenvalue it certifies is E^2 - 3 hbar c Omega, which the
     # suite residuals above already enforce; spot-check the shift itself
-    model = ho.OscillatorModel(omega=1.0, units=natural_units())
-    ok &= abs((ho.energy(model, 0) ** 2 - 3.0) - 1.0) < 1e-14
+    ok &= abs((e_osc**2 - 3.0) - 1.0) < 1e-14
     assert announce(2, "oscillator-z residuals + potential-free form", ok)
 
 
@@ -162,7 +176,7 @@ def test_criterion_07_representation_consistency(announce):
         worst = max(abs(complex(fz.at(p)) - complex(fx.at(p))) for p in cpts)
         ok &= worst / scale < 1e-12
     # the algebraic identities behind the construction, to 1e-14
-    eta0 = cb.eta(cmodel, 0)
+    eta0 = eta_exponent(0, ALPHA)
     ok &= abs(eta0 * (1.0 - eta0) - ALPHA**2) < 1e-14
     for n, l in ((0, 0), (1, 0), (0, 1)):
         state = cb.make_state(cmodel, n, l)

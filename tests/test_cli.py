@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kgconformal.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_FAIL, EXIT_PASS, main
 from kgconformal.harness import SUITES
@@ -81,10 +81,26 @@ def test_verify_byte_identical_reports(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_verify_env_mode(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("KGCONFORMAL_MODE", "bogus")
-    code, _, err = run(capsys, "verify", "--suite", "holomorphy")
-    assert code == EXIT_CONFIG
+def test_verify_mode_flag(capsys):
+    """--mode alone picks the mode; exact-forward by default."""
+    for argv, mode in (((), "exact-forward"), (("--mode", "exact"), "exact-forward"), (("--mode", "stencil"), "stencil")):
+        code, out, _ = run(capsys, "verify", "--suite", "holomorphy", *argv)
+        assert code == EXIT_PASS
+        assert json.loads(out)["mode"] == mode
+
+
+def test_verify_runs_every_state_given(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "coulomb-x", "--mode", "exact", "--state", "0,0;1,0;(0,1,1)")
+    assert code == EXIT_PASS
+    names = [c["name"] for c in json.loads(out)["cases"] if not c["name"].startswith("probe:")]
+    assert names == [f"coulomb-x-{qn}-sommerfeld" for qn in ((0, 0, 0), (1, 0, 0), (0, 1, 1))]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_spectrum_empty_range_is_config_error(capsys, fmt):
+    code, out, err = run(capsys, "spectrum", "--system", "oscillator", "--n", "3..1", "--format", fmt)
+    assert code == EXIT_CONFIG and out == ""
+    assert len(err.splitlines()) == 1 and "empty range" in err
 
 
 def test_verify_config_file(tmp_path, capsys):
@@ -205,7 +221,7 @@ options = st.fixed_dictionaries({}, optional={
     "--nmax": st.integers(min_value=-2, max_value=2).map(str),
     "--n-fields": st.integers(min_value=-1, max_value=3).map(str),
     "--seed": st.integers(min_value=-2, max_value=3).map(str),
-    "--state": st.sampled_from(["0,0", "1,1,-1", "0,0,5", "-1,0", "2", "a,b", "(0,1)"]),
+    "--state": st.sampled_from(["0,0", "1,1,-1", "0,0,5", "-1,0", "2", "a,b", "(0,1)", "0,0;1,0", ";"]),
     "--branch": st.sampled_from(["sommerfeld", "hydrino"]),
 })
 
@@ -222,10 +238,74 @@ def test_verify_fuzz_keeps_the_exit_code_contract(suite, mode, opts):
         opts["--n-fields"] = "2"
     for key, value in opts.items():
         argv += [key, value]
+    _assert_contract(*_run_quietly(argv))
+
+
+def _run_quietly(argv):
+    """main(argv) with its output captured: (exit code, stderr lines)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_contract(code, err):
+    """Exit 0-3; an error is one stderr line, never a traceback."""
     assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_DOMAIN)
-    lines = err.getvalue().splitlines()
-    assert len(lines) == (1 if code in (EXIT_CONFIG, EXIT_DOMAIN) else 0), lines
-    assert "Traceback" not in err.getvalue()
+    assert len(err.splitlines()) == (1 if code in (EXIT_CONFIG, EXIT_DOMAIN) else 0), err
+    assert "Traceback" not in err
+
+
+# range ends stay small, so that no case builds a long range
+ends = st.one_of(st.integers(min_value=-3, max_value=6).map(str), st.sampled_from(["", "x", "1.5", " 2"]))
+ranges = st.one_of(ends, st.tuples(ends, ends).map("..".join), st.sampled_from(["..", "0..1..2", "3..1"]))
+states = st.one_of(
+    st.sampled_from(["(0,0)", "(0,0);(1,0)", "(0,1,-1)", "(0,1,2)", "(-1,0)", "(1)", "(a,b)", ";", "", "(0,0,0,0)"]),
+    st.lists(st.tuples(st.integers(min_value=-1, max_value=3), st.integers(min_value=-1, max_value=3)),
+             min_size=1, max_size=3).map(lambda qns: ";".join(f"({n},{l})" for n, l in qns)),
+)
+spectrum_options = st.fixed_dictionaries({"--n": ranges, "--states": states}, optional={
+    "--omega": numbers,
+    "--alpha": numbers,
+    "--branch": st.sampled_from(["sommerfeld", "hydrino"]),
+})
+
+
+@given(st.sampled_from(["oscillator", "coulomb"]), st.sampled_from(["json", "csv"]), spectrum_options)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_spectrum_fuzz_keeps_the_exit_code_contract(system, fmt, opts):
+    argv = ["spectrum", "--system", system, "--format", fmt]
+    for key, value in opts.items():
+        argv.append(f"{key}={value}")
+    _assert_contract(*_run_quietly(argv))
+
+
+coordinate = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False).map(repr)
+point_lines = st.one_of(
+    st.tuples(coordinate, coordinate, coordinate, coordinate).map(" ".join),
+    coordinate.map("0.0 0.0 -0.0 {}".format),  # r = 0
+    st.lists(st.one_of(coordinate, st.sampled_from(["0", "1e-300", "nan", "inf", "x"])),
+             min_size=3, max_size=5).map(" ".join),
+)
+map_options = st.fixed_dictionaries({"--b": st.one_of(numbers, st.sampled_from(["inf", "nan", "b"])),
+                                     "--energy": numbers}, optional={
+    "--omega": numbers,
+    "--alpha": numbers,
+    "--a": numbers,
+    "--lam": numbers,
+    "--state": states,
+    "--branch": st.sampled_from(["sommerfeld", "hydrino"]),
+})
+
+
+@given(st.sampled_from(["oscillator", "coulomb", "raw"]), st.lists(point_lines, min_size=1, max_size=3), map_options)
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_map_fuzz_keeps_the_exit_code_contract(tmp_path, system, lines, opts):
+    """Raw parameters and points at r = 0 included."""
+    pts = tmp_path / "pts.txt"
+    pts.write_text("\n".join(lines) + "\n")
+    argv = ["map", "--points", str(pts), "--system", system]
+    for key, value in opts.items():
+        argv.append(f"{key}={value}")
+    _assert_contract(*_run_quietly(argv))

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kgconformal import coulomb as cb
 from kgconformal import dual
+from kgconformal import oscillator as ho
 from kgconformal.confmap import (
     ConformalMap,
-    ZFORM_TERMS,
     case_result,
     d_z,
     d_zstar,
@@ -20,11 +21,11 @@ from kgconformal.confmap import (
     holomorphy_residual,
     independence_check,
     inverse,
-    inverse_conjugate,
     time_field,
 )
 from kgconformal.core import ComplexField, ConfigError, DomainError, SpaceTimePoint, natural_units
-from kgconformal.diffengine import DiffConfig, MODE_EXACT, _diff
+from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL, _diff
+from kgconformal.harness import Grid
 
 U = natural_units()
 OSC_MAP = ConformalMap(a=0.0, b=1.0, lam=2.0, E=2.0, units=U)       # oscillator-shaped
@@ -80,14 +81,6 @@ def test_roundtrip_inverse(x1, x2, x3, t):
         assert back.t == pytest.approx(t, abs=1e-12)
 
 
-def test_inverse_conjugate_roundtrip():
-    p = SpaceTimePoint(x=(0.4, 0.2, 1.1), t=0.7)
-    q = forward(COU_MAP, p)
-    q_star = type(q)(z=q.z, s=q.s.conjugate())
-    back = inverse_conjugate(COU_MAP, q_star)
-    assert back.t == pytest.approx(0.7, abs=1e-14)
-
-
 def test_forward_at_origin():
     p0 = SpaceTimePoint(x=(0.0, 0.0, 0.0), t=0.0)
     with pytest.raises(DomainError):
@@ -141,9 +134,20 @@ def test_sq_sum_matches_components():
 
 
 def test_zform_has_no_potential_term():
-    # structural invariant: the transformed operator is potential-free
-    assert ZFORM_TERMS == ("laplacian", "time-coupling-divergence", "time-coupling-squared")
-    assert not any("potential" in term for term in ZFORM_TERMS)
+    """The transformed operator has no term in the field itself: on the
+    constant field 1 it is exactly 0 at every point, for the oscillator,
+    Coulomb and identity maps, in both modes."""
+    one = ComplexField(fn=lambda x1, x2, x3, t: 1.0, label="one")
+    osc = ho.OscillatorModel(omega=1.0)
+    cou = cb.CoulombModel(alpha=0.0072973525693)
+    state = cb.make_state(cou, 1, 0)
+    for cmap, r_scale in ((ho.oscillator_map(osc, ho.energy(osc, 0)), 1.0),
+                          (cb.coulomb_map(cou, state), state.r_scale),
+                          (ConformalMap.identity(), 1.0)):
+        points = Grid(r_min=0.1 * r_scale, r_max=20.0 * r_scale, shells=6).points()
+        for mode in (MODE_EXACT, MODE_STENCIL):
+            value, _ = dzstar_dz(cmap, _diff(one, points, DiffConfig(mode=mode, length_scale=r_scale)))
+            assert (value == 0.0).all(), (cmap, mode)
 
 
 def _phase_field(cmap):
@@ -196,7 +200,7 @@ def test_dzstar_dz_matches_brute_force(exact_cfg):
             return d_z(cmap, _diff(fld, pts, exact_cfg), axis=i)[0]
 
         inner = ComplexField(fn=dz_i_field)
-        value, _ = d_zstar(cmap, _diff(inner, [p], DiffConfig(mode="stencil", base_step=1e-2)), axis=i)
+        value, _ = d_zstar(cmap, _diff(inner, [p], DiffConfig(mode=MODE_STENCIL, length_scale=2.0)), axis=i)
         total += value[0]
 
     direct, _ = dzstar_dz(cmap, _diff(fld, [p], exact_cfg))

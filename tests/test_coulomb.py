@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from kgconformal.confmap import case_result
 from kgconformal.core import BranchError, ConfigError, QuantumNumberError, SpaceTimePoint, natural_units
 from kgconformal.diffengine import _diff
-from kgconformal.harness import Grid, scaled_cfg
+from kgconformal.harness import Grid
 from kgconformal.shooting import EPS_RTOL, binding_parameter, shooting_eigenvalue
-from kgconformal.specfun import HYDRINO, SOMMERFELD
+from kgconformal.specfun import HYDRINO, SOMMERFELD, eta_exponent
 from kgconformal import coulomb as cb
 
 ALPHA = 0.0072973525693
@@ -41,8 +42,8 @@ def test_model_rejects_non_finite_alpha(alpha):
 
 
 def test_eta_branches():
-    s = cb.eta(MODEL, 0, SOMMERFELD)
-    h = cb.eta(MODEL, 0, HYDRINO)
+    s = eta_exponent(0, ALPHA, SOMMERFELD)
+    h = eta_exponent(0, ALPHA, HYDRINO)
     assert s + h == pytest.approx(1.0, abs=1e-15)
     assert s == pytest.approx(ALPHA**2, rel=1e-3)  # leading order alpha^2
 
@@ -91,7 +92,7 @@ def test_map_coefficients_identities():
     state = cb.make_state(MODEL, 1, 0)
     cmap = cb.coulomb_map(MODEL, state)
     # a is the l = 0 sommerfeld exponent and solves a(1 - a) = alpha^2
-    assert cmap.a == cb.eta(MODEL, 0)
+    assert cmap.a == eta_exponent(0, ALPHA)
     assert cmap.a * (1.0 - cmap.a) == pytest.approx(ALPHA**2, abs=1e-16)
     # b = hbar c (1 - a) / (alpha E)
     assert cmap.b == pytest.approx((1.0 - cmap.a) / (ALPHA * state.energy), rel=1e-14)
@@ -101,14 +102,14 @@ def test_map_coefficients_identities():
 
 def test_transformed_eigenvalue():
     state = cb.make_state(MODEL, 0, 1)
-    eta0 = cb.eta(MODEL, 0)
+    eta0 = eta_exponent(0, ALPHA)
     want = state.energy**2 * (1.0 + ALPHA**2 / (1.0 - eta0) ** 2)
     assert cb.transformed_eigenvalue(MODEL, state, state.energy) == pytest.approx(want, rel=1e-15)
 
 
 def test_decay_rate_bookkeeping():
     # (n + 1 - eta_l)/(1 - eta_0) - (n - eta_l + eta_0)/(1 - eta_0) = 1
-    eta0 = cb.eta(MODEL, 0)
+    eta0 = eta_exponent(0, ALPHA)
     for n, l in [(0, 0), (1, 0), (0, 1), (3, 2)]:
         state = cb.make_state(MODEL, n, l)
         c1 = cb.transformed_decay_rate(state, eta0)
@@ -174,7 +175,7 @@ def test_pointwise_z_equals_x(exact_cfg):
 def test_stencil_mode_with_scaled_steps(stencil_cfg):
     """Stencil differentiation needs steps on the Bohr scale to converge."""
     state = cb.make_state(MODEL, 0, 0)
-    cfg = scaled_cfg(stencil_cfg, state.r_scale)
+    cfg = replace(stencil_cfg, length_scale=state.r_scale)
     case = _case(cb.eigenfunction_x, partial(cb.kg_residual_x, MODEL, state.energy), state, cfg, 4, 1e-8)
     assert case.passed
 

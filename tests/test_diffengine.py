@@ -9,7 +9,7 @@ from kgconformal import dual
 from kgconformal import oscillator as ho
 from kgconformal.core import ComplexField, ConfigError, DomainError, NonFiniteError, SpaceTimePoint, natural_units
 from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL, T_AXIS, _diff
-from kgconformal.harness import Grid, TestFieldSpec, _field_sample_points, _with_energy, generate_test_field, scaled_cfg
+from kgconformal.harness import Grid, TestFieldSpec, _field_sample_points, _with_energy, generate_test_field
 
 GAUSS = ComplexField(fn=lambda x1, x2, x3, t: dual.exp(-(x1 * x1) / 2.0), label="gauss")
 ORIGIN = SpaceTimePoint(x=(1.0, 0.0, 0.0), t=0.0)
@@ -55,10 +55,11 @@ def test_exact_mode_error_is_zero(exact_cfg):
 
 
 def test_stencil_error_estimate_converges():
-    """Refining the base step by 10x must shrink the estimate by >= 10x."""
+    """Refining the x step by 10x, where truncation dominates (x steps 1.0
+    and 0.1 on a wave of wavelength 16), must shrink the estimate by >= 10x."""
     points = [SpaceTimePoint(x=(0.5, 0.1, -0.3), t=0.0)]
-    coarse = _diff(_wave(), points, DiffConfig(mode=MODE_STENCIL, base_step=1e-1, richardson_levels=1))
-    fine = _diff(_wave(), points, DiffConfig(mode=MODE_STENCIL, base_step=1e-2, richardson_levels=1))
+    coarse = _diff(_wave(), points, DiffConfig(mode=MODE_STENCIL, length_scale=200.0))
+    fine = _diff(_wave(), points, DiffConfig(mode=MODE_STENCIL, length_scale=20.0))
     assert fine.hess_err[0, 0] < coarse.hess_err[0, 0] / 10.0
 
 
@@ -94,7 +95,7 @@ def test_singular_field_step_clamped():
     )
     # 2h = 1e-2 would hit r = 0 at the first point; the second keeps the full step
     points = [SpaceTimePoint(x=(0.01, 0.0, 0.0), t=0.0), SpaceTimePoint(x=(2.0, 0.0, 0.0), t=0.0)]
-    d = _diff(fld, points, DiffConfig(mode=MODE_STENCIL, base_step=5e-3))
+    d = _diff(fld, points, DiffConfig(mode=MODE_STENCIL))
     # accuracy is limited this close to the pole; the point is that the
     # clamped stencil never touches r <= 0 and the sign/magnitude are right
     assert d.grad[0, 0] == pytest.approx(-1.0 / 0.01**2, rel=1e-4)
@@ -123,18 +124,11 @@ def test_nonfinite_sample_raises(stencil_cfg, exact_cfg):
 def test_config_validation():
     with pytest.raises(ConfigError):
         DiffConfig(mode="backward")
-    with pytest.raises(ConfigError):
-        DiffConfig(base_step=0.0)
-    with pytest.raises(ConfigError):
-        DiffConfig(richardson_levels=9)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigError):
+            DiffConfig(length_scale=bad)
     with pytest.raises(ConfigError):
         _diff(GAUSS, [], DiffConfig())
-
-
-def test_step_overrides():
-    cfg = DiffConfig(mode=MODE_STENCIL, base_step=1e-3, step_overrides={0: 2e-3})
-    assert cfg.step(0) == 2e-3
-    assert cfg.step(1) == 1e-3
 
 
 def test_one_field_call_per_grid_and_shifted_grid(exact_cfg, stencil_cfg):
@@ -176,7 +170,7 @@ def _coulomb_case(draw):
     state = cb.make_state(COULOMB, n, l, k)
     make = draw(st.sampled_from((cb.eigenfunction_x, cb.eigenfunction_z)))
     points = Grid(r_min=0.1 * state.r_scale, r_max=20.0 * state.r_scale, shells=8).points()
-    return make(COULOMB, state), points, scaled_cfg(DiffConfig(mode=MODE_STENCIL), state.r_scale)
+    return make(COULOMB, state), points, DiffConfig(mode=MODE_STENCIL, length_scale=state.r_scale)
 
 
 def _test_field_case(draw):
@@ -186,7 +180,7 @@ def _test_field_case(draw):
         return generate_test_field(spec), _field_sample_points(spec), DiffConfig(mode=MODE_STENCIL)
     spec = TestFieldSpec(seed=seed, r_max=3.0 * COULOMB_GROUND.r_scale)
     fld = _with_energy(generate_test_field(spec), COULOMB_GROUND.energy)
-    return fld, _field_sample_points(spec), scaled_cfg(DiffConfig(mode=MODE_STENCIL), COULOMB_GROUND.r_scale)
+    return fld, _field_sample_points(spec), DiffConfig(mode=MODE_STENCIL, length_scale=COULOMB_GROUND.r_scale)
 
 
 @st.composite

@@ -145,7 +145,16 @@ def test_exp_log_pow_are_cpython_exact():
     for p in (-0.3, 0.5, 2.0, 2.7):
         assert dual.powr(POSITIVE, p).tolist() == [v**p for v in POSITIVE.tolist()]
         assert dual.powr(COMPLEX, p).tolist() == [v**p for v in COMPLEX.tolist()]
-    assert dual.modulus(COMPLEX).tolist() == [abs(v) for v in COMPLEX.tolist()]
+
+
+def test_modulus_is_cpython_abs():
+    """Across magnitudes 1e-300 to 1e300, where np.abs rounds otherwise."""
+    rng = np.random.default_rng(31)
+    wide = (rng.normal(size=20000) + 1j * rng.normal(size=20000)) * 10.0 ** rng.uniform(-300, 300, 20000)
+    for values in (COMPLEX, wide, REALS, wide.real):
+        want = [abs(v) for v in values.tolist()]
+        assert dual.modulus(values).tolist() == want
+    assert np.abs(wide).tolist() != [abs(v) for v in wide.tolist()]
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])

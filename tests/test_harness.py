@@ -5,9 +5,10 @@ import pytest
 
 from kgconformal import coulomb as cb
 from kgconformal import harness
-from kgconformal.core import ConfigError, SpaceTimePoint
-from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL, _diff
+from kgconformal.core import ComplexField, ConfigError, SpaceTimePoint
+from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL, STEP, _diff
 from kgconformal.harness import (
+    ENERGY_RANGE,
     FIELD_POINTS,
     Grid,
     SUITES,
@@ -21,7 +22,6 @@ from kgconformal.harness import (
     generate_test_family,
     generate_test_field,
     run_suite,
-    scaled_cfg,
 )
 
 
@@ -46,13 +46,22 @@ def test_default_tolerance():
     assert default_tolerance(DiffConfig(mode=MODE_STENCIL)) == 1e-8
 
 
-def test_scaled_cfg():
-    base = DiffConfig(mode=MODE_STENCIL, base_step=1e-2)
-    scaled = scaled_cfg(base, 100.0)
-    assert scaled.step(0) == pytest.approx(1.0)
-    assert scaled.step(3) == pytest.approx(1e-2)  # time axis untouched
-    # exact mode ignores steps entirely
-    assert scaled_cfg(DiffConfig(mode=MODE_EXACT), 100.0).step_overrides is None
+def test_length_scale_scales_x_steps_only():
+    """The widest stencil reach is 2 STEP length_scale along x1, x2, x3 and
+    2 STEP along t, whatever the length scale."""
+    center = (1.0, -2.0, 3.0, 0.5)
+    for length_scale in (1.0, 100.0):
+        calls = []
+
+        def fn(*args):
+            calls.append(args)
+            return 0.0 * args[0]
+
+        _diff(ComplexField(fn=fn), [SpaceTimePoint(x=center[:3], t=center[3])],
+              DiffConfig(mode=MODE_STENCIL, length_scale=length_scale))
+        reach = [max(abs(float(args[axis][0]) - center[axis]) for args in calls) for axis in range(4)]
+        scale = (length_scale,) * 3 + (1.0,)
+        assert reach == [pytest.approx(2.0 * STEP * s, rel=1e-9) for s in scale]
 
 
 def test_generate_test_field_deterministic():
@@ -133,7 +142,7 @@ def test_family_derivatives_equal_each_fields(family, mode):
     """One pass over a family gives, bit for bit, what each field's own
     pass gives on its own points, in both modes."""
     specs, energy = FAMILIES[family]
-    cfg = DiffConfig(mode=mode) if energy is None else scaled_cfg(DiffConfig(mode=mode), GROUND.r_scale)
+    cfg = DiffConfig(mode=mode) if energy is None else DiffConfig(mode=mode, length_scale=GROUND.r_scale)
 
     def energized(fld):
         return fld if energy is None else _with_energy(fld, energy)
@@ -163,7 +172,7 @@ def test_one_random_call_per_seed_reproduces_uniform_draws():
     one random(k) call per seed gives Generator.uniform's draws."""
     for offset, r_max in ((0, 3.0), (5000, 3.0 * GROUND.r_scale)):
         specs = [TestFieldSpec(seed=v * 10000 + offset + i, r_max=r_max) for v in range(16) for i in range(1500)]
-        q, e_lo, e_hi = r_max / 4.0, *specs[0].energy_range
+        q, e_lo, e_hi = r_max / 4.0, *ENERGY_RANGE
         field_calls = ((-q, q, 3), (-1.0, 1.0, 3), (-0.5, 0.5, 3), (0.5, 1.5, None), (e_lo, e_hi, None))
         lo, hi = (np.array(rows) for rows in zip(*map(_field_bounds, specs)))
         got = _uniform([s.seed for s in specs], lo, hi)

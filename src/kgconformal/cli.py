@@ -181,22 +181,12 @@ def cmd_verify(args) -> int:
     params = {}
     if args.config:
         params.update(_load_config_file(args.config))
-    if args.tolerance is not None:
-        params["tolerance"] = args.tolerance
-    if args.nmax is not None:
-        params["nmax"] = args.nmax
-    if args.omega is not None:
-        params["omega"] = args.omega
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.branch is not None:
-        params["branch"] = args.branch
+    # a flag given overrides the same key of the config file
+    for key in ("tolerance", "nmax", "omega", "alpha", "branch", "seed", "n_fields"):
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
     if args.state is not None:
         params["states"] = _parse_states(args.state)
-    if args.seed is not None:
-        params["seed"] = args.seed
-    if args.n_fields is not None:
-        params["n_fields"] = args.n_fields
 
     report = run_suite(args.suite, params, cfg)
     if cfg.mode == MODE_EXACT and not args.timing:
@@ -217,8 +207,10 @@ def _map_from_args(args) -> ConformalMap:
         return ho.oscillator_map(model, e_val)
     if args.system == "coulomb":
         model = cb.CoulombModel(alpha=args.alpha, units=units)
-        spec = _parse_states(args.state or "(0,0)")[0]
-        state = cb.make_state(model, spec[0], spec[1], 0, args.branch)
+        specs = _parse_states(args.state or "(0,0)")
+        if len(specs) > 1:
+            raise ConfigError(f"map takes one state, got {len(specs)}: {args.state!r}")
+        state = cb.make_state(model, specs[0][0], specs[0][1], 0, args.branch)
         return cb.coulomb_map(model, state)
     # raw parameters
     if args.b is None or args.energy is None:
@@ -335,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--system", choices=("oscillator", "coulomb", "raw"), default="raw")
     mp.add_argument("--omega", type=_finite_float, default=1.0)
     mp.add_argument("--alpha", type=_finite_float, default=0.0072973525693)
-    mp.add_argument("--state", help="coulomb state as '(n,l)'")
+    mp.add_argument("--state", help="one coulomb state as 'n,l' (default 0,0)")
     mp.add_argument("--branch", choices=(SOMMERFELD, HYDRINO), default=SOMMERFELD)
     mp.add_argument("--a", type=_finite_float, default=0.0)
     mp.add_argument("--b", help="scale length, or 'inf'")

@@ -18,8 +18,9 @@ with the mixed x-t terms cancelling, which is what `dzstar_dz` applies.
 Every check is one operator applied to one field on one grid.  An
 operator maps a field's Derivatives to (|residual|, error estimate,
 scale) over the grid; a suite declares Samples (field, grid, the cases
-that read it), and `evaluate` differentiates each Sample once and folds
-max |residual| / scale into each reading case.
+that read it, a length scale), and `evaluate` differentiates each Sample
+once in the run's mode and folds max |residual| / scale into each
+reading case.
 """
 
 from __future__ import annotations
@@ -233,13 +234,14 @@ class Sample(NamedTuple):
 
     The field may be a family of many fields, each on its own points: its
     parameters then hold one value per point, and ``points`` concatenates
-    the fields' grids, so one pass differentiates them all.
+    the fields' grids, so one pass differentiates them all.  In stencil
+    mode the spatial steps scale with ``length_scale`` (see DiffConfig).
     """
 
     field: ComplexField
     points: Sequence
-    cfg: DiffConfig
     reads: tuple = ()
+    length_scale: float = 1.0
 
 
 def _scaled_max(residual):
@@ -248,39 +250,27 @@ def _scaled_max(residual):
     return float(np.asarray(res / scale).max()), float(np.asarray(err / scale).max())
 
 
-def case_result(name: str, residual, tolerance: float) -> CaseResult:
-    """The case of one operator result on one grid."""
-    return CaseResult(name, *_scaled_max(residual), tolerance)
-
-
 def evaluate(suite: str, mode: str, declaration) -> ResidualReport:
-    """Run a suite declaration, a generator of Samples and CaseResults.
+    """Run a suite declaration, an iterable of Samples and CaseResults.
 
-    Each Sample's field is differentiated once (one pass for a family of
-    fields too); every case that reads it folds the result into its
-    running max.  A CaseResult is reported as it is.  The Derivatives of
-    each Sample are sent back into the generator, so a case that compares
-    two fields reads them without another pass.  Cases are reported in
-    order of first appearance.
+    Each Sample's field is differentiated once in ``mode`` (one pass for a
+    family of fields too); every case that reads it folds the result into
+    its running max.  A CaseResult is reported as it is.  Regular cases
+    are reported before probes, each in order of first appearance.
     """
     cases = {}
-    d = None
-    while True:
-        try:
-            item = declaration.send(d)
-        except StopIteration:
-            return ResidualReport(suite, mode, tuple(cases.values()))
+    for item in declaration:
         if isinstance(item, CaseResult):
-            d = None
             cases[item.name] = item
             continue
-        d = _diff(item.field, item.points, item.cfg)
+        d = _diff(item.field, item.points, DiffConfig(mode, item.length_scale))
         for read in item.reads:
             worst, err = _scaled_max(read.operator(d))
             if read.case in cases:
                 old = cases[read.case]
                 worst, err = max(old.max_residual, worst), max(old.error_estimate, err)
             cases[read.case] = CaseResult(read.case, worst, err, read.tolerance)
+    return ResidualReport(suite, mode, tuple(sorted(cases.values(), key=lambda c: c.is_probe)))
 
 
 def qprop_identity_residual(cmap: ConformalMap, d: Derivatives, operator=None):
@@ -340,7 +330,7 @@ def _dz_ds(d: Derivatives):
     return dual.modulus(d.grad[T_AXIS]), d.grad_err[T_AXIS], 1.0
 
 
-def independence_check(cmap: ConformalMap, cfg: DiffConfig, points, tolerance: float = 1e-10, prefix: str = ""):
+def independence_check(cmap: ConformalMap, points, length_scale: float, tolerance: float, prefix: str):
     """Samples verifying ds/dz_i = 0 and dz_i/ds = 0 on the given points.
 
     ds/dz_i applies the d_z operator to the field s(x, t); dz_i/ds
@@ -349,19 +339,18 @@ def independence_check(cmap: ConformalMap, cfg: DiffConfig, points, tolerance: f
     carry ``prefix``.
     """
     pts = as_points(points)
-    yield Sample(time_field(cmap), pts, cfg, (Read(prefix + "ds/dz", partial(ds_dz, cmap), tolerance),))
+    yield Sample(time_field(cmap), pts, (Read(prefix + "ds/dz", partial(ds_dz, cmap), tolerance),), length_scale)
     for i in range(3):
         z_field = ComplexField(fn=lambda x1, x2, x3, t, _i=i: (x1, x2, x3)[_i], label=f"z{i + 1}")
-        yield Sample(z_field, pts, cfg, (Read(prefix + "dz/ds", _dz_ds, tolerance),))
+        yield Sample(z_field, pts, (Read(prefix + "dz/ds", _dz_ds, tolerance),), length_scale)
 
 
 def holomorphy_residual(
     f_of_t_tau,
     t_window: tuple[float, float],
     tau_window: tuple[float, float],
-    cfg: DiffConfig,
-    tolerance: float = 1e-10,
-    name: str = "holomorphy",
+    tolerance: float,
+    name: str,
 ) -> Sample:
     """The sample checking |d2f/dt2 + d2f/dtau2| / max|f| on a 7 x 7 grid
     over a (t, tau) rectangle.
@@ -383,4 +372,4 @@ def holomorphy_residual(
         scale = max_f if max_f > 0.0 else 1.0
         return dual.modulus(d.hess[0] + d.hess[1]), d.hess_err[0] + d.hess_err[1], scale
 
-    return Sample(wrapped, points, cfg, (Read(name, laplace, tolerance),))
+    return Sample(wrapped, points, (Read(name, laplace, tolerance),))

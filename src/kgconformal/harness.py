@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -22,7 +22,6 @@ from .confmap import (
     ConformalMap,
     Read,
     Sample,
-    case_result,
     d2z_identity_residual,
     ds_dz,
     dz_dzstar,
@@ -208,7 +207,7 @@ def run_suite(name: str, params: dict = None, cfg: DiffConfig = None) -> Residua
     params = _checked(dict(params or {}))
     tol = params.get("tolerance", default_tolerance(cfg))
     t0 = time.perf_counter()
-    report = evaluate(name, cfg.mode, _DECLARATIONS[name](params, cfg, tol))
+    report = evaluate(name, cfg.mode, _DECLARATIONS[name](params, tol))
     wall = (time.perf_counter() - t0) * 1000.0
     return report.with_wall_ms(wall)
 
@@ -259,7 +258,7 @@ def _checked(params: dict) -> dict:
 # Each suite is a generator that declares its Samples (a field on a grid,
 # and the cases that read it) and its direct CaseResults, checked against
 # the suite tolerance ``tol``; run_suite hands it to confmap.evaluate,
-# which differentiates each Sample once.
+# which differentiates each Sample once in the run's mode.
 
 
 def _osc_model(params) -> ho.OscillatorModel:
@@ -280,27 +279,31 @@ def _coulomb_states(model, params):
     return [cb.make_state(model, *qn, branch=branch) for qn in params.get("states", ((0, 0), (1, 0), (0, 1)))]
 
 
-def _coulomb_sample(field, state, cfg, read) -> Sample:
+def _coulomb_sample(field, state, reads) -> Sample:
     """``field`` on the state's grid, 0.1 to 20 r_nl, with steps on that scale."""
     grid = Grid(r_min=0.1 * state.r_scale, r_max=20.0 * state.r_scale, shells=8)
-    return Sample(field, grid.points(), replace(cfg, length_scale=state.r_scale), (read,))
+    return Sample(field, grid.points(), reads, state.r_scale)
 
 
-def _suite_oscillator_x(params, cfg, tol):
+def _suite_oscillator_x(params, tol):
     model = _osc_model(params)
     points = _osc_grid(params).points()
+    # the probe reads the ground state's sample, the first one declared
+    probe = Read("probe:perturbed-energy", partial(ho.kg_residual_x, model, ho.energy(model, 0) + 0.1), tol)
     for n in range(params.get("nmax", 4) + 1):
         for state in ho.states_with_n(model, n):
-            read = Read(f"osc-x-{state.ls}", partial(ho.kg_residual_x, model, state.energy), tol)
-            yield Sample(ho.eigenfunction_x(model, state), points, cfg, (read,))
-    ground = ho.make_state(model, 0, 0, 0)
-    probe = Read("probe:perturbed-energy", partial(ho.kg_residual_x, model, ground.energy + 0.1), tol)
-    yield Sample(ho.eigenfunction_x(model, ground), points, cfg, (probe,))
+            reads = (Read(f"osc-x-{state.ls}", partial(ho.kg_residual_x, model, state.energy), tol),)
+            yield Sample(ho.eigenfunction_x(model, state), points, reads + ((probe,) if n == 0 else ()))
 
 
-def _suite_oscillator_z(params, cfg, tol):
+def _suite_oscillator_z(params, tol):
     model = _osc_model(params)
     points = _osc_grid(params).points()
+    # the probe reads the equation only, on the ground state's sample.  Its
+    # energy-operator read fails too (0.023 at the default grid), but it
+    # would add a case that the reports of earlier versions, and the
+    # benchmark's reference, do not have
+    probe = Read("probe:perturbed-energy", partial(ho.kg_residual_z, model, ho.energy(model, 0) + 0.1), tol)
     for n in range(params.get("nmax", 4) + 1):
         for state in ho.states_with_n(model, n):
             name = f"osc-z-{state.ls}"
@@ -308,13 +311,7 @@ def _suite_oscillator_z(params, cfg, tol):
                 Read(name, partial(ho.kg_residual_z, model, state.energy), tol),
                 Read(name + "-energy-op", partial(ho.energy_operator_residual, model, state.energy), tol),
             )
-            yield Sample(ho.eigenfunction_z(model, state), points, cfg, reads)
-    ground = ho.make_state(model, 0, 0, 0)
-    # the probe reads the equation only.  Its energy-operator read fails too
-    # (0.023 at the default grid), but it would add a case that the reports
-    # of earlier versions, and the benchmark's reference, do not have
-    probe = Read("probe:perturbed-energy", partial(ho.kg_residual_z, model, ground.energy + 0.1), tol)
-    yield Sample(ho.eigenfunction_z(model, ground), points, cfg, (probe,))
+            yield Sample(ho.eigenfunction_z(model, state), points, reads + ((probe,) if n == 0 else ()))
 
 
 def _annihilation_residual(model, d):
@@ -329,100 +326,100 @@ def _number_residual(model, n, eigenvalue, d):
     return dual.modulus(val - eigenvalue * d.value), err, residual_scale(dual.modulus(d.value).max() * max(n, 1))
 
 
-def _suite_ladder(params, cfg, tol):
-    model = _osc_model(params)
-    tol_number = max(1e-8, tol)
-    points = _osc_grid(params).points()
-    kept = {}  # Derivatives of the ground and (1,0,0) states
-    for n in range(params.get("nmax", 4) + 1):
-        for state in ho.states_with_n(model, n):
-            reads = (Read(f"number-operator-n{n}", partial(_number_residual, model, n, n), tol_number),)
-            if n == 0:
-                reads = (Read("annihilate-ground", partial(_annihilation_residual, model), tol),) + reads
-            d = yield Sample(ho.eigenfunction_x(model, state), points, cfg, reads)
-            if state.ls in ((0, 0, 0), (1, 0, 0)):
-                kept[state.ls] = d
-    ground, state1 = ho.make_state(model, 0, 0, 0), ho.make_state(model, 1, 0, 0)
-    if state1.ls not in kept:
-        kept[state1.ls] = yield Sample(ho.eigenfunction_x(model, state1), points, cfg)
-    d0, d1 = kept[ground.ls], kept[state1.ls]
-
-    # a_1 applied to (1,0,0) is proportional to the ground state; divide out
-    # the E_1 - E_0 phase difference before comparing pointwise ratios
+def _lowering_proportionality(model, ground, state1, d):
+    """a_1 applied to (1,0,0) is proportional to the ground state: the spread
+    of the pointwise ratios a_1 psi_1 / psi_0 about their mean, relative to
+    the mean, with scale 1.  ``d`` holds psi_1; psi_0 is evaluated on its
+    points."""
+    psi0 = ho.eigenfunction_x(model, ground)(*d.points.coords)
+    # divide out the E_1 - E_0 phase difference before comparing ratios
     d_e = state1.energy - ground.energy
     hbar = model.units.hbar
-    lowered, lowered_err = ho.ladder_apply(model, ("lower", 0), d1)
+    lowered, lowered_err = ho.ladder_apply(model, ("lower", 0), d)
     ratios = [
         val / denom * complex(math.cos(d_e * p.t / hbar), math.sin(d_e * p.t / hbar))
-        for val, denom, p in zip(lowered.tolist(), d0.value.tolist(), points)
+        for val, denom, p in zip(lowered.tolist(), psi0.tolist(), d.points)
     ]
     mean = sum(ratios) / len(ratios)
     spread = max(abs(q - mean) for q in ratios) / abs(mean)
     # a ratio is off by at most eps = max err / |psi_0|, and so is the mean;
     # to first order the spread then moves by (2 + spread) eps / |mean|
-    eps = float((lowered_err / dual.modulus(d0.value)).max())
-    yield CaseResult("lowering-proportionality", spread, (2.0 + spread) * eps / abs(mean), tol_number)
-
-    # probe: the number operator must NOT return n+1
-    yield case_result("probe:number-operator-off-by-one", _number_residual(model, 1, 2, d1), tol_number)
+    eps = float((lowered_err / dual.modulus(psi0)).max())
+    return spread, (2.0 + spread) * eps / abs(mean), 1.0
 
 
-def _suite_coulomb_x(params, cfg, tol):
+def _suite_ladder(params, tol):
+    model = _osc_model(params)
+    tol_number = max(1e-8, tol)
+    points = _osc_grid(params).points()
+    for n in range(params.get("nmax", 4) + 1):
+        for state in ho.states_with_n(model, n):
+            reads = (Read(f"number-operator-n{n}", partial(_number_residual, model, n, n), tol_number),)
+            if n == 0:
+                reads = (Read("annihilate-ground", partial(_annihilation_residual, model), tol),) + reads
+            yield Sample(ho.eigenfunction_x(model, state), points, reads)
+    ground, state1 = ho.make_state(model, 0, 0, 0), ho.make_state(model, 1, 0, 0)
+    reads = (
+        Read("lowering-proportionality", partial(_lowering_proportionality, model, ground, state1), tol_number),
+        # probe: the number operator must NOT return n+1
+        Read("probe:number-operator-off-by-one", partial(_number_residual, model, 1, 2), tol_number),
+    )
+    yield Sample(ho.eigenfunction_x(model, state1), points, reads)
+
+
+def _suite_coulomb_x(params, tol):
     model = _coulomb_model(params)
     states = _coulomb_states(model, params)
-    for state in states:
-        name = f"coulomb-x-{state.quantum_numbers}-{state.branch}"
-        read = Read(name, partial(cb.kg_residual_x, model, state.energy), tol)
-        yield _coulomb_sample(cb.eigenfunction_x(model, state), state, cfg, read)
+    # the probe reads the first state's sample
     st = states[0]
     probe = Read("probe:perturbed-energy", partial(cb.kg_residual_x, model, st.energy * (1.0 + 1e-4)), tol)
-    yield _coulomb_sample(cb.eigenfunction_x(model, st), st, cfg, probe)
+    for state in states:
+        name = f"coulomb-x-{state.quantum_numbers}-{state.branch}"
+        reads = (Read(name, partial(cb.kg_residual_x, model, state.energy), tol),)
+        yield _coulomb_sample(cb.eigenfunction_x(model, state), state, reads + ((probe,) if state is st else ()))
 
 
-def _suite_coulomb_z(params, cfg, tol):
+def _suite_coulomb_z(params, tol):
     model = _coulomb_model(params)
     branch = params.get("branch", SOMMERFELD)
     states = _coulomb_states(model, params)
+    st = states[0]
+    probe = Read("probe:perturbed-energy", partial(cb.kg_residual_z, model, st, st.energy * (1.0 + 1e-4)), tol)
     for state in states:
         name = f"coulomb-z-{state.quantum_numbers}-{state.branch}"
-        read = Read(name, partial(cb.kg_residual_z, model, state, state.energy), tol)
-        yield _coulomb_sample(cb.eigenfunction_z(model, state), state, cfg, read)
+        reads = (Read(name, partial(cb.kg_residual_z, model, state, state.energy), tol),)
+        yield _coulomb_sample(cb.eigenfunction_z(model, state), state, reads + ((probe,) if state is st else ()))
     ground = cb.make_state(model, 0, 0, 0, branch)
     flat = Read(f"coulomb-z-ground-flat-{branch}", partial(cb.ground_state_flatness, model, ground), tol)
-    yield _coulomb_sample(cb.eigenfunction_z(model, ground), ground, cfg, flat)
+    yield _coulomb_sample(cb.eigenfunction_z(model, ground), ground, (flat,))
 
     # the second-order operator identity, on a family of seeded smooth test fields
     identity = Read("d2z-operator-identity", partial(d2z_identity_residual, cb.coulomb_map(model, ground)), tol)
     seed0 = params.get("seed", 0) * 1000
     specs = [TestFieldSpec(seed=seed0 + seed, r_max=3.0 * ground.r_scale) for seed in range(5)]
     fld = _with_energy(generate_test_family(specs), ground.energy)
-    yield Sample(fld, _family_points(specs), replace(cfg, length_scale=ground.r_scale), (identity,))
-
-    st = states[0]
-    probe = Read("probe:perturbed-energy", partial(cb.kg_residual_z, model, st, st.energy * (1.0 + 1e-4)), tol)
-    yield _coulomb_sample(cb.eigenfunction_z(model, st), st, cfg, probe)
+    yield Sample(fld, _family_points(specs), (identity,), ground.r_scale)
 
 
-def _suite_map_independence(params, cfg, tol):
+def _suite_map_independence(params, tol):
     osc = _osc_model(params)
     osc_map = ho.oscillator_map(osc, ho.energy(osc, 0))
     osc_points = Grid(r_min=0.2, r_max=3.0, shells=8).points()
-    yield from independence_check(osc_map, cfg, osc_points, tol, "oscillator-map-")
+    yield from independence_check(osc_map, osc_points, 1.0, tol, "oscillator-map-")
 
     cmodel = _coulomb_model(params)
     cstate = cb.make_state(cmodel, 0, 0, 0)
     c_points = Grid(r_min=0.2 * cstate.r_scale, r_max=20.0 * cstate.r_scale, shells=8).points()
-    ccfg = replace(cfg, length_scale=cstate.r_scale)
-    yield from independence_check(cb.coulomb_map(cmodel, cstate), ccfg, c_points, tol, "coulomb-map-")
+    yield from independence_check(cb.coulomb_map(cmodel, cstate), c_points, cstate.r_scale, tol, "coulomb-map-")
 
-    yield from independence_check(ConformalMap.identity(E=1.0), cfg, osc_points, tol, "identity-map-")
+    yield from independence_check(ConformalMap.identity(E=1.0), osc_points, 1.0, tol, "identity-map-")
 
     # probe: operating with a detuned map must break ds/dz = 0
     broken = ConformalMap(a=osc_map.a, b=osc_map.b * 1.1, lam=osc_map.lam, E=osc_map.E, units=osc_map.units)
-    yield Sample(time_field(osc_map), osc_points, cfg, (Read("probe:detuned-map", partial(ds_dz, broken), tol),))
+    yield Sample(time_field(osc_map), osc_points, (Read("probe:detuned-map", partial(ds_dz, broken), tol),))
 
 
-def _suite_holomorphy(params, cfg, tol):
+def _suite_holomorphy(params, tol):
     e_val = params.get("energy", 1.0)
     t_win = (-1.0, 1.0)
     tau_win = (0.1, 2.0)
@@ -437,21 +434,24 @@ def _suite_holomorphy(params, cfg, tol):
     def not_holo(t, tau):
         return t * t
 
-    yield holomorphy_residual(phase, t_win, tau_win, cfg, tol, name="phase-exp")
-    yield holomorphy_residual(square, t_win, tau_win, cfg, tol, name="square")
-    yield holomorphy_residual(not_holo, t_win, tau_win, cfg, tol, name="probe:t-squared")
+    yield holomorphy_residual(phase, t_win, tau_win, tol, "phase-exp")
+    yield holomorphy_residual(square, t_win, tau_win, tol, "square")
+    yield holomorphy_residual(not_holo, t_win, tau_win, tol, "probe:t-squared")
 
 
-def _suite_operator_identities(params, cfg, tol):
+def _first_field(operator, d):
+    """``operator`` on the first field of a family: its first FIELD_POINTS points."""
+    return tuple(part[:FIELD_POINTS] for part in operator(d))
+
+
+def _suite_operator_identities(params, tol):
     seed0 = params.get("seed", 0) * 10000
     n_fields = params.get("n_fields", 100)
     osc = _osc_model(params)
     cmodel = _coulomb_model(params)
     cstate = cb.make_state(cmodel, 0, 0, 0)
-    ccfg = replace(cfg, length_scale=cstate.r_scale)
     d2z = Read("d2z-coulomb", partial(d2z_identity_residual, cb.coulomb_map(cmodel, cstate)), tol)
 
-    probe = None
     for start in range(0, n_fields, FAMILY_SIZE):
         chunk = range(start, min(start + FAMILY_SIZE, n_fields))
         specs = [TestFieldSpec(seed=seed0 + idx, r_max=3.0) for idx in chunk]
@@ -459,18 +459,17 @@ def _suite_operator_identities(params, cfg, tol):
         family = generate_test_family(specs)
         # each point reads the map of its own field's energy
         cmap = ho.oscillator_map(osc, family.energy_hint)
-        qprop = Read("qprop-oscillator", partial(qprop_identity_residual, cmap), tol)
-        d = yield Sample(family, points, cfg, (qprop,))
-        if probe is None:
+        reads = (Read("qprop-oscillator", partial(qprop_identity_residual, cmap), tol),)
+        if start == 0:
             # probe: reversing the composition order must break the identity
             # on the first field's points
-            probe = [part[:FIELD_POINTS] for part in qprop_identity_residual(cmap, d, operator=dz_dzstar)]
+            reversed_order = partial(qprop_identity_residual, cmap, operator=dz_dzstar)
+            reads += (Read("probe:reversed-composition", partial(_first_field, reversed_order), tol),)
+        yield Sample(family, points, reads)
 
         specs = [TestFieldSpec(seed=seed0 + 5000 + idx, r_max=3.0 * cstate.r_scale) for idx in chunk]
         family = _with_energy(generate_test_family(specs), cstate.energy)
-        yield Sample(family, _family_points(specs), ccfg, (d2z,))
-
-    yield case_result("probe:reversed-composition", probe, tol)
+        yield Sample(family, _family_points(specs), (d2z,), cstate.r_scale)
 
 
 def _plane_wave(kvec, e_val) -> ComplexField:
@@ -482,7 +481,7 @@ def _plane_wave(kvec, e_val) -> ComplexField:
     return ComplexField(fn=fn, label=f"plane-wave{kvec}", energy_hint=e_val)
 
 
-def _suite_reductions(params, cfg, tol):
+def _suite_reductions(params, tol):
     # natural units throughout: hbar = c = m0 = 1
     # the Omega -> 0 map is the identity: forward(p) == p exactly
     imap = ho.oscillator_map(ho.OscillatorModel(omega=0.0), E=1.0)
@@ -507,7 +506,7 @@ def _suite_reductions(params, cfg, tol):
             ddz, e = dzstar_dz(cmap, d)
             return dual.modulus(-ddz + psi - e_val**2 * psi), e, e_val**2
 
-        return Sample(_plane_wave(kvec, e_val), points, cfg, (Read(name, residual, tol),))
+        return Sample(_plane_wave(kvec, e_val), points, (Read(name, residual, tol),))
 
     for i, kvec in enumerate(((0.5, 0.0, 0.0), (0.3, -0.4, 0.2), (0.0, 1.0, 0.5))):
         yield zform_sample(f"free-plane-wave-{i}", kvec, math.sqrt(sum(v * v for v in kvec) + 1.0))

@@ -6,8 +6,10 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from kgconformal import cli
 from kgconformal.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_FAIL, EXIT_PASS, main
 from kgconformal.harness import SUITES
+from kgconformal.report import CaseResult, ResidualReport
 
 
 def run(capsys, *argv):
@@ -112,6 +114,51 @@ def test_verify_config_file(tmp_path, capsys):
     assert code == EXIT_PASS
     names = [c["name"] for c in json.loads(out)["cases"]]
     assert len([n for n in names if not n.startswith("probe:")]) == 1  # only n = 0
+
+
+#: each verify flag, a value for it, and the suite parameter it sets with that value
+FLAG_PARAMS = {
+    "--tolerance": ("1e-9", "tolerance", 1e-9),
+    "--nmax": ("2", "nmax", 2),
+    "--omega": ("0.5", "omega", 0.5),
+    "--alpha": ("0.01", "alpha", 0.01),
+    "--branch": ("hydrino", "branch", "hydrino"),
+    "--state": ("1,0;(0,1,1)", "states", [(1, 0), (0, 1, 1)]),
+    "--seed": ("3", "seed", 3),
+    "--n-fields": ("7", "n_fields", 7),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_PARAMS))
+def test_verify_flag_overrides_config(tmp_path, capsys, monkeypatch, flag):
+    """A flag replaces its key from --config and leaves every other key as the file sets it."""
+    config = {"tolerance": 1e-7, "nmax": 1, "omega": 2.0, "alpha": 0.1, "branch": "sommerfeld",
+              "states": [[0, 0]], "seed": 1, "n_fields": 2}
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(config))
+    seen = {}
+
+    def fake_run_suite(name, params, cfg):
+        seen.update(params)
+        return ResidualReport(name, cfg.mode, (CaseResult("case", 0.0, 0.0, 1.0),))
+
+    monkeypatch.setattr(cli, "run_suite", fake_run_suite)
+    text, key, value = FLAG_PARAMS[flag]
+    code, _, _ = run(capsys, "verify", "--suite", "holomorphy", "--config", str(path), flag, text)
+    assert code == EXIT_PASS
+    assert seen == {**config, key: value}
+
+
+def test_map_takes_one_state(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("1.0 0.0 0.0 0.5\n")
+    argv = ("map", "--points", str(pts), "--system", "coulomb")
+    default = run(capsys, *argv)
+    assert default[0] == EXIT_PASS
+    assert run(capsys, *argv, "--state", "(0,0)") == default
+    code, out, err = run(capsys, *argv, "--state", "(0,0);(1,0)")
+    assert code == EXIT_CONFIG and out == ""
+    assert len(err.splitlines()) == 1 and "one state" in err
 
 
 def test_map_roundtrip(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from kgconformal import dual
 from kgconformal import oscillator as ho
 from kgconformal.confmap import (
     ConformalMap,
-    case_result,
+    Read,
+    Sample,
     d_z,
     d_zstar,
     dz_dzstar,
@@ -26,6 +28,7 @@ from kgconformal.confmap import (
 from kgconformal.core import ComplexField, ConfigError, DomainError, SpaceTimePoint, natural_units
 from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL, _diff
 from kgconformal.harness import Grid
+from kgconformal.report import CaseResult
 
 U = natural_units()
 OSC_MAP = ConformalMap(a=0.0, b=1.0, lam=2.0, E=2.0, units=U)       # oscillator-shaped
@@ -212,13 +215,33 @@ def test_independence_check_passes(exact_cfg):
         SpaceTimePoint(x=(0.5, 0.2, -0.3), t=0.0),
         SpaceTimePoint(x=(1.0, -0.8, 0.4), t=0.5),
     ]
-    rep = evaluate("map-independence", exact_cfg.mode, independence_check(OSC_MAP, exact_cfg, points, 1e-10))
+    rep = evaluate("map-independence", exact_cfg.mode, independence_check(OSC_MAP, points, 1.0, 1e-10, ""))
     assert rep.passed
     assert [c.name for c in rep.cases] == ["ds/dz", "dz/ds"]
     # s(x, t) of a detuned map is not annihilated by d_z
     detuned = ConformalMap(a=0.0, b=1.1, lam=2.0, E=2.0, units=U)
-    d = _diff(time_field(OSC_MAP), points, exact_cfg)
-    assert not case_result("detuned", ds_dz(detuned, d), 1e-10).passed
+    sample = Sample(time_field(OSC_MAP), points, (Read("detuned", partial(ds_dz, detuned), 1e-10),))
+    (case,) = evaluate("detuned", exact_cfg.mode, [sample]).cases
+    assert not case.passed
+
+
+def test_evaluate_reports_regular_cases_before_probes():
+    """Regular cases first, then probes, each in order of first appearance,
+    whatever order the declaration gives them in."""
+    phase = ComplexField(fn=lambda x1, x2, x3, t: dual.exp(-2j * t))
+    points = [SpaceTimePoint(x=(0.5, 0.2, -0.3), t=0.1)]
+
+    def read(name):
+        return Read(name, partial(ds_dz, OSC_MAP), 1e-10)
+
+    declaration = [
+        Sample(phase, points, (read("probe:first"), read("a"))),
+        CaseResult("probe:direct", 1.0, 0.0, 1e-10),
+        CaseResult("b", 0.0, 0.0, 1e-10),
+        Sample(phase, points, (read("c"), read("probe:first"), read("a"))),
+    ]
+    rep = evaluate("order", MODE_EXACT, declaration)
+    assert [c.name for c in rep.cases] == ["a", "b", "c", "probe:first", "probe:direct"]
 
 
 def _holomorphy(sample, cfg):
@@ -228,11 +251,11 @@ def _holomorphy(sample, cfg):
 def test_holomorphy_residual(exact_cfg):
     rep = _holomorphy(holomorphy_residual(
         lambda t, tau: dual.exp(-1j * (t + 1j * tau)),
-        (-1.0, 1.0), (0.1, 2.0), exact_cfg, 1e-10, name="phase",
+        (-1.0, 1.0), (0.1, 2.0), 1e-10, "phase",
     ), exact_cfg)
     assert rep.passed
     rep_bad = _holomorphy(holomorphy_residual(
-        lambda t, tau: t * t, (-1.0, 1.0), (0.1, 2.0), exact_cfg, 1e-10, name="probe:tsq",
+        lambda t, tau: t * t, (-1.0, 1.0), (0.1, 2.0), 1e-10, "probe:tsq",
     ), exact_cfg)
     (case,) = rep_bad.cases
     assert case.max_residual > 1e-10

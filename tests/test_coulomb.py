@@ -4,9 +4,8 @@ from functools import partial
 
 import pytest
 
-from kgconformal.confmap import case_result
+from kgconformal.confmap import Read, Sample, evaluate
 from kgconformal.core import BranchError, ConfigError, QuantumNumberError, SpaceTimePoint, natural_units
-from kgconformal.diffengine import _diff
 from kgconformal.harness import Grid
 from kgconformal.shooting import EPS_RTOL, binding_parameter, shooting_eigenvalue
 from kgconformal.specfun import HYDRINO, SOMMERFELD, eta_exponent
@@ -119,8 +118,9 @@ def test_decay_rate_bookkeeping():
 
 def _case(field, operator, state, cfg, shells=6, tolerance=1e-10):
     """``operator`` on ``field`` of ``state`` over the state's grid, one pass."""
-    d = _diff(field(MODEL, state), _points(state, shells), cfg)
-    return case_result("case", operator(d), tolerance)
+    sample = Sample(field(MODEL, state), _points(state, shells), (Read("case", operator, tolerance),), cfg.length_scale)
+    (case,) = evaluate("case", cfg.mode, [sample]).cases
+    return case
 
 
 def test_kg_residual_x(exact_cfg):

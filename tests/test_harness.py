@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import random
+
 from kgconformal import coulomb as cb
 from kgconformal import harness
+from kgconformal import oscillator as ho
+from kgconformal.confmap import Sample, evaluate
 from kgconformal.core import ComplexField, ConfigError, SpaceTimePoint
 from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL, STEP, _diff
 from kgconformal.harness import (
@@ -48,20 +52,26 @@ def test_default_tolerance():
 
 def test_length_scale_scales_x_steps_only():
     """The widest stencil reach is 2 STEP length_scale along x1, x2, x3 and
-    2 STEP along t, whatever the length scale."""
+    2 STEP along t, whatever the length scale: from a DiffConfig, and from a
+    Sample's length scale through evaluate."""
     center = (1.0, -2.0, 3.0, 0.5)
-    for length_scale in (1.0, 100.0):
-        calls = []
+    points = [SpaceTimePoint(x=center[:3], t=center[3])]
+    routes = (
+        lambda fld, length_scale: _diff(fld, points, DiffConfig(mode=MODE_STENCIL, length_scale=length_scale)),
+        lambda fld, length_scale: evaluate("steps", MODE_STENCIL, [Sample(fld, points, (), length_scale)]),
+    )
+    for route in routes:
+        for length_scale in (1.0, 100.0):
+            calls = []
 
-        def fn(*args):
-            calls.append(args)
-            return 0.0 * args[0]
+            def fn(*args):
+                calls.append(args)
+                return 0.0 * args[0]
 
-        _diff(ComplexField(fn=fn), [SpaceTimePoint(x=center[:3], t=center[3])],
-              DiffConfig(mode=MODE_STENCIL, length_scale=length_scale))
-        reach = [max(abs(float(args[axis][0]) - center[axis]) for args in calls) for axis in range(4)]
-        scale = (length_scale,) * 3 + (1.0,)
-        assert reach == [pytest.approx(2.0 * STEP * s, rel=1e-9) for s in scale]
+            route(ComplexField(fn=fn), length_scale)
+            reach = [max(abs(float(args[axis][0]) - center[axis]) for args in calls) for axis in range(4)]
+            scale = (length_scale,) * 3 + (1.0,)
+            assert reach == [pytest.approx(2.0 * STEP * s, rel=1e-9) for s in scale]
 
 
 def test_generate_test_field_deterministic():
@@ -119,6 +129,24 @@ def test_ladder_suite_small():
     byname = {c.name: c for c in rep.cases}
     assert byname["annihilate-ground"].max_residual < 1e-12
     assert not byname["probe:number-operator-off-by-one"].passed
+
+
+#: the ladder suite's default grid, and the grids the benchmark moves the second time sample of
+LADDER_GRIDS = [Grid(r_min=0.1, r_max=4.0, shells=10)] + [
+    Grid(r_min=0.1, r_max=4.0, shells=10, times=(0.0, random.Random(v).uniform(0.05, 0.6))) for v in range(16)
+]
+
+
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_STENCIL])
+@pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+def test_ground_state_on_the_points_is_its_differentiated_value(omega, mode):
+    """lowering-proportionality evaluates psi_0 on the grid directly, in place
+    of differentiating it: both give the same values bit for bit."""
+    model = ho.OscillatorModel(omega=omega)
+    psi0 = ho.eigenfunction_x(model, ho.make_state(model, 0, 0, 0))
+    for grid in LADDER_GRIDS:
+        d = _diff(psi0, grid.points(), DiffConfig(mode=mode))
+        assert np.array_equal(psi0(*d.points.coords), d.value)
 
 
 def test_all_suites_registered():

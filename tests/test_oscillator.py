@@ -1,10 +1,11 @@
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from kgconformal.confmap import case_result
+from kgconformal.confmap import Read, Sample, evaluate
 from kgconformal.core import ConfigError, QuantumNumberError, SpaceTimePoint, natural_units
 from kgconformal.diffengine import _diff
 from kgconformal.harness import Grid
@@ -83,8 +84,9 @@ def test_eigenfunction_x_separable_form():
 
 def _case(operator, state, exact_cfg, field=ho.eigenfunction_x, **kwargs):
     """The operator's case on ``state`` at the default tolerance, one pass."""
-    d = _diff(field(MODEL, state), POINTS, exact_cfg)
-    return case_result("case", operator(MODEL, kwargs.get("E", state.energy), d), 1e-10)
+    read = Read("case", partial(operator, MODEL, kwargs.get("E", state.energy)), 1e-10)
+    (case,) = evaluate("case", exact_cfg.mode, [Sample(field(MODEL, state), POINTS, (read,))]).cases
+    return case
 
 
 def test_kg_residual_x_ground_state(exact_cfg):

@@ -131,8 +131,12 @@ class ComplexField:
     """A deterministic scalar complex-valued function of (x1, x2, x3, t).
 
     The callable must be generic over its argument type: it is evaluated
-    with float arrays in stencil mode, with diagonal jets over a grid in
-    exact-forward mode, and with plain floats by ``at``.  ``energy_hint``
+    with diagonal jets over a grid in exact-forward mode, with plain floats
+    by ``at``, and in stencil mode with (33, n) float arrays, one row per
+    shifted copy of an n-point grid.  So it must be elementwise: any
+    parameter with one value per point has shape (n,) and broadcasts
+    against the rows, and it must not take ``len`` of, or ``zip`` over,
+    its arguments' points.  ``energy_hint``
     carries the energy eigenvalue for fields with exp(-i E t / hbar) time
     dependence, which several operator reductions rely on; a family of
     fields evaluated on their concatenated points carries one energy per

@@ -10,11 +10,12 @@ modes:
   error estimate is exactly 0.  This is the reference mode for
   acceptance runs.
 * ``stencil`` -- 4th-order central differences with Richardson
-  extrapolation, from field evaluations on shifted copies of the grid
-  (one evaluation per shifted grid; the +-h and +-2h samples serve both
-  derivative orders and neighbouring Richardson levels).  The estimate is
-  the last Richardson correction plus a roundoff bound carried through
-  the Richardson table.
+  extrapolation, from the field on shifted copies of the grid, all 33 of
+  them in one evaluation on (33, n) coordinate arrays (the +-h and +-2h
+  samples serve both derivative orders and neighbouring Richardson
+  levels).  Stencils and Richardson tables run on all four axes at once.
+  The estimate is the last Richardson correction plus a roundoff bound
+  carried through the Richardson table.
 
 Axes are indexed 0, 1, 2 for x1, x2, x3 and 3 (``T_AXIS``) for time.
 """
@@ -124,46 +125,53 @@ def _clamped_step(field: ComplexField, pts: PointSet, cfg: DiffConfig, axis: int
     return h
 
 
-def _sample(field: ComplexField, pts: PointSet, axis: int, delta):
-    """The field on the grid shifted by ``delta`` along ``axis``."""
-    args = list(pts.coords)
-    args[axis] = args[axis] + delta
-    return np.broadcast_to(np.asarray(field(*args), dtype=complex), (len(pts),))
+def _sample(field: ComplexField, pts: PointSet, shifts):
+    """The field on shifted copies of the grid, in one call: a (rows, n) table.
+
+    Row 0 is the grid shifted by 0.0 along axis 0; then, axis by axis, the
+    grid shifted along that axis by each row of ``shifts[axis]``.
+    """
+    per_axis = shifts.shape[1]
+    args = [np.repeat(x[np.newaxis], 1 + N_AXES * per_axis, axis=0) for x in pts.coords]
+    for axis, x in enumerate(pts.coords):
+        args[axis][1 + axis * per_axis : 1 + (axis + 1) * per_axis] = x + shifts[axis]
+    args[0][0] = pts.coords[0] + 0.0
+    return np.broadcast_to(np.asarray(field(*args), dtype=complex), args[0].shape)
+
+
+#: the shifted rows of the sample table along each axis, as (offset, level)
+#: for +-2h_0, +-h_0, +-h_1, +-h_2; x + 2h_k is x + h_(k-1) for k > 0
+_ROWS = ((-2, 0), (2, 0), (-1, 0), (1, 0), (-1, 1), (1, 1), (-1, 2), (1, 2))
 
 
 def _stencil_pass(field: ComplexField, pts: PointSet, cfg: DiffConfig):
-    center = _sample(field, pts, 0, 0.0)
-    raw = []  # per axis: (steps, first-derivative stencils, second-derivative stencils)
-    f_max = np.abs(center)
+    n = len(pts)
+    h = np.empty((N_AXES, 1, n))
     for axis in range(N_AXES):
-        h = _clamped_step(field, pts, cfg, axis)
-        steps = [h / 2.0**k for k in range(LEVELS + 1)]
-        samples = {}
+        h[axis] = _clamped_step(field, pts, cfg, axis)
+    steps = h / 2.0 ** np.arange(LEVELS + 1)[:, np.newaxis]  # steps[axis, k] = h_k = h / 2^k, at every point
+    offsets, levels = zip(*_ROWS)
+    shifts = np.array(offsets, dtype=float)[:, np.newaxis] * steps[:, list(levels)]  # (axis, row, point)
+    table = _sample(field, pts, shifts)
+    center, shifted = table[0], table[1:].reshape(N_AXES, len(_ROWS), n)
 
-        def at(off, k):
-            if off == 0:
-                return center
-            if abs(off) == 2 and k > 0:  # x + 2 h_k is x + h_(k-1): one sample serves both
-                off, k = off // 2, k - 1
-            if (off, k) not in samples:
-                samples[off, k] = _sample(field, pts, axis, off * steps[k])
-            return samples[off, k]
+    def at(off, k):  # the samples at x + off h_k, for all four axes
+        if off == 0:
+            return center
+        if abs(off) == 2 and k > 0:
+            off, k = off // 2, k - 1
+        return shifted[:, _ROWS.index((off, k))]
 
-        first = [sum(w * at(off, k) for off, w in _W1) / (12.0 * hk) for k, hk in enumerate(steps)]
-        second = [sum(w * at(off, k) for off, w in _W2) / (12.0 * hk * hk) for k, hk in enumerate(steps)]
-        raw.append((steps, first, second))
-        f_max = np.maximum(f_max, np.max(np.abs(np.stack(list(samples.values()))), axis=0))
+    hks = steps.swapaxes(0, 1)  # hks[k] is h_k along every axis
+    first = [sum(w * at(off, k) for off, w in _W1) / (12.0 * hk) for k, hk in enumerate(hks)]
+    second = [sum(w * at(off, k) for off, w in _W2) / (12.0 * hk * hk) for k, hk in enumerate(hks)]
     # roundoff of one sample: two ulps of |f|, and of every coordinate the
     # field reads, each weighted by the gradient along it
-    noise = 2.0 * _EPS * (f_max + sum(np.abs(x) * np.abs(first[0]) for x, (_, first, _) in zip(pts.coords, raw)))
-    out = [], [], [], []  # grad, hess, grad_err, hess_err
-    for steps, first, second in raw:
-        for dst, stencils, weight, order in ((0, first, 18.0, 1), (1, second, 64.0, 2)):
-            rnd = [weight * noise / (12.0 * hk**order) for hk in steps]
-            value, err = _richardson(stencils, rnd)
-            out[dst].append(value)
-            out[dst + 2].append(err)
-    return (center, *(np.array(part) for part in out))
+    f_max = np.abs(table).max(axis=0)
+    noise = 2.0 * _EPS * (f_max + sum(np.abs(x) * np.abs(g) for x, g in zip(pts.coords, first[0])))
+    grad, grad_err = _richardson(first, [18.0 * noise / (12.0 * hk) for hk in hks])
+    hess, hess_err = _richardson(second, [64.0 * noise / (12.0 * hk**2) for hk in hks])
+    return center, grad, hess, grad_err, hess_err
 
 
 def _richardson(raw, rnd):

@@ -106,21 +106,21 @@ def _exp(x):
 def _log(x):
     if isinstance(x, np.ndarray):
         f = cmath.log if x.dtype.kind == "c" else math.log
-        return np.array([f(v) for v in x.tolist()])
+        return np.array(list(map(f, x.ravel().tolist()))).reshape(x.shape)
     return cmath.log(x) if isinstance(x, complex) else math.log(x)
 
 
 def _sqrt(x):
     if isinstance(x, np.ndarray):
         if x.dtype.kind == "c":
-            return np.array([cmath.sqrt(v) for v in x.tolist()])
+            return np.array(list(map(cmath.sqrt, x.ravel().tolist()))).reshape(x.shape)
         return np.sqrt(x)
     return cmath.sqrt(x) if isinstance(x, complex) else math.sqrt(x)
 
 
 def _pow(x, p):
     if isinstance(x, np.ndarray):
-        return np.array([v**p for v in x.tolist()])
+        return np.array([v**p for v in x.ravel().tolist()]).reshape(x.shape)
     return x**p
 
 

@@ -199,8 +199,9 @@ def test_dzstar_dz_matches_brute_force(exact_cfg):
     total = 0.0
     for i in range(3):
         def dz_i_field(x1, x2, x3, t, i=i):
-            pts = [SpaceTimePoint(x=(a, b, c), t=s) for a, b, c, s in zip(x1, x2, x3, t)]
-            return d_z(cmap, _diff(fld, pts, exact_cfg), axis=i)[0]
+            flat = (x.ravel() for x in (x1, x2, x3, t))
+            pts = [SpaceTimePoint(x=(a, b, c), t=s) for a, b, c, s in zip(*flat)]
+            return d_z(cmap, _diff(fld, pts, exact_cfg), axis=i)[0].reshape(x1.shape)
 
         inner = ComplexField(fn=dz_i_field)
         value, _ = d_zstar(cmap, _diff(inner, [p], DiffConfig(mode=MODE_STENCIL, length_scale=2.0)), axis=i)

@@ -7,9 +7,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from kgconformal import coulomb as cb
 from kgconformal import dual
 from kgconformal import oscillator as ho
-from kgconformal.core import ComplexField, ConfigError, DomainError, NonFiniteError, SpaceTimePoint, natural_units
-from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL, T_AXIS, _diff
-from kgconformal.harness import Grid, TestFieldSpec, _field_sample_points, _with_energy, generate_test_field
+from kgconformal.core import (
+    ComplexField, ConfigError, DomainError, NonFiniteError, SpaceTimePoint, as_points, natural_units,
+)
+from kgconformal.diffengine import STEP, DiffConfig, MODE_EXACT, MODE_STENCIL, T_AXIS, _clamped_step, _diff
+from kgconformal.harness import (
+    Grid, TestFieldSpec, _family_points, _field_sample_points, _with_energy, generate_test_family, generate_test_field,
+)
+
+import per_shift_stencil
 
 GAUSS = ComplexField(fn=lambda x1, x2, x3, t: dual.exp(-(x1 * x1) / 2.0), label="gauss")
 ORIGIN = SpaceTimePoint(x=(1.0, 0.0, 0.0), t=0.0)
@@ -131,11 +137,11 @@ def test_config_validation():
         _diff(GAUSS, [], DiffConfig())
 
 
-def test_one_field_call_per_grid_and_shifted_grid(exact_cfg, stencil_cfg):
+def test_one_field_call_per_grid_in_both_modes(exact_cfg, stencil_cfg):
     calls = []
 
     def fn(x1, x2, x3, t):
-        calls.append(1)
+        calls.append((x1, x2, x3, t))
         return _wave().fn(x1, x2, x3, t)
 
     points = Grid(r_min=0.1, r_max=2.0, shells=3).points()
@@ -143,8 +149,10 @@ def test_one_field_call_per_grid_and_shifted_grid(exact_cfg, stencil_cfg):
     assert len(calls) == 1
     calls.clear()
     _diff(ComplexField(fn=fn), points, stencil_cfg)
-    # the center, then +-2h, +-h, +-h/2, +-h/4 along each of the four axes
-    assert len(calls) == 1 + 4 * 8
+    # one call on a table of rows: the centre, then +-2h, +-h, +-h/2, +-h/4
+    # along each of the four axes
+    (args,) = calls
+    assert [np.shape(x) for x in args] == [(1 + 4 * 8, len(points))] * 4
 
 
 # -- the stencil estimate bounds the stencil's error -----------------------
@@ -198,3 +206,39 @@ def test_stencil_estimate_bounds_error_everywhere(case):
     truth = _diff(fld, points, DiffConfig(mode=MODE_EXACT))
     assert (np.abs(got.grad - truth.grad) <= got.grad_err).all()
     assert (np.abs(got.hess - truth.hess) <= got.hess_err).all()
+
+
+def _test_family():
+    specs = [TestFieldSpec(seed=seed, r_max=3.0) for seed in range(40, 52)]
+    return generate_test_family(specs), _family_points(specs), DiffConfig(mode=MODE_STENCIL)
+
+
+def _clamped_coulomb():
+    state = cb.make_state(COULOMB, 1, 1, 1)
+    # the points with r < 4 STEP r_scale take a step of r / 4 of their own
+    points = Grid(r_min=0.002 * state.r_scale, r_max=5.0 * state.r_scale, shells=6).points()
+    cfg = DiffConfig(mode=MODE_STENCIL, length_scale=state.r_scale)
+    fld = cb.eigenfunction_x(COULOMB, state)
+    h = _clamped_step(fld, as_points(points), cfg, 0)
+    assert 0 < (h < STEP * state.r_scale).sum() < len(points)
+    return fld, points, cfg
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (ho.eigenfunction_x(OSC, ho.make_state(OSC, 2, 1, 0)), OSC_POINTS, DiffConfig(mode=MODE_STENCIL)),
+        lambda: (ho.eigenfunction_z(OSC, ho.make_state(OSC, 0, 1, 3)), OSC_POINTS, DiffConfig(mode=MODE_STENCIL)),
+        _clamped_coulomb,
+        _test_family,
+    ],
+    ids=["oscillator-x", "oscillator-z", "coulomb-clamped", "test-field-family"],
+)
+def test_stencil_table_equals_per_shift_sampling(case):
+    """One call on the stacked table gives, bit for bit, what one call per
+    shifted grid gave: values, derivatives and both estimates."""
+    fld, points, cfg = case()
+    got = _diff(fld, points, cfg)
+    want = per_shift_stencil.stencil_pass(fld, points, cfg)
+    for name, ref in zip(("value", "grad", "hess", "grad_err", "hess_err"), want):
+        assert np.array_equal(getattr(got, name), ref), name

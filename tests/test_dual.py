@@ -147,6 +147,22 @@ def test_exp_log_pow_are_cpython_exact():
         assert dual.powr(COMPLEX, p).tolist() == [v**p for v in COMPLEX.tolist()]
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_per_element_helpers_keep_2d_shape(kind):
+    """log, sqrt and pow on a (3, 4) array: each element as math, cmath or
+    ** gives it, bit for bit, in the array's shape."""
+    x = POSITIVE[:12].reshape(3, 4) if kind == "real" else COMPLEX[:12].reshape(3, 4)
+    lib = math if kind == "real" else cmath
+    helpers = (
+        (dual._log, lib.log), (dual._sqrt, lib.sqrt),
+        (lambda a: dual._pow(a, 0.7), lambda v: v**0.7), (lambda a: dual._pow(a, -2.3), lambda v: v**-2.3),
+    )
+    for helper, scalar in helpers:
+        got = helper(x)
+        assert got.shape == (3, 4)
+        assert got.tolist() == [[scalar(v) for v in row] for row in x.tolist()]
+
+
 def test_modulus_is_cpython_abs():
     """Across magnitudes 1e-300 to 1e300, where np.abs rounds otherwise."""
     rng = np.random.default_rng(31)

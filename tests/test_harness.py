@@ -69,7 +69,8 @@ def test_length_scale_scales_x_steps_only():
                 return 0.0 * args[0]
 
             route(ComplexField(fn=fn), length_scale)
-            reach = [max(abs(float(args[axis][0]) - center[axis]) for args in calls) for axis in range(4)]
+            (args,) = calls  # one call, on (33, 1) arrays of shifted coordinates
+            reach = [np.abs(args[axis][:, 0] - center[axis]).max() for axis in range(4)]
             scale = (length_scale,) * 3 + (1.0,)
             assert reach == [pytest.approx(2.0 * STEP * s, rel=1e-9) for s in scale]
 

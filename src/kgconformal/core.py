@@ -110,7 +110,10 @@ class PointSet(tuple):
         if not self:
             raise ConfigError("a point set needs at least one point")
         self.coords = tuple(np.array(c, dtype=float) for c in zip(*((p.x[0], p.x[1], p.x[2], p.t) for p in self)))
-        self.radii = np.array([p.r for p in self])
+        x1, x2, x3, _ = self.coords
+        # radial_norm's sum, then CPython's ** 0.5 (libm pow): numpy's
+        # ** 0.5 is a square root, which can round otherwise
+        self.radii = np.array([v**0.5 for v in (x1 * x1 + x2 * x2 + x3 * x3).tolist()])
         return self
 
 

@@ -36,6 +36,7 @@ from .confmap import (
 from .core import ComplexField, ConfigError, PointSet, SpaceTimePoint, residual_scale
 from .diffengine import DiffConfig, MODE_EXACT
 from .report import CaseResult, ResidualReport
+from .seeds import standard_doubles
 from .specfun import HYDRINO, SOMMERFELD
 
 #: fixed, deterministic angular sample set (unit vectors, no axis bias)
@@ -112,46 +113,56 @@ FAMILY_SIZE = 40
 
 def _uniform(seeds, lo, hi) -> np.ndarray:
     """Generator.uniform(lo[j], hi[j]) for j = 0..k-1 from each seed's
-    stream, one row per seed.
+    stream, one row per seed: numpy draws a uniform as lo + (hi - lo) u from
+    one standard double u, so each seed's ``random(k)`` gives the same draws
+    bit for bit, and standard_doubles draws those for all seeds at once."""
+    return lo + (hi - lo) * standard_doubles(seeds, lo.shape[-1])
 
-    numpy draws a uniform as lo + (hi - lo) u from one standard double u,
-    so one ``random(k)`` call per seed gives the same draws bit for bit.
-    """
-    u = np.array([np.random.default_rng(seed).random(lo.shape[-1]) for seed in seeds])
-    return lo + (hi - lo) * u
+
+def _family_bounds(r_max: np.ndarray):
+    """(lo, hi) of the draws of fields of radii ``r_max``, one row each:
+    centre, linear and quadratic coefficients, constant term and energy."""
+    q = np.repeat(r_max[:, None] / 4.0, 3, axis=1)
+    e_lo, e_hi = ENERGY_RANGE
+    lo = np.broadcast_to((-1.0,) * 3 + (-0.5,) * 3 + (0.5, e_lo), (len(q), 8))
+    hi = np.broadcast_to((1.0,) * 3 + (0.5,) * 3 + (1.5, e_hi), (len(q), 8))
+    return np.hstack((-q, lo)), np.hstack((q, hi))
 
 
 def _field_bounds(spec: TestFieldSpec):
-    """(lo, hi) of the draws of one field: centre, linear and quadratic
-    coefficients, constant term and phase energy."""
-    q = spec.r_max / 4.0
-    e_lo, e_hi = ENERGY_RANGE
-    return (-q,) * 3 + (-1.0,) * 3 + (-0.5,) * 3 + (0.5, e_lo), (q,) * 3 + (1.0,) * 3 + (0.5,) * 3 + (1.5, e_hi)
+    """(lo, hi) of the draws of one field."""
+    return tuple(bounds[0] for bounds in _family_bounds(np.array([spec.r_max])))
 
 
-def generate_test_family(specs) -> ComplexField:
-    """The test fields of ``specs`` as one field on their sample points.
-
-    Every parameter holds one value per point of ``_family_points(specs)``,
-    so one differentiation pass over those points gives each field on its
-    own points, rounded as the field alone would round.  A family of one
-    keeps its parameters as floats, so it can be evaluated anywhere; its
-    energy hint is a float, a larger family's is one energy per point.
-    """
-    specs = tuple(specs)
-    lo, hi = (np.array(rows) for rows in zip(*map(_field_bounds, specs)))
-    draws = _uniform([spec.seed for spec in specs], lo, hi)
+def _draw(specs):
+    """(parameters, points) of the fields of ``specs``, one row per spec:
+    the draws of _family_bounds with 1 / (2 sigma^2) before the energy, and
+    FIELD_POINTS times (x1, x2, x3, t), x uniform within a third of r_max on
+    each axis and t uniform in (-0.5, 0.5)."""
+    r_max = np.array([spec.r_max for spec in specs], dtype=float)
+    draws = _uniform([spec.seed for spec in specs], *_family_bounds(r_max))
     center = draws[:, :3]
-    # sqrt(c . c) is how np.linalg.norm rounds a 3-vector; a row sum rounds otherwise
-    margin = np.array([spec.r_max for spec in specs]) - np.sqrt([c.dot(c) for c in center])
+    # sqrt(c . c) is how np.linalg.norm rounds a 3-vector; a (1, 3) @ (3, 1)
+    # product runs the same dot, a row sum rounds otherwise
+    margin = r_max - np.sqrt((center[:, None, :] @ center[:, :, None])[:, 0, 0])
     sigma = margin / 6.0  # exp(-18) < 1e-7 at the boundary
-    inv2s2 = 1.0 / (2.0 * sigma * sigma)
-    params = np.column_stack((draws[:, :10], inv2s2, draws[:, 10]))
+    rows = np.column_stack((draws[:, :10], 1.0 / (2.0 * sigma * sigma), draws[:, 10]))
+    h = r_max[:, None] / 3.0
+    hi = np.tile(np.hstack((h, h, h, np.full_like(h, 0.5))), FIELD_POINTS)
+    return rows, _uniform([spec.seed + 987654321 for spec in specs], -hi, hi)
+
+
+def _family(specs, rows) -> ComplexField:
+    """The fields of ``specs``, of parameter rows ``rows`` from _draw, as
+    one field on their points.  Every parameter holds one value per point,
+    so one pass over the points gives each field on its own points, rounded
+    as the field alone would round.  A family of one keeps floats, so it can
+    be evaluated anywhere, and its energy hint is a float."""
     if len(specs) == 1:
-        values = params[0].tolist()
+        values = rows[0].tolist()
         label = f"testfield-{specs[0].seed}"
     else:
-        values = np.repeat(params, FIELD_POINTS, axis=0).T
+        values = np.repeat(rows, FIELD_POINTS, axis=0).T
         label = f"testfields-{specs[0].seed}..{specs[-1].seed}"
     cx, cy, cz, l1, l2, l3, q1, q2, q3, c0, inv2s2, e_val = values
 
@@ -164,17 +175,25 @@ def generate_test_family(specs) -> ComplexField:
     return ComplexField(fn=fn, label=label, energy_hint=e_val)
 
 
+def _points(rows) -> PointSet:
+    """The sample points of point rows from _draw, in row order."""
+    return PointSet(SpaceTimePoint(x=(x1, x2, x3), t=t) for x1, x2, x3, t in rows.reshape(-1, 4).tolist())
+
+
+def generate_test_family(specs) -> ComplexField:
+    """The test fields of ``specs`` as one field on ``_family_points(specs)``."""
+    specs = tuple(specs)
+    return _family(specs, _draw(specs)[0])
+
+
 def generate_test_field(spec: TestFieldSpec) -> ComplexField:
     """The seeded test field of ``spec``: its family of one."""
     return generate_test_family((spec,))
 
 
 def _family_points(specs) -> PointSet:
-    """FIELD_POINTS sample points per spec, in spec order: x uniform within
-    a third of r_max on each axis, t uniform in (-0.5, 0.5)."""
-    hi = np.array([((spec.r_max / 3.0,) * 3 + (0.5,)) * FIELD_POINTS for spec in specs])
-    draws = _uniform([spec.seed + 987654321 for spec in specs], -hi, hi)
-    return PointSet(SpaceTimePoint(x=(x1, x2, x3), t=t) for x1, x2, x3, t in draws.reshape(-1, 4).tolist())
+    """FIELD_POINTS sample points per spec, in spec order."""
+    return _points(_draw(specs)[1])
 
 
 def _field_sample_points(spec: TestFieldSpec) -> PointSet:
@@ -352,19 +371,23 @@ def _suite_ladder(params, tol):
     model = _osc_model(params)
     tol_number = max(1e-8, tol)
     points = _osc_grid(params).points()
+    ground, state1 = ho.make_state(model, 0, 0, 0), ho.make_state(model, 1, 0, 0)
+    closing = (
+        Read("lowering-proportionality", partial(_lowering_proportionality, model, ground, state1), tol_number),
+        # probe: the number operator must NOT return n+1
+        Read("probe:number-operator-off-by-one", partial(_number_residual, model, 1, 2), tol_number),
+    )
     for n in range(params.get("nmax", 4) + 1):
         for state in ho.states_with_n(model, n):
             reads = (Read(f"number-operator-n{n}", partial(_number_residual, model, n, n), tol_number),)
             if n == 0:
                 reads = (Read("annihilate-ground", partial(_annihilation_residual, model), tol),) + reads
-            yield Sample(ho.eigenfunction_x(model, state), points, reads)
-    ground, state1 = ho.make_state(model, 0, 0, 0), ho.make_state(model, 1, 0, 0)
-    reads = (
-        Read("lowering-proportionality", partial(_lowering_proportionality, model, ground, state1), tol_number),
-        # probe: the number operator must NOT return n+1
-        Read("probe:number-operator-off-by-one", partial(_number_residual, model, 1, 2), tol_number),
-    )
-    yield Sample(ho.eigenfunction_x(model, state1), points, reads)
+            if state != state1:
+                yield Sample(ho.eigenfunction_x(model, state), points, reads)
+            else:  # (1,0,0), the last n = 1 state, is read with the closing reads
+                closing = reads + closing
+    # declared last, so that every case keeps the place of its first appearance
+    yield Sample(ho.eigenfunction_x(model, state1), points, closing)
 
 
 def _suite_coulomb_x(params, tol):
@@ -397,8 +420,9 @@ def _suite_coulomb_z(params, tol):
     identity = Read("d2z-operator-identity", partial(d2z_identity_residual, cb.coulomb_map(model, ground)), tol)
     seed0 = params.get("seed", 0) * 1000
     specs = [TestFieldSpec(seed=seed0 + seed, r_max=3.0 * ground.r_scale) for seed in range(5)]
-    fld = _with_energy(generate_test_family(specs), ground.energy)
-    yield Sample(fld, _family_points(specs), (identity,), ground.r_scale)
+    field_rows, point_rows = _draw(specs)
+    fld = _with_energy(_family(specs, field_rows), ground.energy)
+    yield Sample(fld, _points(point_rows), (identity,), ground.r_scale)
 
 
 def _suite_map_independence(params, tol):
@@ -452,11 +476,14 @@ def _suite_operator_identities(params, tol):
     cstate = cb.make_state(cmodel, 0, 0, 0)
     d2z = Read("d2z-coulomb", partial(d2z_identity_residual, cb.coulomb_map(cmodel, cstate)), tol)
 
+    # each family's fields and points are drawn once, over all its seeds,
+    # and sliced into passes of FAMILY_SIZE fields
+    osc_specs = [TestFieldSpec(seed=seed0 + idx, r_max=3.0) for idx in range(n_fields)]
+    c_specs = [TestFieldSpec(seed=seed0 + 5000 + idx, r_max=3.0 * cstate.r_scale) for idx in range(n_fields)]
+    (osc_rows, osc_point_rows), (c_rows, c_point_rows) = _draw(osc_specs), _draw(c_specs)
     for start in range(0, n_fields, FAMILY_SIZE):
-        chunk = range(start, min(start + FAMILY_SIZE, n_fields))
-        specs = [TestFieldSpec(seed=seed0 + idx, r_max=3.0) for idx in chunk]
-        points = _family_points(specs)
-        family = generate_test_family(specs)
+        chunk = slice(start, start + FAMILY_SIZE)
+        family = _family(osc_specs[chunk], osc_rows[chunk])
         # each point reads the map of its own field's energy
         cmap = ho.oscillator_map(osc, family.energy_hint)
         reads = (Read("qprop-oscillator", partial(qprop_identity_residual, cmap), tol),)
@@ -465,11 +492,10 @@ def _suite_operator_identities(params, tol):
             # on the first field's points
             reversed_order = partial(qprop_identity_residual, cmap, operator=dz_dzstar)
             reads += (Read("probe:reversed-composition", partial(_first_field, reversed_order), tol),)
-        yield Sample(family, points, reads)
+        yield Sample(family, _points(osc_point_rows[chunk]), reads)
 
-        specs = [TestFieldSpec(seed=seed0 + 5000 + idx, r_max=3.0 * cstate.r_scale) for idx in chunk]
-        family = _with_energy(generate_test_family(specs), cstate.energy)
-        yield Sample(family, _family_points(specs), (d2z,), cstate.r_scale)
+        family = _with_energy(_family(c_specs[chunk], c_rows[chunk]), cstate.energy)
+        yield Sample(family, _points(c_point_rows[chunk]), (d2z,), cstate.r_scale)
 
 
 def _plane_wave(kvec, e_val) -> ComplexField:

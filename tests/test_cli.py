@@ -105,6 +105,14 @@ def test_spectrum_empty_range_is_config_error(capsys, fmt):
     assert len(err.splitlines()) == 1 and "empty range" in err
 
 
+def test_verify_huge_seed_certifies(capsys):
+    """Field seeds of 150 bits hash five 32-bit words each."""
+    code, out, _ = run(capsys, "verify", "--suite", "operator-identities",
+                       "--seed", str(10**41), "--n-fields", "2")
+    assert code == EXIT_PASS
+    assert json.loads(out)["summary"]["pass"] is True
+
+
 def test_verify_config_file(tmp_path, capsys):
     cfg = tmp_path / "params.json"
     cfg.write_text(json.dumps({"nmax": 0}))

@@ -9,7 +9,7 @@ from kgconformal import coulomb as cb
 from kgconformal import harness
 from kgconformal import oscillator as ho
 from kgconformal.confmap import Sample, evaluate
-from kgconformal.core import ComplexField, ConfigError, SpaceTimePoint
+from kgconformal.core import ComplexField, ConfigError, SpaceTimePoint, as_points
 from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL, STEP, _diff
 from kgconformal.harness import (
     ENERGY_RANGE,
@@ -132,6 +132,33 @@ def test_ladder_suite_small():
     assert not byname["probe:number-operator-off-by-one"].passed
 
 
+def test_ladder_differentiates_each_state_once():
+    """(1,0,0) is one Sample that carries its level's read and the closing
+    reads, declared last; at nmax 0 the closing Sample stands alone."""
+    for nmax in (0, 1, 4):
+        samples = [s for s in harness._suite_ladder({"nmax": nmax}, 1e-10) if isinstance(s, Sample)]
+        assert len(samples) == sum((n + 1) * (n + 2) // 2 for n in range(nmax + 1)) + (nmax == 0)
+        assert samples[-1].field.label == "osc-x(1, 0, 0)"
+        cases = [read.case for read in samples[-1].reads]
+        assert cases == ["number-operator-n1"] * (nmax >= 1) + [
+            "lowering-proportionality", "probe:number-operator-off-by-one"]
+
+
+def _declared_point_sets():
+    for name, declare in harness._DECLARATIONS.items():
+        for item in declare({}, 1e-10):
+            if isinstance(item, Sample):
+                yield name, as_points(item.points)
+
+
+def test_point_set_radii_are_each_points_r():
+    """PointSet's array radii round as SpaceTimePoint.r does, on every
+    suite's default grids and on a family of 1,500 test fields."""
+    family = _family_points([TestFieldSpec(seed=s, r_max=3.0 * GROUND.r_scale) for s in range(1500)])
+    for name, points in list(_declared_point_sets()) + [("family", family)]:
+        assert points.radii.tolist() == [p.r for p in points], name
+
+
 #: the ladder suite's default grid, and the grids the benchmark moves the second time sample of
 LADDER_GRIDS = [Grid(r_min=0.1, r_max=4.0, shells=10)] + [
     Grid(r_min=0.1, r_max=4.0, shells=10, times=(0.0, random.Random(v).uniform(0.05, 0.6))) for v in range(16)
@@ -184,6 +211,15 @@ def test_family_derivatives_equal_each_fields(family, mode):
         assert np.array_equal(getattr(fam, part), want), part
     assert np.array_equal(np.broadcast_to(fam.field.energy_hint, len(fam.points)),
                           [d.field.energy_hint for d in singles for _ in d.points])
+
+
+def test_drawn_widths_round_as_each_centres_norm():
+    """1 / (2 sigma^2) of 1,500 fields drawn at once is what np.linalg.norm
+    of each field's own centre gives."""
+    for r_max in (3.0, 3.0 * GROUND.r_scale):
+        params, _ = harness._draw([TestFieldSpec(seed=s, r_max=r_max) for s in range(1500)])
+        sigma = np.array([(r_max - np.linalg.norm(row[:3])) / 6.0 for row in params])
+        assert np.array_equal(params[:, 10], 1.0 / (2.0 * sigma * sigma))
 
 
 def _uniform_calls(seed, calls):

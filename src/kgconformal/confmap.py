@@ -112,15 +112,18 @@ class ConformalMap:
 
     def time_coupling_divergence(self, r):
         """sum_i dA_i/dx_i = (hbar/E)[a + lam(lam+1)(r/b)^lam] / r^2."""
-        if self.is_identity:
-            return 0.0 * r
-        return (self.units.hbar / self.E) * (self.a + self.lam * (self.lam + 1.0) * self._power(r)) / (r * r)
+        return self._second_order_couplings(r)[0]
 
     def time_coupling_sq_sum(self, r):
         """sum_i A_i^2 = (hbar/E)^2 [a + lam (r/b)^lam]^2 / r^2."""
+        return self._second_order_couplings(r)[1]
+
+    def _second_order_couplings(self, r):
+        """(sum_i dA_i/dx_i, sum_i A_i^2), both from one (r/b)^lam."""
         if self.is_identity:
-            return 0.0 * r
-        return dual.powr((self.units.hbar / self.E) * (self.a + self.lam * self._power(r)), 2) / (r * r)
+            return 0.0 * r, 0.0 * r
+        w, k, r2 = self._power(r), self.units.hbar / self.E, r * r
+        return k * (self.a + self.lam * (self.lam + 1.0) * w) / r2, dual.powr(k * (self.a + self.lam * w), 2) / r2
 
 
 def forward(cmap: ConformalMap, p: SpaceTimePoint) -> ComplexPoint:
@@ -196,8 +199,7 @@ def dzstar_dz(cmap: ConformalMap, d: Derivatives, reverse: bool = False):
     _require_off_origin(cmap, pts)
     lap, err = _laplacian(d)
     dt, dtt = d.grad[T_AXIS], d.hess[T_AXIS]
-    div_a = cmap.time_coupling_divergence(pts.radii)
-    sq = cmap.time_coupling_sq_sum(pts.radii)
+    div_a, sq = cmap._second_order_couplings(pts.radii)
     value = lap + dual.mul(1j * div_a, dt) + sq * dtt
     err = err + np.abs(div_a) * d.grad_err[T_AXIS] + np.abs(sq) * d.hess_err[T_AXIS]
     if reverse:

@@ -7,7 +7,8 @@ modes:
 
 * ``exact-forward`` -- one field evaluation on diagonal jets (``dual``)
   over the whole grid; no truncation error, rounding only, and every
-  error estimate is exactly 0.  This is the reference mode for
+  error estimate is exactly 0.  The fields of one grid all read its one
+  set of seed jets, kept on the PointSet.  This is the reference mode for
   acceptance runs.
 * ``stencil`` -- 4th-order central differences with Richardson
   extrapolation, from the field on shifted copies of the grid, all 33 of
@@ -101,7 +102,9 @@ def _diff(field: ComplexField, points, cfg: DiffConfig) -> Derivatives:
 
 
 def _jet_pass(field: ComplexField, pts: PointSet):
-    out = field(*dual.variables(*pts.coords))
+    if not hasattr(pts, "jets"):  # once per grid: its fields share the jets' memo (see dual)
+        pts.jets = dual.variables(*pts.coords)
+    out = field(*pts.jets)
     if isinstance(out, dual.HyperDual):
         c = out.c.astype(complex, copy=False)
     else:  # the field ignores its arguments

@@ -34,6 +34,13 @@ array constant rounds at each point as that point's scalar would.
 
 The functions ``exp``, ``log``, ``sqrt`` and ``powr`` also take plain
 scalars and arrays, and lift any argument that has ``_lift``.
+
+Memo.  The jets of one ``variables`` call share a memo, read by
+``cached(args, key, make)``, so the fields of a grid compute a factor they
+share once.  It lives with its jets (diffengine keeps them on their grid),
+not at module level.  A value is found again only under the same key for
+the very same seed jets, and never for other arguments (floats, arrays,
+stencil tables).  Seed jets and kept values are read-only.
 """
 
 from __future__ import annotations
@@ -131,7 +138,7 @@ class HyperDual:
     partials g, rows k+1..2k the pure second partials h.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "axis", "memo")  # axis and memo: on the jets of variables only
     # numpy must hand mixed operations to the jet, not build object arrays
     __array_ufunc__ = None
 
@@ -233,15 +240,33 @@ class HyperDual:
 
 
 def variables(*coords):
-    """One jet per coordinate array, each seeded along its own axis."""
+    """One read-only jet per coordinate array, each seeded along its own
+    axis; the jets share a new memo (see ``cached``)."""
     k = len(coords)
-    out = []
+    memo, out = {}, []
     for i, x in enumerate(coords):
         c = np.zeros((1 + 2 * k, len(x)))
         c[0] = x
         c[1 + i] = 1.0
+        c.flags.writeable = False
         out.append(HyperDual(c))
+        out[-1].axis, out[-1].memo = i, memo
     return out
+
+
+def cached(args, key, make):
+    """``make()``, kept under ``key`` in the memo of the seed jets ``args``;
+    ``key`` must hold every value ``make`` reads besides ``args``."""
+    memo = getattr(args[0], "memo", None)
+    if memo is None or any(getattr(a, "memo", None) is not memo for a in args):
+        return make()
+    # a memo has one seed jet per axis, so the axes name the jets themselves
+    key = (key, tuple(a.axis for a in args))
+    if key not in memo:
+        memo[key] = make()
+        if isinstance(memo[key], HyperDual):
+            memo[key].c.flags.writeable = False
+    return memo[key]
 
 
 # -- generic math: scalars, arrays, and anything with _lift ----------------

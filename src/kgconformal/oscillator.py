@@ -101,11 +101,14 @@ def eigenfunction_x(model: OscillatorModel, state: OscillatorState) -> ComplexFi
     E = state.energy
     ls = state.ls
 
+    def factor(l, xj):
+        xi = scale * xj
+        return hermite(l, xi) * dual.exp(-0.5 * (xi * xi))
+
     def fn(x1, x2, x3, t):
-        out = dual.exp(-1j * E * t / hbar)
-        for l, xj in zip(ls, (x1, x2, x3)):
-            xi = scale * xj
-            out = out * (hermite(l, xi) * dual.exp(-0.5 * (xi * xi)))
+        out = dual.cached((t,), ("phase", E, hbar), lambda: dual.exp(-1j * E * t / hbar))
+        for axis, (l, xj) in enumerate(zip(ls, (x1, x2, x3))):
+            out = out * dual.cached((xj,), ("x-factor", scale, l, axis), lambda: factor(l, xj))
         return out
 
     return ComplexField(fn=fn, label=f"osc-x{state.ls}", energy_hint=E)
@@ -124,12 +127,14 @@ def eigenfunction_z(model: OscillatorModel, state: OscillatorState) -> ComplexFi
     E = state.energy
     ls = state.ls
 
+    def phase(x1, x2, x3, t):
+        s = t + 1j * cmap.tau(dual.norm3(x1, x2, x3))
+        return dual.exp(-1j * E * s / hbar)
+
     def fn(x1, x2, x3, t):
-        r = dual.norm3(x1, x2, x3)
-        s = t + 1j * cmap.tau(r)
-        out = dual.exp(-1j * E * s / hbar)
-        for l, xj in zip(ls, (x1, x2, x3)):
-            out = out * hermite(l, scale * xj)
+        out = dual.cached((x1, x2, x3, t), ("z-phase", E, hbar, cmap), lambda: phase(x1, x2, x3, t))
+        for axis, (l, xj) in enumerate(zip(ls, (x1, x2, x3))):
+            out = out * dual.cached((xj,), ("z-factor", scale, l, axis), lambda: hermite(l, scale * xj))
         return out
 
     return ComplexField(fn=fn, label=f"osc-z{state.ls}", energy_hint=E)

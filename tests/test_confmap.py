@@ -185,6 +185,21 @@ def test_composition_order(exact_cfg):
     assert fwd[0] - rev[0] == pytest.approx(want, rel=1e-12)
 
 
+def test_dzstar_dz_takes_one_power_for_both_coefficients(monkeypatch, exact_cfg):
+    """dzstar_dz takes (r/b)^lambda, a per-element CPython pow, once per call
+    for both div A and sum A_i^2, which equal the coefficient methods'."""
+    pts = Grid(r_min=0.1, r_max=4.0, shells=3).points()
+    d = _diff(_phase_field(OSC_MAP), pts, exact_cfg)
+    calls = []
+    power = ConformalMap._power
+    monkeypatch.setattr(ConformalMap, "_power", lambda self, r: calls.append(r) or power(self, r))
+    value, _ = dzstar_dz(OSC_MAP, d)
+    assert len(calls) == 1
+    div_a, sq = OSC_MAP.time_coupling_divergence(pts.radii), OSC_MAP.time_coupling_sq_sum(pts.radii)
+    want = d.hess[0] + d.hess[1] + d.hess[2] + dual.mul(1j * div_a, d.grad[3]) + sq * d.hess[3]
+    assert np.array_equal(value, want)
+
+
 def test_dzstar_dz_matches_brute_force(exact_cfg):
     """The analytic expansion against explicit nested first-order ops.
 

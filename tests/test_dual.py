@@ -193,3 +193,77 @@ def test_array_constant_is_each_points_scalar(kind):
         for i, c in enumerate(consts.tolist()):
             single = op(dual.HyperDual(base.c[:, i : i + 1]), c).c[:, 0]
             assert np.array_equal(batched[:, i], single)
+
+
+# -- the memo of one variables call ------------------------------------------
+
+
+class Counted:
+    """A ``make`` for ``dual.cached`` that counts its calls."""
+
+    def __init__(self, value):
+        self.value, self.calls = value, 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.value
+
+
+def test_memo_hit_returns_the_identical_object():
+    x, t = dual.variables(REALS[:5], REALS[5:10])
+    make = Counted(dual.exp(-1j * t))
+    first = dual.cached((t,), ("phase", 2.0), make)
+    assert dual.cached((t,), ("phase", 2.0), make) is first
+    assert make.calls == 1
+
+
+def test_memo_recomputes_for_another_key_or_another_argument():
+    x, y = dual.variables(REALS[:5], REALS[5:10])
+    (other_x,) = dual.variables(REALS[:5])  # the same coordinates, another call
+    make = Counted(x * x)
+    dual.cached((x,), ("square", 0), make)
+    dual.cached((x,), ("square", 1), make)
+    assert make.calls == 2
+    dual.cached((y,), ("square", 1), make)
+    assert make.calls == 3
+    dual.cached((other_x,), ("square", 1), make)
+    assert make.calls == 4
+    dual.cached((x, y), ("square", 1), make)
+    assert make.calls == 5
+    # a jet from another call among the arguments keeps nothing
+    dual.cached((x, other_x), ("pair", 0), make)
+    dual.cached((x, other_x), ("pair", 0), make)
+    assert make.calls == 7
+
+
+def test_memo_keeps_nothing_for_plain_arguments():
+    (x,) = dual.variables(REALS[:5])
+    table = np.repeat(REALS[np.newaxis, :5], 33, axis=0)  # a stencil mode argument, (33, n)
+    for arg in (0.7, REALS[:5], table, x * 1.0):
+        make = Counted(1.0)
+        for _ in range(3):
+            dual.cached((arg,), ("key",), make)
+        assert make.calls == 3
+
+
+def test_seed_jets_and_kept_values_are_read_only():
+    x, t = dual.variables(REALS[:5], REALS[5:10])
+    kept = dual.cached((t,), ("phase",), lambda: dual.exp(-1j * t))
+    for jet in (x, t, kept):
+        with pytest.raises(ValueError):
+            jet.c[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            jet.c += 1.0
+    # arithmetic on them still makes new, writable jets
+    out = kept * x
+    out.c[0, 0] = 1.0
+
+
+def test_two_variables_calls_share_no_memo():
+    first, second = dual.variables(REALS[:5]), dual.variables(REALS[:5])
+    assert first[0].memo is not second[0].memo
+    make = Counted(2.0)
+    dual.cached((first[0],), ("key",), make)
+    dual.cached((second[0],), ("key",), make)
+    assert make.calls == 2
+    assert len(first[0].memo) == len(second[0].memo) == 1

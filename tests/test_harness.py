@@ -27,6 +27,7 @@ from kgconformal.harness import (
     generate_test_field,
     run_suite,
 )
+from kgconformal.specfun import hermite
 
 
 def test_grid_shape():
@@ -278,3 +279,20 @@ def test_stencil_estimates_bound_the_distance_to_exact(suite):
         assert truth.error_estimate == 0.0
         assert got.error_estimate > 0.0, name
         assert got.error_estimate >= abs(got.max_residual - truth.max_residual), name
+
+
+def test_no_factor_is_reused_across_runs(monkeypatch):
+    """The oscillator factors are kept with a run's grid only: a second run
+    of oscillator-x computes every Hermite factor again, once per degree
+    and axis (7 x 3 at nmax 6)."""
+    calls = []
+
+    def counted(l, xi):
+        calls.append(l)
+        return hermite(l, xi)
+
+    monkeypatch.setattr(ho, "hermite", counted)
+    for _ in range(2):
+        calls.clear()
+        assert run_suite("oscillator-x", {"nmax": 6}, DiffConfig(mode=MODE_EXACT)).passed
+        assert len(calls) == 21

@@ -9,6 +9,7 @@ from kgconformal.confmap import Read, Sample, evaluate
 from kgconformal.core import ConfigError, QuantumNumberError, SpaceTimePoint, natural_units
 from kgconformal.diffengine import _diff
 from kgconformal.harness import Grid
+from kgconformal import dual
 from kgconformal import oscillator as ho
 
 MODEL = ho.OscillatorModel(omega=1.0, units=natural_units())
@@ -160,3 +161,25 @@ def test_ladder_raises_degree(exact_cfg):
     r2 = raised[1] / complex(excited.at(p2))
     assert r1 == pytest.approx(r2, rel=1e-11)
     assert abs(r1) > 1e-3
+
+
+def test_fields_sharing_a_grid_equal_fields_on_fresh_jets(exact_cfg):
+    """Every x- and z-field at nmax 6, of two models, differentiated on one
+    shared grid (whose seed jets keep the factors the fields share) equals,
+    with ==, the field evaluated on jets of its own: every memo key carries
+    every value its factor reads.  The second model's levels 0 and 1 have
+    the energies of the first's levels 3 and 6, so only the map tells
+    their z-phases apart."""
+    shared = Grid(r_min=0.1, r_max=4.0, shells=4, times=(0.0, 0.37)).points()
+    other = ho.OscillatorModel(omega=3.0, units=natural_units())
+    assert ho.energy(other, 0) == ho.energy(MODEL, 3) and ho.energy(other, 1) == ho.energy(MODEL, 6)
+    for n in range(7):
+        for model in (MODEL, other):
+            for state in ho.states_with_n(model, n):
+                for fld in (ho.eigenfunction_x(model, state), ho.eigenfunction_z(model, state)):
+                    d = _diff(fld, shared, exact_cfg)
+                    fresh = fld(*dual.variables(*shared.coords))
+                    assert np.array_equal(d.value, fresh.v), fld.label
+                    assert np.array_equal(d.grad, fresh.g), fld.label
+                    assert np.array_equal(d.hess, fresh.h), fld.label
+    assert shared.jets[0].memo  # the fields did share factors

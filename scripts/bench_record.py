@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Record the benchmark of a change against its parent as a BENCH_*.json file.
 
-Run from the root of the change's checkout, with a second checkout of
-the parent commit (made with ``git clone`` or ``git archive``):
+Run from the root of a fresh export of the change, with a second export
+of the parent commit (each made with ``git clone`` or ``git archive``):
 
     python3 scripts/bench_record.py --parent ../parent --out BENCH_6.json
 
@@ -17,6 +17,14 @@ plus the pairs in which the change's ``certify_s`` was lower.  If the
 file exists, workloads not run this time keep their entries, so
 workloads can be recorded with different pair counts.
 
+Each run starts with ``PYTHONDONTWRITEBYTECODE=1`` and no
+``PYTHONPYCACHEPREFIX``, so it writes no bytecode, and it is refused if
+its checkout holds a ``.pyc`` file.  So pass fresh exports of both sides
+(``git archive`` or ``git clone``, the change too, not a working tree
+that tests have run in): neither side then reads bytecode of its own
+modules, while the interpreter's and site-packages' bytecode is read as
+usual on both, and setup time and memory are compared on equal terms.
+
 After each workload it prints one verdict line per metric: the change's
 median against the parent's, the relative move against the metric's
 bound in the change's ``BENCHMARK.json``, and the pairs in which the
@@ -26,6 +34,7 @@ below 2 is rejected before any run.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -39,7 +48,12 @@ SECONDS = 25
 def run(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS)]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
+    left = next(checkout.rglob("*.pyc"), None)
+    if left is not None:
+        sys.exit(f"{left}: bytecode in the checkout; run from a fresh git archive or clone of it")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    out = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     return {"seed": seed, "failed": result["failed"], "attempted": result["attempted"],
             **{m: result["metrics"][m]["value"] for m in METRICS}}

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,9 +37,9 @@ from .core import (
     ComplexField,
     ComplexPoint,
     DomainError,
+    PointSet,
     SpaceTimePoint,
     UnitSystem,
-    as_points,
     natural_units,
     ConfigError,
 )
@@ -110,16 +110,9 @@ class ConformalMap:
         g = (self.a + self.lam * self._power(r)) / (r * r) * (self.units.hbar / self.E)
         return tuple(xi * g for xi in x)
 
-    def time_coupling_divergence(self, r):
-        """sum_i dA_i/dx_i = (hbar/E)[a + lam(lam+1)(r/b)^lam] / r^2."""
-        return self._second_order_couplings(r)[0]
-
-    def time_coupling_sq_sum(self, r):
-        """sum_i A_i^2 = (hbar/E)^2 [a + lam (r/b)^lam]^2 / r^2."""
-        return self._second_order_couplings(r)[1]
-
-    def _second_order_couplings(self, r):
-        """(sum_i dA_i/dx_i, sum_i A_i^2), both from one (r/b)^lam."""
+    def second_order_couplings(self, r):
+        """(sum_i dA_i/dx_i, sum_i A_i^2) = ((hbar/E)[a + lam(lam+1)(r/b)^lam] / r^2,
+        (hbar/E)^2 [a + lam (r/b)^lam]^2 / r^2), both from one (r/b)^lam."""
         if self.is_identity:
             return 0.0 * r, 0.0 * r
         w, k, r2 = self._power(r), self.units.hbar / self.E, r * r
@@ -199,7 +192,7 @@ def dzstar_dz(cmap: ConformalMap, d: Derivatives, reverse: bool = False):
     _require_off_origin(cmap, pts)
     lap, err = _laplacian(d)
     dt, dtt = d.grad[T_AXIS], d.hess[T_AXIS]
-    div_a, sq = cmap._second_order_couplings(pts.radii)
+    div_a, sq = cmap.second_order_couplings(pts.radii)
     value = lap + dual.mul(1j * div_a, dt) + sq * dtt
     err = err + np.abs(div_a) * d.grad_err[T_AXIS] + np.abs(sq) * d.hess_err[T_AXIS]
     if reverse:
@@ -241,7 +234,7 @@ class Sample(NamedTuple):
     """
 
     field: ComplexField
-    points: Sequence
+    points: PointSet
     reads: tuple = ()
     length_scale: float = 1.0
 
@@ -332,7 +325,7 @@ def _dz_ds(d: Derivatives):
     return dual.modulus(d.grad[T_AXIS]), d.grad_err[T_AXIS], 1.0
 
 
-def independence_check(cmap: ConformalMap, points, length_scale: float, tolerance: float, prefix: str):
+def independence_check(cmap: ConformalMap, pts: PointSet, length_scale: float, tolerance: float, prefix: str):
     """Samples verifying ds/dz_i = 0 and dz_i/ds = 0 on the given points.
 
     ds/dz_i applies the d_z operator to the field s(x, t); dz_i/ds
@@ -340,7 +333,6 @@ def independence_check(cmap: ConformalMap, points, length_scale: float, toleranc
     case reports the error estimate of its own derivative.  Case names
     carry ``prefix``.
     """
-    pts = as_points(points)
     yield Sample(time_field(cmap), pts, (Read(prefix + "ds/dz", partial(ds_dz, cmap), tolerance),), length_scale)
     for i in range(3):
         z_field = ComplexField(fn=lambda x1, x2, x3, t, _i=i: (x1, x2, x3)[_i], label=f"z{i + 1}")
@@ -363,11 +355,9 @@ def holomorphy_residual(
     wrapped = ComplexField(fn=lambda u, v, _x3, _t: f_of_t_tau(u, v), label=name)
     t_lo, t_hi = t_window
     tau_lo, tau_hi = tau_window
-    points = [
-        SpaceTimePoint(x=(t_lo + (t_hi - t_lo) * i / 6, tau_lo + (tau_hi - tau_lo) * j / 6, 0.0), t=0.0)
-        for i in range(7)
-        for j in range(7)
-    ]
+    steps = np.arange(7.0)  # t runs over the outer loop, tau over the inner
+    u, v = np.repeat(t_lo + (t_hi - t_lo) * steps / 6, 7), np.tile(tau_lo + (tau_hi - tau_lo) * steps / 6, 7)
+    points = PointSet(u, v, np.zeros(49), np.zeros(49))
 
     def laplace(d):
         max_f = float(dual.modulus(d.value).max())

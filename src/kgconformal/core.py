@@ -1,7 +1,8 @@
 """Shared domain types, unit conventions and elementary geometry.
 
-Everything here is an immutable value; all operations are pure and safe
-for unrestricted concurrent use.
+A grid is a PointSet, its four coordinate arrays (x1, x2, x3, t), and its
+seed jets live on it once made.  Everything else here is an immutable
+value, and all operations are pure.
 """
 
 from __future__ import annotations
@@ -96,30 +97,33 @@ def radial_norm(x) -> float:
     return (x1 * x1 + x2 * x2 + x3 * x3) ** 0.5
 
 
-class PointSet(tuple):
-    """A tuple of SpaceTimePoints that also holds them as arrays.
+class PointSet:
+    """A grid of n points as its four coordinate arrays.
 
     ``coords`` is (x1, x2, x3, t), one float array each.  ``radii`` holds
     every point's ``r`` as SpaceTimePoint.r rounds it, as a float array, so
     per-point geometry computed from it matches a loop over the points bit
-    for bit.
+    for bit.  ``jets`` is None until an exact-forward pass makes the grid's
+    seed jets (see diffengine), which every field on the grid then shares.
+    Iteration yields SpaceTimePoints, made on demand.
     """
 
-    def __new__(cls, points):
-        self = super().__new__(cls, points)
-        if not self:
-            raise ConfigError("a point set needs at least one point")
-        self.coords = tuple(np.array(c, dtype=float) for c in zip(*((p.x[0], p.x[1], p.x[2], p.t) for p in self)))
+    def __init__(self, x1, x2, x3, t):
+        self.coords = tuple(np.array(c, dtype=float) for c in (x1, x2, x3, t))
+        if len({c.shape for c in self.coords}) != 1 or self.coords[0].ndim != 1 or not len(self.coords[0]):
+            raise ConfigError("a point set needs at least one point, as four 1-d arrays of one length")
         x1, x2, x3, _ = self.coords
         # radial_norm's sum, then CPython's ** 0.5 (libm pow): numpy's
         # ** 0.5 is a square root, which can round otherwise
         self.radii = np.array([v**0.5 for v in (x1 * x1 + x2 * x2 + x3 * x3).tolist()])
-        return self
+        self.jets = None
 
+    def __len__(self):
+        return len(self.radii)
 
-def as_points(points) -> PointSet:
-    """``points`` as a PointSet; a PointSet is returned unchanged."""
-    return points if isinstance(points, PointSet) else PointSet(points)
+    def __iter__(self):
+        for x1, x2, x3, t in zip(*(c.tolist() for c in self.coords)):
+            yield SpaceTimePoint(x=(x1, x2, x3), t=t)
 
 
 def residual_scale(value: float) -> float:

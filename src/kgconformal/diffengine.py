@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .core import ComplexField, ConfigError, DomainError, NonFiniteError, PointSet, as_points
+from .core import ComplexField, ConfigError, DomainError, NonFiniteError, PointSet
 
 T_AXIS = 3
 N_AXES = 4
@@ -84,13 +84,12 @@ class Derivatives:
     hess_err: np.ndarray
 
 
-def _diff(field: ComplexField, points, cfg: DiffConfig) -> Derivatives:
-    """Differentiate ``field`` at every point of ``points`` in one pass.
+def _diff(field: ComplexField, pts: PointSet, cfg: DiffConfig) -> Derivatives:
+    """Differentiate ``field`` at every point of the grid ``pts`` in one pass.
 
     Raises NonFiniteError if any value or derivative is not finite, or if
     evaluating the field overflows or divides by zero.
     """
-    pts = as_points(points)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
             parts = _jet_pass(field, pts) if cfg.mode == MODE_EXACT else _stencil_pass(field, pts, cfg)
@@ -102,7 +101,7 @@ def _diff(field: ComplexField, points, cfg: DiffConfig) -> Derivatives:
 
 
 def _jet_pass(field: ComplexField, pts: PointSet):
-    if not hasattr(pts, "jets"):  # once per grid: its fields share the jets' memo (see dual)
+    if pts.jets is None:  # once per grid: its fields share the jets' memo (see dual)
         pts.jets = dual.variables(*pts.coords)
     out = field(*pts.jets)
     if isinstance(out, dual.HyperDual):

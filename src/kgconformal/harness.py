@@ -33,7 +33,7 @@ from .confmap import (
     qprop_identity_residual,
     time_field,
 )
-from .core import ComplexField, ConfigError, PointSet, SpaceTimePoint, residual_scale
+from .core import ComplexField, ConfigError, PointSet, residual_scale
 from .diffengine import DiffConfig, MODE_EXACT
 from .report import CaseResult, ResidualReport
 from .seeds import standard_doubles
@@ -73,12 +73,11 @@ class Grid:
         return np.geomspace(self.r_min, self.r_max, self.shells)
 
     def points(self) -> PointSet:
-        return PointSet(
-            SpaceTimePoint(x=(r * d[0], r * d[1], r * d[2]), t=t)
-            for r in self.radii()
-            for d in DIRECTIONS
-            for t in self.times
-        )
+        """Every (shell, direction, time), in that order of nesting."""
+        xyz = self.radii()[:, None, None] * np.array(DIRECTIONS)  # (shell, direction, axis)
+        shape = xyz.shape[:2] + (len(self.times),)
+        x1, x2, x3 = (np.broadcast_to(xyz[..., k, None], shape).ravel() for k in range(3))
+        return PointSet(x1, x2, x3, np.broadcast_to(self.times, shape).ravel())
 
 
 def default_tolerance(cfg: DiffConfig) -> float:
@@ -129,11 +128,6 @@ def _family_bounds(r_max: np.ndarray):
     return np.hstack((-q, lo)), np.hstack((q, hi))
 
 
-def _field_bounds(spec: TestFieldSpec):
-    """(lo, hi) of the draws of one field."""
-    return tuple(bounds[0] for bounds in _family_bounds(np.array([spec.r_max])))
-
-
 def _draw(specs):
     """(parameters, points) of the fields of ``specs``, one row per spec:
     the draws of _family_bounds with 1 / (2 sigma^2) before the energy, and
@@ -177,7 +171,7 @@ def _family(specs, rows) -> ComplexField:
 
 def _points(rows) -> PointSet:
     """The sample points of point rows from _draw, in row order."""
-    return PointSet(SpaceTimePoint(x=(x1, x2, x3), t=t) for x1, x2, x3, t in rows.reshape(-1, 4).tolist())
+    return PointSet(*rows.reshape(-1, 4).T)
 
 
 def generate_test_family(specs) -> ComplexField:
@@ -356,8 +350,8 @@ def _lowering_proportionality(model, ground, state1, d):
     hbar = model.units.hbar
     lowered, lowered_err = ho.ladder_apply(model, ("lower", 0), d)
     ratios = [
-        val / denom * complex(math.cos(d_e * p.t / hbar), math.sin(d_e * p.t / hbar))
-        for val, denom, p in zip(lowered.tolist(), psi0.tolist(), d.points)
+        val / denom * complex(math.cos(d_e * t / hbar), math.sin(d_e * t / hbar))
+        for val, denom, t in zip(lowered.tolist(), psi0.tolist(), d.points.coords[3].tolist())
     ]
     mean = sum(ratios) / len(ratios)
     spread = max(abs(q - mean) for q in ratios) / abs(mean)

@@ -9,7 +9,7 @@ stencil mode to give the same numbers, compared with ``==``.
 
 import numpy as np
 
-from kgconformal.core import ComplexField, PointSet, as_points
+from kgconformal.core import ComplexField, PointSet
 from kgconformal.diffengine import _EPS, _W1, _W2, LEVELS, N_AXES, DiffConfig, _clamped_step, _richardson
 
 
@@ -20,9 +20,8 @@ def _sample(field: ComplexField, pts: PointSet, axis: int, delta):
     return np.broadcast_to(np.asarray(field(*args), dtype=complex), (len(pts),))
 
 
-def stencil_pass(field: ComplexField, points, cfg: DiffConfig):
+def stencil_pass(field: ComplexField, pts: PointSet, cfg: DiffConfig):
     """(value, grad, hess, grad_err, hess_err), as ``_diff`` returns them."""
-    pts = as_points(points)
     center = _sample(field, pts, 0, 0.0)
     raw = []  # per axis: (steps, first-derivative stencils, second-derivative stencils)
     f_max = np.abs(center)

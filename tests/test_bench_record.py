@@ -1,8 +1,9 @@
-"""scripts/bench_record.py: its pair count check and its verdict lines, with
-the benchmark runs replaced by fixed numbers."""
+"""scripts/bench_record.py: its pair count check, its verdict lines and the
+environment of its runs, with the benchmark runs replaced by fixed numbers."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,39 @@ def test_a_move_past_the_bound_is_named():
     end_to_end = {m: {"unit": "s", "better": "lower", "bound": 0.25} for m in module.METRICS}
     (line, *_) = module.verdicts("w", runs, end_to_end)
     assert line == "w certify_s: parent 1 -> change 1.3 s (+30.0%; bound 25% worse: PAST), change better in 0 of 2 pairs"
+
+
+def test_both_sides_run_without_checkout_bytecode(tmp_path, monkeypatch):
+    """Every run gets the same environment, with bytecode writes off and no
+    cache prefix (site-packages bytecode stays in use), in a checkout that
+    holds no .pyc when the run starts."""
+    module = _bench_record()
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
+    runs = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        runs.append((Path(cwd).name, env, list(Path(cwd).rglob("*.pyc"))))
+        result = {"failed": 0, "attempted": 1, "metrics": {m: {"value": 1.0} for m in module.METRICS}}
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(result) + "\n")
+
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    for side in ("parent", "change"):
+        (tmp_path / side / "src").mkdir(parents=True)
+    for side in ("parent", "change", "change", "parent"):
+        module.run(tmp_path / side, "eigen-exact", 0)
+    assert [side for side, _, _ in runs] == ["parent", "change", "change", "parent"]
+    assert all(pyc == [] for _, _, pyc in runs)
+    assert all(env == runs[0][1] for _, env, _ in runs)
+    assert runs[0][1]["PYTHONDONTWRITEBYTECODE"] == "1" and "PYTHONPYCACHEPREFIX" not in runs[0][1]
+
+
+def test_a_checkout_with_bytecode_is_refused_before_its_run(tmp_path, monkeypatch):
+    module = _bench_record()
+    calls = []
+    monkeypatch.setattr(module.subprocess, "run", lambda *a, **k: calls.append(a))
+    cache = tmp_path / "change" / "src" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "core.cpython-311.pyc").write_bytes(b"")
+    with pytest.raises(SystemExit, match="bytecode in the checkout"):
+        module.run(tmp_path / "change", "eigen-exact", 0)
+    assert calls == []

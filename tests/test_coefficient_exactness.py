@@ -23,6 +23,7 @@ from kgconformal.diffengine import DiffConfig, MODE_EXACT, _diff
 from kgconformal.harness import TestFieldSpec, generate_test_field
 
 import scalar_confmap as ref
+from conftest import grid_of
 
 U = natural_units()
 EXACT = DiffConfig(mode=MODE_EXACT)
@@ -34,10 +35,7 @@ MAPS = {
 }
 FIELD = generate_test_field(TestFieldSpec(seed=11))
 _RNG = np.random.default_rng(20261018)
-CANDIDATES = PointSet(
-    SpaceTimePoint(x=tuple(x), t=t)
-    for x, t in zip(_RNG.uniform(-1.0, 1.0, (6000, 3)).tolist(), _RNG.uniform(-0.5, 0.5, 6000).tolist())
-)
+CANDIDATES = PointSet(*_RNG.uniform(-1.0, 1.0, (6000, 3)).T, _RNG.uniform(-0.5, 0.5, 6000))
 
 
 def _squares_differ(base) -> np.ndarray:
@@ -59,7 +57,7 @@ def _grid(cmap) -> PointSet:
         where = np.flatnonzero(_squares_differ(base))
         assert len(where) >= 3  # else nothing here tells numpy's power apart
         picks += where[:3].tolist()
-    return PointSet(CANDIDATES[i] for i in picks)
+    return PointSet(*(c[picks] for c in CANDIDATES.coords))
 
 
 def _with_point_energies(cmap, n):
@@ -81,8 +79,9 @@ def _equal(got, want):
 
 @pytest.mark.parametrize("cmap, pts", _cases())
 def test_coefficients_equal_the_scalar_formulas(cmap, pts):
-    assert np.array_equal(cmap.time_coupling_divergence(pts.radii), ref.per_point(ref.time_coupling_divergence, cmap, pts))
-    assert np.array_equal(cmap.time_coupling_sq_sum(pts.radii), ref.per_point(ref.time_coupling_sq_sum, cmap, pts))
+    div_a, sq = cmap.second_order_couplings(pts.radii)
+    assert np.array_equal(div_a, ref.per_point(ref.time_coupling_divergence, cmap, pts))
+    assert np.array_equal(sq, ref.per_point(ref.time_coupling_sq_sum, cmap, pts))
     want = [ref.time_coupling(cmap, e, p.x, r) for e, p, r in zip(ref.energies(cmap, len(pts)), pts, pts.radii.tolist())]
     _equal(cmap.time_coupling(pts.coords[:3], pts.radii), tuple(np.array(a) for a in zip(*want)))
 
@@ -117,13 +116,12 @@ def test_identity_map_at_the_origin_gives_zero_without_warning(energy):
     """The general formula's 0 / r^2 is 0/0 at r = 0: a RuntimeWarning, or
     under the CLI's errstate a FloatingPointError."""
     ident = ConformalMap.identity(E=energy)
-    pts = PointSet([SpaceTimePoint(x=(0.0, 0.0, 0.0), t=0.2), SpaceTimePoint(x=(0.3, -0.1, 0.2), t=0.0),
-                    SpaceTimePoint(x=(0.0, 0.0, 0.0), t=-0.4)])
+    pts = grid_of([SpaceTimePoint(x=(0.0, 0.0, 0.0), t=0.2), SpaceTimePoint(x=(0.3, -0.1, 0.2), t=0.0),
+                   SpaceTimePoint(x=(0.0, 0.0, 0.0), t=-0.4)])
     d = _diff(FIELD, pts, EXACT)
     with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
         warnings.simplefilter("error")
-        assert np.array_equal(ident.time_coupling_divergence(pts.radii), np.zeros(3))
-        assert np.array_equal(ident.time_coupling_sq_sum(pts.radii), np.zeros(3))
+        assert all(np.array_equal(c, np.zeros(3)) for c in ident.second_order_couplings(pts.radii))
         assert all(np.array_equal(a, np.zeros(3)) for a in ident.time_coupling(pts.coords[:3], pts.radii))
         value, _ = confmap.dzstar_dz(ident, d)
         assert np.array_equal(value, confmap._laplacian(d)[0])
@@ -133,7 +131,7 @@ def test_identity_map_at_the_origin_gives_zero_without_warning(energy):
 
 
 def test_map_with_a_power_term_at_the_origin_raises():
-    pts = PointSet([SpaceTimePoint(x=(0.0, 0.0, 0.0), t=0.0)])
+    pts = grid_of([SpaceTimePoint(x=(0.0, 0.0, 0.0), t=0.0)])
     d = _diff(FIELD, pts, EXACT)
     with pytest.raises(DomainError, match="r = 0"):
         confmap.dzstar_dz(MAPS["lam2-oscillator"], d)

@@ -25,10 +25,12 @@ from kgconformal.confmap import (
     inverse,
     time_field,
 )
-from kgconformal.core import ComplexField, ConfigError, DomainError, SpaceTimePoint, natural_units
+from kgconformal.core import ComplexField, ConfigError, DomainError, PointSet, SpaceTimePoint, natural_units
 from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL, _diff
 from kgconformal.harness import Grid
 from kgconformal.report import CaseResult
+
+from conftest import grid_of
 
 U = natural_units()
 OSC_MAP = ConformalMap(a=0.0, b=1.0, lam=2.0, E=2.0, units=U)       # oscillator-shaped
@@ -55,7 +57,7 @@ def test_identity_map():
     assert q.z == p.x
     assert q.s == complex(1.5)
     assert ident.time_coupling(p.x, p.r) == (0.0, 0.0, 0.0)
-    assert ident.time_coupling_divergence(p.r) == 0.0
+    assert ident.second_order_couplings(p.r)[0] == 0.0
 
 
 def test_forward_oracle_oscillator_shape():
@@ -124,7 +126,7 @@ def test_divergence_closed_form(r):
         xs = dual.variables(*(np.array([r / math.sqrt(3.0)]),) * 3)
         a_vec = cmap.time_coupling(xs, dual.norm3(*xs))
         div = sum(a_vec[i].g[i, 0] for i in range(3))
-        assert div == pytest.approx(cmap.time_coupling_divergence(r), rel=1e-11)
+        assert div == pytest.approx(cmap.second_order_couplings(r)[0], rel=1e-11)
 
 
 def test_sq_sum_matches_components():
@@ -132,7 +134,7 @@ def test_sq_sum_matches_components():
     for cmap in (OSC_MAP, COU_MAP):
         a_vec = cmap.time_coupling(p.x, p.r)
         assert sum(v * v for v in a_vec) == pytest.approx(
-            cmap.time_coupling_sq_sum(p.r), rel=1e-13
+            cmap.second_order_couplings(p.r)[1], rel=1e-13
         )
 
 
@@ -167,7 +169,7 @@ def _phase_field(cmap):
 
 def test_dz_annihilates_pure_phase(exact_cfg):
     fld = _phase_field(OSC_MAP)
-    d = _diff(fld, [SpaceTimePoint(x=(0.4, 0.6, -0.2), t=0.3)], exact_cfg)
+    d = _diff(fld, grid_of([SpaceTimePoint(x=(0.4, 0.6, -0.2), t=0.3)]), exact_cfg)
     assert max(abs(v[0]) for v, _ in d_z(OSC_MAP, d)) < 1e-13
     # while d_zstar does not annihilate it
     assert max(abs(v[0]) for v, _ in d_zstar(OSC_MAP, d)) > 1e-3
@@ -177,11 +179,11 @@ def test_composition_order(exact_cfg):
     """dzstar_dz - dz_dzstar = 2i (div A) dt, exact by construction."""
     fld = _phase_field(OSC_MAP)
     p = SpaceTimePoint(x=(0.5, 0.1, 0.3), t=0.0)
-    d = _diff(fld, [p], exact_cfg)
+    d = _diff(fld, grid_of([p]), exact_cfg)
     fwd, _ = dzstar_dz(OSC_MAP, d)
     rev, _ = dz_dzstar(OSC_MAP, d)
     dt = -1j * OSC_MAP.E * complex(fld.at(p))  # exp field: dt = -iE psi
-    want = 2j * OSC_MAP.time_coupling_divergence(p.r) * dt
+    want = 2j * OSC_MAP.second_order_couplings(p.r)[0] * dt
     assert fwd[0] - rev[0] == pytest.approx(want, rel=1e-12)
 
 
@@ -195,7 +197,7 @@ def test_dzstar_dz_takes_one_power_for_both_coefficients(monkeypatch, exact_cfg)
     monkeypatch.setattr(ConformalMap, "_power", lambda self, r: calls.append(r) or power(self, r))
     value, _ = dzstar_dz(OSC_MAP, d)
     assert len(calls) == 1
-    div_a, sq = OSC_MAP.time_coupling_divergence(pts.radii), OSC_MAP.time_coupling_sq_sum(pts.radii)
+    div_a, sq = OSC_MAP.second_order_couplings(pts.radii)
     want = d.hess[0] + d.hess[1] + d.hess[2] + dual.mul(1j * div_a, d.grad[3]) + sq * d.hess[3]
     assert np.array_equal(value, want)
 
@@ -214,23 +216,22 @@ def test_dzstar_dz_matches_brute_force(exact_cfg):
     total = 0.0
     for i in range(3):
         def dz_i_field(x1, x2, x3, t, i=i):
-            flat = (x.ravel() for x in (x1, x2, x3, t))
-            pts = [SpaceTimePoint(x=(a, b, c), t=s) for a, b, c, s in zip(*flat)]
+            pts = PointSet(*(x.ravel() for x in (x1, x2, x3, t)))
             return d_z(cmap, _diff(fld, pts, exact_cfg), axis=i)[0].reshape(x1.shape)
 
         inner = ComplexField(fn=dz_i_field)
-        value, _ = d_zstar(cmap, _diff(inner, [p], DiffConfig(mode=MODE_STENCIL, length_scale=2.0)), axis=i)
+        value, _ = d_zstar(cmap, _diff(inner, grid_of([p]), DiffConfig(mode=MODE_STENCIL, length_scale=2.0)), axis=i)
         total += value[0]
 
-    direct, _ = dzstar_dz(cmap, _diff(fld, [p], exact_cfg))
+    direct, _ = dzstar_dz(cmap, _diff(fld, grid_of([p]), exact_cfg))
     assert total == pytest.approx(direct[0], rel=1e-8)
 
 
 def test_independence_check_passes(exact_cfg):
-    points = [
+    points = grid_of([
         SpaceTimePoint(x=(0.5, 0.2, -0.3), t=0.0),
         SpaceTimePoint(x=(1.0, -0.8, 0.4), t=0.5),
-    ]
+    ])
     rep = evaluate("map-independence", exact_cfg.mode, independence_check(OSC_MAP, points, 1.0, 1e-10, ""))
     assert rep.passed
     assert [c.name for c in rep.cases] == ["ds/dz", "dz/ds"]
@@ -245,7 +246,7 @@ def test_evaluate_reports_regular_cases_before_probes():
     """Regular cases first, then probes, each in order of first appearance,
     whatever order the declaration gives them in."""
     phase = ComplexField(fn=lambda x1, x2, x3, t: dual.exp(-2j * t))
-    points = [SpaceTimePoint(x=(0.5, 0.2, -0.3), t=0.1)]
+    points = grid_of([SpaceTimePoint(x=(0.5, 0.2, -0.3), t=0.1)])
 
     def read(name):
         return Read(name, partial(ds_dz, OSC_MAP), 1e-10)

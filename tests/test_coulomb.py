@@ -168,7 +168,7 @@ def test_pointwise_z_equals_x(exact_cfg):
         fz = cb.eigenfunction_z(MODEL, state)
         pts = _points(state)
         scale = max(abs(complex(fx.at(p))) for p in pts)
-        for p in pts[::5]:
+        for p in list(pts)[::5]:
             assert abs(complex(fz.at(p)) - complex(fx.at(p))) < 1e-13 * scale
 
 

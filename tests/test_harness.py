@@ -9,7 +9,7 @@ from kgconformal import coulomb as cb
 from kgconformal import harness
 from kgconformal import oscillator as ho
 from kgconformal.confmap import Sample, evaluate
-from kgconformal.core import ComplexField, ConfigError, SpaceTimePoint, as_points
+from kgconformal.core import ComplexField, ConfigError, PointSet, SpaceTimePoint
 from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL, STEP, _diff
 from kgconformal.harness import (
     ENERGY_RANGE,
@@ -17,8 +17,8 @@ from kgconformal.harness import (
     Grid,
     SUITES,
     TestFieldSpec,
+    _family_bounds,
     _family_points,
-    _field_bounds,
     _field_sample_points,
     _uniform,
     _with_energy,
@@ -28,6 +28,8 @@ from kgconformal.harness import (
     run_suite,
 )
 from kgconformal.specfun import hermite
+
+from conftest import grid_of
 
 
 def test_grid_shape():
@@ -56,7 +58,7 @@ def test_length_scale_scales_x_steps_only():
     2 STEP along t, whatever the length scale: from a DiffConfig, and from a
     Sample's length scale through evaluate."""
     center = (1.0, -2.0, 3.0, 0.5)
-    points = [SpaceTimePoint(x=center[:3], t=center[3])]
+    points = grid_of([SpaceTimePoint(x=center[:3], t=center[3])])
     routes = (
         lambda fld, length_scale: _diff(fld, points, DiffConfig(mode=MODE_STENCIL, length_scale=length_scale)),
         lambda fld, length_scale: evaluate("steps", MODE_STENCIL, [Sample(fld, points, (), length_scale)]),
@@ -149,7 +151,7 @@ def _declared_point_sets():
     for name, declare in harness._DECLARATIONS.items():
         for item in declare({}, 1e-10):
             if isinstance(item, Sample):
-                yield name, as_points(item.points)
+                yield name, item.points
 
 
 def test_point_set_radii_are_each_points_r():
@@ -158,6 +160,92 @@ def test_point_set_radii_are_each_points_r():
     family = _family_points([TestFieldSpec(seed=s, r_max=3.0 * GROUND.r_scale) for s in range(1500)])
     for name, points in list(_declared_point_sets()) + [("family", family)]:
         assert points.radii.tolist() == [p.r for p in points], name
+
+
+def _grid_points_per_point(grid):
+    """Grid.points as per-point objects: shell, then direction, then time."""
+    return [SpaceTimePoint(x=(r * d[0], r * d[1], r * d[2]), t=t)
+            for r in grid.radii() for d in harness.DIRECTIONS for t in grid.times]
+
+
+def _row_points_per_point(rows):
+    """harness._points as per-point objects, one per (x1, x2, x3, t) row."""
+    return [SpaceTimePoint(x=(x1, x2, x3), t=t) for x1, x2, x3, t in rows.reshape(-1, 4).tolist()]
+
+
+def _holomorphy_points_per_point(t_window, tau_window):
+    """The 7 x 7 (t, tau) grid of confmap.holomorphy_residual as per-point objects."""
+    (t_lo, t_hi), (tau_lo, tau_hi) = t_window, tau_window
+    return [SpaceTimePoint(x=(t_lo + (t_hi - t_lo) * i / 6, tau_lo + (tau_hi - tau_lo) * j / 6, 0.0), t=0.0)
+            for i in range(7) for j in range(7)]
+
+
+def _assert_exact_grid(pts, reference):
+    """``pts`` holds the reference points' coordinates, and its points give them back."""
+    want = grid_of(reference).coords
+    assert all(np.array_equal(got, w) for got, w in zip(pts.coords, want))
+    assert all(np.array_equal(got, w) for got, w in zip(grid_of(list(pts)).coords, want))
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_grid_arrays_equal_the_per_point_construction(suite, monkeypatch):
+    """Every grid a suite declares at its default parameters holds, with ==,
+    the coordinates its points had when they were made one at a time."""
+    made = []  # (point set, its points made one at a time)
+    points, rows_points, holomorphy = Grid.points, harness._points, harness.holomorphy_residual
+
+    def grid_points(grid):
+        made.append((points(grid), _grid_points_per_point(grid)))
+        return made[-1][0]
+
+    def row_points(rows):
+        made.append((rows_points(rows), _row_points_per_point(rows)))
+        return made[-1][0]
+
+    def holomorphy_sample(f, t_window, tau_window, *args):
+        sample = holomorphy(f, t_window, tau_window, *args)
+        made.append((sample.points, _holomorphy_points_per_point(t_window, tau_window)))
+        return sample
+
+    monkeypatch.setattr(Grid, "points", grid_points)
+    monkeypatch.setattr(harness, "_points", row_points)
+    monkeypatch.setattr(harness, "holomorphy_residual", holomorphy_sample)
+    declared = [item.points for item in harness._DECLARATIONS[suite]({}, 1e-10) if isinstance(item, Sample)]
+    assert made and all(any(pts is m for m, _ in made) for pts in declared)
+    for pts, reference in made:
+        _assert_exact_grid(pts, reference)
+
+
+def test_grid_with_other_times_equals_the_per_point_construction():
+    grid = Grid(r_min=0.1, r_max=4.0, shells=4, times=(0.0, 0.37))
+    _assert_exact_grid(grid.points(), _grid_points_per_point(grid))
+
+
+def test_empty_or_ragged_grid_is_a_config_error():
+    with pytest.raises(ConfigError, match="at least one point"):
+        PointSet([], [], [], [])
+    with pytest.raises(ConfigError, match="at least one point"):
+        Grid(r_min=0.1, r_max=4.0, times=()).points()
+    with pytest.raises(ConfigError, match="of one length"):
+        PointSet([0.5], [0.1], [0.2], [0.0, 0.3])
+
+
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_STENCIL])
+@pytest.mark.parametrize("suite", [s for s in SUITES if s != "reductions"])
+def test_no_point_object_is_made_on_the_residual_path(suite, mode, monkeypatch):
+    """Grids are made, differentiated and read as arrays: a suite run makes
+    no SpaceTimePoint.  reductions iterates its grid's points on purpose."""
+    made = []
+    init = SpaceTimePoint.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpaceTimePoint, "__init__", counted)
+    params = {"n_fields": 200} if suite == "operator-identities" else {}
+    run_suite(suite, params, DiffConfig(mode=mode))
+    assert made == []
 
 
 #: the ladder suite's default grid, and the grids the benchmark moves the second time sample of
@@ -240,7 +328,7 @@ def test_one_random_call_per_seed_reproduces_uniform_draws():
         specs = [TestFieldSpec(seed=v * 10000 + offset + i, r_max=r_max) for v in range(16) for i in range(1500)]
         q, e_lo, e_hi = r_max / 4.0, *ENERGY_RANGE
         field_calls = ((-q, q, 3), (-1.0, 1.0, 3), (-0.5, 0.5, 3), (0.5, 1.5, None), (e_lo, e_hi, None))
-        lo, hi = (np.array(rows) for rows in zip(*map(_field_bounds, specs)))
+        lo, hi = _family_bounds(np.array([s.r_max for s in specs]))
         got = _uniform([s.seed for s in specs], lo, hi)
         want = np.array([_uniform_calls(s.seed, field_calls) for s in specs])
         assert np.array_equal(got, want)

@@ -12,6 +12,8 @@ from kgconformal.harness import Grid
 from kgconformal import dual
 from kgconformal import oscillator as ho
 
+from conftest import grid_of
+
 MODEL = ho.OscillatorModel(omega=1.0, units=natural_units())
 POINTS = Grid(r_min=0.1, r_max=4.0, shells=8).points()
 
@@ -126,14 +128,14 @@ def test_pointwise_z_equals_x(exact_cfg):
             fx = ho.eigenfunction_x(MODEL, state)
             fz = ho.eigenfunction_z(MODEL, state)
             scale = max(abs(complex(fx.at(p))) for p in POINTS)
-            for p in POINTS[::7]:
+            for p in list(POINTS)[::7]:
                 assert abs(complex(fz.at(p)) - complex(fx.at(p))) < 1e-13 * scale
 
 
 def test_ladder_annihilates_ground(exact_cfg):
     ground = ho.make_state(MODEL, 0, 0, 0)
     psi0 = ho.eigenfunction_x(MODEL, ground)
-    d = _diff(psi0, [SpaceTimePoint(x=(0.5, -0.3, 0.8), t=0.2)], exact_cfg)
+    d = _diff(psi0, grid_of([SpaceTimePoint(x=(0.5, -0.3, 0.8), t=0.2)]), exact_cfg)
     for i in range(3):
         lowered, err = ho.ladder_apply(MODEL, ("lower", i), d)
         assert abs(lowered[0]) < 1e-13 and err[0] == 0.0
@@ -144,7 +146,7 @@ def test_raise_then_lower_is_diagonal(exact_cfg):
     state = ho.make_state(MODEL, 2, 1, 0)
     fld = ho.eigenfunction_x(MODEL, state)
     p = SpaceTimePoint(x=(0.4, 0.9, -0.2), t=0.1)
-    val, err = ho.number_operator_apply(MODEL, _diff(fld, [p], exact_cfg))
+    val, err = ho.number_operator_apply(MODEL, _diff(fld, grid_of([p]), exact_cfg))
     assert val[0] == pytest.approx(3.0 * complex(fld.at(p)), rel=1e-11)
     assert err[0] == 0.0
 
@@ -156,7 +158,7 @@ def test_ladder_raises_degree(exact_cfg):
     excited = ho.eigenfunction_x(MODEL, ho.make_state(MODEL, 1, 0, 0))
     p1 = SpaceTimePoint(x=(0.5, 0.2, 0.1), t=0.0)
     p2 = SpaceTimePoint(x=(1.1, -0.4, 0.3), t=0.0)
-    raised, _ = ho.ladder_apply(MODEL, ("raise", 0), _diff(psi0, [p1, p2], exact_cfg))
+    raised, _ = ho.ladder_apply(MODEL, ("raise", 0), _diff(psi0, grid_of([p1, p2]), exact_cfg))
     r1 = raised[0] / complex(excited.at(p1))
     r2 = raised[1] / complex(excited.at(p2))
     assert r1 == pytest.approx(r2, rel=1e-11)

@@ -27,8 +27,11 @@ usual on both, and setup time and memory are compared on equal terms.
 
 After each workload it prints one verdict line per metric: the change's
 median against the parent's, the relative move against the metric's
-bound in the change's ``BENCHMARK.json``, and the pairs in which the
-change was better.  Quartiles need at least two pairs, so ``--pairs``
+bound in the change's ``BENCHMARK.json``, the pairs in which the change
+was better, the parent's quartile spread (q3 - q1) and whether the move
+of the median is larger than that spread.  A claimed gain needs both: the
+change better in at least 9 of 10 pairs, and a median move larger than
+the parent's spread.  Quartiles need at least two pairs, so ``--pairs``
 below 2 is rejected before any run.
 """
 
@@ -59,10 +62,15 @@ def run(checkout: Path, workload: str, seed: int) -> dict:
             **{m: result["metrics"][m]["value"] for m in METRICS}}
 
 
+def quartiles(values) -> list:
+    """[q1, median, q3] of the values, by the inclusive method."""
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
 def summary(runs: list) -> dict:
     out = {}
     for m in METRICS:
-        q1, median, q3 = statistics.quantiles([r[m] for r in runs], n=4, method="inclusive")
+        q1, median, q3 = quartiles([r[m] for r in runs])
         out[m] = {"median": median, "q1": q1, "q3": q3}
     out["failed"] = sum(r["failed"] for r in runs)
     out["attempted"] = sum(r["attempted"] for r in runs)
@@ -71,7 +79,8 @@ def summary(runs: list) -> dict:
 
 def verdicts(workload: str, runs: dict, end_to_end: dict) -> list:
     """One line per metric: parent and change medians, the relative move
-    against the metric's bound, and the pairs the change won."""
+    against the metric's bound, the pairs the change won, and the parent's
+    quartile spread against the move of the median."""
     lines = []
     for m in METRICS:
         spec = end_to_end[m]
@@ -79,10 +88,12 @@ def verdicts(workload: str, runs: dict, end_to_end: dict) -> list:
         move = (change - parent) / parent
         worse = 1.0 if spec["better"] == "lower" else -1.0  # the sign of a move for the worse
         won = sum(worse * (c[m] - p[m]) < 0 for p, c in zip(runs["parent"], runs["change"]))
+        q1, _, q3 = quartiles([r[m] for r in runs["parent"]])
         lines.append(
             f"{workload} {m}: parent {parent:.4g} -> change {change:.4g} {spec['unit']} ({move:+.1%}; "
             f"bound {spec['bound']:.0%} worse: {'within' if worse * move <= spec['bound'] else 'PAST'}), "
-            f"change better in {won} of {len(runs['change'])} pairs"
+            f"change better in {won} of {len(runs['change'])} pairs, parent IQR {q3 - q1:.4g} {spec['unit']}: "
+            f"median move {'larger' if abs(change - parent) > q3 - q1 else 'not larger'}"
         )
     return lines
 

@@ -20,7 +20,10 @@ operator maps a field's Derivatives to (|residual|, error estimate,
 scale) over the grid; a suite declares Samples (field, grid, the cases
 that read it, a length scale), and `evaluate` differentiates each Sample
 once in the run's mode and folds max |residual| / scale into each
-reading case.
+reading case.  A Sample's grid may be T tiles of a base grid, its field
+T fields (the states of one oscillator level) evaluated on the base
+points in one pass; a read then names one case per tile, or one case
+for all of them, and `evaluate` folds each tile's max into its case.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -192,7 +195,8 @@ def dzstar_dz(cmap: ConformalMap, d: Derivatives, reverse: bool = False):
     _require_off_origin(cmap, pts)
     lap, err = _laplacian(d)
     dt, dtt = d.grad[T_AXIS], d.hess[T_AXIS]
-    div_a, sq = cmap.second_order_couplings(pts.radii)
+    # the same on every tile: the tiles of a grid share their energy
+    div_a, sq = pts.radial(cmap.second_order_couplings)
     value = lap + dual.mul(1j * div_a, dt) + sq * dtt
     err = err + np.abs(div_a) * d.grad_err[T_AXIS] + np.abs(sq) * d.hess_err[T_AXIS]
     if reverse:
@@ -217,9 +221,11 @@ def _laplacian(d: Derivatives):
 
 class Read(NamedTuple):
     """A case's reading of a sample: ``operator`` maps the sample's
-    Derivatives to (|residual|, error estimate, scale) over the grid."""
+    Derivatives to (|residual|, error estimate, scale) over the grid, the
+    points on the last axis.  ``case`` names one case, or one case per
+    tile of the sample's grid; a repeated name folds its tiles by max."""
 
-    case: str
+    case: Union[str, tuple]
     operator: Callable
     tolerance: float
 
@@ -229,8 +235,10 @@ class Sample(NamedTuple):
 
     The field may be a family of many fields, each on its own points: its
     parameters then hold one value per point, and ``points`` concatenates
-    the fields' grids, so one pass differentiates them all.  In stencil
-    mode the spatial steps scale with ``length_scale`` (see DiffConfig).
+    the fields' grids, so one pass differentiates them all.  Or it may give
+    one field per tile of a tiled grid (see core.PointSet), all on the same
+    base points.  In stencil mode the spatial steps scale with
+    ``length_scale`` (see DiffConfig).
     """
 
     field: ComplexField
@@ -239,32 +247,58 @@ class Sample(NamedTuple):
     length_scale: float = 1.0
 
 
-def _scaled_max(residual):
-    """(max |residual| / scale, max error / scale) of one operator result."""
+def _tile_max(values, tiles: int) -> list:
+    """The max of ``values`` over each tile, the points on the last axis; a
+    scalar is every tile's."""
+    values = np.asarray(values)
+    if not values.ndim:
+        return [float(values)] * tiles
+    by_tile = values.reshape(values.shape[:-1] + (tiles, -1))
+    return by_tile.max(axis=(*range(values.ndim - 1), -1)).tolist()
+
+
+def _scaled_max(residual, tiles: int):
+    """Per tile, (max |residual| / scale, max error / scale) of one operator result."""
     res, err, scale = residual
-    return float(np.asarray(res / scale).max()), float(np.asarray(err / scale).max())
+    return zip(_tile_max(res / scale, tiles), _tile_max(err / scale, tiles))
+
+
+def _readings(item: Sample, mode: str) -> list:
+    """(case, max |residual| / scale, max error / scale, tolerance) of every
+    read of one Sample, tile by tile and within a tile read by read.  The
+    Sample's derivatives are dropped on return, before the next pass."""
+    d = _diff(item.field, item.points, DiffConfig(mode, item.length_scale))
+    tiles = item.points.tiles
+    per_read = []
+    for read in item.reads:
+        names = (read.case,) * tiles if isinstance(read.case, str) else read.case
+        if len(names) != tiles:
+            raise ConfigError(f"{len(names)} cases read a grid of {tiles} tiles")
+        maxima = _scaled_max(read.operator(d), tiles)
+        per_read.append([(name, worst, err, read.tolerance) for name, (worst, err) in zip(names, maxima)])
+    return [reading for tile in zip(*per_read) for reading in tile]
 
 
 def evaluate(suite: str, mode: str, declaration) -> ResidualReport:
     """Run a suite declaration, an iterable of Samples and CaseResults.
 
     Each Sample's field is differentiated once in ``mode`` (one pass for a
-    family of fields too); every case that reads it folds the result into
-    its running max.  A CaseResult is reported as it is.  Regular cases
-    are reported before probes, each in order of first appearance.
+    family of fields, or for every tile of a tiled grid, too); every case
+    that reads it folds the result into its running max, tile by tile and
+    within a tile read by read.  A CaseResult is reported as it is.
+    Regular cases are reported before probes, each in order of first
+    appearance.
     """
     cases = {}
     for item in declaration:
         if isinstance(item, CaseResult):
             cases[item.name] = item
             continue
-        d = _diff(item.field, item.points, DiffConfig(mode, item.length_scale))
-        for read in item.reads:
-            worst, err = _scaled_max(read.operator(d))
-            if read.case in cases:
-                old = cases[read.case]
+        for name, worst, err, tolerance in _readings(item, mode):
+            if name in cases:
+                old = cases[name]
                 worst, err = max(old.max_residual, worst), max(old.error_estimate, err)
-            cases[read.case] = CaseResult(read.case, worst, err, read.tolerance)
+            cases[name] = CaseResult(name, worst, err, tolerance)
     return ResidualReport(suite, mode, tuple(sorted(cases.values(), key=lambda c: c.is_probe)))
 
 
@@ -284,7 +318,7 @@ def qprop_identity_residual(cmap: ConformalMap, d: Derivatives, operator=None):
     ddz, e1 = (operator or dzstar_dz)(cmap, d)
     lap, e2 = _laplacian(d)
     lhs = -ddz + 3.0 * omega_hc * f
-    rhs = -lap + omega_hc**2 * dual.powr(d.points.radii, 2) * f
+    rhs = -lap + omega_hc**2 * d.points.radial(dual.powr, 2) * f
     return dual.modulus(lhs - rhs), e1 + e2, np.maximum(dual.modulus(rhs), 1e-30)
 
 
@@ -318,7 +352,7 @@ def ds_dz(cmap: ConformalMap, d: Derivatives):
     """Operator: |d_z_i s| over the three components, with d_z's estimate;
     0 when d holds s(x, t)."""
     values, errs = zip(*d_z(cmap, d))
-    return dual.modulus(np.concatenate(values)), np.concatenate(errs), 1.0
+    return dual.modulus(np.stack(values)), np.stack(errs), 1.0
 
 
 def _dz_ds(d: Derivatives):

@@ -1,13 +1,13 @@
 """Shared domain types, unit conventions and elementary geometry.
 
 A grid is a PointSet, its four coordinate arrays (x1, x2, x3, t), and its
-seed jets live on it once made.  Everything else here is an immutable
-value, and all operations are pure.
+seed jets live on it once made.  A grid may be tiles of a base grid, for
+fields that give several values (one per tile) at each base point.
+Everything else here is an immutable value, and all operations are pure.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -106,6 +106,12 @@ class PointSet:
     for bit.  ``jets`` is None until an exact-forward pass makes the grid's
     seed jets (see diffengine), which every field on the grid then shares.
     Iteration yields SpaceTimePoints, made on demand.
+
+    A grid made by ``tiled`` is ``tiles`` copies of its ``base`` grid, one
+    after another: its coordinates and radii are the base's, tiled.  Its
+    fields are evaluated on the base's points (and jets) and give one value
+    per tile at each, tile-major.  Any other grid is its own base, of one
+    tile.
     """
 
     def __init__(self, x1, x2, x3, t):
@@ -117,6 +123,29 @@ class PointSet:
         # ** 0.5 is a square root, which can round otherwise
         self.radii = np.array([v**0.5 for v in (x1 * x1 + x2 * x2 + x3 * x3).tolist()])
         self.jets = None
+        self.base, self.tiles = self, 1
+
+    def tiled(self, tiles: int) -> "PointSet":
+        """``tiles`` copies of this grid, one after another, as one grid."""
+        out = object.__new__(PointSet)
+        out.coords = tuple(np.tile(c, tiles) for c in self.coords)
+        out.radii = np.tile(self.radii, tiles)
+        out.jets = None  # a tiled grid's fields read its base's jets
+        out.base, out.tiles = self.base, self.tiles * tiles
+        return out
+
+    def radial(self, f, *args) -> np.ndarray:
+        """``f(radii, *args)`` for a coefficient of r alone: taken once on
+        the base grid's radii and tiled."""
+        return np.tile(f(self.base.radii, *args), self.tiles)
+
+    def tile_max(self, values):
+        """The max of ``values``, one per point, over each tile: one value
+        for a grid of one tile, else each tile's repeated at its points."""
+        if self.tiles == 1:
+            return values.max()
+        n = len(self.base)
+        return np.repeat(values.reshape(self.tiles, n).max(axis=1), n)
 
     def __len__(self):
         return len(self.radii)
@@ -126,10 +155,13 @@ class PointSet:
             yield SpaceTimePoint(x=(x1, x2, x3), t=t)
 
 
-def residual_scale(value: float) -> float:
-    """Check a residual's normaliser: zero or non-finite leaves nothing to certify."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"residual scale is {float(value)!r}: the field vanishes or overflows on the grid")
+def residual_scale(value):
+    """Check a residual's normaliser, one value or one per point: zero or
+    non-finite leaves nothing to certify."""
+    values = np.asarray(value, dtype=float)
+    bad = values[~(np.isfinite(values) & (values > 0.0))]
+    if bad.size:
+        raise DomainError(f"residual scale is {float(bad[0])!r}: the field vanishes or overflows on the grid")
     return value
 
 
@@ -143,7 +175,9 @@ class ComplexField:
     shifted copy of an n-point grid.  So it must be elementwise: any
     parameter with one value per point has shape (n,) and broadcasts
     against the rows, and it must not take ``len`` of, or ``zip`` over,
-    its arguments' points.  ``energy_hint``
+    its arguments' points.  A field of T tiles (see PointSet) is evaluated
+    on its grid's base points and returns every tile: T n values along the
+    last axis, tile-major.  ``energy_hint``
     carries the energy eigenvalue for fields with exp(-i E t / hbar) time
     dependence, which several operator reductions rely on; a family of
     fields evaluated on their concatenated points carries one energy per

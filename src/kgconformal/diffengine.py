@@ -18,6 +18,11 @@ modes:
   The estimate is the last Richardson correction plus a roundoff bound
   carried through the Richardson table.
 
+A grid of T tiles (see core.PointSet) is differentiated in the same one
+pass: the field is evaluated on its base grid, on the base's jets or on
+the base's (33, n) shift table, and gives all T n values; the jet rows,
+or the stencils and Richardson tables, then run on every tile at once.
+
 Axes are indexed 0, 1, 2 for x1, x2, x3 and 3 (``T_AXIS``) for time.
 """
 
@@ -101,9 +106,10 @@ def _diff(field: ComplexField, pts: PointSet, cfg: DiffConfig) -> Derivatives:
 
 
 def _jet_pass(field: ComplexField, pts: PointSet):
-    if pts.jets is None:  # once per grid: its fields share the jets' memo (see dual)
-        pts.jets = dual.variables(*pts.coords)
-    out = field(*pts.jets)
+    base = pts.base
+    if base.jets is None:  # once per grid: its fields share the jets' memo (see dual)
+        base.jets = dual.variables(*base.coords)
+    out = field(*base.jets)
     if isinstance(out, dual.HyperDual):
         c = out.c.astype(complex, copy=False)
     else:  # the field ignores its arguments
@@ -114,12 +120,12 @@ def _jet_pass(field: ComplexField, pts: PointSet):
 
 
 def _clamped_step(field: ComplexField, pts: PointSet, cfg: DiffConfig, axis: int):
-    """The axis's step, per point for a field singular at r = 0."""
+    """The axis's step, per point of the base grid for a field singular at r = 0."""
     if axis == T_AXIS:
         return STEP
     h = STEP * cfg.length_scale
     if field.singular_at_origin:
-        r = pts.radii
+        r = pts.base.radii
         if (r == 0.0).any():
             raise DomainError("stencil centered on the singular locus r = 0")
         # widest stencil reach is 2h; keep it at half the distance to r = 0
@@ -130,15 +136,17 @@ def _clamped_step(field: ComplexField, pts: PointSet, cfg: DiffConfig, axis: int
 def _sample(field: ComplexField, pts: PointSet, shifts):
     """The field on shifted copies of the grid, in one call: a (rows, n) table.
 
-    Row 0 is the grid shifted by 0.0 along axis 0; then, axis by axis, the
-    grid shifted along that axis by each row of ``shifts[axis]``.
+    Row 0 is the base grid shifted by 0.0 along axis 0; then, axis by axis,
+    the base grid shifted along that axis by each row of ``shifts[axis]``.
+    The field gives every tile of ``pts`` at each base point, so n is
+    ``len(pts)``.
     """
-    per_axis = shifts.shape[1]
-    args = [np.repeat(x[np.newaxis], 1 + N_AXES * per_axis, axis=0) for x in pts.coords]
-    for axis, x in enumerate(pts.coords):
+    per_axis, coords = shifts.shape[1], pts.base.coords
+    args = [np.repeat(x[np.newaxis], 1 + N_AXES * per_axis, axis=0) for x in coords]
+    for axis, x in enumerate(coords):
         args[axis][1 + axis * per_axis : 1 + (axis + 1) * per_axis] = x + shifts[axis]
-    args[0][0] = pts.coords[0] + 0.0
-    return np.broadcast_to(np.asarray(field(*args), dtype=complex), args[0].shape)
+    args[0][0] = coords[0] + 0.0
+    return np.broadcast_to(np.asarray(field(*args), dtype=complex), (len(args[0]), len(pts)))
 
 
 #: the shifted rows of the sample table along each axis, as (offset, level)
@@ -147,15 +155,15 @@ _ROWS = ((-2, 0), (2, 0), (-1, 0), (1, 0), (-1, 1), (1, 1), (-1, 2), (1, 2))
 
 
 def _stencil_pass(field: ComplexField, pts: PointSet, cfg: DiffConfig):
-    n = len(pts)
-    h = np.empty((N_AXES, 1, n))
+    h = np.empty((N_AXES, 1, len(pts.base)))
     for axis in range(N_AXES):
         h[axis] = _clamped_step(field, pts, cfg, axis)
-    steps = h / 2.0 ** np.arange(LEVELS + 1)[:, np.newaxis]  # steps[axis, k] = h_k = h / 2^k, at every point
+    steps = h / 2.0 ** np.arange(LEVELS + 1)[:, np.newaxis]  # steps[axis, k] = h_k = h / 2^k, at every base point
     offsets, levels = zip(*_ROWS)
-    shifts = np.array(offsets, dtype=float)[:, np.newaxis] * steps[:, list(levels)]  # (axis, row, point)
+    shifts = np.array(offsets, dtype=float)[:, np.newaxis] * steps[:, list(levels)]  # (axis, row, base point)
     table = _sample(field, pts, shifts)
-    center, shifted = table[0], table[1:].reshape(N_AXES, len(_ROWS), n)
+    center, shifted = table[0], table[1:].reshape(N_AXES, len(_ROWS), len(pts))
+    steps = np.tile(steps, pts.tiles)  # at every point of every tile
 
     def at(off, k):  # the samples at x + off h_k, for all four axes
         if off == 0:

@@ -254,6 +254,28 @@ def variables(*coords):
     return out
 
 
+def join_tiles(parts):
+    """The values of several tiles side by side along the points (last)
+    axis, as one jet or array (see core.PointSet).  A tile may be a
+    constant: its value at every point.  One tile, or one constant for
+    every tile, is returned as it is."""
+    scalars = (int, float, complex)
+    if len(parts) == 1 or all(isinstance(p, scalars) and p == parts[0] for p in parts):
+        return parts[0]
+    like = next(p for p in parts if not isinstance(p, scalars))
+    if not isinstance(like, HyperDual):
+        return np.concatenate([np.broadcast_to(p, like.shape) for p in parts], axis=-1)
+
+    def coefficients(p):  # a constant's jet: its value, with zero partials
+        if not isinstance(p, scalars):
+            return p.c
+        c = np.zeros(like.c.shape, dtype=np.result_type(p, 0.0))
+        c[0] = p
+        return c
+
+    return HyperDual(np.concatenate([coefficients(p) for p in parts], axis=-1))
+
+
 def cached(args, key, make):
     """``make()``, kept under ``key`` in the memo of the seed jets ``args``;
     ``key`` must hold every value ``make`` reads besides ``args``."""

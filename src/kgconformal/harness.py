@@ -103,11 +103,13 @@ class TestFieldSpec:
 ENERGY_RANGE = (0.8, 2.0)
 #: sample points of one test field (see _family_points)
 FIELD_POINTS = 3
-#: test fields differentiated in one pass, at most.  A pass costs nearly
-#: the same for 3 points as for 120, but its jets grow with the point count
-#: (about 0.4 MB live at 40 fields); chunks keep memory flat at any number
-#: of fields
-FAMILY_SIZE = 40
+#: points differentiated in one pass, at most: PASS_POINTS // FIELD_POINTS
+#: test fields of a family, or PASS_POINTS // n tiles of an oscillator
+#: level on its n-point grid (one field or tile at least).  A pass costs
+#: nearly the same for 3 points as for 120, but its jets and stencil tables
+#: grow with the point count; chunks keep memory flat at any number of
+#: fields or states
+PASS_POINTS = 720
 
 
 def _uniform(seeds, lo, hi) -> np.ndarray:
@@ -298,15 +300,26 @@ def _coulomb_sample(field, state, reads) -> Sample:
     return Sample(field, grid.points(), reads, state.r_scale)
 
 
+def _passes(states, points):
+    """``states`` in runs of at most PASS_POINTS points of the grid
+    ``points``, each run with its grid tiled once per state."""
+    per_pass = max(1, PASS_POINTS // len(points))
+    for start in range(0, len(states), per_pass):
+        run = states[start : start + per_pass]
+        yield run, points.tiled(len(run))
+
+
 def _suite_oscillator_x(params, tol):
     model = _osc_model(params)
     points = _osc_grid(params).points()
     # the probe reads the ground state's sample, the first one declared
     probe = Read("probe:perturbed-energy", partial(ho.kg_residual_x, model, ho.energy(model, 0) + 0.1), tol)
     for n in range(params.get("nmax", 4) + 1):
-        for state in ho.states_with_n(model, n):
-            reads = (Read(f"osc-x-{state.ls}", partial(ho.kg_residual_x, model, state.energy), tol),)
-            yield Sample(ho.eigenfunction_x(model, state), points, reads + ((probe,) if n == 0 else ()))
+        # a level's states share their energy: one field and one read per pass
+        for states, tiled in _passes(list(ho.states_with_n(model, n)), points):
+            names = tuple(f"osc-x-{state.ls}" for state in states)
+            reads = (Read(names, partial(ho.kg_residual_x, model, states[0].energy), tol),)
+            yield Sample(ho.eigenfunction_x(model, states), tiled, reads + ((probe,) if n == 0 else ()))
 
 
 def _suite_oscillator_z(params, tol):
@@ -318,25 +331,30 @@ def _suite_oscillator_z(params, tol):
     # benchmark's reference, do not have
     probe = Read("probe:perturbed-energy", partial(ho.kg_residual_z, model, ho.energy(model, 0) + 0.1), tol)
     for n in range(params.get("nmax", 4) + 1):
-        for state in ho.states_with_n(model, n):
-            name = f"osc-z-{state.ls}"
+        for states, tiled in _passes(list(ho.states_with_n(model, n)), points):
+            names = tuple(f"osc-z-{state.ls}" for state in states)
+            energy = states[0].energy
+            energy_op = tuple(f"{name}-energy-op" for name in names)
             reads = (
-                Read(name, partial(ho.kg_residual_z, model, state.energy), tol),
-                Read(name + "-energy-op", partial(ho.energy_operator_residual, model, state.energy), tol),
+                Read(names, partial(ho.kg_residual_z, model, energy), tol),
+                Read(energy_op, partial(ho.energy_operator_residual, model, energy), tol),
             )
-            yield Sample(ho.eigenfunction_z(model, state), points, reads + ((probe,) if n == 0 else ()))
+            yield Sample(ho.eigenfunction_z(model, states), tiled, reads + ((probe,) if n == 0 else ()))
 
 
 def _annihilation_residual(model, d):
-    """|a_i psi| over the three components, with a_i's estimate, scaled by max|psi|."""
+    """|a_i psi| over the three components, with a_i's estimate, scaled by
+    max|psi| over each tile."""
     values, errs = zip(*(ho.ladder_apply(model, ("lower", i), d) for i in range(3)))
-    return dual.modulus(np.concatenate(values)), np.concatenate(errs), residual_scale(dual.modulus(d.value).max())
+    return dual.modulus(np.stack(values)), np.stack(errs), residual_scale(d.points.tile_max(dual.modulus(d.value)))
 
 
 def _number_residual(model, n, eigenvalue, d):
-    """|N psi - eigenvalue psi| on a level-n state, scaled by max|psi| max(n, 1)."""
+    """|N psi - eigenvalue psi| on level-n states, scaled by max|psi| max(n, 1)
+    over each tile."""
     val, err = ho.number_operator_apply(model, d)
-    return dual.modulus(val - eigenvalue * d.value), err, residual_scale(dual.modulus(d.value).max() * max(n, 1))
+    scale = residual_scale(d.points.tile_max(dual.modulus(d.value)) * max(n, 1))
+    return dual.modulus(val - eigenvalue * d.value), err, scale
 
 
 def _lowering_proportionality(model, ground, state1, d):
@@ -372,15 +390,16 @@ def _suite_ladder(params, tol):
         Read("probe:number-operator-off-by-one", partial(_number_residual, model, 1, 2), tol_number),
     )
     for n in range(params.get("nmax", 4) + 1):
-        for state in ho.states_with_n(model, n):
-            reads = (Read(f"number-operator-n{n}", partial(_number_residual, model, n, n), tol_number),)
-            if n == 0:
-                reads = (Read("annihilate-ground", partial(_annihilation_residual, model), tol),) + reads
-            if state != state1:
-                yield Sample(ho.eigenfunction_x(model, state), points, reads)
-            else:  # (1,0,0), the last n = 1 state, is read with the closing reads
-                closing = reads + closing
-    # declared last, so that every case keeps the place of its first appearance
+        # one case for the level: its tiles fold by max
+        reads = (Read(f"number-operator-n{n}", partial(_number_residual, model, n, n), tol_number),)
+        if n == 0:
+            reads = (Read("annihilate-ground", partial(_annihilation_residual, model), tol),) + reads
+        for states, tiled in _passes([state for state in ho.states_with_n(model, n) if state != state1], points):
+            yield Sample(ho.eigenfunction_x(model, states), tiled, reads)
+        if n == 1:  # (1,0,0), the last n = 1 state, is read with the closing reads
+            closing = reads + closing
+    # declared last and alone, so that every case keeps the place of its
+    # first appearance and lowering-proportionality reads one state
     yield Sample(ho.eigenfunction_x(model, state1), points, closing)
 
 
@@ -471,12 +490,13 @@ def _suite_operator_identities(params, tol):
     d2z = Read("d2z-coulomb", partial(d2z_identity_residual, cb.coulomb_map(cmodel, cstate)), tol)
 
     # each family's fields and points are drawn once, over all its seeds,
-    # and sliced into passes of FAMILY_SIZE fields
+    # and sliced into passes of PASS_POINTS points
+    family_size = max(1, PASS_POINTS // FIELD_POINTS)
     osc_specs = [TestFieldSpec(seed=seed0 + idx, r_max=3.0) for idx in range(n_fields)]
     c_specs = [TestFieldSpec(seed=seed0 + 5000 + idx, r_max=3.0 * cstate.r_scale) for idx in range(n_fields)]
     (osc_rows, osc_point_rows), (c_rows, c_point_rows) = _draw(osc_specs), _draw(c_specs)
-    for start in range(0, n_fields, FAMILY_SIZE):
-        chunk = slice(start, start + FAMILY_SIZE)
+    for start in range(0, n_fields, family_size):
+        chunk = slice(start, start + family_size)
         family = _family(osc_specs[chunk], osc_rows[chunk])
         # each point reads the map of its own field's energy
         cmap = ho.oscillator_map(osc, family.energy_hint)

@@ -94,64 +94,93 @@ def oscillator_map(model: OscillatorModel, E: float) -> ConformalMap:
     return ConformalMap(a=0.0, b=model.b, lam=2.0, E=E, units=model.units)
 
 
-def eigenfunction_x(model: OscillatorModel, state: OscillatorState) -> ComplexField:
-    """psi(x, t) = prod_j H_l(xi_j) exp(-xi_j^2/2) * exp(-i E_n t / hbar), unnormalised."""
+def _tiles(states) -> tuple:
+    """The states of a field's tiles (see core.PointSet), one state or a
+    sequence of them, and their one energy."""
+    states = (states,) if isinstance(states, OscillatorState) else tuple(states)
+    if len({state.energy for state in states}) != 1:
+        raise ConfigError("the tiles of one oscillator field must be states of one level")
+    return states, states[0].energy
+
+
+def _label(prefix: str, states) -> str:
+    return prefix + (f"{states[0].ls}" if len(states) == 1 else f"{states[0].ls}..{states[-1].ls}")
+
+
+def _tiled_product(phase, factor, states, x1, x2, x3):
+    """phase * f_1 * f_2 * f_3 in that order, each tile with its own state's
+    one-axis factors ``factor(l, axis, x_axis)``; each distinct factor is
+    taken once."""
+    out = dual.join_tiles([phase] * len(states))
+    for axis, xj in enumerate((x1, x2, x3)):
+        ls = [state.ls[axis] for state in states]
+        made = {l: factor(l, axis, xj) for l in set(ls)}
+        out = out * dual.join_tiles([made[l] for l in ls])
+    return out
+
+
+def eigenfunction_x(model: OscillatorModel, states) -> ComplexField:
+    """psi(x, t) = prod_j H_l(xi_j) exp(-xi_j^2/2) * exp(-i E_n t / hbar), unnormalised.
+
+    ``states`` is one state, or the states of one level, one per tile.
+    """
+    states, E = _tiles(states)
     scale = model.xi_scale
     hbar = model.units.hbar
-    E = state.energy
-    ls = state.ls
 
-    def factor(l, xj):
-        xi = scale * xj
-        return hermite(l, xi) * dual.exp(-0.5 * (xi * xi))
+    def factor(l, axis, xj):
+        def make():
+            xi = scale * xj
+            return hermite(l, xi) * dual.exp(-0.5 * (xi * xi))
+
+        return dual.cached((xj,), ("x-factor", scale, l, axis), make)
 
     def fn(x1, x2, x3, t):
-        out = dual.cached((t,), ("phase", E, hbar), lambda: dual.exp(-1j * E * t / hbar))
-        for axis, (l, xj) in enumerate(zip(ls, (x1, x2, x3))):
-            out = out * dual.cached((xj,), ("x-factor", scale, l, axis), lambda: factor(l, xj))
-        return out
+        phase = dual.cached((t,), ("phase", E, hbar), lambda: dual.exp(-1j * E * t / hbar))
+        return _tiled_product(phase, factor, states, x1, x2, x3)
 
-    return ComplexField(fn=fn, label=f"osc-x{state.ls}", energy_hint=E)
+    return ComplexField(fn=fn, label=_label("osc-x", states), energy_hint=E)
 
 
-def eigenfunction_z(model: OscillatorModel, state: OscillatorState) -> ComplexField:
+def eigenfunction_z(model: OscillatorModel, states) -> ComplexField:
     """theta(z) exp(-i E_n s / hbar), evaluated through s(x, t).
 
     theta carries no gaussian factor; composing exp(-i E s / hbar) with
     the map regenerates it, so this field equals eigenfunction_x
-    pointwise as a function of (x, t).
+    pointwise as a function of (x, t).  ``states`` is one state, or the
+    states of one level, one per tile.
     """
-    cmap = oscillator_map(model, state.energy)
+    states, E = _tiles(states)
+    cmap = oscillator_map(model, E)
     scale = model.xi_scale
     hbar = model.units.hbar
-    E = state.energy
-    ls = state.ls
 
     def phase(x1, x2, x3, t):
         s = t + 1j * cmap.tau(dual.norm3(x1, x2, x3))
         return dual.exp(-1j * E * s / hbar)
 
+    def factor(l, axis, xj):
+        return dual.cached((xj,), ("z-factor", scale, l, axis), lambda: hermite(l, scale * xj))
+
     def fn(x1, x2, x3, t):
         out = dual.cached((x1, x2, x3, t), ("z-phase", E, hbar, cmap), lambda: phase(x1, x2, x3, t))
-        for axis, (l, xj) in enumerate(zip(ls, (x1, x2, x3))):
-            out = out * dual.cached((xj,), ("z-factor", scale, l, axis), lambda: hermite(l, scale * xj))
-        return out
+        return _tiled_product(out, factor, states, x1, x2, x3)
 
-    return ComplexField(fn=fn, label=f"osc-z{state.ls}", energy_hint=E)
+    return ComplexField(fn=fn, label=_label("osc-z", states), energy_hint=E)
 
 
 def kg_residual_x(model: OscillatorModel, E: float, d: Derivatives):
     """Operator of the x-representation Klein-Gordon equation at energy E:
 
     | -hbar^2 c^2 laplacian(psi) + m0^2 c^4 psi + Omega^2 r^2 psi - E^2 psi |
-    with scale E^2 max|psi| over the grid.
+    with scale E^2 max|psi| over each tile of the grid.
     """
     u = model.units
     psi = d.value
     hc2 = (u.hbar * u.c) ** 2
-    scale = residual_scale(E * E * dual.modulus(psi).max())
+    scale = residual_scale(E * E * d.points.tile_max(dual.modulus(psi)))
     lap, e_sum = _laplacian(d)
-    r2 = dual.powr(d.points.radii, 2)
+    r2 = d.points.radial(dual.powr, 2)
     res = -hc2 * lap + u.rest_energy**2 * psi + model.omega**2 * r2 * psi - E * E * psi
     return dual.modulus(res), hc2 * e_sum, scale
 
@@ -162,14 +191,14 @@ def kg_residual_z(model: OscillatorModel, E: float, d: Derivatives):
     The transformed equation reads
     -hbar^2 c^2 sum_i d_zstar_i d_z_i psi + m0^2 c^4 psi = (E^2 - 3 hbar c Omega) psi
     and carries no potential term; the map is the one of energy E and the
-    scale is E^2 max|psi|.
+    scale is E^2 max|psi| over each tile.
     """
     u = model.units
     cmap = oscillator_map(model, E)
     psi = d.value
     hc2 = (u.hbar * u.c) ** 2
     eig = E * E - 3.0 * u.hbar * u.c * model.omega
-    scale = residual_scale(E * E * dual.modulus(psi).max())
+    scale = residual_scale(E * E * d.points.tile_max(dual.modulus(psi)))
     ddz, e = dzstar_dz(cmap, d)
     res = -hc2 * ddz + u.rest_energy**2 * psi - eig * psi
     return dual.modulus(res), hc2 * e, scale
@@ -177,10 +206,10 @@ def kg_residual_z(model: OscillatorModel, E: float, d: Derivatives):
 
 def energy_operator_residual(model: OscillatorModel, E: float, d: Derivatives):
     """Operator of E psi = i hbar d psi / ds, checked through d/ds = d/dt;
-    scale E^2 max|psi| as for kg_residual_z."""
+    scale E^2 max|psi| over each tile, as for kg_residual_z."""
     u = model.units
     psi = d.value
-    scale = residual_scale(E * E * dual.modulus(psi).max())
+    scale = residual_scale(E * E * d.points.tile_max(dual.modulus(psi)))
     eop = dual.mul(1j * u.hbar, d.grad[T_AXIS]) - E * psi
     return dual.modulus(eop), u.hbar * d.grad_err[T_AXIS], scale
 

@@ -60,11 +60,11 @@ def test_one_verdict_line_per_metric(tmp_path, monkeypatch, capsys):
     lines = [line for line in capsys.readouterr().out.splitlines() if ": parent " in line]
     assert lines == [
         "eigen-exact certify_s: parent 0.15 -> change 0.12 s (-20.0%; bound 25% worse: within), "
-        "change better in 3 of 4 pairs",
+        "change better in 3 of 4 pairs, parent IQR 0 s: median move larger",
         "eigen-exact setup_s: parent 0.13 -> change 0.13 s (+0.0%; bound 25% worse: within), "
-        "change better in 0 of 4 pairs",
+        "change better in 0 of 4 pairs, parent IQR 0 s: median move not larger",
         "eigen-exact peak_rss_mb: parent 40 -> change 40.4 MB (+1.0%; bound 10% worse: within), "
-        "change better in 0 of 4 pairs",
+        "change better in 0 of 4 pairs, parent IQR 0 MB: median move larger",
     ]
     record = json.loads(out.read_text())["workloads"]["eigen-exact"]
     assert record["change_faster_pairs"] == 3 and record["change"]["certify_s"]["median"] == 0.12
@@ -75,7 +75,22 @@ def test_a_move_past_the_bound_is_named():
     runs = {"parent": [{m: 1.0 for m in module.METRICS}] * 2, "change": [{m: 1.3 for m in module.METRICS}] * 2}
     end_to_end = {m: {"unit": "s", "better": "lower", "bound": 0.25} for m in module.METRICS}
     (line, *_) = module.verdicts("w", runs, end_to_end)
-    assert line == "w certify_s: parent 1 -> change 1.3 s (+30.0%; bound 25% worse: PAST), change better in 0 of 2 pairs"
+    assert line == ("w certify_s: parent 1 -> change 1.3 s (+30.0%; bound 25% worse: PAST), change better in 0 of 2 pairs, "
+                    "parent IQR 0 s: median move larger")
+
+
+@pytest.mark.parametrize("shift, verdict", [(-0.2, "not larger"), (-0.35, "larger")])
+def test_the_median_move_is_weighed_against_the_parents_quartile_spread(shift, verdict):
+    """Parent runs 1.0 to 1.6 s have quartiles 1.15 and 1.45 (inclusive
+    method), a spread of 0.3 s: a change better in every pair by 0.2 s moves
+    its median by less than that, by 0.35 s by more."""
+    module = _bench_record()
+    parent = [1.0, 1.2, 1.4, 1.6]
+    runs = {side: [{m: v + (shift if side == "change" else 0.0) for m in module.METRICS} for v in parent]
+            for side in ("parent", "change")}
+    end_to_end = {m: {"unit": "s", "better": "lower", "bound": 0.25} for m in module.METRICS}
+    (line, *_) = module.verdicts("w", runs, end_to_end)
+    assert line.endswith(f"change better in 4 of 4 pairs, parent IQR 0.3 s: median move {verdict}")
 
 
 def test_both_sides_run_without_checkout_bytecode(tmp_path, monkeypatch):

@@ -135,13 +135,33 @@ def test_ladder_suite_small():
     assert not byname["probe:number-operator-off-by-one"].passed
 
 
-def test_ladder_differentiates_each_state_once():
-    """(1,0,0) is one Sample that carries its level's read and the closing
-    reads, declared last; at nmax 0 the closing Sample stands alone."""
-    for nmax in (0, 1, 4):
+def _recorded_tiles(monkeypatch, module, name):
+    """The states of each field that ``module.name`` makes, one per tile, by field."""
+    tiles, make = {}, getattr(module, name)
+
+    def recording(model, states):
+        fld = make(model, states)
+        tiles[id(fld)] = [s.ls for s in ((states,) if isinstance(states, ho.OscillatorState) else states)]
+        return fld
+
+    monkeypatch.setattr(module, name, recording)
+    return tiles
+
+
+def test_ladder_differentiates_each_state_once(monkeypatch):
+    """Every state is one tile of one Sample, each Sample holds states of
+    one level, and (1,0,0) is alone in the last Sample, which carries its
+    level's read and the closing reads; at nmax 0 it stands alone."""
+    tiles = _recorded_tiles(monkeypatch, ho, "eigenfunction_x")
+    for nmax in (0, 1, 4, 6):
         samples = [s for s in harness._suite_ladder({"nmax": nmax}, 1e-10) if isinstance(s, Sample)]
-        assert len(samples) == sum((n + 1) * (n + 2) // 2 for n in range(nmax + 1)) + (nmax == 0)
-        assert samples[-1].field.label == "osc-x(1, 0, 0)"
+        per_sample = [tiles[id(s.field)] for s in samples]
+        assert [s.points.tiles for s in samples] == [len(states) for states in per_sample]
+        assert all(len({sum(ls) for ls in states}) == 1 for states in per_sample)
+        states = [ls for each in per_sample for ls in each]
+        want = [s.ls for n in range(nmax + 1) for s in ho.states_with_n(ho.OscillatorModel(1.0), n)]
+        assert sorted(states) == sorted(set(want) | {(1, 0, 0)}) and len(set(states)) == len(states)
+        assert per_sample[-1] == [(1, 0, 0)]
         cases = [read.case for read in samples[-1].reads]
         assert cases == ["number-operator-n1"] * (nmax >= 1) + [
             "lowering-proportionality", "probe:number-operator-off-by-one"]
@@ -211,7 +231,10 @@ def test_grid_arrays_equal_the_per_point_construction(suite, monkeypatch):
     monkeypatch.setattr(harness, "_points", row_points)
     monkeypatch.setattr(harness, "holomorphy_residual", holomorphy_sample)
     declared = [item.points for item in harness._DECLARATIONS[suite]({}, 1e-10) if isinstance(item, Sample)]
-    assert made and all(any(pts is m for m, _ in made) for pts in declared)
+    # a tiled grid holds its base grid's coordinates once per tile
+    assert made and all(any(pts.base is m for m, _ in made) for pts in declared)
+    for pts in declared:
+        assert all(np.array_equal(c, np.tile(b, pts.tiles)) for c, b in zip(pts.coords, pts.base.coords))
     for pts, reference in made:
         _assert_exact_grid(pts, reference)
 
@@ -341,11 +364,12 @@ def test_one_random_call_per_seed_reproduces_uniform_draws():
 
 @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_STENCIL])
 def test_operator_identities_report_does_not_depend_on_chunking(monkeypatch, mode):
-    """Families of FAMILY_SIZE fields, and a last family of one, report what
-    one field per pass reports."""
-    params, cfg = {"n_fields": harness.FAMILY_SIZE + 1, "seed": 2}, DiffConfig(mode=mode)
+    """Families of PASS_POINTS // FIELD_POINTS fields, and a last family of
+    one, report what one field per pass reports."""
+    per_pass = harness.PASS_POINTS // FIELD_POINTS
+    params, cfg = {"n_fields": per_pass + 1, "seed": 2}, DiffConfig(mode=mode)
     chunked = run_suite("operator-identities", params, cfg).with_wall_ms(0.0).to_json()
-    monkeypatch.setattr(harness, "FAMILY_SIZE", 1)
+    monkeypatch.setattr(harness, "PASS_POINTS", FIELD_POINTS)
     assert run_suite("operator-identities", params, cfg).with_wall_ms(0.0).to_json() == chunked
 
 

@@ -33,6 +33,12 @@ of the median is larger than that spread.  A claimed gain needs both: the
 change better in at least 9 of 10 pairs, and a median move larger than
 the parent's spread.  Quartiles need at least two pairs, so ``--pairs``
 below 2 is rejected before any run.
+
+The ``peak_rss_mb`` line also prints the change/parent ratio of the
+median ``attempted`` checks.  A workload's pass attempts a fixed number
+of checks, so this is the ratio of the pass counts; peak memory grows
+with the passes a run fits in its time, so a faster change can read
+higher memory for that alone.
 """
 
 import argparse
@@ -89,12 +95,16 @@ def verdicts(workload: str, runs: dict, end_to_end: dict) -> list:
         worse = 1.0 if spec["better"] == "lower" else -1.0  # the sign of a move for the worse
         won = sum(worse * (c[m] - p[m]) < 0 for p, c in zip(runs["parent"], runs["change"]))
         q1, _, q3 = quartiles([r[m] for r in runs["parent"]])
-        lines.append(
+        line = (
             f"{workload} {m}: parent {parent:.4g} -> change {change:.4g} {spec['unit']} ({move:+.1%}; "
             f"bound {spec['bound']:.0%} worse: {'within' if worse * move <= spec['bound'] else 'PAST'}), "
             f"change better in {won} of {len(runs['change'])} pairs, parent IQR {q3 - q1:.4g} {spec['unit']}: "
             f"median move {'larger' if abs(change - parent) > q3 - q1 else 'not larger'}"
         )
+        if m == "peak_rss_mb":  # a pass holds a fixed number of checks, and memory grows with the passes
+            passes = [statistics.median(r["attempted"] for r in runs[side]) for side in ("change", "parent")]
+            line += f"; pass count change/parent {passes[0] / passes[1]:.3f} (median attempted checks)"
+        lines.append(line)
     return lines
 
 

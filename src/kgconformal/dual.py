@@ -248,8 +248,7 @@ def variables(*coords):
         c = np.zeros((1 + 2 * k, len(x)))
         c[0] = x
         c[1 + i] = 1.0
-        c.flags.writeable = False
-        out.append(HyperDual(c))
+        out.append(HyperDual(frozen(c)))
         out[-1].axis, out[-1].memo = i, memo
     return out
 
@@ -276,6 +275,16 @@ def join_tiles(parts):
     return HyperDual(np.concatenate([coefficients(p) for p in parts], axis=-1))
 
 
+def reshape_points(x, shape, axes=1):
+    """A view of ``x`` (of a jet's coefficients) with its last ``axes``
+    axes, the points, reshaped to ``shape``; a constant as it is."""
+    if isinstance(x, HyperDual):
+        return HyperDual(reshape_points(x.c, shape, axes))
+    if isinstance(x, np.ndarray):
+        return x.reshape(x.shape[: x.ndim - axes] + shape)
+    return x
+
+
 def cached(args, key, make):
     """``make()``, kept under ``key`` in the memo of the seed jets ``args``;
     ``key`` must hold every value ``make`` reads besides ``args``."""
@@ -285,10 +294,16 @@ def cached(args, key, make):
     # a memo has one seed jet per axis, so the axes name the jets themselves
     key = (key, tuple(a.axis for a in args))
     if key not in memo:
-        memo[key] = make()
-        if isinstance(memo[key], HyperDual):
-            memo[key].c.flags.writeable = False
+        memo[key] = frozen(make())
     return memo[key]
+
+
+def frozen(x):
+    """``x``, with its array (a jet's coefficients) made read-only."""
+    array = getattr(x, "c", x)
+    if isinstance(array, np.ndarray):
+        array.flags.writeable = False
+    return x
 
 
 # -- generic math: scalars, arrays, and anything with _lift ----------------

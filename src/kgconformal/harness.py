@@ -33,7 +33,7 @@ from .confmap import (
     qprop_identity_residual,
     time_field,
 )
-from .core import ComplexField, ConfigError, PointSet, residual_scale
+from .core import ComplexField, ConfigError, DomainError, PointSet, residual_scale
 from .diffengine import DiffConfig, MODE_EXACT
 from .report import CaseResult, ResidualReport
 from .seeds import standard_doubles
@@ -363,6 +363,10 @@ def _lowering_proportionality(model, ground, state1, d):
     the mean, with scale 1.  ``d`` holds psi_1; psi_0 is evaluated on its
     points."""
     psi0 = ho.eigenfunction_x(model, ground)(*d.points.coords)
+    zero = np.flatnonzero(psi0 == 0.0)
+    if zero.size:
+        x1, x2, x3, t = (float(c[zero[0]]) for c in d.points.coords)
+        raise DomainError(f"lowering-proportionality: psi_0 underflows to 0 at x = ({x1}, {x2}, {x3}), t = {t}")
     # divide out the E_1 - E_0 phase difference before comparing ratios
     d_e = state1.energy - ground.energy
     hbar = model.units.hbar

@@ -19,7 +19,7 @@ from . import dual
 from .core import ComplexField, ConfigError, QuantumNumberError, UnitSystem, natural_units, residual_scale
 from .confmap import ConformalMap, _laplacian, d_z, d_zstar, dzstar_dz
 from .diffengine import Derivatives, T_AXIS
-from .specfun import hermite
+from .specfun import HermiteLadder, hermite
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ def _tiles(states) -> tuple:
     """The states of a field's tiles (see core.PointSet), one state or a
     sequence of them, and their one energy."""
     states = (states,) if isinstance(states, OscillatorState) else tuple(states)
-    if len({state.energy for state in states}) != 1:
-        raise ConfigError("the tiles of one oscillator field must be states of one level")
+    if len({state.energy for state in states}) != 1 or len(set(states)) < len(states):
+        raise ConfigError("the tiles of one oscillator field must be distinct states of one level")
     return states, states[0].energy
 
 
@@ -110,13 +110,18 @@ def _label(prefix: str, states) -> str:
 def _tiled_product(phase, factor, states, x1, x2, x3):
     """phase * f_1 * f_2 * f_3 in that order, each tile with its own state's
     one-axis factors ``factor(l, axis, x_axis)``; each distinct factor is
-    taken once."""
-    out = dual.join_tiles([phase] * len(states))
+    taken once, and the one phase is broadcast over the tiles."""
+    out = dual.reshape_points(phase, (1, -1))
     for axis, xj in enumerate((x1, x2, x3)):
         ls = [state.ls[axis] for state in states]
         made = {l: factor(l, axis, xj) for l in set(ls)}
-        out = out * dual.join_tiles([made[l] for l in ls])
-    return out
+        out = out * dual.reshape_points(dual.join_tiles([made[l] for l in ls]), (len(states), -1))
+    return dual.reshape_points(out, (-1,), axes=2)
+
+
+def _ladder(scale, xj):
+    """The Hermite ladder of xi_j = scale x_j, kept with the grid's jets."""
+    return dual.cached((xj,), ("hermite", scale), lambda: HermiteLadder(scale * xj))
 
 
 def eigenfunction_x(model: OscillatorModel, states) -> ComplexField:
@@ -130,8 +135,9 @@ def eigenfunction_x(model: OscillatorModel, states) -> ComplexField:
 
     def factor(l, axis, xj):
         def make():
-            xi = scale * xj
-            return hermite(l, xi) * dual.exp(-0.5 * (xi * xi))
+            ladder = _ladder(scale, xj)
+            gauss = dual.cached((xj,), ("gauss", scale), lambda: dual.exp(-0.5 * (ladder.xi * ladder.xi)))
+            return hermite(l, ladder) * gauss
 
         return dual.cached((xj,), ("x-factor", scale, l, axis), make)
 
@@ -160,7 +166,7 @@ def eigenfunction_z(model: OscillatorModel, states) -> ComplexField:
         return dual.exp(-1j * E * s / hbar)
 
     def factor(l, axis, xj):
-        return dual.cached((xj,), ("z-factor", scale, l, axis), lambda: hermite(l, scale * xj))
+        return dual.cached((xj,), ("z-factor", scale, l, axis), lambda: hermite(l, _ladder(scale, xj)))
 
     def fn(x1, x2, x3, t):
         out = dual.cached((x1, x2, x3, t), ("z-phase", E, hbar, cmap), lambda: phase(x1, x2, x3, t))

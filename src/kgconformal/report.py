@@ -10,8 +10,9 @@ but probes.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 
 PROBE_PREFIX = "probe:"
 
@@ -61,23 +62,36 @@ class ResidualReport:
     def with_wall_ms(self, wall_ms: float) -> "ResidualReport":
         return replace(self, wall_ms=wall_ms)
 
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "mode": self.mode,
-            "cases": [
-                {
-                    "name": c.name,
-                    "max_residual": float(c.max_residual),
-                    "error_estimate": float(c.error_estimate),
-                    "tolerance": float(c.tolerance),
-                    "pass": c.passed,
-                }
-                for c in self.cases
-            ],
-            "summary": {"pass": self.passed, "wall_ms": float(self.wall_ms)},
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
+        """The text of json.dumps(report, indent=2, allow_nan=False) plus a
+        newline, written directly for the report's fixed shape."""
+        text = encode_basestring_ascii
+        cases = ",".join(
+            "\n    {\n"
+            f'      "name": {text(c.name)},\n'
+            f'      "max_residual": {_number(c.max_residual)},\n'
+            f'      "error_estimate": {_number(c.error_estimate)},\n'
+            f'      "tolerance": {_number(c.tolerance)},\n'
+            f'      "pass": {"true" if c.passed else "false"}\n'
+            "    }"
+            for c in self.cases
+        )
+        cases = f"[{cases}\n  ]" if self.cases else "[]"
+        return (
+            "{\n"
+            f'  "suite": {text(self.suite)},\n'
+            f'  "mode": {text(self.mode)},\n'
+            f'  "cases": {cases},\n'
+            '  "summary": {\n'
+            f'    "pass": {"true" if self.passed else "false"},\n'
+            f'    "wall_ms": {_number(self.wall_ms)}\n'
+            "  }\n}\n"
+        )
 
+
+def _number(x) -> str:
+    """A float as json writes it; NaN and infinities are refused."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)

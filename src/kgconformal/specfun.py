@@ -19,21 +19,31 @@ SOMMERFELD = "sommerfeld"
 HYDRINO = "hydrino"
 
 
+class HermiteLadder:
+    """The read-only terms [H_0(xi), ..., H_k(xi)] of one read-only argument
+    ``xi``, from which ``hermite(l, ladder)`` resumes the recurrence."""
+
+    __slots__ = ("xi", "terms")
+
+    def __init__(self, xi):
+        self.xi, self.terms = dual.frozen(xi), [1.0]
+
+
 def hermite(l: int, xi):
     """Physicists' Hermite polynomial H_l via the three-term recurrence.
 
-    H_{k+1}(xi) = 2 xi H_k(xi) - 2 k H_{k-1}(xi).  Works for float,
-    complex, array or jet ``xi``.
+    H_{k+1}(xi) = 2 xi H_k(xi) - 2 k H_{k-1}(xi) (Abramowitz & Stegun
+    22.7).  Works for float, complex, array or jet ``xi``, and returns a
+    read-only value.  ``xi`` may be a HermiteLadder: its terms up to H_l are
+    then taken, and the missing ones added in place by the same steps.
     """
     if l < 0:
         raise QuantumNumberError("hermite degree must be non-negative")
-    h_prev, h = 1.0, None
-    if l == 0:
-        return h_prev
-    h = 2.0 * xi
-    for k in range(1, l):
-        h, h_prev = 2.0 * (xi * h) - 2.0 * k * h_prev, h
-    return h
+    xi, h = (xi.xi, xi.terms) if isinstance(xi, HermiteLadder) else (xi, [1.0])
+    while len(h) <= l:
+        k = len(h) - 1
+        h.append(dual.frozen(2.0 * xi if k == 0 else 2.0 * (xi * h[k]) - 2.0 * k * h[k - 1]))
+    return h[l]
 
 
 def _legendre_poly_part(l: int, m: int, u):

@@ -64,7 +64,8 @@ def test_one_verdict_line_per_metric(tmp_path, monkeypatch, capsys):
         "eigen-exact setup_s: parent 0.13 -> change 0.13 s (+0.0%; bound 25% worse: within), "
         "change better in 0 of 4 pairs, parent IQR 0 s: median move not larger",
         "eigen-exact peak_rss_mb: parent 40 -> change 40.4 MB (+1.0%; bound 10% worse: within), "
-        "change better in 0 of 4 pairs, parent IQR 0 MB: median move larger",
+        "change better in 0 of 4 pairs, parent IQR 0 MB: median move larger; "
+        "pass count change/parent 1.000 (median attempted checks)",
     ]
     record = json.loads(out.read_text())["workloads"]["eigen-exact"]
     assert record["change_faster_pairs"] == 3 and record["change"]["certify_s"]["median"] == 0.12
@@ -72,11 +73,25 @@ def test_one_verdict_line_per_metric(tmp_path, monkeypatch, capsys):
 
 def test_a_move_past_the_bound_is_named():
     module = _bench_record()
-    runs = {"parent": [{m: 1.0 for m in module.METRICS}] * 2, "change": [{m: 1.3 for m in module.METRICS}] * 2}
+    runs = {"parent": [{"attempted": 10, **{m: 1.0 for m in module.METRICS}}] * 2,
+            "change": [{"attempted": 10, **{m: 1.3 for m in module.METRICS}}] * 2}
     end_to_end = {m: {"unit": "s", "better": "lower", "bound": 0.25} for m in module.METRICS}
     (line, *_) = module.verdicts("w", runs, end_to_end)
     assert line == ("w certify_s: parent 1 -> change 1.3 s (+30.0%; bound 25% worse: PAST), change better in 0 of 2 pairs, "
                     "parent IQR 0 s: median move larger")
+
+
+def test_the_memory_line_names_the_pass_count_ratio():
+    """A run attempts a fixed number of checks a pass, so the ratio of the
+    median attempted checks is the ratio of the passes each side ran; it
+    rides on the peak_rss_mb line only."""
+    module = _bench_record()
+    runs = {"parent": [{"attempted": a, **{m: 1.0 for m in module.METRICS}} for a in (900, 1000, 1200)],
+            "change": [{"attempted": a, **{m: 1.0 for m in module.METRICS}} for a in (1250, 1100, 1300)]}
+    end_to_end = {m: {"unit": "s", "better": "lower", "bound": 0.25} for m in module.METRICS}
+    certify, setup, memory = module.verdicts("w", runs, end_to_end)
+    assert memory.endswith("median move not larger; pass count change/parent 1.250 (median attempted checks)")
+    assert "pass count" not in certify + setup
 
 
 @pytest.mark.parametrize("shift, verdict", [(-0.2, "not larger"), (-0.35, "larger")])
@@ -86,7 +101,8 @@ def test_the_median_move_is_weighed_against_the_parents_quartile_spread(shift, v
     its median by less than that, by 0.35 s by more."""
     module = _bench_record()
     parent = [1.0, 1.2, 1.4, 1.6]
-    runs = {side: [{m: v + (shift if side == "change" else 0.0) for m in module.METRICS} for v in parent]
+    runs = {side: [{"attempted": 10, **{m: v + (shift if side == "change" else 0.0) for m in module.METRICS}}
+                   for v in parent]
             for side in ("parent", "change")}
     end_to_end = {m: {"unit": "s", "better": "lower", "bound": 0.25} for m in module.METRICS}
     (line, *_) = module.verdicts("w", runs, end_to_end)

@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import io
 import json
@@ -247,6 +248,18 @@ def test_hydrino_state_without_radial_scale_is_config_error(capsys):
                        "--branch", "hydrino", "--state", "0,1")
     assert code == EXIT_CONFIG
     assert len(err.splitlines()) == 1 and "(0, 1)" in err and "hydrino" in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "stencil"])
+def test_ladder_ground_state_underflow_is_a_named_domain_error(capsys, mode):
+    """At Omega = 100 psi_0 underflows to 0 at the grid's outer points: the
+    lowering-proportionality ratio names the first such point instead of
+    dividing by zero."""
+    code, _, err = run(capsys, "verify", "--suite", "ladder", "--mode", mode, "--omega", "100")
+    assert code == EXIT_DOMAIN
+    assert err == ("domain error: DomainError: lowering-proportionality: psi_0 underflows to 0 "
+                   "at x = (4.0, 0.0, 0.0), t = 0.0\n")
+    assert not any(name in err for name in dir(builtins) if name.endswith(("Error", "Exception")))
 
 
 def test_spectrum_nonfinite_option_is_config_error(capsys):

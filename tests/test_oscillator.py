@@ -11,6 +11,7 @@ from kgconformal.diffengine import _diff
 from kgconformal.harness import Grid
 from kgconformal import dual
 from kgconformal import oscillator as ho
+from kgconformal.specfun import HermiteLadder, hermite
 
 from conftest import grid_of
 
@@ -185,3 +186,28 @@ def test_fields_sharing_a_grid_equal_fields_on_fresh_jets(exact_cfg):
                     assert np.array_equal(d.grad, fresh.g), fld.label
                     assert np.array_equal(d.hess, fresh.h), fld.label
     assert shared.jets[0].memo  # the fields did share factors
+
+
+def test_a_grid_keeps_one_read_only_hermite_ladder_per_axis(exact_cfg):
+    """The x- and z-fields of a grid take every Hermite degree from one
+    ladder per axis, kept read-only with the grid's jets; each of its terms
+    is, with ==, what a fresh recurrence gives."""
+    grid = Grid(r_min=0.1, r_max=4.0, shells=4).points()
+    for n in range(4):
+        states = list(ho.states_with_n(MODEL, n))
+        for make in (ho.eigenfunction_x, ho.eigenfunction_z):
+            _diff(make(MODEL, states), grid.tiled(len(states)), exact_cfg)
+    ladders = {key[1]: v for key, v in grid.jets[0].memo.items() if isinstance(v, HermiteLadder)}
+    assert sorted(ladders) == [(0,), (1,), (2,)]
+    fresh = dual.variables(*grid.coords)
+    for (axis,), ladder in ladders.items():
+        assert len(ladder.terms) == 4 and not ladder.xi.c.flags.writeable
+        for l, term in enumerate(ladder.terms[1:], 1):
+            assert np.array_equal(term.c, hermite(l, MODEL.xi_scale * fresh[axis]).c), (axis, l)
+            assert not term.c.flags.writeable
+
+
+def test_repeated_states_are_not_one_field():
+    ground = ho.make_state(MODEL, 0, 0, 0)
+    with pytest.raises(ConfigError, match="distinct states"):
+        ho.eigenfunction_z(MODEL, [ground, ground])

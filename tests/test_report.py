@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -62,6 +63,58 @@ def test_json_rejects_nan():
     rep = ResidualReport("demo", "exact-forward", (CaseResult("c", float("nan"), 0.0, 1.0),))
     with pytest.raises(ValueError):
         rep.to_json()
+
+
+def _reference_json(rep) -> str:
+    """The report as the json module writes it, from a dict built here."""
+    doc = {
+        "suite": rep.suite,
+        "mode": rep.mode,
+        "cases": [
+            {"name": c.name, "max_residual": float(c.max_residual), "error_estimate": float(c.error_estimate),
+             "tolerance": float(c.tolerance), "pass": c.passed}
+            for c in rep.cases
+        ],
+        "summary": {"pass": rep.passed, "wall_ms": float(rep.wall_ms)},
+    }
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+# the edges of repr's switch to exponent form (1e-4 and 1e16), subnormals and signed zero
+EDGES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
+         1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf), 9999999999999998.0, 0.1, 1.0, 1.7976931348623157e308]
+finite = st.one_of(
+    st.sampled_from(EDGES),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+any_text = st.one_of(
+    st.text(),  # any code point but a lone surrogate
+    # quotes, backslashes, control characters, non-ASCII, non-BMP and a lone surrogate
+    st.text(alphabet='"\\\b\f\n\r\t\x00\x1f\x7fé€😀\U0010ffff\ud800', max_size=12),
+)
+any_case = st.builds(CaseResult, name=any_text, max_residual=finite, error_estimate=finite, tolerance=finite)
+
+
+@given(any_text, any_text, st.lists(any_case, max_size=5), finite)
+def test_json_is_the_json_modules_text(suite, mode, cases, wall_ms):
+    rep = ResidualReport(suite, mode, tuple(cases), wall_ms)
+    assert rep.to_json() == _reference_json(rep)
+
+
+def test_json_of_no_cases():
+    rep = ResidualReport("s", "m")
+    assert rep.to_json() == _reference_json(rep)
+    assert '"cases": [],' in rep.to_json()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+@pytest.mark.parametrize("where", ["max_residual", "error_estimate", "tolerance", "wall_ms"])
+def test_json_rejects_every_non_finite_number(bad, where):
+    values = {"max_residual": 0.0, "error_estimate": 0.0, "tolerance": 1.0, "wall_ms": 0.0, where: bad}
+    case = CaseResult("c", values["max_residual"], values["error_estimate"], values["tolerance"])
+    with pytest.raises(ValueError):
+        ResidualReport("demo", "exact-forward", (case,), values["wall_ms"]).to_json()
 
 
 @given(

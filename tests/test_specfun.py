@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
+from kgconformal import dual
 from kgconformal.core import QuantumNumberError
 from kgconformal.specfun import (
     HYDRINO,
     SOMMERFELD,
+    HermiteLadder,
     eta_exponent,
     hermite,
     radial_polynomial,
@@ -44,6 +46,54 @@ def test_hermite_matches_series_oracle(l, x):
 @given(st.integers(min_value=0, max_value=9), st.floats(min_value=0.0, max_value=3.0))
 def test_hermite_parity(l, x):
     assert hermite(l, -x) == pytest.approx((-1.0) ** l * hermite(l, x), rel=1e-12, abs=1e-10)
+
+
+def _parts(h):
+    """The arrays of a Hermite value: a jet's coefficients, or the value."""
+    return np.asarray(getattr(h, "c", h))
+
+
+XI_KINDS = {
+    "float": lambda: 0.73,
+    "table": lambda: np.linspace(-3.0, 3.0, 33 * 5).reshape(33, 5),
+    "jet": lambda: dual.exp(dual.variables(np.linspace(-1.5, 1.2, 7))[0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(XI_KINDS))
+@pytest.mark.parametrize("order", [range(9), [6, 2, 8, 0, 7, 1, 3, 5, 4]], ids=["rising", "6-then-2"])
+def test_a_resumed_ladder_gives_every_degree_of_a_fresh_call(kind, order):
+    """Each degree taken from one ladder, in any order, equals with == what
+    a fresh recurrence gives, on floats, (33, n) tables and jets."""
+    ladder = HermiteLadder(XI_KINDS[kind]())
+    for l in order:
+        got = hermite(l, ladder)
+        assert np.array_equal(_parts(got), _parts(hermite(l, XI_KINDS[kind]()))), l
+    assert len(ladder.terms) == 9 and ladder.terms[6] is hermite(6, ladder)
+
+
+def test_a_ladder_extends_by_the_missing_steps_only():
+    ladder = HermiteLadder(np.array([0.5, 1.5]))
+    hermite(6, ladder)
+    kept = list(ladder.terms)
+    hermite(2, ladder)
+    assert len(ladder.terms) == 7 and all(a is b for a, b in zip(ladder.terms, kept))
+    hermite(7, ladder)
+    assert len(ladder.terms) == 8 and all(a is b for a, b in zip(ladder.terms, kept))
+
+
+@pytest.mark.parametrize("kind", ["table", "jet"])
+def test_kept_ladder_terms_are_read_only(kind):
+    ladder = HermiteLadder(XI_KINDS[kind]())
+    hermite(4, ladder)
+    for value in [ladder.xi] + ladder.terms[1:]:
+        with pytest.raises(ValueError, match="read-only"):
+            _parts(value)[...] = 0.0
+
+
+def test_a_fresh_call_leaves_its_argument_writable():
+    xi = np.array([0.25, 2.0])
+    assert not hermite(3, xi).flags.writeable and xi.flags.writeable
 
 
 def test_sph_harm_frozen_oracles():

@@ -107,20 +107,21 @@ def _label(prefix: str, states) -> str:
     return prefix + (f"{states[0].ls}" if len(states) == 1 else f"{states[0].ls}..{states[-1].ls}")
 
 
-def _tiled_product(phase, factor, states, x1, x2, x3):
+def _tiled_product(phase, factors, states, x1, x2, x3):
     """phase * f_1 * f_2 * f_3 in that order, each tile with its own state's
-    one-axis factors ``factor(l, axis, x_axis)``; each distinct factor is
-    taken once, and the one phase is broadcast over the tiles."""
+    one-axis factors; ``factors(ls, axis, x_axis)`` maps each distinct
+    degree to its factor.  The one phase is broadcast over the tiles."""
     out = dual.reshape_points(phase, (1, -1))
     for axis, xj in enumerate((x1, x2, x3)):
         ls = [state.ls[axis] for state in states]
-        made = {l: factor(l, axis, xj) for l in set(ls)}
+        made = factors(set(ls), axis, xj)
         out = out * dual.reshape_points(dual.join_tiles([made[l] for l in ls]), (len(states), -1))
     return dual.reshape_points(out, (-1,), axes=2)
 
 
 def _ladder(scale, xj):
-    """The Hermite ladder of xi_j = scale x_j, kept with the grid's jets."""
+    """The Hermite ladder of xi_j = scale x_j: kept with the grid's jets, or
+    shared by the degrees of one field call."""
     return dual.cached((xj,), ("hermite", scale), lambda: HermiteLadder(scale * xj))
 
 
@@ -133,17 +134,14 @@ def eigenfunction_x(model: OscillatorModel, states) -> ComplexField:
     scale = model.xi_scale
     hbar = model.units.hbar
 
-    def factor(l, axis, xj):
-        def make():
-            ladder = _ladder(scale, xj)
-            gauss = dual.cached((xj,), ("gauss", scale), lambda: dual.exp(-0.5 * (ladder.xi * ladder.xi)))
-            return hermite(l, ladder) * gauss
-
-        return dual.cached((xj,), ("x-factor", scale, l, axis), make)
+    def factors(ls, axis, xj):
+        ladder = _ladder(scale, xj)
+        gauss = dual.cached((xj,), ("gauss", scale), lambda: dual.exp(-0.5 * (ladder.xi * ladder.xi)))
+        return {l: dual.cached((xj,), ("x-factor", scale, l, axis), lambda: hermite(l, ladder) * gauss) for l in ls}
 
     def fn(x1, x2, x3, t):
         phase = dual.cached((t,), ("phase", E, hbar), lambda: dual.exp(-1j * E * t / hbar))
-        return _tiled_product(phase, factor, states, x1, x2, x3)
+        return _tiled_product(phase, factors, states, x1, x2, x3)
 
     return ComplexField(fn=fn, label=_label("osc-x", states), energy_hint=E)
 
@@ -165,12 +163,13 @@ def eigenfunction_z(model: OscillatorModel, states) -> ComplexField:
         s = t + 1j * cmap.tau(dual.norm3(x1, x2, x3))
         return dual.exp(-1j * E * s / hbar)
 
-    def factor(l, axis, xj):
-        return dual.cached((xj,), ("z-factor", scale, l, axis), lambda: hermite(l, _ladder(scale, xj)))
+    def factors(ls, axis, xj):
+        ladder = _ladder(scale, xj)
+        return {l: dual.cached((xj,), ("z-factor", scale, l, axis), lambda: hermite(l, ladder)) for l in ls}
 
     def fn(x1, x2, x3, t):
         out = dual.cached((x1, x2, x3, t), ("z-phase", E, hbar, cmap), lambda: phase(x1, x2, x3, t))
-        return _tiled_product(out, factor, states, x1, x2, x3)
+        return _tiled_product(out, factors, states, x1, x2, x3)
 
     return ComplexField(fn=fn, label=_label("osc-z", states), energy_hint=E)
 

@@ -123,7 +123,7 @@ class PointSet:
         # ** 0.5 is a square root, which can round otherwise
         self.radii = np.array([v**0.5 for v in (x1 * x1 + x2 * x2 + x3 * x3).tolist()])
         self.jets = None
-        self.base, self.tiles = self, 1
+        self._base, self.tiles = None, 1
 
     def tiled(self, tiles: int) -> "PointSet":
         """``tiles`` copies of this grid, one after another, as one grid."""
@@ -131,8 +131,13 @@ class PointSet:
         out.coords = tuple(np.tile(c, tiles) for c in self.coords)
         out.radii = np.tile(self.radii, tiles)
         out.jets = None  # a tiled grid's fields read its base's jets
-        out.base, out.tiles = self.base, self.tiles * tiles
+        out._base, out.tiles = self.base, self.tiles * tiles
         return out
+
+    @property
+    def base(self) -> "PointSet":
+        # not kept on its own base: that cycle would hold the jets' memo until a gc run
+        return self if self._base is None else self._base
 
     def radial(self, f, *args) -> np.ndarray:
         """``f(radii, *args)`` for a coefficient of r alone: taken once on

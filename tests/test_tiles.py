@@ -7,6 +7,8 @@ equal, with ==, what one state per pass gives: the same suites with a
 budget of one point, so that every pass holds one tile.
 """
 
+import gc
+import weakref
 from functools import partial
 
 import numpy as np
@@ -159,3 +161,22 @@ def test_join_tiles_lifts_constants():
     assert np.array_equal(joined.c, np.concatenate((jet.c, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]), axis=1))
     rows = np.array([[0.5, 2.0], [1.5, 3.0]])
     assert np.array_equal(dual.join_tiles([2.0, rows]), np.array([[2.0, 2.0, 0.5, 2.0], [2.0, 2.0, 1.5, 3.0]]))
+
+
+def test_a_grid_and_its_memo_go_with_their_last_reference():
+    """A grid of one tile is its own base without holding itself, so a pass's
+    grids, jets and memo are freed as soon as the pass drops them, not at
+    the next run of the cyclic collector."""
+    gc.disable()
+    try:
+        points = GRID.points()
+        states = list(ho.states_with_n(MODEL, 1))
+        _diff(ho.eigenfunction_x(MODEL, states), points.tiled(len(states)), DiffConfig(mode=MODE_EXACT))
+        ladder = points.jets[0].memo[(("hermite", MODEL.xi_scale), (0,))]
+        kept = weakref.ref(ladder.terms[1].c)  # the memo's arrays
+        del ladder
+        grid = weakref.ref(points)
+        del points
+        assert grid() is None and kept() is None
+    finally:
+        gc.enable()

@@ -91,7 +91,7 @@ def test_kept_ladder_terms_are_read_only(kind):
             _parts(value)[...] = 0.0
 
 
-def test_a_fresh_call_leaves_its_argument_writable():
+def test_a_fresh_call_freezes_its_value_not_its_argument():
     xi = np.array([0.25, 2.0])
     assert not hermite(3, xi).flags.writeable and xi.flags.writeable
 

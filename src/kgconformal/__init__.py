@@ -4,17 +4,15 @@ the Klein-Gordon equation for the harmonic oscillator and Coulomb systems."""
 from .core import (
     BranchError,
     ComplexField,
-    ComplexPoint,
     ConfigError,
     DomainError,
     KgcError,
     NoTerminationError,
     NonFiniteError,
+    PointSet,
     QuantumNumberError,
-    SpaceTimePoint,
     UnitSystem,
     natural_units,
-    radial_norm,
 )
 from .confmap import ConformalMap, forward, inverse
 from .diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL
@@ -27,7 +25,6 @@ __all__ = [
     "BranchError",
     "CaseResult",
     "ComplexField",
-    "ComplexPoint",
     "ConformalMap",
     "ConfigError",
     "DiffConfig",
@@ -38,15 +35,14 @@ __all__ = [
     "MODE_STENCIL",
     "NoTerminationError",
     "NonFiniteError",
+    "PointSet",
     "QuantumNumberError",
     "ResidualReport",
-    "SpaceTimePoint",
     "TestFieldSpec",
     "UnitSystem",
     "forward",
     "generate_test_field",
     "inverse",
     "natural_units",
-    "radial_norm",
     "run_suite",
 ]

@@ -28,8 +28,8 @@ from .core import (
     KgcError,
     NoTerminationError,
     NonFiniteError,
+    PointSet,
     QuantumNumberError,
-    SpaceTimePoint,
     UnitSystem,
 )
 from .diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL
@@ -225,7 +225,8 @@ def _map_from_args(args) -> ConformalMap:
 
 
 def _read_points(path):
-    pts = []
+    """The points file's rows, as (x1, x2, x3, t) tuples of finite floats."""
+    rows = []
     try:
         fh = open(path)
     except OSError as exc:
@@ -239,24 +240,28 @@ def _read_points(path):
             if len(parts) != 4:
                 raise ConfigError(f"{path}:{lineno}: expected 'x1 x2 x3 t'")
             try:
-                x1, x2, x3, t = (float(v) for v in parts)
+                row = tuple(float(v) for v in parts)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: expected 'x1 x2 x3 t' as numbers") from None
-            pts.append(SpaceTimePoint(x=(x1, x2, x3), t=t))
-    return pts
+            if not all(map(math.isfinite, row)):
+                raise ConfigError(f"{path}:{lineno}: coordinates must be finite")
+            if math.isinf(sum(v * v for v in row[:3])):
+                raise ConfigError(f"{path}:{lineno}: x1^2 + x2^2 + x3^2 overflows")
+            rows.append(row)
+    return rows
 
 
 def cmd_map(args) -> int:
     cmap = _map_from_args(args)
-    pts = _read_points(args.points)
+    rows = _read_points(args.points)
     lines = ["# z1 z2 z3 re_s im_s roundtrip_err"]
-    for p in pts:
-        q = forward(cmap, p)
-        back = inverse(cmap, q)
-        rt = abs(back.t - p.t) + max(abs(a - b) for a, b in zip(back.x, p.x))
-        lines.append(
-            f"{q.z[0]!r} {q.z[1]!r} {q.z[2]!r} {q.s.real!r} {q.s.imag!r} {rt:.3e}"
-        )
+    if rows:  # a grid has at least one point
+        pts = PointSet(*zip(*rows))
+        s = forward(cmap, pts)
+        # z = x exactly, so only t can come back changed
+        roundtrip = np.abs(inverse(cmap, pts, s) - pts.coords[3])
+        for (x1, x2, x3, _), si, rt in zip(rows, s.tolist(), roundtrip.tolist()):
+            lines.append(f"{x1!r} {x2!r} {x3!r} {si.real!r} {si.imag!r} {rt:.3e}")
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_PASS
 

@@ -36,16 +36,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from . import dual
-from .core import (
-    ComplexField,
-    ComplexPoint,
-    DomainError,
-    PointSet,
-    SpaceTimePoint,
-    UnitSystem,
-    natural_units,
-    ConfigError,
-)
+from .core import ComplexField, ConfigError, DomainError, PointSet, UnitSystem, natural_units
 from .diffengine import Derivatives, DiffConfig, T_AXIS, _diff
 from .report import CaseResult, ResidualReport
 
@@ -122,22 +113,29 @@ class ConformalMap:
         return k * (self.a + self.lam * (self.lam + 1.0) * w) / r2, dual.powr(k * (self.a + self.lam * w), 2) / r2
 
 
-def forward(cmap: ConformalMap, p: SpaceTimePoint) -> ComplexPoint:
-    """z = x, s = t - i (hbar/E) [a ln r + (r/b)^lam]; |z| = |x| exactly."""
-    r = p.r
-    if r == 0.0 and cmap.a != 0.0:
-        raise DomainError("forward map undefined at r = 0 when a != 0 (ln r)")
-    s = p.t - 1j * (cmap.units.hbar / cmap.E) * cmap.bracket(r) if not cmap.is_identity else complex(p.t)
-    return ComplexPoint(z=p.x, s=s)
+def _bracket_at(cmap: ConformalMap, pts: PointSet, singular: str):
+    """a ln r + (r/b)^lambda at every point, each power in CPython's pow
+    as the scalar ``bracket`` takes it (see d_z)."""
+    if cmap.a != 0.0 and 0.0 in pts.radii:
+        raise DomainError(singular)
+    term = cmap._power(pts.radii)
+    return term + cmap.a * dual.log(pts.radii) if cmap.a != 0.0 else term
 
 
-def inverse(cmap: ConformalMap, q: ComplexPoint) -> SpaceTimePoint:
-    """x = z, t = s + i (hbar/E) [a ln r_z + (r_z/b)^lam]."""
-    r = q.r
-    if r == 0.0 and cmap.a != 0.0:
-        raise DomainError("inverse map undefined at r_z = 0 when a != 0")
-    t = q.s + 1j * (cmap.units.hbar / cmap.E) * cmap.bracket(r)
-    return SpaceTimePoint(x=q.z, t=t.real)
+def forward(cmap: ConformalMap, pts: PointSet) -> np.ndarray:
+    """s = t - i (hbar/E) [a ln r + (r/b)^lam] at every point, as a complex
+    array; z = x is ``pts.coords[:3]`` itself, so |z| = |x| exactly."""
+    if cmap.is_identity:
+        return pts.coords[3].astype(complex)  # keeps t = -0.0 as Re s = -0.0
+    bracket = _bracket_at(cmap, pts, "forward map undefined at r = 0 when a != 0 (ln r)")
+    return pts.coords[3] - 1j * (cmap.units.hbar / cmap.E) * bracket
+
+
+def inverse(cmap: ConformalMap, pts: PointSet, s) -> np.ndarray:
+    """t = s + i (hbar/E) [a ln r_z + (r_z/b)^lam] at every point, as a
+    float array; ``pts`` holds z = x and so r_z."""
+    bracket = _bracket_at(cmap, pts, "inverse map undefined at r_z = 0 when a != 0")
+    return (s + 1j * (cmap.units.hbar / cmap.E) * bracket).real
 
 
 def _require_off_origin(cmap, pts):

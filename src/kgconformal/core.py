@@ -13,6 +13,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from . import dual
+
 
 class KgcError(Exception):
     """Base class for all errors raised by this package."""
@@ -69,43 +71,15 @@ def natural_units() -> UnitSystem:
     return UnitSystem(1.0, 1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class SpaceTimePoint:
-    x: tuple[float, float, float]
-    t: float = 0.0
-
-    @property
-    def r(self) -> float:
-        return radial_norm(self.x)
-
-
-@dataclass(frozen=True)
-class ComplexPoint:
-    """Image of a SpaceTimePoint: z_i = x_i (real), complex time s."""
-
-    z: tuple[float, float, float]
-    s: complex
-
-    @property
-    def r(self) -> float:
-        return radial_norm(self.z)
-
-
-def radial_norm(x) -> float:
-    """Euclidean norm of a 3-vector, r = sqrt(x1^2 + x2^2 + x3^2)."""
-    x1, x2, x3 = x
-    return (x1 * x1 + x2 * x2 + x3 * x3) ** 0.5
-
-
 class PointSet:
     """A grid of n points as its four coordinate arrays.
 
     ``coords`` is (x1, x2, x3, t), one float array each.  ``radii`` holds
-    every point's ``r`` as SpaceTimePoint.r rounds it, as a float array, so
-    per-point geometry computed from it matches a loop over the points bit
-    for bit.  ``jets`` is None until an exact-forward pass makes the grid's
-    seed jets (see diffengine), which every field on the grid then shares.
-    Iteration yields SpaceTimePoints, made on demand.
+    every point's r = (x1^2 + x2^2 + x3^2)^(1/2), each rounded as CPython's
+    ``** 0.5`` rounds it, so per-point geometry computed from it matches a
+    loop over the points bit for bit.  ``jets`` is None until an
+    exact-forward pass makes the grid's seed jets (see diffengine), which
+    every field on the grid then shares.
 
     A grid made by ``tiled`` is ``tiles`` copies of its ``base`` grid, one
     after another: its coordinates and radii are the base's, tiled.  Its
@@ -119,9 +93,8 @@ class PointSet:
         if len({c.shape for c in self.coords}) != 1 or self.coords[0].ndim != 1 or not len(self.coords[0]):
             raise ConfigError("a point set needs at least one point, as four 1-d arrays of one length")
         x1, x2, x3, _ = self.coords
-        # radial_norm's sum, then CPython's ** 0.5 (libm pow): numpy's
-        # ** 0.5 is a square root, which can round otherwise
-        self.radii = np.array([v**0.5 for v in (x1 * x1 + x2 * x2 + x3 * x3).tolist()])
+        # CPython's ** 0.5 (libm pow): numpy's ** 0.5 is a square root, which can round otherwise
+        self.radii = dual.powr(x1 * x1 + x2 * x2 + x3 * x3, 0.5)
         self.jets = None
         self._base, self.tiles = None, 1
 
@@ -155,10 +128,6 @@ class PointSet:
     def __len__(self):
         return len(self.radii)
 
-    def __iter__(self):
-        for x1, x2, x3, t in zip(*(c.tolist() for c in self.coords)):
-            yield SpaceTimePoint(x=(x1, x2, x3), t=t)
-
 
 def residual_scale(value):
     """Check a residual's normaliser, one value or one per point: zero or
@@ -176,13 +145,13 @@ class ComplexField:
 
     The callable must be generic over its argument type: it is evaluated
     with diagonal jets over a grid in exact-forward mode, with plain floats
-    by ``at``, and in stencil mode with (33, n) float arrays, one row per
-    shifted copy of an n-point grid.  So it must be elementwise: any
-    parameter with one value per point has shape (n,) and broadcasts
-    against the rows, and it must not take ``len`` of, or ``zip`` over,
-    its arguments' points.  A field of T tiles (see PointSet) is evaluated
-    on its grid's base points and returns every tile: T n values along the
-    last axis, tile-major.  ``energy_hint``
+    by ``at`` on one (x1, x2, x3, t) row, and in stencil mode with (33, n)
+    float arrays, one row per shifted copy of an n-point grid.  So it
+    must be elementwise: any parameter with one value per point has shape
+    (n,) and broadcasts against the rows, and it must not take ``len`` of,
+    or ``zip`` over, its arguments' points.  A field of T tiles (see
+    PointSet) is evaluated on its grid's base points and returns every
+    tile: T n values along the last axis, tile-major.  ``energy_hint``
     carries the energy eigenvalue for fields with exp(-i E t / hbar) time
     dependence, which several operator reductions rely on; a family of
     fields evaluated on their concatenated points carries one energy per
@@ -198,5 +167,5 @@ class ComplexField:
     def __call__(self, x1, x2, x3, t):
         return self.fn(x1, x2, x3, t)
 
-    def at(self, p: SpaceTimePoint):
-        return self.fn(p.x[0], p.x[1], p.x[2], p.t)
+    def at(self, p):
+        return self.fn(*p)

@@ -87,18 +87,6 @@ def sph_harm_cartesian(l: int, k: int, x1, x2, x3):
     return norm * poly * azim
 
 
-def spherical_harmonic(l: int, k: int, theta: float, phi: float) -> complex:
-    """Orthonormal spherical harmonic Y_lk(theta, phi), Condon-Shortley phase."""
-    if abs(k) > l:
-        raise QuantumNumberError(f"|k| = {abs(k)} exceeds l = {l}")
-    if not 0.0 <= theta <= math.pi:
-        raise QuantumNumberError("theta must lie in [0, pi]")
-    st, ct = math.sin(theta), math.cos(theta)
-    x1 = st * math.cos(phi)
-    x2 = st * math.sin(phi)
-    return complex(sph_harm_cartesian(l, k, x1, x2, ct))
-
-
 @dataclass(frozen=True)
 class RadialPolynomial:
     """Degree-n polynomial from the terminating radial series, c0 = 1.

@@ -1,12 +1,11 @@
 import pytest
 
 from kgconformal import DiffConfig, MODE_EXACT, MODE_STENCIL
-from kgconformal.core import PointSet
 
 
-def grid_of(points) -> PointSet:
-    """The grid of the SpaceTimePoints ``points``, in order."""
-    return PointSet(*zip(*(p.x + (p.t,) for p in points)))
+def point_rows(pts) -> list:
+    """The (x1, x2, x3, t) rows of a grid, in order, as tuples of Python floats."""
+    return list(zip(*(c.tolist() for c in pts.coords)))
 
 
 @pytest.fixture

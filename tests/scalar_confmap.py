@@ -45,6 +45,23 @@ def time_coupling_sq_sum(cmap, E, r):
     return ((cmap.units.hbar / E) * (cmap.a + cmap.lam * _power(cmap, r))) ** 2 / (r * r)
 
 
+def _r(x):
+    x1, x2, x3 = x
+    return (x1 * x1 + x2 * x2 + x3 * x3) ** 0.5
+
+
+def forward(cmap, row):
+    """s at one (x1, x2, x3, t) row: t - i (hbar/E) [a ln r + (r/b)^lam]."""
+    if cmap.is_identity:
+        return complex(row[3])
+    return row[3] - 1j * (cmap.units.hbar / cmap.E) * cmap.bracket(_r(row[:3]))
+
+
+def inverse(cmap, row, s):
+    """t at one row from its s: s + i (hbar/E) [a ln r_z + (r_z/b)^lam]."""
+    return (s + 1j * (cmap.units.hbar / cmap.E) * cmap.bracket(_r(row[:3]))).real
+
+
 def energies(cmap, n):
     """The map's energy at each of n points, as Python floats."""
     return np.broadcast_to(cmap.E, n).tolist()
@@ -61,7 +78,8 @@ def _laplacian(d):
 
 def first_order(cmap, d, axis, sign):
     pts = d.points
-    a_coef = [time_coupling(cmap, e, p.x, r) for e, p, r in zip(energies(cmap, len(pts)), pts, pts.radii.tolist())]
+    xs = zip(*(c.tolist() for c in pts.coords[:3]))
+    a_coef = [time_coupling(cmap, e, x, r) for e, x, r in zip(energies(cmap, len(pts)), xs, pts.radii.tolist())]
     coef = np.array([sign * 1j * a[axis] for a in a_coef])
     err = np.abs(np.array([a[axis] for a in a_coef])) * d.grad_err[T_AXIS] + d.grad_err[axis]
     return d.grad[axis] + dual.mul(coef, d.grad[T_AXIS]), err

@@ -21,6 +21,8 @@ from kgconformal.harness import Grid, SUITES, run_suite
 from kgconformal.shooting import EPS_RTOL, binding_parameter, shooting_eigenvalue
 from kgconformal.specfun import eta_exponent
 
+from conftest import point_rows
+
 ALPHA = 0.0072973525693
 EXACT = DiffConfig(mode=MODE_EXACT)
 STENCIL = DiffConfig(mode=MODE_STENCIL)
@@ -164,16 +166,16 @@ def test_criterion_07_representation_consistency(announce):
     for n in range(5):
         for state in ho.states_with_n(osc, n):
             fx, fz = ho.eigenfunction_x(osc, state), ho.eigenfunction_z(osc, state)
-            scale = max(abs(complex(fx.at(p))) for p in pts)
-            worst = max(abs(complex(fz.at(p)) - complex(fx.at(p))) for p in pts)
+            scale = max(abs(complex(fx.at(p))) for p in point_rows(pts))
+            worst = max(abs(complex(fz.at(p)) - complex(fx.at(p))) for p in point_rows(pts))
             ok &= worst / scale < 1e-12
     cmodel = cb.CoulombModel(alpha=ALPHA, units=natural_units())
     for n, l in ((0, 0), (1, 0), (0, 1)):
         state = cb.make_state(cmodel, n, l)
         cpts = Grid(r_min=0.1 * state.r_scale, r_max=20.0 * state.r_scale, shells=10).points()
         fx, fz = cb.eigenfunction_x(cmodel, state), cb.eigenfunction_z(cmodel, state)
-        scale = max(abs(complex(fx.at(p))) for p in cpts)
-        worst = max(abs(complex(fz.at(p)) - complex(fx.at(p))) for p in cpts)
+        scale = max(abs(complex(fx.at(p))) for p in point_rows(cpts))
+        worst = max(abs(complex(fz.at(p)) - complex(fx.at(p))) for p in point_rows(cpts))
         ok &= worst / scale < 1e-12
     # the algebraic identities behind the construction, to 1e-14
     eta0 = eta_exponent(0, ALPHA)

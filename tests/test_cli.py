@@ -223,6 +223,23 @@ def test_map_malformed_points_file(tmp_path, capsys):
     assert "expected" in err
 
 
+@pytest.mark.parametrize("row,message", [
+    ("inf 0 0 0.5", "coordinates must be finite"),
+    ("nan 1 0 0", "coordinates must be finite"),
+    ("1 0 0 -inf", "coordinates must be finite"),
+    ("1e200 0 0 0.5", "x1^2 + x2^2 + x3^2 overflows"),
+])
+@pytest.mark.parametrize("system", ["oscillator", "coulomb"])
+def test_map_rejects_nonfinite_points_and_overflowing_radii(tmp_path, capsys, system, row, message):
+    """A point the map cannot take is a config error naming its line, never
+    a row of nan or inf."""
+    pts = tmp_path / "pts.txt"
+    pts.write_text(f"1 0 0 0\n{row}\n")
+    code, out, err = run(capsys, "map", "--points", str(pts), "--system", system)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"config error: {pts}:2: {message}\n"
+
+
 @pytest.mark.parametrize("argv,code", [
     (("--suite", "ladder", "--omega", "0"), EXIT_CONFIG),
     (("--suite", "oscillator-x", "--omega", "-1"), EXIT_CONFIG),
@@ -352,7 +369,7 @@ coordinate = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False).map(repr)
 point_lines = st.one_of(
     st.tuples(coordinate, coordinate, coordinate, coordinate).map(" ".join),
     coordinate.map("0.0 0.0 -0.0 {}".format),  # r = 0
-    st.lists(st.one_of(coordinate, st.sampled_from(["0", "1e-300", "nan", "inf", "x"])),
+    st.lists(st.one_of(coordinate, st.sampled_from(["0", "1e-300", "1e200", "nan", "inf", "x"])),
              min_size=3, max_size=5).map(" ".join),
 )
 map_options = st.fixed_dictionaries({"--b": st.one_of(numbers, st.sampled_from(["inf", "nan", "b"])),

@@ -18,12 +18,12 @@ from kgconformal import confmap
 from kgconformal import coulomb as cb
 from kgconformal import oscillator as ho
 from kgconformal.confmap import ConformalMap
-from kgconformal.core import DomainError, PointSet, SpaceTimePoint, natural_units
+from kgconformal.core import DomainError, PointSet, natural_units
 from kgconformal.diffengine import DiffConfig, MODE_EXACT, _diff
 from kgconformal.harness import TestFieldSpec, generate_test_field
 
 import scalar_confmap as ref
-from conftest import grid_of
+from conftest import point_rows
 
 U = natural_units()
 EXACT = DiffConfig(mode=MODE_EXACT)
@@ -82,7 +82,8 @@ def test_coefficients_equal_the_scalar_formulas(cmap, pts):
     div_a, sq = cmap.second_order_couplings(pts.radii)
     assert np.array_equal(div_a, ref.per_point(ref.time_coupling_divergence, cmap, pts))
     assert np.array_equal(sq, ref.per_point(ref.time_coupling_sq_sum, cmap, pts))
-    want = [ref.time_coupling(cmap, e, p.x, r) for e, p, r in zip(ref.energies(cmap, len(pts)), pts, pts.radii.tolist())]
+    rows = point_rows(pts)
+    want = [ref.time_coupling(cmap, e, p[:3], r) for e, p, r in zip(ref.energies(cmap, len(pts)), rows, pts.radii.tolist())]
     _equal(cmap.time_coupling(pts.coords[:3], pts.radii), tuple(np.array(a) for a in zip(*want)))
 
 
@@ -116,8 +117,7 @@ def test_identity_map_at_the_origin_gives_zero_without_warning(energy):
     """The general formula's 0 / r^2 is 0/0 at r = 0: a RuntimeWarning, or
     under the CLI's errstate a FloatingPointError."""
     ident = ConformalMap.identity(E=energy)
-    pts = grid_of([SpaceTimePoint(x=(0.0, 0.0, 0.0), t=0.2), SpaceTimePoint(x=(0.3, -0.1, 0.2), t=0.0),
-                   SpaceTimePoint(x=(0.0, 0.0, 0.0), t=-0.4)])
+    pts = PointSet([0.0, 0.3, 0.0], [0.0, -0.1, 0.0], [0.0, 0.2, 0.0], [0.2, 0.0, -0.4])
     d = _diff(FIELD, pts, EXACT)
     with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
         warnings.simplefilter("error")
@@ -131,7 +131,7 @@ def test_identity_map_at_the_origin_gives_zero_without_warning(energy):
 
 
 def test_map_with_a_power_term_at_the_origin_raises():
-    pts = grid_of([SpaceTimePoint(x=(0.0, 0.0, 0.0), t=0.0)])
+    pts = PointSet([0.0], [0.0], [0.0], [0.0])
     d = _diff(FIELD, pts, EXACT)
     with pytest.raises(DomainError, match="r = 0"):
         confmap.dzstar_dz(MAPS["lam2-oscillator"], d)

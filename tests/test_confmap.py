@@ -25,12 +25,13 @@ from kgconformal.confmap import (
     inverse,
     time_field,
 )
-from kgconformal.core import ComplexField, ConfigError, DomainError, PointSet, SpaceTimePoint, natural_units
+from kgconformal.core import ComplexField, ConfigError, DomainError, PointSet, UnitSystem, natural_units
 from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL, _diff
 from kgconformal.harness import Grid
 from kgconformal.report import CaseResult
 
-from conftest import grid_of
+import scalar_confmap as ref
+from conftest import point_rows
 
 U = natural_units()
 OSC_MAP = ConformalMap(a=0.0, b=1.0, lam=2.0, E=2.0, units=U)       # oscillator-shaped
@@ -52,52 +53,73 @@ def test_map_validation():
 def test_identity_map():
     ident = ConformalMap.identity()
     assert ident.is_identity
-    p = SpaceTimePoint(x=(0.3, -0.1, 0.7), t=1.5)
-    q = forward(ident, p)
-    assert q.z == p.x
-    assert q.s == complex(1.5)
-    assert ident.time_coupling(p.x, p.r) == (0.0, 0.0, 0.0)
-    assert ident.second_order_couplings(p.r)[0] == 0.0
+    pts = PointSet([0.3, 1.0], [-0.1, -0.0], [0.7, 0.0], [1.5, -0.0])
+    s = forward(ident, pts)
+    assert s.tolist() == [complex(1.5), complex(-0.0)]
+    assert math.copysign(1.0, s[1].real) == -1.0  # t = -0.0 keeps its sign
+    r = pts.radii[0]
+    assert ident.time_coupling((0.3, -0.1, 0.7), r) == (0.0, 0.0, 0.0)
+    assert ident.second_order_couplings(r)[0] == 0.0
 
 
 def test_forward_oracle_oscillator_shape():
     # a = 0, lam = 2: s = t - i (hbar/E) (r/b)^2
-    p = SpaceTimePoint(x=(1.0, 0.0, 0.0), t=0.5)
-    q = forward(OSC_MAP, p)
-    assert q.z == p.x
-    assert q.s == pytest.approx(0.5 - 0.5j, abs=1e-15)
+    s = forward(OSC_MAP, PointSet([1.0], [0.0], [0.0], [0.5]))
+    assert s[0] == pytest.approx(0.5 - 0.5j, abs=1e-15)
 
 
 def test_forward_oracle_log_term():
     # a ln r contributes at lam = 1
-    p = SpaceTimePoint(x=(0.0, 2.0, 0.0), t=0.0)
-    q = forward(COU_MAP, p)
+    s = forward(COU_MAP, PointSet([0.0], [2.0], [0.0], [0.0]))
     want = -1j * (0.001 * math.log(2.0) + 2.0 / 137.0)
-    assert q.s == pytest.approx(want, abs=1e-15)
+    assert s[0] == pytest.approx(want, abs=1e-15)
 
 
 @given(radii, radii, radii, times)
 @settings(max_examples=60)
 def test_roundtrip_inverse(x1, x2, x3, t):
-    p = SpaceTimePoint(x=(x1, x2, x3), t=t)
+    pts = PointSet([x1], [x2], [x3], [t])
     for cmap in (OSC_MAP, COU_MAP, ConformalMap.identity()):
-        back = inverse(cmap, forward(cmap, p))
-        assert back.x == p.x
-        assert back.t == pytest.approx(t, abs=1e-12)
+        back = inverse(cmap, pts, forward(cmap, pts))
+        assert back[0] == pytest.approx(t, abs=1e-12)
 
 
 def test_forward_at_origin():
-    p0 = SpaceTimePoint(x=(0.0, 0.0, 0.0), t=0.0)
-    with pytest.raises(DomainError):
+    p0 = PointSet([1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+    with pytest.raises(DomainError, match=r"^forward map undefined at r = 0 when a != 0 \(ln r\)$"):
         forward(COU_MAP, p0)  # ln r blows up when a != 0
-    q = forward(OSC_MAP, p0)  # a = 0 is fine: s = t
-    assert q.s == 0.0
+    with pytest.raises(DomainError, match=r"^inverse map undefined at r_z = 0 when a != 0$"):
+        inverse(COU_MAP, p0, np.zeros(2, dtype=complex))
+    assert forward(OSC_MAP, p0)[1] == 0.0  # a = 0 is fine: s = t
 
 
 def test_tau_is_imaginary_part_of_s():
-    p = SpaceTimePoint(x=(0.6, -0.3, 0.2), t=0.9)
-    q = forward(COU_MAP, p)
-    assert q.s.imag == pytest.approx(COU_MAP.tau(p.r), abs=1e-16)
+    pts = PointSet([0.6], [-0.3], [0.2], [0.9])
+    assert forward(COU_MAP, pts)[0].imag == pytest.approx(COU_MAP.tau(pts.radii[0]), abs=1e-16)
+
+
+#: maps of every shape the map command takes: lambda 1, 1.5, 2 and 3, b = inf, a of either sign
+SHAPED_MAPS = [
+    OSC_MAP, COU_MAP, ConformalMap.identity(E=1.3),
+    ConformalMap(a=0.2, b=1.5, lam=3.0, E=2.0, units=U),
+    ConformalMap(a=0.0, b=2.0, lam=1.5, E=0.7, units=U),
+    ConformalMap(a=-0.3, b=0.8, lam=2.0, E=1.1, units=UnitSystem(hbar=0.7)),
+    ConformalMap(a=0.4, b=math.inf, lam=2.0, E=1.3, units=U),
+]
+
+
+@pytest.mark.parametrize("cmap", SHAPED_MAPS, ids=range(len(SHAPED_MAPS)))
+def test_forward_and_inverse_equal_the_scalar_map_at_each_point(cmap):
+    """s and the round trip's t on a grid equal the per-point scalar map's,
+    signed zeros included."""
+    rows = point_rows(Grid(r_min=0.01, r_max=50.0, shells=12, times=(-0.0, 0.0, -2.5, 3.75)).points())
+    rows += [(-0.0, 0.0, 2.0, -0.0), (1.0, -0.0, -0.0, 0.0)]
+    pts = PointSet(*zip(*rows))
+    s = forward(cmap, pts)
+    want = [ref.forward(cmap, row) for row in rows]
+    assert list(map(repr, s.tolist())) == list(map(repr, want))
+    want = [ref.inverse(cmap, row, w) for row, w in zip(rows, want)]
+    assert list(map(repr, inverse(cmap, pts, s).tolist())) == list(map(repr, want))
 
 
 @given(radii)
@@ -130,11 +152,12 @@ def test_divergence_closed_form(r):
 
 
 def test_sq_sum_matches_components():
-    p = SpaceTimePoint(x=(0.3, 0.5, -0.1), t=0.0)
+    x = (0.3, 0.5, -0.1)
+    r = PointSet(*([v] for v in x), [0.0]).radii[0]
     for cmap in (OSC_MAP, COU_MAP):
-        a_vec = cmap.time_coupling(p.x, p.r)
+        a_vec = cmap.time_coupling(x, r)
         assert sum(v * v for v in a_vec) == pytest.approx(
-            cmap.second_order_couplings(p.r)[1], rel=1e-13
+            cmap.second_order_couplings(r)[1], rel=1e-13
         )
 
 
@@ -169,7 +192,7 @@ def _phase_field(cmap):
 
 def test_dz_annihilates_pure_phase(exact_cfg):
     fld = _phase_field(OSC_MAP)
-    d = _diff(fld, grid_of([SpaceTimePoint(x=(0.4, 0.6, -0.2), t=0.3)]), exact_cfg)
+    d = _diff(fld, PointSet([0.4], [0.6], [-0.2], [0.3]), exact_cfg)
     assert max(abs(v[0]) for v, _ in d_z(OSC_MAP, d)) < 1e-13
     # while d_zstar does not annihilate it
     assert max(abs(v[0]) for v, _ in d_zstar(OSC_MAP, d)) > 1e-3
@@ -178,12 +201,12 @@ def test_dz_annihilates_pure_phase(exact_cfg):
 def test_composition_order(exact_cfg):
     """dzstar_dz - dz_dzstar = 2i (div A) dt, exact by construction."""
     fld = _phase_field(OSC_MAP)
-    p = SpaceTimePoint(x=(0.5, 0.1, 0.3), t=0.0)
-    d = _diff(fld, grid_of([p]), exact_cfg)
+    p = (0.5, 0.1, 0.3, 0.0)
+    d = _diff(fld, PointSet(*([v] for v in p)), exact_cfg)
     fwd, _ = dzstar_dz(OSC_MAP, d)
     rev, _ = dz_dzstar(OSC_MAP, d)
     dt = -1j * OSC_MAP.E * complex(fld.at(p))  # exp field: dt = -iE psi
-    want = 2j * OSC_MAP.second_order_couplings(p.r)[0] * dt
+    want = 2j * OSC_MAP.second_order_couplings(d.points.radii[0])[0] * dt
     assert fwd[0] - rev[0] == pytest.approx(want, rel=1e-12)
 
 
@@ -211,7 +234,7 @@ def test_dzstar_dz_matches_brute_force(exact_cfg):
     """
     cmap = OSC_MAP
     fld = _phase_field(cmap)
-    p = SpaceTimePoint(x=(0.7, -0.4, 0.5), t=0.2)
+    p = ([0.7], [-0.4], [0.5], [0.2])
 
     total = 0.0
     for i in range(3):
@@ -220,18 +243,15 @@ def test_dzstar_dz_matches_brute_force(exact_cfg):
             return d_z(cmap, _diff(fld, pts, exact_cfg), axis=i)[0].reshape(x1.shape)
 
         inner = ComplexField(fn=dz_i_field)
-        value, _ = d_zstar(cmap, _diff(inner, grid_of([p]), DiffConfig(mode=MODE_STENCIL, length_scale=2.0)), axis=i)
+        value, _ = d_zstar(cmap, _diff(inner, PointSet(*p), DiffConfig(mode=MODE_STENCIL, length_scale=2.0)), axis=i)
         total += value[0]
 
-    direct, _ = dzstar_dz(cmap, _diff(fld, grid_of([p]), exact_cfg))
+    direct, _ = dzstar_dz(cmap, _diff(fld, PointSet(*p), exact_cfg))
     assert total == pytest.approx(direct[0], rel=1e-8)
 
 
 def test_independence_check_passes(exact_cfg):
-    points = grid_of([
-        SpaceTimePoint(x=(0.5, 0.2, -0.3), t=0.0),
-        SpaceTimePoint(x=(1.0, -0.8, 0.4), t=0.5),
-    ])
+    points = PointSet([0.5, 1.0], [0.2, -0.8], [-0.3, 0.4], [0.0, 0.5])
     rep = evaluate("map-independence", exact_cfg.mode, independence_check(OSC_MAP, points, 1.0, 1e-10, ""))
     assert rep.passed
     assert [c.name for c in rep.cases] == ["ds/dz", "dz/ds"]
@@ -246,7 +266,7 @@ def test_evaluate_reports_regular_cases_before_probes():
     """Regular cases first, then probes, each in order of first appearance,
     whatever order the declaration gives them in."""
     phase = ComplexField(fn=lambda x1, x2, x3, t: dual.exp(-2j * t))
-    points = grid_of([SpaceTimePoint(x=(0.5, 0.2, -0.3), t=0.1)])
+    points = PointSet([0.5], [0.2], [-0.3], [0.1])
 
     def read(name):
         return Read(name, partial(ds_dz, OSC_MAP), 1e-10)

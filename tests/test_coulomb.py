@@ -5,11 +5,13 @@ from functools import partial
 import pytest
 
 from kgconformal.confmap import Read, Sample, evaluate
-from kgconformal.core import BranchError, ConfigError, QuantumNumberError, SpaceTimePoint, natural_units
+from kgconformal.core import BranchError, ConfigError, QuantumNumberError, natural_units
 from kgconformal.harness import Grid
 from kgconformal.shooting import EPS_RTOL, binding_parameter, shooting_eigenvalue
 from kgconformal.specfun import HYDRINO, SOMMERFELD, eta_exponent
 from kgconformal import coulomb as cb
+
+from conftest import point_rows
 
 ALPHA = 0.0072973525693
 MODEL = cb.CoulombModel(alpha=ALPHA, units=natural_units())
@@ -166,9 +168,9 @@ def test_pointwise_z_equals_x(exact_cfg):
         state = cb.make_state(MODEL, n, l)
         fx = cb.eigenfunction_x(MODEL, state)
         fz = cb.eigenfunction_z(MODEL, state)
-        pts = _points(state)
-        scale = max(abs(complex(fx.at(p))) for p in pts)
-        for p in list(pts)[::5]:
+        rows = point_rows(_points(state))
+        scale = max(abs(complex(fx.at(p))) for p in rows)
+        for p in rows[::5]:
             assert abs(complex(fz.at(p)) - complex(fx.at(p))) < 1e-13 * scale
 
 

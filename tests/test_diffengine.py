@@ -8,7 +8,7 @@ from kgconformal import coulomb as cb
 from kgconformal import dual
 from kgconformal import oscillator as ho
 from kgconformal.core import (
-    ComplexField, ConfigError, DomainError, NonFiniteError, SpaceTimePoint, natural_units,
+    ComplexField, ConfigError, DomainError, NonFiniteError, PointSet, natural_units,
 )
 from kgconformal.diffengine import STEP, DiffConfig, MODE_EXACT, MODE_STENCIL, T_AXIS, _clamped_step, _diff
 from kgconformal.harness import (
@@ -16,10 +16,14 @@ from kgconformal.harness import (
 )
 
 import per_shift_stencil
-from conftest import grid_of
 
 GAUSS = ComplexField(fn=lambda x1, x2, x3, t: dual.exp(-(x1 * x1) / 2.0), label="gauss")
-ORIGIN = SpaceTimePoint(x=(1.0, 0.0, 0.0), t=0.0)
+
+
+def _at_x1_one() -> PointSet:
+    """The grid of the one point x = (1, 0, 0), t = 0."""
+    return PointSet([1.0], [0.0], [0.0], [0.0])
+
 
 coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -33,21 +37,21 @@ def _wave():
 
 def test_gaussian_first_derivative_oracle(exact_cfg):
     # d/dx exp(-x^2/2) at x = 1 is -exp(-1/2) = -0.6065306597...
-    d = _diff(GAUSS, grid_of([ORIGIN]), exact_cfg)
+    d = _diff(GAUSS, _at_x1_one(), exact_cfg)
     assert d.grad[0, 0] == pytest.approx(-0.6065306597126334, abs=1e-15)
     assert d.value[0] == pytest.approx(math.exp(-0.5), abs=1e-15)
 
 
 def test_gaussian_second_derivative_oracle(exact_cfg):
     # (x^2 - 1) exp(-x^2/2) vanishes at x = 1; nothing depends on x2, x3, t
-    d = _diff(GAUSS, grid_of([ORIGIN]), exact_cfg)
+    d = _diff(GAUSS, _at_x1_one(), exact_cfg)
     assert abs(d.hess[0, 0]) < 1e-15
     assert (d.grad[1:] == 0).all() and (d.hess[1:] == 0).all()
 
 
 def test_stencil_matches_exact(stencil_cfg, exact_cfg):
     fld = _wave()
-    points = grid_of([SpaceTimePoint(x=(0.3, -0.2, 0.9), t=0.1)])
+    points = PointSet([0.3], [-0.2], [0.9], [0.1])
     a = _diff(fld, points, exact_cfg)
     b = _diff(fld, points, stencil_cfg)
     for axis in (0, 1, 2, T_AXIS):
@@ -57,21 +61,21 @@ def test_stencil_matches_exact(stencil_cfg, exact_cfg):
 
 
 def test_exact_mode_error_is_zero(exact_cfg):
-    d = _diff(GAUSS, grid_of([ORIGIN]), exact_cfg)
+    d = _diff(GAUSS, _at_x1_one(), exact_cfg)
     assert (d.grad_err == 0.0).all() and (d.hess_err == 0.0).all()
 
 
 def test_stencil_error_estimate_converges():
     """Refining the x step by 10x, where truncation dominates (x steps 1.0
     and 0.1 on a wave of wavelength 16), must shrink the estimate by >= 10x."""
-    points = grid_of([SpaceTimePoint(x=(0.5, 0.1, -0.3), t=0.0)])
+    points = PointSet([0.5], [0.1], [-0.3], [0.0])
     coarse = _diff(_wave(), points, DiffConfig(mode=MODE_STENCIL, length_scale=200.0))
     fine = _diff(_wave(), points, DiffConfig(mode=MODE_STENCIL, length_scale=20.0))
     assert fine.hess_err[0, 0] < coarse.hess_err[0, 0] / 10.0
 
 
 def test_error_estimate_bounds_true_error(stencil_cfg, exact_cfg):
-    points = grid_of([SpaceTimePoint(x=(0.5, 0.1, -0.3), t=0.2)])
+    points = PointSet([0.5], [0.1], [-0.3], [0.2])
     truth = _diff(_wave(), points, exact_cfg)
     got = _diff(_wave(), points, stencil_cfg)
     assert (np.abs(got.grad - truth.grad) <= got.grad_err).all()
@@ -88,7 +92,7 @@ def test_linearity(x, y, lam):
     combo = ComplexField(
         fn=lambda x1, x2, x3, t: f.fn(x1, x2, x3, t) + lam * g.fn(x1, x2, x3, t)
     )
-    p = grid_of([SpaceTimePoint(x=(x, y, 0.2), t=0.1)])
+    p = PointSet([x], [y], [0.2], [0.1])
     dc, df, dg = (_diff(fld, p, cfg) for fld in (combo, f, g))
     assert dc.grad[:, 0] == pytest.approx(df.grad[:, 0] + lam * dg.grad[:, 0], rel=1e-12, abs=1e-12)
     assert dc.hess[:, 0] == pytest.approx(df.hess[:, 0] + lam * dg.hess[:, 0], rel=1e-12, abs=1e-12)
@@ -101,7 +105,7 @@ def test_singular_field_step_clamped():
         singular_at_origin=True,
     )
     # 2h = 1e-2 would hit r = 0 at the first point; the second keeps the full step
-    points = grid_of([SpaceTimePoint(x=(0.01, 0.0, 0.0), t=0.0), SpaceTimePoint(x=(2.0, 0.0, 0.0), t=0.0)])
+    points = PointSet([0.01, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
     d = _diff(fld, points, DiffConfig(mode=MODE_STENCIL))
     # accuracy is limited this close to the pole; the point is that the
     # clamped stencil never touches r <= 0 and the sign/magnitude are right
@@ -111,21 +115,20 @@ def test_singular_field_step_clamped():
 
 def test_singular_field_at_origin_raises():
     fld = ComplexField(fn=lambda *a: 1.0, singular_at_origin=True)
-    p = SpaceTimePoint(x=(0.0, 0.0, 0.0), t=0.0)
-    with pytest.raises(DomainError):
-        _diff(fld, grid_of([ORIGIN, p]), DiffConfig(mode=MODE_STENCIL))
+    with pytest.raises(DomainError):  # at the grid's second point, x = 0
+        _diff(fld, PointSet([1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]), DiffConfig(mode=MODE_STENCIL))
 
 
 def test_nonfinite_sample_raises(stencil_cfg, exact_cfg):
     fld = ComplexField(fn=lambda x1, x2, x3, t: math.inf)
     for cfg in (stencil_cfg, exact_cfg):
         with pytest.raises(NonFiniteError):
-            _diff(fld, grid_of([ORIGIN]), cfg)
+            _diff(fld, _at_x1_one(), cfg)
     # overflow inside the field is reported the same way
     big = ComplexField(fn=lambda x1, x2, x3, t: dual.exp(800.0 * x1))
     for cfg in (stencil_cfg, exact_cfg):
         with pytest.raises(NonFiniteError):
-            _diff(big, grid_of([ORIGIN]), cfg)
+            _diff(big, _at_x1_one(), cfg)
 
 
 def test_config_validation():

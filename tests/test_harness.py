@@ -9,7 +9,7 @@ from kgconformal import coulomb as cb
 from kgconformal import harness
 from kgconformal import oscillator as ho
 from kgconformal.confmap import Sample, evaluate
-from kgconformal.core import ComplexField, ConfigError, PointSet, SpaceTimePoint
+from kgconformal.core import ComplexField, ConfigError, PointSet
 from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL, STEP, _diff
 from kgconformal.harness import (
     ENERGY_RANGE,
@@ -29,14 +29,14 @@ from kgconformal.harness import (
 )
 from kgconformal.specfun import hermite
 
-from conftest import grid_of
+from conftest import point_rows
 
 
 def test_grid_shape():
     g = Grid(r_min=0.1, r_max=2.0, shells=5)
     pts = g.points()
     assert len(pts) == 5 * 6 * 2  # shells x directions x times
-    radii = sorted({round(p.r, 12) for p in pts})
+    radii = sorted({round(r, 12) for r in pts.radii.tolist()})
     assert radii[0] == pytest.approx(0.1)
     assert radii[-1] == pytest.approx(2.0)
 
@@ -58,7 +58,7 @@ def test_length_scale_scales_x_steps_only():
     2 STEP along t, whatever the length scale: from a DiffConfig, and from a
     Sample's length scale through evaluate."""
     center = (1.0, -2.0, 3.0, 0.5)
-    points = grid_of([SpaceTimePoint(x=center[:3], t=center[3])])
+    points = PointSet(*([v] for v in center))
     routes = (
         lambda fld, length_scale: _diff(fld, points, DiffConfig(mode=MODE_STENCIL, length_scale=length_scale)),
         lambda fld, length_scale: evaluate("steps", MODE_STENCIL, [Sample(fld, points, (), length_scale)]),
@@ -82,7 +82,7 @@ def test_generate_test_field_deterministic():
     a = generate_test_field(TestFieldSpec(seed=7))
     b = generate_test_field(TestFieldSpec(seed=7))
     c = generate_test_field(TestFieldSpec(seed=8))
-    p = SpaceTimePoint(x=(0.4, -0.2, 0.1), t=0.3)
+    p = (0.4, -0.2, 0.1, 0.3)
     assert complex(a.at(p)) == complex(b.at(p))
     assert complex(a.at(p)) != complex(c.at(p))
     assert a.energy_hint == b.energy_hint
@@ -91,8 +91,8 @@ def test_generate_test_field_deterministic():
 def test_generate_test_field_decays_at_boundary():
     spec = TestFieldSpec(seed=3, r_max=3.0)
     fld = generate_test_field(spec)
-    near = abs(complex(fld.at(SpaceTimePoint(x=(0.1, 0.1, 0.1), t=0.0))))
-    far = abs(complex(fld.at(SpaceTimePoint(x=(3.0, 0.0, 0.0), t=0.0))))
+    near = abs(complex(fld.at((0.1, 0.1, 0.1, 0.0))))
+    far = abs(complex(fld.at((3.0, 0.0, 0.0, 0.0))))
     assert far < 1e-4 * max(near, 1e-30)
 
 
@@ -175,36 +175,35 @@ def _declared_point_sets():
 
 
 def test_point_set_radii_are_each_points_r():
-    """PointSet's array radii round as SpaceTimePoint.r does, on every
-    suite's default grids and on a family of 1,500 test fields."""
+    """PointSet's array radii round as CPython's (x1^2 + x2^2 + x3^2) ** 0.5
+    does at each point, on every suite's default grids and on a family of
+    1,500 test fields."""
     family = _family_points([TestFieldSpec(seed=s, r_max=3.0 * GROUND.r_scale) for s in range(1500)])
     for name, points in list(_declared_point_sets()) + [("family", family)]:
-        assert points.radii.tolist() == [p.r for p in points], name
+        want = [(x1 * x1 + x2 * x2 + x3 * x3) ** 0.5 for x1, x2, x3, _ in point_rows(points)]
+        assert points.radii.tolist() == want, name
 
 
 def _grid_points_per_point(grid):
-    """Grid.points as per-point objects: shell, then direction, then time."""
-    return [SpaceTimePoint(x=(r * d[0], r * d[1], r * d[2]), t=t)
-            for r in grid.radii() for d in harness.DIRECTIONS for t in grid.times]
+    """Grid.points made one point at a time: shell, then direction, then time."""
+    return [(r * d[0], r * d[1], r * d[2], t) for r in grid.radii() for d in harness.DIRECTIONS for t in grid.times]
 
 
 def _row_points_per_point(rows):
-    """harness._points as per-point objects, one per (x1, x2, x3, t) row."""
-    return [SpaceTimePoint(x=(x1, x2, x3), t=t) for x1, x2, x3, t in rows.reshape(-1, 4).tolist()]
+    """harness._points made one point at a time, one per (x1, x2, x3, t) row."""
+    return [tuple(row) for row in rows.reshape(-1, 4).tolist()]
 
 
 def _holomorphy_points_per_point(t_window, tau_window):
-    """The 7 x 7 (t, tau) grid of confmap.holomorphy_residual as per-point objects."""
+    """The 7 x 7 (t, tau) grid of confmap.holomorphy_residual, made one point at a time."""
     (t_lo, t_hi), (tau_lo, tau_hi) = t_window, tau_window
-    return [SpaceTimePoint(x=(t_lo + (t_hi - t_lo) * i / 6, tau_lo + (tau_hi - tau_lo) * j / 6, 0.0), t=0.0)
+    return [(t_lo + (t_hi - t_lo) * i / 6, tau_lo + (tau_hi - tau_lo) * j / 6, 0.0, 0.0)
             for i in range(7) for j in range(7)]
 
 
 def _assert_exact_grid(pts, reference):
-    """``pts`` holds the reference points' coordinates, and its points give them back."""
-    want = grid_of(reference).coords
-    assert all(np.array_equal(got, w) for got, w in zip(pts.coords, want))
-    assert all(np.array_equal(got, w) for got, w in zip(grid_of(list(pts)).coords, want))
+    """``pts`` holds the reference points' coordinates, row for row."""
+    assert point_rows(pts) == reference
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -254,21 +253,23 @@ def test_empty_or_ragged_grid_is_a_config_error():
 
 
 @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_STENCIL])
-@pytest.mark.parametrize("suite", [s for s in SUITES if s != "reductions"])
+@pytest.mark.parametrize("suite", SUITES)
 def test_no_point_object_is_made_on_the_residual_path(suite, mode, monkeypatch):
-    """Grids are made, differentiated and read as arrays: a suite run makes
-    no SpaceTimePoint.  reductions iterates its grid's points on purpose."""
-    made = []
-    init = SpaceTimePoint.__init__
+    """Grids are made, differentiated and read as arrays: a suite run never
+    evaluates a field at one point, by ``at`` or on float coordinates."""
+    calls, at = [], []
+    call = ComplexField.__call__
 
-    def counted(self, *args, **kwargs):
-        made.append(args)
-        init(self, *args, **kwargs)
+    def recorded(self, *args):
+        calls.append(args)
+        return call(self, *args)
 
-    monkeypatch.setattr(SpaceTimePoint, "__init__", counted)
+    monkeypatch.setattr(ComplexField, "__call__", recorded)
+    monkeypatch.setattr(ComplexField, "at", lambda self, p: at.append(p))
     params = {"n_fields": 200} if suite == "operator-identities" else {}
     run_suite(suite, params, DiffConfig(mode=mode))
-    assert made == []
+    assert calls and at == []
+    assert not any(isinstance(arg, float) for args in calls for arg in args)
 
 
 #: the ladder suite's default grid, and the grids the benchmark moves the second time sample of
@@ -317,12 +318,12 @@ def test_family_derivatives_equal_each_fields(family, mode):
 
     fam = _diff(energized(generate_test_family(specs)), _family_points(specs), cfg)
     singles = [_diff(energized(generate_test_field(s)), _field_sample_points(s), cfg) for s in specs]
-    assert list(fam.points) == [p for d in singles for p in d.points]
+    assert point_rows(fam.points) == [p for d in singles for p in point_rows(d.points)]
     for part in ("value", "grad", "hess", "grad_err", "hess_err"):
         want = np.concatenate([getattr(d, part) for d in singles], axis=-1)
         assert np.array_equal(getattr(fam, part), want), part
     assert np.array_equal(np.broadcast_to(fam.field.energy_hint, len(fam.points)),
-                          [d.field.energy_hint for d in singles for _ in d.points])
+                          [d.field.energy_hint for d in singles for _ in range(len(d.points))])
 
 
 def test_drawn_widths_round_as_each_centres_norm():
@@ -357,7 +358,7 @@ def test_one_random_call_per_seed_reproduces_uniform_draws():
         assert np.array_equal(got, want)
 
         point_calls = ((-r_max / 3.0, r_max / 3.0, 3), (-0.5, 0.5, None)) * FIELD_POINTS
-        got = np.array([p.x + (p.t,) for p in _family_points(specs)])
+        got = np.array(point_rows(_family_points(specs)))
         want = np.array([_uniform_calls(s.seed + 987654321, point_calls) for s in specs]).reshape(-1, 4)
         assert np.array_equal(got, want)
 

@@ -27,6 +27,7 @@ from kgconformal.harness import (
     generate_test_field,
 )
 
+from conftest import point_rows
 from scalar_hyperdual import partials
 
 EXACT = DiffConfig(mode=MODE_EXACT)
@@ -41,8 +42,7 @@ def coulomb_points(state):
 
 def assert_jet_matches_reference(fld, points):
     d = _diff(fld, points, EXACT)
-    for j, p in enumerate(d.points):
-        point = (p.x[0], p.x[1], p.x[2], p.t)
+    for j, point in enumerate(point_rows(d.points)):
         for axis in range(4):
             for others_dual in (True, False) if axis < 3 else (True,):
                 first, second = partials(fld.fn, point, axis, others_dual)
@@ -52,7 +52,7 @@ def assert_jet_matches_reference(fld, points):
 
 def assert_value_matches_plain(fld, points):
     d = _diff(fld, points, EXACT)
-    assert [complex(fld.at(p)) for p in d.points] == d.value.tolist()
+    assert [complex(fld.at(p)) for p in point_rows(d.points)] == d.value.tolist()
 
 
 OSC_STATES = [(0, 0, 0), (1, 0, 2), (2, 1, 3), (6, 0, 0), (0, 3, 3)]

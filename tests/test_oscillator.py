@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from kgconformal.confmap import Read, Sample, evaluate
-from kgconformal.core import ConfigError, QuantumNumberError, SpaceTimePoint, natural_units
+from kgconformal.core import ConfigError, PointSet, QuantumNumberError, natural_units
 from kgconformal.diffengine import _diff
 from kgconformal.harness import Grid
 from kgconformal import dual
 from kgconformal import oscillator as ho
 from kgconformal.specfun import HermiteLadder, hermite
 
-from conftest import grid_of
+from conftest import point_rows
 
 MODEL = ho.OscillatorModel(omega=1.0, units=natural_units())
 POINTS = Grid(r_min=0.1, r_max=4.0, shells=8).points()
@@ -64,24 +64,24 @@ def test_eigenfunction_x_separable_form():
     """psi = prod_j H_lj(xi_j) exp(-xi^2/2) exp(-iEt), xi = x sqrt(Omega)."""
     state = ho.make_state(MODEL, 2, 0, 1)
     fld = ho.eigenfunction_x(MODEL, state)
-    p = SpaceTimePoint(x=(0.7, -0.4, 1.1), t=0.3)
-    xi = [v * MODEL.xi_scale for v in p.x]
+    p = (0.7, -0.4, 1.1, 0.3)
+    xi = [v * MODEL.xi_scale for v in p[:3]]
     from kgconformal.specfun import hermite
 
     want = (
         hermite(2, xi[0]) * hermite(0, xi[1]) * hermite(1, xi[2])
         * math.exp(-0.5 * sum(v * v for v in xi))
-        * cmath.exp(-1j * state.energy * p.t)
+        * cmath.exp(-1j * state.energy * p[3])
     )
     # allow an overall constant normalization: the ratio to the separable
     # form must be the same at unrelated spacetime points
     ratio = complex(fld.at(p)) / want
-    q = SpaceTimePoint(x=(0.1, 0.9, -0.2), t=-0.6)
-    xi_q = [v * MODEL.xi_scale for v in q.x]
+    q = (0.1, 0.9, -0.2, -0.6)
+    xi_q = [v * MODEL.xi_scale for v in q[:3]]
     want_q = (
         hermite(2, xi_q[0]) * hermite(0, xi_q[1]) * hermite(1, xi_q[2])
         * math.exp(-0.5 * sum(v * v for v in xi_q))
-        * cmath.exp(-1j * state.energy * q.t)
+        * cmath.exp(-1j * state.energy * q[3])
     )
     assert complex(fld.at(q)) / want_q == pytest.approx(ratio, rel=1e-12)
 
@@ -128,15 +128,15 @@ def test_pointwise_z_equals_x(exact_cfg):
         for state in ho.states_with_n(MODEL, n):
             fx = ho.eigenfunction_x(MODEL, state)
             fz = ho.eigenfunction_z(MODEL, state)
-            scale = max(abs(complex(fx.at(p))) for p in POINTS)
-            for p in list(POINTS)[::7]:
+            scale = max(abs(complex(fx.at(p))) for p in point_rows(POINTS))
+            for p in point_rows(POINTS)[::7]:
                 assert abs(complex(fz.at(p)) - complex(fx.at(p))) < 1e-13 * scale
 
 
 def test_ladder_annihilates_ground(exact_cfg):
     ground = ho.make_state(MODEL, 0, 0, 0)
     psi0 = ho.eigenfunction_x(MODEL, ground)
-    d = _diff(psi0, grid_of([SpaceTimePoint(x=(0.5, -0.3, 0.8), t=0.2)]), exact_cfg)
+    d = _diff(psi0, PointSet([0.5], [-0.3], [0.8], [0.2]), exact_cfg)
     for i in range(3):
         lowered, err = ho.ladder_apply(MODEL, ("lower", i), d)
         assert abs(lowered[0]) < 1e-13 and err[0] == 0.0
@@ -146,8 +146,8 @@ def test_raise_then_lower_is_diagonal(exact_cfg):
     """a_i^dag a_i has eigenvalue l_i on the separable eigenfunctions."""
     state = ho.make_state(MODEL, 2, 1, 0)
     fld = ho.eigenfunction_x(MODEL, state)
-    p = SpaceTimePoint(x=(0.4, 0.9, -0.2), t=0.1)
-    val, err = ho.number_operator_apply(MODEL, _diff(fld, grid_of([p]), exact_cfg))
+    p = (0.4, 0.9, -0.2, 0.1)
+    val, err = ho.number_operator_apply(MODEL, _diff(fld, PointSet(*([v] for v in p)), exact_cfg))
     assert val[0] == pytest.approx(3.0 * complex(fld.at(p)), rel=1e-11)
     assert err[0] == 0.0
 
@@ -157,9 +157,8 @@ def test_ladder_raises_degree(exact_cfg):
     ground = ho.make_state(MODEL, 0, 0, 0)
     psi0 = ho.eigenfunction_x(MODEL, ground)
     excited = ho.eigenfunction_x(MODEL, ho.make_state(MODEL, 1, 0, 0))
-    p1 = SpaceTimePoint(x=(0.5, 0.2, 0.1), t=0.0)
-    p2 = SpaceTimePoint(x=(1.1, -0.4, 0.3), t=0.0)
-    raised, _ = ho.ladder_apply(MODEL, ("raise", 0), _diff(psi0, grid_of([p1, p2]), exact_cfg))
+    p1, p2 = (0.5, 0.2, 0.1, 0.0), (1.1, -0.4, 0.3, 0.0)
+    raised, _ = ho.ladder_apply(MODEL, ("raise", 0), _diff(psi0, PointSet(*zip(p1, p2)), exact_cfg))
     r1 = raised[0] / complex(excited.at(p1))
     r2 = raised[1] / complex(excited.at(p2))
     assert r1 == pytest.approx(r2, rel=1e-11)

@@ -15,7 +15,6 @@ from kgconformal.specfun import (
     hermite,
     radial_polynomial,
     sph_harm_cartesian,
-    spherical_harmonic,
 )
 
 ALPHA = 0.0072973525693
@@ -96,6 +95,12 @@ def test_a_fresh_call_freezes_its_value_not_its_argument():
     assert not hermite(3, xi).flags.writeable and xi.flags.writeable
 
 
+def spherical_harmonic(l, k, theta, phi):
+    """Y_lk(theta, phi): sph_harm_cartesian at that point of the unit sphere."""
+    x1, x2 = math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi)
+    return complex(sph_harm_cartesian(l, k, x1, x2, math.cos(theta)))
+
+
 def test_sph_harm_frozen_oracles():
     # Y00 = 1/sqrt(4 pi); Y11 at theta = pi/2, phi = 0 is -sqrt(3/(8 pi))
     assert spherical_harmonic(0, 0, 1.0, 2.0) == pytest.approx(0.28209479177387814, abs=1e-14)
@@ -127,22 +132,6 @@ def test_sph_harm_orthogonality():
 
     val, _ = dblquad(integrand, 0.0, math.pi, 0.0, 2.0 * math.pi, epsabs=1e-10)
     assert abs(val) < 1e-8
-
-
-@given(
-    st.integers(min_value=0, max_value=4),
-    st.floats(min_value=0.1, max_value=3.0),
-    st.floats(min_value=0.0, max_value=2 * math.pi),
-)
-@settings(max_examples=60)
-def test_sph_harm_cartesian_agrees_with_angular(l, theta, phi):
-    for k in range(-l, l + 1):
-        x1 = math.sin(theta) * math.cos(phi)
-        x2 = math.sin(theta) * math.sin(phi)
-        x3 = math.cos(theta)
-        cart = sph_harm_cartesian(l, k, x1, x2, x3)
-        ang = spherical_harmonic(l, k, theta, phi)
-        assert complex(cart) == pytest.approx(ang, rel=1e-10, abs=1e-12)
 
 
 def test_sph_harm_scale_invariance():

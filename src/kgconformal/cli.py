@@ -121,10 +121,7 @@ def _spectrum_rows(args):
     units = _units(args)
     if args.system == "oscillator":
         model = ho.OscillatorModel(omega=args.omega, units=units)
-        return [
-            {"n": n, "energy": ho.energy(model, n)}
-            for n in _parse_range(args.n)
-        ]
+        return [{"n": n, "energy": ho.energy(model, n)} for n in _parse_range(args.n)]
     model = cb.CoulombModel(alpha=args.alpha, units=units)
     rows = []
     for spec in _parse_states(args.states):
@@ -157,9 +154,7 @@ def _rows_to_csv(rows) -> str:
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def cmd_spectrum(args) -> int:
@@ -224,9 +219,9 @@ def _map_from_args(args) -> ConformalMap:
     return ConformalMap(a=args.a, b=b, lam=args.lam, E=args.energy, units=units)
 
 
-def _read_points(path):
-    """The points file's rows, as (x1, x2, x3, t) tuples of finite floats."""
-    rows = []
+def _read_points(path) -> dict:
+    """The points file's rows, as (x1, x2, x3, t) tuples of finite floats by line number."""
+    rows = {}
     try:
         fh = open(path)
     except OSError as exc:
@@ -247,8 +242,15 @@ def _read_points(path):
                 raise ConfigError(f"{path}:{lineno}: coordinates must be finite")
             if math.isinf(sum(v * v for v in row[:3])):
                 raise ConfigError(f"{path}:{lineno}: x1^2 + x2^2 + x3^2 overflows")
-            rows.append(row)
+            rows[lineno] = row
     return rows
+
+
+def _map_grid(cmap: ConformalMap, rows):
+    pts = PointSet(*zip(*rows))
+    s = forward(cmap, pts)
+    # z = x exactly, so only t can come back changed
+    return s, np.abs(inverse(cmap, pts, s) - pts.coords[3])
 
 
 def cmd_map(args) -> int:
@@ -256,11 +258,16 @@ def cmd_map(args) -> int:
     rows = _read_points(args.points)
     lines = ["# z1 z2 z3 re_s im_s roundtrip_err"]
     if rows:  # a grid has at least one point
-        pts = PointSet(*zip(*rows))
-        s = forward(cmap, pts)
-        # z = x exactly, so only t can come back changed
-        roundtrip = np.abs(inverse(cmap, pts, s) - pts.coords[3])
-        for (x1, x2, x3, _), si, rt in zip(rows, s.tolist(), roundtrip.tolist()):
+        try:
+            s, roundtrip = _map_grid(cmap, rows.values())
+        except ArithmeticError:  # name the first point whose own map fails
+            for lineno, row in rows.items():
+                try:
+                    _map_grid(cmap, [row])
+                except ArithmeticError as exc:
+                    raise DomainError(f"{args.points}:{lineno}: {type(exc).__name__}: {exc}") from None
+            raise
+        for (x1, x2, x3, _), si, rt in zip(rows.values(), s.tolist(), roundtrip.tolist()):
             lines.append(f"{x1!r} {x2!r} {x3!r} {si.real!r} {si.imag!r} {rt:.3e}")
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_PASS

@@ -1,25 +1,24 @@
 """Independent eigenvalue oracle for the Coulomb sector.
 
-Solves the radial reduction of the Klein-Gordon Coulomb equation as a
-boundary-value problem, with no reference to the closed-form spectrum.
-With u = r R and x = alpha r (natural length of the problem) the ODE is
-
-    u'' = [ (l(l+1) - alpha^2)/x^2 - 2 Ebar / x + eps ] u
-
-where Ebar = E / (m0 c^2) and eps = (1 - Ebar^2) / alpha^2 is the
-dimensionless binding parameter (eps ~ 1/N^2 nonrelativistically,
-N = n + l + 1).  With sigma the positive root of sigma (sigma - 1) =
-l(l+1) - alpha^2, u = x^sigma w turns it into the eigenproblem
-x w'' + 2 sigma w' + 2 Ebar w = eps x w, collocated at 80
-Chebyshev-Gauss-Lobatto points on [0, X] with w(X) = 0 (Trefethen,
-Spectral Methods in MATLAB, ch. 6 and 13) and solved with numpy's eigvals.
-Its (n+1)-th largest eps is the level with n radial nodes; against
-50-digit Sommerfeld it is within 1.04e-10 over l <= 3, n <= 9.  One shot
-of the regular solution at eps (1 -/+ TAU) confirms it by Sturm
-oscillation: a fourth-order Magnus integrator (Blanes, Casas, Oteo and
-Ros, Phys. Rep. 470, 2009) over 2000 steps uniform in log(x + 0.01).  Its
-own root is within 3.5e-9 of Sommerfeld on the same states, and within
-6.1e-9 up to alpha = 0.499 on l = 0 and alpha = l + 0.49 on l = 1..3.
+Solves the radial Klein-Gordon Coulomb equation as a boundary-value
+problem, with no reference to the closed-form spectrum.  With u = r R and
+x = alpha r the ODE is u'' = [(l(l+1) - alpha^2)/x^2 - 2 Ebar/x + eps] u,
+where Ebar = E / (m0 c^2) and eps = (1 - Ebar^2) / alpha^2 is the binding
+parameter (~ 1/N^2 nonrelativistically, N = n + l + 1).  With sigma
+(sigma - 1) = l(l+1) - alpha^2, u = x^sigma w gives the eigenproblem
+x w'' + 2 sigma w' + 2 Ebar w = eps x w.  Under x -> x / Ebar, eps / Ebar^2
+does not depend on Ebar, so one eigensolve at Ebar = 1 (numpy's eigvals at
+80 Chebyshev-Gauss-Lobatto points on [0, X] with w(X) = 0; Trefethen,
+Spectral Methods in MATLAB, ch. 6 and 13) gives eps_1, and eps = eps_1 /
+(1 + alpha^2 eps_1).  The (n+1)-th largest eps_1 is the level with n radial
+nodes; against 50-digit Sommerfeld eps is within 1.04e-10 over l <= 3,
+n <= 9.  One shot of the regular solution at eps (1 -/+ TAU) confirms it by
+Sturm oscillation: a fourth-order Magnus integrator (Blanes, Casas, Oteo
+and Ros, Phys. Rep. 470, 2009) over 2000 steps uniform in log(x + 0.01),
+whose step matrices are multiplied as prefix products (a Hillis-Steele
+scan; Blelloch, CMU-CS-90-190).  Its own root is within 3.5e-9 of
+Sommerfeld on the same states, and within 6.1e-9 up to alpha = 0.499 on
+l = 0 and alpha = l + 0.49 on l = 1..3.
 """
 
 from __future__ import annotations
@@ -65,28 +64,21 @@ def _spectral_eps(n: int, l: int, alpha: float, x_hi: float) -> float:
     d -= np.diag(d.sum(axis=1))
     # x = x_hi (1 + t) / 2; dropping k = 0 drops x = x_hi, where w = 0
     x, d = x_hi * (1.0 + t[1:]) / 2.0, d[1:, 1:] * (2.0 / x_hi)
-    operator = x[:, None] * (d @ d) + 2.0 * _indicial_sigma(l, alpha) * d
-    ebar = 1.0
-    for _ in range(4):
-        a = operator + 2.0 * ebar * np.eye(len(x))
-        # the row at x = 0 only fixes w(0): eliminate it and solve for v = x w (by column)
-        s = a[:-1, :-1] - np.outer(a[:-1, -1], a[-1, :-1]) / a[-1, -1]
-        eps = np.linalg.eigvals(s / x[None, :-1])
-        eps = np.sort(eps[np.isfinite(eps) & (eps.imag == 0.0) & (eps.real > 0.0)].real)[::-1]
-        if len(eps) <= n:
-            raise ConfigError(f"the eigensolve resolves {len(eps)} levels of l = {l}, not n = {n}")
-        # eps / Ebar^2 does not depend on Ebar (rescale x), so this update meets
-        # Ebar^2 = 1 - alpha^2 eps in one solve; Ebar <- sqrt(that) gains alpha^2
-        new = 1.0 / math.sqrt(1.0 + alpha * alpha * eps[n] / (ebar * ebar))
-        if new == ebar:
-            break
-        ebar = new
-    return float(eps[n])
+    a = x[:, None] * (d @ d) + 2.0 * _indicial_sigma(l, alpha) * d + 2.0 * np.eye(len(x))
+    # the row at x = 0 only fixes w(0): eliminate it and solve for v = x w (by column)
+    s = a[:-1, :-1] - np.outer(a[:-1, -1], a[-1, :-1]) / a[-1, -1]
+    eps = np.linalg.eigvals(s / x[None, :-1])
+    eps = np.sort(eps[np.isfinite(eps) & (eps.imag == 0.0) & (eps.real > 0.0)].real)[::-1]
+    if len(eps) <= n:
+        raise ConfigError(f"the eigensolve resolves {len(eps)} levels of l = {l}, not n = {n}")
+    # solved at Ebar = 1: eps = eps_1 Ebar^2 = eps_1 (1 - alpha^2 eps)
+    return float(eps[n] / (1.0 + alpha * alpha * eps[n]))
 
 
 def solve_ivp(q, x, y0):
     """Integrate u'' = q(x) u over the grid x from y0 = (u, u') for each
-    column of q with a fourth-order Magnus step (two Gauss points).
+    column of q with a fourth-order Magnus step (two Gauss points), the
+    steps' products taken as prefix products for all columns at once.
     Returns y, u at every grid point for each column then u' for each, and
     nfev, the count of q values taken (perfbench/tracing.py reads it)."""
     h = np.diff(x)
@@ -99,16 +91,16 @@ def solve_ivp(q, x, y0):
     root, grows = np.sqrt(np.abs(delta)), delta > 0.0
     cosh = np.where(grows, np.cosh(root), np.cos(root))
     sinhc = np.divide(np.where(grows, np.sinh(root), np.sin(root)), root, out=np.ones_like(root), where=root > 0.0)
-    steps = np.stack((cosh + sinhc * a, sinhc * h, sinhc * c, cosh - sinhc * a), axis=-1)
-    k, y = len(y0) // 2, np.empty((len(y0), len(x)))
-    for j in range(k):
-        u, du = float(y0[j]), float(y0[k + j])
-        us, dus = [u], [du]
-        for e11, e12, e21, e22 in steps[j].tolist():
-            u, du = e11 * u + e12 * du, e21 * u + e22 * du
-            us.append(u)
-            dus.append(du)
-        y[j], y[k + j] = us, dus
+    # after the round of span s, m[..., j] = M_j ... M_max(0, j-2s+1): M_j ... M_0 once 2s > j
+    m, span = np.stack((cosh + sinhc * a, sinhc * h, sinhc * c, cosh - sinhc * a)), 1
+    u0, du0 = np.split(np.asarray(y0, dtype=float)[:, None], 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends as the ConfigError below
+        while span < m.shape[-1]:
+            p, r = m[..., span:], m[..., :-span]
+            p[:] = (p[0] * r[0] + p[1] * r[2], p[0] * r[1] + p[1] * r[3],
+                    p[2] * r[0] + p[3] * r[2], p[2] * r[1] + p[3] * r[3])
+            span *= 2
+        y = np.hstack((np.vstack((u0, du0)), np.vstack((m[0] * u0 + m[1] * du0, m[2] * u0 + m[3] * du0))))
     if not np.isfinite(y).all():
         raise ConfigError("shooting integration failed: u is not finite")
     return types.SimpleNamespace(y=y, nfev=q1.size + q2.size)

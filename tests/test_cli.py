@@ -240,6 +240,19 @@ def test_map_rejects_nonfinite_points_and_overflowing_radii(tmp_path, capsys, sy
     assert err == f"config error: {pts}:2: {message}\n"
 
 
+@pytest.mark.parametrize("energy,row,error", [
+    ("2", "1e150 0 0 0.5", "OverflowError"),  # (1e150 / 1.5)^3 in CPython
+    ("1e-308", "2 0 0 0.5", "FloatingPointError"),  # (hbar / E) [a ln r + (r / b)^lam] in numpy
+])
+def test_map_names_the_point_whose_map_overflows(tmp_path, capsys, energy, row, error):
+    pts = tmp_path / "pts.txt"
+    pts.write_text(f"1 0 0 0.5\n# the next point fails\n{row}\n0.5 0 0 0\n")
+    code, out, err = run(capsys, "map", "--points", str(pts), "--system", "raw",
+                         "--a", "0.2", "--b", "1.5", "--lam", "3", "--energy", energy)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith(f"domain error: DomainError: {pts}:3: {error}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv,code", [
     (("--suite", "ladder", "--omega", "0"), EXIT_CONFIG),
     (("--suite", "oscillator-x", "--omega", "-1"), EXIT_CONFIG),
@@ -323,15 +336,16 @@ def test_verify_fuzz_keeps_the_exit_code_contract(suite, mode, opts):
         opts["--n-fields"] = "2"
     for key, value in opts.items():
         argv += [key, value]
-    _assert_contract(*_run_quietly(argv))
+    code, _, err = _run_quietly(argv)
+    _assert_contract(code, err)
 
 
 def _run_quietly(argv):
-    """main(argv) with its output captured: (exit code, stderr lines)."""
+    """main(argv) with its output captured: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _assert_contract(code, err):
@@ -362,7 +376,8 @@ def test_spectrum_fuzz_keeps_the_exit_code_contract(system, fmt, opts):
     argv = ["spectrum", "--system", system, "--format", fmt]
     for key, value in opts.items():
         argv.append(f"{key}={value}")
-    _assert_contract(*_run_quietly(argv))
+    code, _, err = _run_quietly(argv)
+    _assert_contract(code, err)
 
 
 coordinate = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False).map(repr)
@@ -387,10 +402,15 @@ map_options = st.fixed_dictionaries({"--b": st.one_of(numbers, st.sampled_from([
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_map_fuzz_keeps_the_exit_code_contract(tmp_path, system, lines, opts):
-    """Raw parameters and points at r = 0 included."""
+    """Raw parameters and points at r = 0 included.  A map that exits 0
+    prints only finite numbers."""
     pts = tmp_path / "pts.txt"
     pts.write_text("\n".join(lines) + "\n")
     argv = ["map", "--points", str(pts), "--system", system]
     for key, value in opts.items():
         argv.append(f"{key}={value}")
-    _assert_contract(*_run_quietly(argv))
+    code, out, err = _run_quietly(argv)
+    _assert_contract(code, err)
+    if code == EXIT_PASS:
+        rows = [row.split() for row in out.splitlines() if not row.startswith("#")]
+        assert all(math.isfinite(float(v)) for row in rows for v in row), out

@@ -14,6 +14,8 @@ from kgconformal import coulomb as cb
 from kgconformal import shooting
 from kgconformal.core import BranchError, ConfigError
 
+import scalar_shot
+
 ALPHA = 0.0072973525693
 MODEL = cb.CoulombModel(alpha=ALPHA)
 
@@ -24,6 +26,48 @@ def _spectral(n, l):
 
 def _eps_formula(n, l):
     return shooting.binding_parameter(cb.make_state(MODEL, n, l).energy, ALPHA)
+
+
+STATES = [(n, l) for n in range(shooting.MAX_N + 1) for l in range(shooting.MAX_L + 1)]
+# the cases of test_strong_coupling_states_meet_the_eps_gate, then of
+# test_edge_of_the_validated_range_meets_the_eps_gate
+STRONG = [(0, 0, 0.3), (2, 0, 0.3), (0, 1, 1.2), (0, 2, 1.2), (0, 0, 0.35), (2, 0, 0.45), (0, 0, 0.499),
+          (9, 1, 1.49), (9, 4, ALPHA), (9, 4, 0.49), (5, 4, 4.49), (0, 4, ALPHA)]
+
+
+def _reference_eigenvalue(monkeypatch, n, l, alpha):
+    """shooting_eigenvalue with the four-solve eigensolve and the per-column shot."""
+    with monkeypatch.context() as patch:
+        patch.setattr(shooting, "_spectral_eps", scalar_shot.spectral_eps)
+        patch.setattr(shooting, "solve_ivp", scalar_shot.solve_ivp)
+        return shooting.shooting_eigenvalue(n, l, alpha)
+
+
+def test_energy_equals_the_four_solve_reference_at_the_physical_alpha(monkeypatch):
+    for n, l in STATES:
+        assert shooting.shooting_eigenvalue(n, l, ALPHA) == _reference_eigenvalue(monkeypatch, n, l, ALPHA), (n, l)
+
+
+@pytest.mark.parametrize("n, l, alpha", STRONG)
+def test_eps_meets_the_four_solve_reference_at_strong_coupling(n, l, alpha):
+    x_hi = shooting._cutoff(n + l + 1)
+    assert shooting._spectral_eps(n, l, alpha, x_hi) == pytest.approx(
+        scalar_shot.spectral_eps(n, l, alpha, x_hi), rel=1e-10, abs=0.0)
+
+
+def test_scan_matches_the_per_column_shot_on_every_window():
+    """Same node counts, and u within 1e-6 of its largest value (at X, where
+    the growing tail sets the sign) in each column."""
+    for n, l, alpha in [(n, l, ALPHA) for n, l in STATES] + STRONG:
+        x_hi = shooting._cutoff(n + l + 1)
+        eps = shooting._spectral_eps(n, l, alpha, x_hi)
+        scan = shooting._shoot((eps * (1 - shooting.TAU), eps * (1 + shooting.TAU)), l, alpha, x_hi)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(shooting, "solve_ivp", scalar_shot.solve_ivp)
+            loop = shooting._shoot((eps * (1 - shooting.TAU), eps * (1 + shooting.TAU)), l, alpha, x_hi)
+        assert shooting._nodes(scan) == shooting._nodes(loop), (n, l, alpha)
+        u_scan, u_loop = scan.y[:2], loop.y[:2]
+        assert (np.abs(u_scan - u_loop).max(axis=1) <= 1e-6 * np.abs(u_loop).max(axis=1)).all(), (n, l, alpha)
 
 
 @pytest.mark.parametrize("n, l", [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
@@ -77,6 +121,27 @@ def test_one_state_takes_exactly_one_integration(monkeypatch):
         assert len(calls) == 1
 
 
+def test_one_state_takes_one_eigensolve_and_8000_q_values(monkeypatch):
+    solves, shots = [], []
+    eigvals, solve_ivp = np.linalg.eigvals, shooting.solve_ivp
+
+    def counting_eigvals(a):
+        solves.append(None)
+        return eigvals(a)
+
+    def counting_shot(*args):
+        shots.append(solve_ivp(*args))
+        return shots[-1]
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    monkeypatch.setattr(shooting, "solve_ivp", counting_shot)
+    for n, l, alpha in ((0, 0, ALPHA), (2, 0, ALPHA), (0, 2, ALPHA), (9, 4, ALPHA), (0, 0, 0.499)):
+        solves.clear()
+        shots.clear()
+        shooting.shooting_eigenvalue(n, l, alpha)
+        assert len(solves) == 1 and [sol.nfev for sol in shots] == [8000]
+
+
 @pytest.mark.parametrize("n", [3, 4, 6, 9])
 def test_high_l0_states_meet_the_eps_gate(n):
     eps_shoot = shooting.binding_parameter(shooting.shooting_eigenvalue(n, 0, ALPHA), ALPHA)
@@ -92,7 +157,7 @@ def test_cutoff_grows_with_n_squared_for_high_states():
 @pytest.mark.parametrize("n, l, alpha", [(0, 0, 0.3), (2, 0, 0.3), (0, 1, 1.2), (0, 2, 1.2),
                                          (0, 0, 0.35), (2, 0, 0.45), (0, 0, 0.499), (9, 1, 1.49)])
 def test_strong_coupling_states_meet_the_eps_gate(n, l, alpha):
-    """Four eigensolves settle Ebar even where alpha^2 is not small.  Near
+    """One eigensolve at Ebar = 1 gives eps even where alpha^2 is not small.  Near
     the branch point (sigma near 1/2) the shot needs its third Frobenius
     term: with two, the last four cases raise.  It needs short first steps
     too: on a grid uniform in log(x + 0.1), the last three raise."""
@@ -111,6 +176,13 @@ def test_shot_counts_two_q_values_per_step_and_eps():
 def test_shot_that_overflows_raises():
     """u'' = 400 u grows by e^20 a step here: the chain overflows to inf."""
     with pytest.raises(ConfigError, match="not finite"):
+        shooting.solve_ivp(lambda x: np.full((1, len(x)), 400.0), np.linspace(0.0, 2000.0, 2001), np.ones(2))
+
+
+def test_shot_that_overflows_raises_under_the_cli_errstate():
+    """cli.main turns overflow and invalid into FloatingPointError: the shot's
+    array products must still end in the ConfigError."""
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(ConfigError, match="not finite"):
         shooting.solve_ivp(lambda x: np.full((1, len(x)), 400.0), np.linspace(0.0, 2000.0, 2001), np.ones(2))
 
 

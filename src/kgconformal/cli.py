@@ -260,6 +260,11 @@ def cmd_map(args) -> int:
     if rows:  # a grid has at least one point
         try:
             s, roundtrip = _map_grid(cmap, rows.values())
+        except DomainError:  # r = 0 with a != 0: name a point off the origin whose r^2 underflows
+            for lineno, row in rows.items():
+                if any(row[:3]) and sum(v * v for v in row[:3]) == 0.0:
+                    raise DomainError(f"{args.points}:{lineno}: r^2 = x1^2 + x2^2 + x3^2 underflows to 0") from None
+            raise
         except ArithmeticError:  # name the first point whose own map fails
             for lineno, row in rows.items():
                 try:

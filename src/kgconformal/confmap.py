@@ -182,13 +182,8 @@ def _first_order(cmap, d, axis, sign):
     return tuple(component(i) for i in range(3))
 
 
-def dzstar_dz(cmap: ConformalMap, d: Derivatives, reverse: bool = False):
-    """sum_i d_zstar_i (d_z_i f), returned as (value, error_estimate).
-
-    With ``reverse`` it is the reversed composition sum_i d_z_i (d_zstar_i f),
-    whose first-order time coupling has the opposite sign: the value less
-    2i (div A) df/dt, with the same estimate.
-    """
+def dzstar_dz(cmap: ConformalMap, d: Derivatives):
+    """sum_i d_zstar_i (d_z_i f), returned as (value, error_estimate)."""
     pts = d.points
     _require_off_origin(cmap, pts)
     lap, err = _laplacian(d)
@@ -196,16 +191,24 @@ def dzstar_dz(cmap: ConformalMap, d: Derivatives, reverse: bool = False):
     # the same on every tile: the tiles of a grid share their energy
     div_a, sq = pts.radial(cmap.second_order_couplings)
     value = lap + dual.mul(1j * div_a, dt) + sq * dtt
-    err = err + np.abs(div_a) * d.grad_err[T_AXIS] + np.abs(sq) * d.hess_err[T_AXIS]
-    if reverse:
-        value = value - dual.mul(2j * div_a, dt)
-    return value, err
+    return value, err + np.abs(div_a) * d.grad_err[T_AXIS] + np.abs(sq) * d.hess_err[T_AXIS]
 
 
 def dz_dzstar(cmap: ConformalMap, d: Derivatives):
-    """Reversed composition sum_i d_z_i (d_zstar_i f); the sign of the
-    first-order time coupling flips.  Kept for the order-sensitivity probe."""
-    return dzstar_dz(cmap, d, reverse=True)
+    """Reversed composition sum_i d_z_i (d_zstar_i f), for the order-sensitivity
+    probe: dzstar_dz less 2i (div A) df/dt, with the same estimate."""
+    value, err = dzstar_dz(cmap, d)
+    div_a, _ = d.points.radial(cmap.second_order_couplings)
+    return value - dual.mul(2j * div_a, d.grad[T_AXIS]), err
+
+
+def zform_residual(cmap: ConformalMap, eig, scale, d: Derivatives):
+    """Operator of the z-form equation under ``cmap``, free of any potential term:
+    |-hbar^2 c^2 sum_i d_zstar_i d_z_i psi + m0^2 c^4 psi - eig psi|, scaled by ``scale``."""
+    u, psi = cmap.units, d.value
+    hc2 = (u.hbar * u.c) ** 2
+    ddz, e = dzstar_dz(cmap, d)
+    return dual.modulus(-hc2 * ddz + u.rest_energy**2 * psi - eig * psi), hc2 * e, scale
 
 
 def _laplacian(d: Derivatives):
@@ -300,41 +303,37 @@ def evaluate(suite: str, mode: str, declaration) -> ResidualReport:
     return ResidualReport(suite, mode, tuple(sorted(cases.values(), key=lambda c: c.is_probe)))
 
 
+def _identity_residual(d: Derivatives, ddz, ddz_err, a, b):
+    """(|(ddz + a psi) - (laplacian + b psi)|, error estimate, |laplacian + b psi| floored at 1e-30)."""
+    lap, lap_err = _laplacian(d)
+    rhs = lap + b * d.value
+    return dual.modulus(ddz + a * d.value - rhs), ddz_err + lap_err, np.maximum(dual.modulus(rhs), 1e-30)
+
+
 def qprop_identity_residual(cmap: ConformalMap, d: Derivatives, operator=None):
     """Oscillator operator identity on an energy eigenfield:
 
         -sum_i d_zstar_i d_z_i + 3 Omega/(hbar c) = -laplacian + (Omega/(hbar c))^2 x^2
 
     with Omega/(hbar c) = 2/b^2 for the lambda = 2, a = 0 map, as an
-    operator: (|lhs - rhs|, error estimate, |rhs|) at every point, the
-    scale floored at 1e-30.  ``cmap`` may hold one energy per point, each
-    its field's.  ``operator`` replaces dzstar_dz on the left; the
-    reversed-order probe passes dz_dzstar.
+    operator with both sides negated, which rounds alike.  ``cmap`` may hold
+    one energy per point, each its field's.  ``operator`` replaces
+    dzstar_dz on the left; the reversed-order probe passes dz_dzstar.
     """
     omega_hc = 2.0 / (cmap.b * cmap.b)
-    f = d.value
-    ddz, e1 = (operator or dzstar_dz)(cmap, d)
-    lap, e2 = _laplacian(d)
-    lhs = -ddz + 3.0 * omega_hc * f
-    rhs = -lap + omega_hc**2 * d.points.radial(dual.powr, 2) * f
-    return dual.modulus(lhs - rhs), e1 + e2, np.maximum(dual.modulus(rhs), 1e-30)
+    ddz, err = (operator or dzstar_dz)(cmap, d)
+    return _identity_residual(d, ddz, err, -3.0 * omega_hc, -(omega_hc**2) * d.points.radial(dual.powr, 2))
 
 
 def d2z_identity_residual(cmap: ConformalMap, d: Derivatives):
     """Coulomb operator identity on an energy eigenfield (lambda = 1 map):
 
         sum_i d_zstar_i d_z_i = laplacian + a(1-a)/r^2 + 2(1-a)/(b r) - 1/b^2
-
-    as an operator: (|lhs - rhs|, error estimate, |rhs|) at every point,
-    the scale floored at 1e-30.
     """
     a, b = cmap.a, cmap.b
-    ddz, e1 = dzstar_dz(cmap, d)
-    lap, e2 = _laplacian(d)
+    ddz, err = dzstar_dz(cmap, d)
     r = d.points.radii
-    coef = a * (1.0 - a) / (r * r) + 2.0 * (1.0 - a) / (b * r) - 1.0 / (b * b)
-    rhs = lap + coef * d.value
-    return dual.modulus(ddz - rhs), e1 + e2, np.maximum(dual.modulus(rhs), 1e-30)
+    return _identity_residual(d, ddz, err, 0.0, a * (1.0 - a) / (r * r) + 2.0 * (1.0 - a) / (b * r) - 1.0 / (b * b))
 
 
 def time_field(cmap: ConformalMap) -> ComplexField:
@@ -361,14 +360,13 @@ def independence_check(cmap: ConformalMap, pts: PointSet, length_scale: float, t
     """Samples verifying ds/dz_i = 0 and dz_i/ds = 0 on the given points.
 
     ds/dz_i applies the d_z operator to the field s(x, t); dz_i/ds
-    applies d/ds = d/dt to the coordinate fields z_i(x, t) = x_i.  Each
-    case reports the error estimate of its own derivative.  Case names
-    carry ``prefix``.
+    applies d/ds = d/dt to the coordinate fields z_i(x, t) = x_i, the tiles
+    of one Sample.  Each case reports its own derivative's error estimate.
+    Case names carry ``prefix``.
     """
     yield Sample(time_field(cmap), pts, (Read(prefix + "ds/dz", partial(ds_dz, cmap), tolerance),), length_scale)
-    for i in range(3):
-        z_field = ComplexField(fn=lambda x1, x2, x3, t, _i=i: (x1, x2, x3)[_i], label=f"z{i + 1}")
-        yield Sample(z_field, pts, (Read(prefix + "dz/ds", _dz_ds, tolerance),), length_scale)
+    z_fields = ComplexField(fn=lambda x1, x2, x3, t: dual.join_tiles([x1, x2, x3]), label="z1..z3")
+    yield Sample(z_fields, pts.tiled(3), (Read(prefix + "dz/ds", _dz_ds, tolerance),), length_scale)
 
 
 def holomorphy_residual(

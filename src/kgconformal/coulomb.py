@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 from . import dual
-from .core import ComplexField, ConfigError, QuantumNumberError, UnitSystem, natural_units, residual_scale
-from .confmap import ConformalMap, _laplacian, dzstar_dz
+from .core import ComplexField, ConfigError, QuantumNumberError, UnitSystem, natural_units
+from .confmap import ConformalMap, _laplacian, dzstar_dz, zform_residual
 from .diffengine import Derivatives
 from .specfun import (
     SOMMERFELD,
@@ -106,27 +106,26 @@ def transformed_eigenvalue(model: CoulombModel, state: CoulombState, E: float) -
     return E**2 * (1.0 + model.alpha**2 / (1.0 - eta0) ** 2)
 
 
-def eigenfunction_x(model: CoulombModel, state: CoulombState) -> ComplexField:
-    """psi = r^{-eta_l} exp(-r/r_nl) p_n(r/r_nl) Y_lk exp(-i E t / hbar)."""
+def _eigenfunction(model: CoulombModel, state: CoulombState, form: str, rate: float, power: float, cmap=None):
+    """exp(rate rho) r^power p_n(rho) Y_lk exp(-i E s / hbar), rho = r / r_nl,
+    with s = t, or with s(x, t) of ``cmap``."""
     poly = radial_polynomial(state.n, state.l, model.alpha, state.branch)
-    hbar = model.units.hbar
-    E = state.energy
-    r_nl = state.r_scale
-    eta_l = state.eta
-    l, k = state.l, state.k
+    hbar, E, r_nl, l, k = model.units.hbar, state.energy, state.r_scale, state.l, state.k
 
     def fn(x1, x2, x3, t):
         r = dual.norm3(x1, x2, x3)
         rho = r / r_nl
-        radial = dual.powr(r, -eta_l) * dual.exp(-rho) * poly(rho)
-        return radial * sph_harm_cartesian(l, k, x1, x2, x3) * dual.exp(-1j * E * t / hbar)
+        s = t if cmap is None else t + 1j * cmap.tau(r)
+        radial = dual.exp(rate * rho) * dual.powr(r, power) * poly(rho)
+        return radial * sph_harm_cartesian(l, k, x1, x2, x3) * dual.exp(-1j * E * s / hbar)
 
-    return ComplexField(
-        fn=fn,
-        label=f"coulomb-x({state.n},{state.l},{state.k})[{state.branch}]",
-        energy_hint=E,
-        singular_at_origin=True,
-    )
+    label = f"coulomb-{form}({state.n},{state.l},{state.k})[{state.branch}]"
+    return ComplexField(fn=fn, label=label, energy_hint=E, singular_at_origin=True)
+
+
+def eigenfunction_x(model: CoulombModel, state: CoulombState) -> ComplexField:
+    """psi = r^{-eta_l} exp(-r/r_nl) p_n(r/r_nl) Y_lk exp(-i E t / hbar)."""
+    return _eigenfunction(model, state, "x", -1.0, -state.eta)
 
 
 def transformed_decay_rate(state: CoulombState, eta0: float) -> float:
@@ -136,38 +135,17 @@ def transformed_decay_rate(state: CoulombState, eta0: float) -> float:
 
 def eigenfunction_z(model: CoulombModel, state: CoulombState) -> ComplexField:
     """R(r_z) Y_lk exp(-i E s / hbar), evaluated through s(x, t)."""
-    poly = radial_polynomial(state.n, state.l, model.alpha, state.branch)
-    cmap = coulomb_map(model, state)
-    eta0 = cmap.a
-    c1 = transformed_decay_rate(state, eta0)
-    hbar = model.units.hbar
-    E = state.energy
-    r_nl = state.r_scale
-    power = eta0 - state.eta
-    l, k = state.l, state.k
-
-    def fn(x1, x2, x3, t):
-        r = dual.norm3(x1, x2, x3)
-        rho = r / r_nl
-        s = t + 1j * cmap.tau(r)
-        radial = dual.exp(c1 * rho) * dual.powr(r, power) * poly(rho)
-        return radial * sph_harm_cartesian(l, k, x1, x2, x3) * dual.exp(-1j * E * s / hbar)
-
-    return ComplexField(
-        fn=fn,
-        label=f"coulomb-z({state.n},{state.l},{state.k})[{state.branch}]",
-        energy_hint=E,
-        singular_at_origin=True,
-    )
+    cmap = coulomb_map(model, state)  # a = eta_0
+    return _eigenfunction(model, state, "z", transformed_decay_rate(state, cmap.a), cmap.a - state.eta, cmap)
 
 
 def kg_residual_x(model: CoulombModel, E: float, d: Derivatives):
     """Operator of -hbar^2 c^2 lap psi + m0^2 c^4 psi - (E + hbar c alpha / r)^2 psi,
-    with scale E^2 max|psi| over the grid."""
+    with scale E^2 max|psi| over each tile of the grid."""
     u = model.units
     psi = d.value
     hc = u.hbar * u.c
-    scale = residual_scale(E * E * dual.modulus(psi).max())
+    scale = d.scale(E * E)
     lap, e_sum = _laplacian(d)
     pot = E + hc * model.alpha / d.points.radii
     res = -hc * hc * lap + u.rest_energy**2 * psi - pot * pot * psi
@@ -175,24 +153,18 @@ def kg_residual_x(model: CoulombModel, E: float, d: Derivatives):
 
 
 def kg_residual_z(model: CoulombModel, state: CoulombState, E: float, d: Derivatives):
-    """Operator of the transformed equation of ``state``'s map,
-    -hbar^2 c^2 sum_i d_zstar_i d_z_i psi + m0^2 c^4 psi = E^2 [1 + alpha^2/(1-eta_0)^2] psi,
-    with scale E_nl^2 max|psi| over the grid."""
-    u = model.units
+    """confmap.zform_residual under ``state``'s map, eigenvalue E^2 [1 + alpha^2/(1-eta_0)^2]
+    and scale E_nl^2 max|psi| over each tile."""
     cmap = coulomb_map(model, state)
     eig = transformed_eigenvalue(model, state, E)
-    psi = d.value
-    hc2 = (u.hbar * u.c) ** 2
-    scale = residual_scale(state.energy**2 * dual.modulus(psi).max())
-    ddz, e = dzstar_dz(cmap, d)
-    res = -hc2 * ddz + u.rest_energy**2 * psi - eig * psi
-    return dual.modulus(res), hc2 * e, scale
+    return zform_residual(cmap, eig, d.scale(state.energy**2), d)
 
 
 def ground_state_flatness(model: CoulombModel, state: CoulombState, d: Derivatives):
     """Operator of sum_i d2 psi / dz_i* dz_i = 0 for the ground state
-    psi_000 = exp(-i E_0 s / hbar), scaled by max|psi| (E_0 / hbar c)^2."""
+    psi_000 = exp(-i E_0 s / hbar), scaled by max|psi| (E_0 / hbar c)^2
+    over each tile."""
     cmap = coulomb_map(model, state)
-    scale = residual_scale(dual.modulus(d.value).max() * (state.energy / (model.units.hbar * model.units.c)) ** 2)
+    scale = d.scale((state.energy / (model.units.hbar * model.units.c)) ** 2)
     ddz, e = dzstar_dz(cmap, d)
     return dual.modulus(ddz), e, scale

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .core import ComplexField, ConfigError, DomainError, NonFiniteError, PointSet
+from .core import ComplexField, ConfigError, DomainError, NonFiniteError, PointSet, residual_scale
 
 T_AXIS = 3
 N_AXES = 4
@@ -87,6 +87,11 @@ class Derivatives:
     hess: np.ndarray
     grad_err: np.ndarray
     hess_err: np.ndarray
+
+    def scale(self, factor=1.0):
+        """A residual's scale: ``factor`` max|psi| over each tile of the grid
+        (see core.PointSet.tile_max), checked by core.residual_scale."""
+        return residual_scale(factor * self.points.tile_max(dual.modulus(self.value)))
 
 
 def _diff(field: ComplexField, pts: PointSet, cfg: DiffConfig) -> Derivatives:

@@ -25,15 +25,15 @@ from .confmap import (
     d2z_identity_residual,
     ds_dz,
     dz_dzstar,
-    dzstar_dz,
     evaluate,
     forward,
     holomorphy_residual,
     independence_check,
     qprop_identity_residual,
     time_field,
+    zform_residual,
 )
-from .core import ComplexField, ConfigError, DomainError, PointSet, residual_scale
+from .core import ComplexField, ConfigError, DomainError, PointSet
 from .diffengine import DiffConfig, MODE_EXACT
 from .report import CaseResult, ResidualReport
 from .seeds import standard_doubles
@@ -280,8 +280,12 @@ def _osc_model(params) -> ho.OscillatorModel:
     return ho.OscillatorModel(omega=params.get("omega", 1.0))
 
 
-def _osc_grid(params) -> Grid:
-    return params.get("grid") or Grid(r_min=0.1, r_max=4.0, shells=10)
+def _osc_grid(params, model):
+    """(points, length) of the oscillator suites: the oscillator's own length
+    b / sqrt(2) = (hbar c / Omega)^(1/2), exactly 1.0 at Omega = 1, and the
+    ``grid`` parameter's points or r in [0.1, 4] lengths."""
+    length = model.b / math.sqrt(2.0)
+    return (params.get("grid") or Grid(r_min=0.1 * length, r_max=4.0 * length, shells=10)).points(), length
 
 
 def _coulomb_model(params) -> cb.CoulombModel:
@@ -311,7 +315,7 @@ def _passes(states, points):
 
 def _suite_oscillator_x(params, tol):
     model = _osc_model(params)
-    points = _osc_grid(params).points()
+    points, length = _osc_grid(params, model)
     # the probe reads the ground state's sample, the first one declared
     probe = Read("probe:perturbed-energy", partial(ho.kg_residual_x, model, ho.energy(model, 0) + 0.1), tol)
     for n in range(params.get("nmax", 4) + 1):
@@ -319,12 +323,12 @@ def _suite_oscillator_x(params, tol):
         for states, tiled in _passes(list(ho.states_with_n(model, n)), points):
             names = tuple(f"osc-x-{state.ls}" for state in states)
             reads = (Read(names, partial(ho.kg_residual_x, model, states[0].energy), tol),)
-            yield Sample(ho.eigenfunction_x(model, states), tiled, reads + ((probe,) if n == 0 else ()))
+            yield Sample(ho.eigenfunction_x(model, states), tiled, reads + ((probe,) if n == 0 else ()), length)
 
 
 def _suite_oscillator_z(params, tol):
     model = _osc_model(params)
-    points = _osc_grid(params).points()
+    points, length = _osc_grid(params, model)
     # the probe reads the equation only, on the ground state's sample.  Its
     # energy-operator read fails too (0.023 at the default grid), but it
     # would add a case that the reports of earlier versions, and the
@@ -339,21 +343,21 @@ def _suite_oscillator_z(params, tol):
                 Read(names, partial(ho.kg_residual_z, model, energy), tol),
                 Read(energy_op, partial(ho.energy_operator_residual, model, energy), tol),
             )
-            yield Sample(ho.eigenfunction_z(model, states), tiled, reads + ((probe,) if n == 0 else ()))
+            yield Sample(ho.eigenfunction_z(model, states), tiled, reads + ((probe,) if n == 0 else ()), length)
 
 
 def _annihilation_residual(model, d):
     """|a_i psi| over the three components, with a_i's estimate, scaled by
     max|psi| over each tile."""
     values, errs = zip(*(ho.ladder_apply(model, ("lower", i), d) for i in range(3)))
-    return dual.modulus(np.stack(values)), np.stack(errs), residual_scale(d.points.tile_max(dual.modulus(d.value)))
+    return dual.modulus(np.stack(values)), np.stack(errs), d.scale()
 
 
 def _number_residual(model, n, eigenvalue, d):
     """|N psi - eigenvalue psi| on level-n states, scaled by max|psi| max(n, 1)
     over each tile."""
     val, err = ho.number_operator_apply(model, d)
-    scale = residual_scale(d.points.tile_max(dual.modulus(d.value)) * max(n, 1))
+    scale = d.scale(max(n, 1))
     return dual.modulus(val - eigenvalue * d.value), err, scale
 
 
@@ -386,7 +390,7 @@ def _lowering_proportionality(model, ground, state1, d):
 def _suite_ladder(params, tol):
     model = _osc_model(params)
     tol_number = max(1e-8, tol)
-    points = _osc_grid(params).points()
+    points, length = _osc_grid(params, model)
     ground, state1 = ho.make_state(model, 0, 0, 0), ho.make_state(model, 1, 0, 0)
     closing = (
         Read("lowering-proportionality", partial(_lowering_proportionality, model, ground, state1), tol_number),
@@ -399,12 +403,12 @@ def _suite_ladder(params, tol):
         if n == 0:
             reads = (Read("annihilate-ground", partial(_annihilation_residual, model), tol),) + reads
         for states, tiled in _passes([state for state in ho.states_with_n(model, n) if state != state1], points):
-            yield Sample(ho.eigenfunction_x(model, states), tiled, reads)
+            yield Sample(ho.eigenfunction_x(model, states), tiled, reads, length)
         if n == 1:  # (1,0,0), the last n = 1 state, is read with the closing reads
             closing = reads + closing
     # declared last and alone, so that every case keeps the place of its
     # first appearance and lowering-proportionality reads one state
-    yield Sample(ho.eigenfunction_x(model, state1), points, closing)
+    yield Sample(ho.eigenfunction_x(model, state1), points, closing, length)
 
 
 def _suite_coulomb_x(params, tol):
@@ -535,13 +539,7 @@ def _suite_reductions(params, tol):
 
     # free plane waves satisfy the z-form equation under the identity map
     def zform_sample(name, kvec, e_val):
-        cmap = ConformalMap.identity(E=abs(e_val))
-
-        def residual(d):
-            psi = d.value
-            ddz, e = dzstar_dz(cmap, d)
-            return dual.modulus(-ddz + psi - e_val**2 * psi), e, e_val**2
-
+        residual = partial(zform_residual, ConformalMap.identity(E=abs(e_val)), e_val**2, e_val**2)
         return Sample(_plane_wave(kvec, e_val), points, (Read(name, residual, tol),))
 
     for i, kvec in enumerate(((0.5, 0.0, 0.0), (0.3, -0.4, 0.2), (0.0, 1.0, 0.5))):

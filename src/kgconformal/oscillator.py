@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 from . import dual
-from .core import ComplexField, ConfigError, QuantumNumberError, UnitSystem, natural_units, residual_scale
-from .confmap import ConformalMap, _laplacian, d_z, d_zstar, dzstar_dz
+from .core import ComplexField, ConfigError, QuantumNumberError, UnitSystem, natural_units
+from .confmap import ConformalMap, _laplacian, d_z, d_zstar, dzstar_dz, zform_residual
 from .diffengine import Derivatives, T_AXIS
 from .specfun import HermiteLadder, hermite
 
@@ -183,7 +183,7 @@ def kg_residual_x(model: OscillatorModel, E: float, d: Derivatives):
     u = model.units
     psi = d.value
     hc2 = (u.hbar * u.c) ** 2
-    scale = residual_scale(E * E * d.points.tile_max(dual.modulus(psi)))
+    scale = d.scale(E * E)
     lap, e_sum = _laplacian(d)
     r2 = d.points.radial(dual.powr, 2)
     res = -hc2 * lap + u.rest_energy**2 * psi + model.omega**2 * r2 * psi - E * E * psi
@@ -191,31 +191,19 @@ def kg_residual_x(model: OscillatorModel, E: float, d: Derivatives):
 
 
 def kg_residual_z(model: OscillatorModel, E: float, d: Derivatives):
-    """Operator of the z-representation equation at energy E.
-
-    The transformed equation reads
-    -hbar^2 c^2 sum_i d_zstar_i d_z_i psi + m0^2 c^4 psi = (E^2 - 3 hbar c Omega) psi
-    and carries no potential term; the map is the one of energy E and the
-    scale is E^2 max|psi| over each tile.
-    """
+    """confmap.zform_residual under the map of energy E, eigenvalue
+    E^2 - 3 hbar c Omega and scale E^2 max|psi| over each tile."""
     u = model.units
-    cmap = oscillator_map(model, E)
-    psi = d.value
-    hc2 = (u.hbar * u.c) ** 2
     eig = E * E - 3.0 * u.hbar * u.c * model.omega
-    scale = residual_scale(E * E * d.points.tile_max(dual.modulus(psi)))
-    ddz, e = dzstar_dz(cmap, d)
-    res = -hc2 * ddz + u.rest_energy**2 * psi - eig * psi
-    return dual.modulus(res), hc2 * e, scale
+    return zform_residual(oscillator_map(model, E), eig, d.scale(E * E), d)
 
 
 def energy_operator_residual(model: OscillatorModel, E: float, d: Derivatives):
     """Operator of E psi = i hbar d psi / ds, checked through d/ds = d/dt;
     scale E^2 max|psi| over each tile, as for kg_residual_z."""
     u = model.units
-    psi = d.value
-    scale = residual_scale(E * E * d.points.tile_max(dual.modulus(psi)))
-    eop = dual.mul(1j * u.hbar, d.grad[T_AXIS]) - E * psi
+    scale = d.scale(E * E)
+    eop = dual.mul(1j * u.hbar, d.grad[T_AXIS]) - E * d.value
     return dual.modulus(eop), u.hbar * d.grad_err[T_AXIS], scale
 
 

@@ -11,7 +11,7 @@ but probes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 
 PROBE_PREFIX = "probe:"

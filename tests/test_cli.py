@@ -1,4 +1,3 @@
-import builtins
 import contextlib
 import io
 import json
@@ -9,7 +8,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kgconformal import cli
 from kgconformal.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_FAIL, EXIT_PASS, main
-from kgconformal.harness import SUITES
+from kgconformal.core import DomainError
+from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL
+from kgconformal.harness import SUITES, Grid, run_suite
 from kgconformal.report import CaseResult, ResidualReport
 
 
@@ -253,10 +254,25 @@ def test_map_names_the_point_whose_map_overflows(tmp_path, capsys, energy, row, 
     assert err.startswith(f"domain error: DomainError: {pts}:3: {error}: ") and err.count("\n") == 1
 
 
+def test_map_names_the_point_whose_r2_underflows(tmp_path, capsys):
+    """ln(1e-200) is finite, but r^2 = 1e-400 underflows to 0: with a != 0
+    the map names the point; with a = 0 it maps the point to s = t."""
+    pts = tmp_path / "pts.txt"
+    pts.write_text("1 0 0 0.5\n1e-200 0 0 0\n")
+    raw = ("map", "--points", str(pts), "--system", "raw", "--b", "1.5", "--lam", "3", "--energy", "2")
+    code, out, err = run(capsys, *raw, "--a", "0.2")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == f"domain error: DomainError: {pts}:2: r^2 = x1^2 + x2^2 + x3^2 underflows to 0\n"
+    code, out, err = run(capsys, *raw, "--a", "0")
+    assert (code, err) == (EXIT_PASS, "")
+    assert out.splitlines()[2] == "1e-200 0.0 0.0 0.0 0.0 0.000e+00"
+
+
 @pytest.mark.parametrize("argv,code", [
     (("--suite", "ladder", "--omega", "0"), EXIT_CONFIG),
     (("--suite", "oscillator-x", "--omega", "-1"), EXIT_CONFIG),
-    (("--suite", "oscillator-x", "--omega", "1e-300"), EXIT_DOMAIN),
+    # the grid and steps scale with Omega^(-1/2), so a tiny Omega is no bad input
+    (("--suite", "oscillator-x", "--omega", "1e-300"), EXIT_PASS),
     (("--suite", "coulomb-x", "--alpha", "0.9"), EXIT_CONFIG),
     (("--suite", "coulomb-x", "--state", "0,0,5"), EXIT_CONFIG),
     (("--suite", "coulomb-x", "--state", "zero,one"), EXIT_CONFIG),
@@ -270,7 +286,7 @@ def test_map_names_the_point_whose_map_overflows(tmp_path, capsys, energy, row, 
 def test_verify_bad_input_exit_codes(capsys, argv, code):
     got, _, err = run(capsys, "verify", "--mode", "exact", *argv)
     assert got == code
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert len(err.splitlines()) == (code != EXIT_PASS) and "Traceback" not in err
 
 
 def test_hydrino_state_without_radial_scale_is_config_error(capsys):
@@ -281,15 +297,14 @@ def test_hydrino_state_without_radial_scale_is_config_error(capsys):
 
 
 @pytest.mark.parametrize("mode", ["exact", "stencil"])
-def test_ladder_ground_state_underflow_is_a_named_domain_error(capsys, mode):
-    """At Omega = 100 psi_0 underflows to 0 at the grid's outer points: the
-    lowering-proportionality ratio names the first such point instead of
-    dividing by zero."""
-    code, _, err = run(capsys, "verify", "--suite", "ladder", "--mode", mode, "--omega", "100")
-    assert code == EXIT_DOMAIN
-    assert err == ("domain error: DomainError: lowering-proportionality: psi_0 underflows to 0 "
-                   "at x = (4.0, 0.0, 0.0), t = 0.0\n")
-    assert not any(name in err for name in dir(builtins) if name.endswith(("Error", "Exception")))
+def test_ladder_ground_state_underflow_is_a_named_domain_error(mode):
+    """At Omega = 100 on a grid out to r = 4, forty oscillator lengths, psi_0
+    underflows to 0 at the grid's outer points: the lowering-proportionality
+    ratio names the first such point instead of dividing by zero."""
+    grid = Grid(r_min=0.1, r_max=4.0, shells=10)
+    with pytest.raises(DomainError) as exc:
+        run_suite("ladder", {"omega": 100.0, "grid": grid}, DiffConfig(MODE_EXACT if mode == "exact" else MODE_STENCIL))
+    assert str(exc.value) == "lowering-proportionality: psi_0 underflows to 0 at x = (4.0, 0.0, 0.0), t = 0.0"
 
 
 def test_spectrum_nonfinite_option_is_config_error(capsys):

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import random
 
 from kgconformal import coulomb as cb
+from kgconformal import dual
 from kgconformal import harness
 from kgconformal import oscillator as ho
 from kgconformal.confmap import Sample, evaluate
@@ -409,3 +411,57 @@ def test_no_factor_is_reused_across_runs(monkeypatch):
         calls.clear()
         assert run_suite("oscillator-x", {"nmax": 6}, DiffConfig(mode=MODE_EXACT)).passed
         assert len(calls) == 21
+
+
+#: the suites that read the spring constant Omega
+OMEGA_SUITES = ("oscillator-x", "oscillator-z", "ladder", "map-independence", "operator-identities")
+
+
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_STENCIL])
+@pytest.mark.parametrize("omega", [0.01, 0.1, 10.0, 100.0])
+@pytest.mark.parametrize("suite", OMEGA_SUITES)
+def test_oscillator_suites_pass_across_omega(suite, omega, mode):
+    """Off Omega = 1 the oscillator grids and steps follow the oscillator's
+    own length: every regular case passes and every probe fails."""
+    report = run_suite(suite, {"omega": omega}, DiffConfig(mode=mode))
+    assert [c.name for c in report.cases if not c.behaved] == []
+    assert any(c.is_probe for c in report.cases) and report.passed
+
+
+def _two_amplitudes(energy):
+    """A gaussian at energy ``energy`` on two tiles, the second twice the first."""
+
+    def fn(x1, x2, x3, t):
+        g = dual.exp(-0.5 * (x1 * x1 + x2 * x2 + x3 * x3) - 1j * energy * t)
+        return dual.join_tiles([g, 2.0 * g])
+
+    return ComplexField(fn=fn, label="two-amplitudes", energy_hint=energy)
+
+
+def _scaled_operators():
+    """Every operator whose scale is a factor times max|psi|, by name."""
+    osc, cmodel = ho.OscillatorModel(omega=1.0), cb.CoulombModel(alpha=0.3)
+    state = cb.make_state(cmodel, 0, 0)
+    e_osc = ho.energy(osc, 0)
+    return e_osc, {
+        "oscillator.kg_residual_x": partial(ho.kg_residual_x, osc, e_osc),
+        "oscillator.kg_residual_z": partial(ho.kg_residual_z, osc, e_osc),
+        "oscillator.energy_operator_residual": partial(ho.energy_operator_residual, osc, e_osc),
+        "coulomb.kg_residual_x": partial(cb.kg_residual_x, cmodel, state.energy),
+        "coulomb.kg_residual_z": partial(cb.kg_residual_z, cmodel, state, state.energy),
+        "coulomb.ground_state_flatness": partial(cb.ground_state_flatness, cmodel, state),
+        "harness._annihilation_residual": partial(harness._annihilation_residual, osc),
+        "harness._number_residual": partial(harness._number_residual, osc, 1, 1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_scaled_operators()[1]))
+def test_every_scale_reads_its_own_tile(name):
+    """On a 2-tile grid whose second tile is twice the first, each tile's
+    scale is the operator's factor times that tile's own max|psi|."""
+    energy, operators = _scaled_operators()
+    points = Grid(r_min=0.5, r_max=2.0, shells=3).points().tiled(2)
+    d = _diff(_two_amplitudes(energy), points, DiffConfig(mode=MODE_EXACT))
+    scale = np.broadcast_to(operators[name](d)[2], (len(points),)).reshape(2, -1)
+    assert (scale == scale[:, :1]).all()
+    assert scale[1, 0] == 2.0 * scale[0, 0]

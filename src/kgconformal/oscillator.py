@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import dual
 from .core import ComplexField, ConfigError, QuantumNumberError, UnitSystem, natural_units
 from .confmap import ConformalMap, _laplacian, d_z, d_zstar, dzstar_dz, zform_residual
@@ -110,12 +112,17 @@ def _label(prefix: str, states) -> str:
 def _tiled_product(phase, factors, states, x1, x2, x3):
     """phase * f_1 * f_2 * f_3 in that order, each tile with its own state's
     one-axis factors; ``factors(ls, axis, x_axis)`` maps each distinct
-    degree to its factor.  The one phase is broadcast over the tiles."""
+    degree to its factor.  The one phase is broadcast over the tiles, and a
+    product array that holds every tile takes the next factor in place."""
     out = dual.reshape_points(phase, (1, -1))
     for axis, xj in enumerate((x1, x2, x3)):
         ls = [state.ls[axis] for state in states]
         made = factors(set(ls), axis, xj)
-        out = out * dual.reshape_points(dual.join_tiles([made[l] for l in ls]), (len(states), -1))
+        factor = dual.reshape_points(dual.join_tiles([made[l] for l in ls]), (len(states), -1))
+        if axis and isinstance(out, np.ndarray) and out.shape[-2] == len(states):
+            out *= factor
+        else:
+            out = out * factor
     return dual.reshape_points(out, (-1,), axes=2)
 
 

@@ -332,7 +332,7 @@ def test_drawn_widths_round_as_each_centres_norm():
     """1 / (2 sigma^2) of 1,500 fields drawn at once is what np.linalg.norm
     of each field's own centre gives."""
     for r_max in (3.0, 3.0 * GROUND.r_scale):
-        params, _ = harness._draw([TestFieldSpec(seed=s, r_max=r_max) for s in range(1500)])
+        params, _ = harness._draw(np.arange(1500), np.full(1500, r_max))
         sigma = np.array([(r_max - np.linalg.norm(row[:3])) / 6.0 for row in params])
         assert np.array_equal(params[:, 10], 1.0 / (2.0 * sigma * sigma))
 
@@ -351,18 +351,53 @@ def test_one_random_call_per_seed_reproduces_uniform_draws():
     operator-identities (seeds v * 10000 + i and + 5000 + i, i < 1500):
     one random(k) call per seed gives Generator.uniform's draws."""
     for offset, r_max in ((0, 3.0), (5000, 3.0 * GROUND.r_scale)):
-        specs = [TestFieldSpec(seed=v * 10000 + offset + i, r_max=r_max) for v in range(16) for i in range(1500)]
+        seeds = np.add.outer(np.arange(16) * 10000, offset + np.arange(1500)).ravel()
+        radii = np.full(len(seeds), r_max)
         q, e_lo, e_hi = r_max / 4.0, *ENERGY_RANGE
         field_calls = ((-q, q, 3), (-1.0, 1.0, 3), (-0.5, 0.5, 3), (0.5, 1.5, None), (e_lo, e_hi, None))
-        lo, hi = _family_bounds(np.array([s.r_max for s in specs]))
-        got = _uniform([s.seed for s in specs], lo, hi)
-        want = np.array([_uniform_calls(s.seed, field_calls) for s in specs])
+        got = _uniform(seeds, *_family_bounds(radii))
+        want = np.array([_uniform_calls(s, field_calls) for s in seeds.tolist()])
         assert np.array_equal(got, want)
 
         point_calls = ((-r_max / 3.0, r_max / 3.0, 3), (-0.5, 0.5, None)) * FIELD_POINTS
-        got = np.array(point_rows(_family_points(specs)))
-        want = np.array([_uniform_calls(s.seed + 987654321, point_calls) for s in specs]).reshape(-1, 4)
+        got = np.array(point_rows(harness._points(harness._draw(seeds, radii)[1])))
+        want = np.array([_uniform_calls(s + 987654321, point_calls) for s in seeds.tolist()]).reshape(-1, 4)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [2**62 // 10000, 2**63 // 10000, 2**63 // 10000 + 1, 2**64 // 10000, 2**64 // 10000 + 1])
+def test_seeds_past_64_bit_integers_draw_numpys_fields(monkeypatch, seed):
+    """operator-identities at seeds whose seed * 10000, + 5000 or point
+    seeds cross 2^62 (int64 to Python ints), 2^63 and 2^64: every field and
+    point draw is numpy's, from the unwrapped seed."""
+    drawn, draw = [], harness._draw
+
+    def recorded(seeds, r_max):
+        drawn.append((seeds, r_max, draw(seeds, r_max)))
+        return drawn[-1][2]
+
+    monkeypatch.setattr(harness, "_draw", recorded)
+    assert run_suite("operator-identities", {"seed": seed, "n_fields": 3}).passed
+    assert [[int(s) for s in seeds] for seeds, _, _ in drawn] == [[seed * 10000 + offset + i for i in range(3)] for offset in (0, 5000)]
+    for seeds, r_max, (rows, points) in drawn:
+        q, e_lo, e_hi = r_max[0] / 4.0, *ENERGY_RANGE
+        field_calls = ((-q, q, 3), (-1.0, 1.0, 3), (-0.5, 0.5, 3), (0.5, 1.5, None), (e_lo, e_hi, None))
+        point_calls = ((-r_max[0] / 3.0, r_max[0] / 3.0, 3), (-0.5, 0.5, None)) * FIELD_POINTS
+        assert np.array_equal(np.delete(rows, 10, axis=1), [_uniform_calls(int(s), field_calls) for s in seeds])
+        assert np.array_equal(points, [_uniform_calls(int(s) + 987654321, point_calls) for s in seeds])
+
+
+def test_operator_identities_at_1500_fields_makes_no_field_specs(monkeypatch):
+    """The suite draws its fields from seed arrays: not one TestFieldSpec."""
+    made = []
+
+    def counted(**fields):
+        made.append(fields)
+        return TestFieldSpec(**fields)
+
+    monkeypatch.setattr(harness, "TestFieldSpec", counted)
+    assert run_suite("operator-identities", {"n_fields": 1500}).passed
+    assert made == []
 
 
 @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_STENCIL])
@@ -426,6 +461,26 @@ def test_oscillator_suites_pass_across_omega(suite, omega, mode):
     report = run_suite(suite, {"omega": omega}, DiffConfig(mode=mode))
     assert [c.name for c in report.cases if not c.behaved] == []
     assert any(c.is_probe for c in report.cases) and report.passed
+
+
+@pytest.mark.parametrize("omega", [1e10, 1e30])
+@pytest.mark.parametrize("suite", ["oscillator-x", "oscillator-z"])
+def test_oscillator_probes_fail_at_large_omega(suite, omega):
+    """The probes shift E_0 by 5% of itself, not by a fixed 0.1 that
+    vanishes against E_0 ~ Omega^(1/2): in exact mode every regular case
+    passes and the probe fails, far above its tolerance."""
+    report = run_suite(suite, {"omega": omega}, DiffConfig(mode=MODE_EXACT))
+    assert [c.name for c in report.cases if not c.behaved] == [] and report.passed
+    probe = next(c for c in report.cases if c.name == "probe:perturbed-energy")
+    assert probe.max_residual > 0.01
+
+
+def test_oscillator_probe_energy_at_omega_one_is_e0_plus_a_tenth():
+    """At Omega = 1, E_0 = 2 and the probes' E_0 + 0.05 E_0 is E_0 + 0.1
+    exactly, the fixed shift they read before, so no default report moves."""
+    e0 = ho.energy(ho.OscillatorModel(omega=1.0), 0)
+    assert e0 == 2.0
+    assert e0 + 0.05 * e0 == e0 + 0.1
 
 
 def _two_amplitudes(energy):

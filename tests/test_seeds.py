@@ -43,6 +43,29 @@ def test_negative_seed_raises():
         standard_doubles([5, -1], 3)
 
 
+#: the seeds at the 32- and 64-bit edges that an integer array can hold
+ARRAY_SEEDS = {np.int64: (0, 2**32 - 1, 2**32, 2**63 - 1), np.uint64: (0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1)}
+
+
+@pytest.mark.parametrize("k", [1, 12])
+@pytest.mark.parametrize("dtype", sorted(ARRAY_SEEDS, key=str))
+def test_integer_arrays_draw_what_numpy_and_the_list_path_draw(dtype, k):
+    seeds = ARRAY_SEEDS[dtype]
+    got = standard_doubles(np.array(seeds, dtype=dtype), k)
+    assert np.array_equal(got, _numpy_draws(seeds, k))
+    assert np.array_equal(got, standard_doubles(list(seeds), k))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_empty_integer_array(dtype):
+    assert standard_doubles(np.array([], dtype=dtype), 3).shape == (0, 3)
+
+
+def test_negative_int64_seed_raises():
+    with pytest.raises(ValueError, match="non-negative"):
+        standard_doubles(np.array([5, -1], dtype=np.int64), 3)
+
+
 def test_test_field_suites_do_not_import_numpy_random():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}

@@ -74,8 +74,8 @@ def _step(hi, lo, inc_hi, inc_lo):
     lo0, lo1 = lo & _M32, lo >> 32
     # the high 64 bits of m_lo lo, from 32-bit halves (Warren, Hacker's Delight, 8-2)
     cross = m1 * lo0 + (m0 * lo0 >> 32)
-    low = m0 * lo1 + (cross & _M32)
-    top = m1 * lo1 + (cross >> 32) + (low >> 32) + m_hi * lo + m_lo * hi + inc_hi
+    mid = m0 * lo1 + (cross & _M32)
+    top = m1 * lo1 + (cross >> 32) + (mid >> 32) + m_hi * lo + m_lo * hi + inc_hi
     lo = m_lo * lo + inc_lo
     return top + (lo < inc_lo), lo
 

@@ -365,7 +365,8 @@ def test_one_random_call_per_seed_reproduces_uniform_draws():
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("seed", [2**62 // 10000, 2**63 // 10000, 2**63 // 10000 + 1, 2**64 // 10000, 2**64 // 10000 + 1])
+@pytest.mark.parametrize("seed", [2**62 // 10000, 2**63 // 10000, 2**63 // 10000 + 1,
+                                  2**64 // 10000, 2**64 // 10000 + 1])
 def test_seeds_past_64_bit_integers_draw_numpys_fields(monkeypatch, seed):
     """operator-identities at seeds whose seed * 10000, + 5000 or point
     seeds cross 2^62 (int64 to Python ints), 2^63 and 2^64: every field and
@@ -378,7 +379,8 @@ def test_seeds_past_64_bit_integers_draw_numpys_fields(monkeypatch, seed):
 
     monkeypatch.setattr(harness, "_draw", recorded)
     assert run_suite("operator-identities", {"seed": seed, "n_fields": 3}).passed
-    assert [[int(s) for s in seeds] for seeds, _, _ in drawn] == [[seed * 10000 + offset + i for i in range(3)] for offset in (0, 5000)]
+    want_seeds = [[seed * 10000 + offset + i for i in range(3)] for offset in (0, 5000)]
+    assert [[int(s) for s in seeds] for seeds, _, _ in drawn] == want_seeds
     for seeds, r_max, (rows, points) in drawn:
         q, e_lo, e_hi = r_max[0] / 4.0, *ENERGY_RANGE
         field_calls = ((-q, q, 3), (-1.0, 1.0, 3), (-0.5, 0.5, 3), (0.5, 1.5, None), (e_lo, e_hi, None))

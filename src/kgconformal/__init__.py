@@ -17,7 +17,7 @@ from .core import (
 from .confmap import ConformalMap, forward, inverse
 from .diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL
 from .report import CaseResult, ResidualReport
-from .harness import Grid, TestFieldSpec, generate_test_field, run_suite
+from .harness import Grid, generate_test_field, run_suite
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "PointSet",
     "QuantumNumberError",
     "ResidualReport",
-    "TestFieldSpec",
     "UnitSystem",
     "forward",
     "generate_test_field",

@@ -43,6 +43,9 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 
+#: most levels one spectrum --n range may hold
+MAX_RANGE = 100_000
+
 
 def _atomic_write(path: str, text: str):
     d = os.path.dirname(os.path.abspath(path))
@@ -87,13 +90,14 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_range(text: str):
-    """'0..3' or '4' -> list of ints."""
+    """'0..3' or '4' -> list of ints, at most MAX_RANGE of them."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        out = list(range(_parse_int(lo), _parse_int(hi) + 1))
-        if not out:
+        lo, hi = (_parse_int(end) for end in text.split("..", 1))
+        if hi < lo:
             raise ConfigError(f"empty range: {text!r}")
-        return out
+        if hi - lo + 1 > MAX_RANGE:
+            raise ConfigError(f"range {text!r} holds {hi - lo + 1} levels, more than {MAX_RANGE}")
+        return list(range(lo, hi + 1))
     return [_parse_int(text)]
 
 
@@ -157,8 +161,19 @@ def _csv_cell(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
+def _finite_rows(rows):
+    """``rows``, or a NonFiniteError naming the first row with a value
+    that is not finite, by its quantum numbers."""
+    for row in rows:
+        bad = [key for key, value in row.items() if isinstance(value, float) and not math.isfinite(value)]
+        if bad:
+            label = ", ".join(f"{key}={row[key]}" for key in ("n", "l", "k") if key in row)
+            raise NonFiniteError(f"spectrum row {label}: {', '.join(f'{key} = {row[key]!r}' for key in bad)}")
+    return rows
+
+
 def cmd_spectrum(args) -> int:
-    rows = _spectrum_rows(args)
+    rows = _finite_rows(_spectrum_rows(args))
     if args.format == "csv":
         text = _rows_to_csv(rows)
     else:

@@ -149,14 +149,6 @@ class HyperDual:
     def v(self):
         return self.c[0]
 
-    @property
-    def g(self):
-        return self.c[1 : 1 + len(self.c) // 2]
-
-    @property
-    def h(self):
-        return self.c[1 + len(self.c) // 2 :]
-
     # -- ring operations -------------------------------------------------
 
     def __add__(self, o):

@@ -54,6 +54,10 @@ DEFAULT_TIMES = (0.0, 0.31)
 TOL_EXACT = 1e-10
 TOL_STENCIL = 1e-8
 
+#: most test fields operator-identities draws: about 1 kB each while they
+#: are drawn, so a run at the cap peaked at 140 MB (31 MB at 1,500 fields)
+MAX_FIELDS = 100_000
+
 @dataclass(frozen=True)
 class Grid:
     """Log-spaced radial shells x fixed angular directions x time samples."""
@@ -84,24 +88,9 @@ def default_tolerance(cfg: DiffConfig) -> float:
     return TOL_EXACT if cfg.mode == MODE_EXACT else TOL_STENCIL
 
 
-@dataclass(frozen=True)
-class TestFieldSpec:
-    """Seeded gaussian-bump x polynomial x phase test field family.
-
-    The generated field is g(x) exp(-i E t / hbar) with g a low-order
-    polynomial times a gaussian bump that decays below 1e-6 of its peak
-    at the grid boundary; E is stored as the field's energy hint.
-    """
-
-    __test__ = False  # keep pytest from collecting this as a test class
-
-    seed: int
-    r_max: float = 3.0
-
-
 #: range of the phase energy E of a test field
 ENERGY_RANGE = (0.8, 2.0)
-#: sample points of one test field (see _family_points)
+#: sample points of one test field (see _draw)
 FIELD_POINTS = 3
 #: points differentiated in one pass, at most: PASS_POINTS // FIELD_POINTS
 #: test fields of a family, or PASS_POINTS // n tiles of an oscillator
@@ -155,8 +144,10 @@ def _draw(seeds: np.ndarray, r_max: np.ndarray):
 
 def _family(seeds, rows) -> ComplexField:
     """The fields of seeds ``seeds``, of parameter rows ``rows`` from _draw,
-    as one field on their points.  Every parameter holds one value per point,
-    so one pass over the points gives each field on its own points, rounded
+    as one field on their points: each is a low-order polynomial times a
+    gaussian bump, below 1e-6 of its peak at r_max, times exp(-i E t / hbar),
+    E its energy hint.  Every parameter holds one value per point, so one
+    pass over the points gives each field on its own points, rounded
     as the field alone would round.  A family of one keeps floats, so it can
     be evaluated anywhere, and its energy hint is a float."""
     if len(seeds) == 1:
@@ -181,31 +172,15 @@ def _points(rows) -> PointSet:
     return PointSet(*rows.reshape(-1, 4).T)
 
 
-def _spec_arrays(specs):
-    """The seeds and radii of ``specs``, as arrays for _draw."""
-    specs = tuple(specs)
-    return np.array([s.seed for s in specs], dtype=object), np.array([s.r_max for s in specs], dtype=float)
+def generate_test_field(seed: int, r_max: float = 3.0) -> ComplexField:
+    """The test field of ``seed`` drawn for radius ``r_max``: its family of one."""
+    seeds = _seed_range(seed, 1)
+    return _family(seeds, _draw(seeds, np.full(1, r_max))[0])
 
 
-def generate_test_family(specs) -> ComplexField:
-    """The test fields of ``specs`` as one field on ``_family_points(specs)``."""
-    seeds, r_max = _spec_arrays(specs)
-    return _family(seeds, _draw(seeds, r_max)[0])
-
-
-def generate_test_field(spec: TestFieldSpec) -> ComplexField:
-    """The seeded test field of ``spec``: its family of one."""
-    return generate_test_family((spec,))
-
-
-def _family_points(specs) -> PointSet:
-    """FIELD_POINTS sample points per spec, in spec order."""
-    return _points(_draw(*_spec_arrays(specs))[1])
-
-
-def _field_sample_points(spec: TestFieldSpec) -> PointSet:
-    """The sample points of one test field."""
-    return _family_points((spec,))
+def _field_sample_points(seed: int, r_max: float = 3.0) -> PointSet:
+    """The sample points of that test field."""
+    return _points(_draw(_seed_range(seed, 1), np.full(1, r_max))[1])
 
 
 def _with_energy(fld: ComplexField, e_val: float) -> ComplexField:
@@ -242,8 +217,8 @@ def _int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _count(lo):
-    return lambda v: _int(v) and v >= lo
+def _count(lo, hi=math.inf):
+    return lambda v: _int(v) and lo <= v <= hi
 
 
 def _positive(v) -> bool:
@@ -260,7 +235,7 @@ def _states(v) -> bool:
 _PARAMS = {
     "nmax": _count(0),
     "seed": _count(0),
-    "n_fields": _count(1),
+    "n_fields": _count(1, MAX_FIELDS),
     "omega": _positive,
     "alpha": _positive,
     "energy": _positive,
@@ -303,12 +278,6 @@ def _coulomb_model(params) -> cb.CoulombModel:
     return cb.CoulombModel(alpha=params.get("alpha", 0.0072973525693))
 
 
-def _coulomb_states(model, params):
-    """The states of the ``states`` parameter, each (n, l) or (n, l, k)."""
-    branch = params.get("branch", SOMMERFELD)
-    return [cb.make_state(model, *qn, branch=branch) for qn in params.get("states", ((0, 0), (1, 0), (0, 1)))]
-
-
 def _coulomb_sample(field, state, reads) -> Sample:
     """``field`` on the state's grid, 0.1 to 20 r_nl, with steps on that scale."""
     grid = Grid(r_min=0.1 * state.r_scale, r_max=20.0 * state.r_scale, shells=8)
@@ -324,40 +293,38 @@ def _passes(states, points):
         yield run, points.tiled(len(run))
 
 
-def _suite_oscillator_x(params, tol):
+def _oscillator_levels(params, tol, form, eigenfunction, operators):
+    """Levels 0 .. nmax of the oscillator in ``form``: each pass of a level's
+    states is one Sample of ``eigenfunction``, and each (case suffix,
+    operator) in ``operators`` reads it at the level's energy.  The probe
+    reads the first operator on the ground state's sample, the first one
+    declared, at E_0 off by 5%: a fixed shift would vanish against E_0 at
+    large Omega."""
     model = _osc_model(params)
     points, length = _osc_grid(params, model)
-    # the probe reads the ground state's sample, the first one declared, at
-    # E_0 off by 5%: a fixed shift would vanish against E_0 at large Omega
     e0 = ho.energy(model, 0)
-    probe = Read("probe:perturbed-energy", partial(ho.kg_residual_x, model, e0 + 0.05 * e0), tol)
+    probe = Read("probe:perturbed-energy", partial(operators[0][1], model, e0 + 0.05 * e0), tol)
     for n in range(params.get("nmax", 4) + 1):
-        # a level's states share their energy: one field and one read per pass
+        # a level's states share their energy: one field and one read per operator and pass
         for states, tiled in _passes(list(ho.states_with_n(model, n)), points):
-            names = tuple(f"osc-x-{state.ls}" for state in states)
-            reads = (Read(names, partial(ho.kg_residual_x, model, states[0].energy), tol),)
-            yield Sample(ho.eigenfunction_x(model, states), tiled, reads + ((probe,) if n == 0 else ()), length)
+            reads = tuple(
+                Read(tuple(f"osc-{form}-{state.ls}{suffix}" for state in states),
+                     partial(operator, model, states[0].energy), tol)
+                for suffix, operator in operators
+            )
+            yield Sample(eigenfunction(model, states), tiled, reads + ((probe,) if n == 0 else ()), length)
+
+
+def _suite_oscillator_x(params, tol):
+    yield from _oscillator_levels(params, tol, "x", ho.eigenfunction_x, (("", ho.kg_residual_x),))
 
 
 def _suite_oscillator_z(params, tol):
-    model = _osc_model(params)
-    points, length = _osc_grid(params, model)
-    # the probe reads the equation only, on the ground state's sample.  Its
-    # energy-operator read fails too (0.023 at the default grid), but it
-    # would add a case that the reports of earlier versions, and the
-    # benchmark's reference, do not have.  E_0 is off by 5%, as in oscillator-x
-    e0 = ho.energy(model, 0)
-    probe = Read("probe:perturbed-energy", partial(ho.kg_residual_z, model, e0 + 0.05 * e0), tol)
-    for n in range(params.get("nmax", 4) + 1):
-        for states, tiled in _passes(list(ho.states_with_n(model, n)), points):
-            names = tuple(f"osc-z-{state.ls}" for state in states)
-            energy = states[0].energy
-            energy_op = tuple(f"{name}-energy-op" for name in names)
-            reads = (
-                Read(names, partial(ho.kg_residual_z, model, energy), tol),
-                Read(energy_op, partial(ho.energy_operator_residual, model, energy), tol),
-            )
-            yield Sample(ho.eigenfunction_z(model, states), tiled, reads + ((probe,) if n == 0 else ()), length)
+    # the probe reads the equation only.  Its energy-operator read fails too
+    # (0.023 at the default grid), but it would add a case that the reports of
+    # earlier versions, and the benchmark's reference, do not have
+    operators = (("", ho.kg_residual_z), ("-energy-op", ho.energy_operator_residual))
+    yield from _oscillator_levels(params, tol, "z", ho.eigenfunction_z, operators)
 
 
 def _annihilation_residual(model, d):
@@ -425,28 +392,31 @@ def _suite_ladder(params, tol):
     yield Sample(ho.eigenfunction_x(model, state1), points, closing, length)
 
 
+def _coulomb_states_read(model, params, tol, form, eigenfunction, operator):
+    """Each state of the ``states`` parameter, (n, l) or (n, l, k), as one
+    Sample of its ``eigenfunction`` in ``form``, read by ``operator(state, E)``
+    at its energy.  The probe reads the first state's sample at E off by 1e-4."""
+    branch = params.get("branch", SOMMERFELD)
+    states = [cb.make_state(model, *qn, branch=branch) for qn in params.get("states", ((0, 0), (1, 0), (0, 1)))]
+    first = states[0]
+    probe = Read("probe:perturbed-energy", operator(first, first.energy * (1.0 + 1e-4)), tol)
+    for state in states:
+        name = f"coulomb-{form}-{state.quantum_numbers}-{state.branch}"
+        reads = (Read(name, operator(state, state.energy), tol),)
+        yield _coulomb_sample(eigenfunction(model, state), state, reads + ((probe,) if state is first else ()))
+
+
 def _suite_coulomb_x(params, tol):
     model = _coulomb_model(params)
-    states = _coulomb_states(model, params)
-    # the probe reads the first state's sample
-    st = states[0]
-    probe = Read("probe:perturbed-energy", partial(cb.kg_residual_x, model, st.energy * (1.0 + 1e-4)), tol)
-    for state in states:
-        name = f"coulomb-x-{state.quantum_numbers}-{state.branch}"
-        reads = (Read(name, partial(cb.kg_residual_x, model, state.energy), tol),)
-        yield _coulomb_sample(cb.eigenfunction_x(model, state), state, reads + ((probe,) if state is st else ()))
+    yield from _coulomb_states_read(model, params, tol, "x", cb.eigenfunction_x,
+                                    lambda state, energy: partial(cb.kg_residual_x, model, energy))
 
 
 def _suite_coulomb_z(params, tol):
     model = _coulomb_model(params)
+    yield from _coulomb_states_read(model, params, tol, "z", cb.eigenfunction_z,
+                                    lambda state, energy: partial(cb.kg_residual_z, model, state, energy))
     branch = params.get("branch", SOMMERFELD)
-    states = _coulomb_states(model, params)
-    st = states[0]
-    probe = Read("probe:perturbed-energy", partial(cb.kg_residual_z, model, st, st.energy * (1.0 + 1e-4)), tol)
-    for state in states:
-        name = f"coulomb-z-{state.quantum_numbers}-{state.branch}"
-        reads = (Read(name, partial(cb.kg_residual_z, model, state, state.energy), tol),)
-        yield _coulomb_sample(cb.eigenfunction_z(model, state), state, reads + ((probe,) if state is st else ()))
     ground = cb.make_state(model, 0, 0, 0, branch)
     flat = Read(f"coulomb-z-ground-flat-{branch}", partial(cb.ground_state_flatness, model, ground), tol)
     yield _coulomb_sample(cb.eigenfunction_z(model, ground), ground, (flat,))

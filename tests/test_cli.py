@@ -6,12 +6,13 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kgconformal import cli
+from kgconformal import cli, harness
 from kgconformal.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_FAIL, EXIT_PASS, main
 from kgconformal.core import DomainError
 from kgconformal.diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL
 from kgconformal.harness import SUITES, Grid, run_suite
 from kgconformal.report import CaseResult, ResidualReport
+from kgconformal.specfun import HYDRINO, SOMMERFELD
 
 
 def run(capsys, *argv):
@@ -105,6 +106,65 @@ def test_spectrum_empty_range_is_config_error(capsys, fmt):
     code, out, err = run(capsys, "spectrum", "--system", "oscillator", "--n", "3..1", "--format", fmt)
     assert code == EXIT_CONFIG and out == ""
     assert len(err.splitlines()) == 1 and "empty range" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv,message", [
+    (("--system", "coulomb", "--states", "0,0", "--alpha", "1e-320"), "spectrum row n=0, l=0, k=0: r_nl = inf, b = inf"),
+    (("--system", "oscillator", "--omega", "1e308", "--n", "0..3"), "spectrum row n=0: energy = inf"),
+])
+def test_spectrum_nonfinite_row_is_a_named_domain_error(capsys, fmt, argv, message):
+    """A row with an inf or nan value is refused in both formats, naming
+    the row, and nothing is written."""
+    code, out, err = run(capsys, "spectrum", *argv, "--format", fmt)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == f"domain error: NonFiniteError: {message}\n"
+
+
+# each count is refused before anything is allocated for it
+@pytest.mark.parametrize("argv,message", [
+    (("spectrum", "--system", "oscillator", "--n", "0..1000000000000"), "more than 100000"),
+    (("spectrum", "--system", "oscillator", "--n", f"5..{5 + cli.MAX_RANGE}"), "more than 100000"),
+    (("verify", "--suite", "operator-identities", "--n-fields", "1000000000000"), "'n_fields'"),
+    (("verify", "--suite", "operator-identities", "--n-fields", str(harness.MAX_FIELDS + 1)), "'n_fields'"),
+])
+def test_huge_counts_are_config_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert len(err.splitlines()) == 1 and message in err
+
+
+def _sweep_runs():
+    """(suite, alpha, branch, mode) of each run of the alpha and branch sweep."""
+    for suite in ("coulomb-x", "coulomb-z", "map-independence", "operator-identities"):
+        for alpha in ("0.05", "0.3"):
+            for branch in (SOMMERFELD, HYDRINO):
+                for mode in ("exact", "stencil"):
+                    yield suite, alpha, branch, mode
+
+
+@pytest.mark.parametrize("suite,alpha,branch,mode", list(_sweep_runs()))
+def test_coulomb_suites_across_alpha_and_branch(capsys, suite, alpha, branch, mode):
+    """Away from the defaults that the goldens pin, each run passes with
+    every probe failing, except two hydrino coulomb-z runs, asserted as
+    they are: at alpha = 0.05 exp(rate rho) overflows before the phase
+    decays, and at alpha = 0.3 the stencil misses ground-state flatness."""
+    argv = ["verify", "--suite", suite, "--mode", mode, "--alpha", alpha, "--branch", branch]
+    if branch == HYDRINO:
+        argv += ["--state", "1,0;2,1"]
+    code, out, err = run(capsys, *argv)
+    if (suite, branch, alpha) == ("coulomb-z", HYDRINO, "0.05"):
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == ("domain error: NonFiniteError: coulomb-z(1,0,0)[hydrino]: "
+                       "non-finite arithmetic on the grid (overflow encountered in exp)\n")
+        return
+    cases = json.loads(out)["cases"]
+    wrong = [c["name"] for c in cases if c["pass"] == c["name"].startswith("probe:")]
+    assert any(c["name"].startswith("probe:") for c in cases) and err == ""
+    if (suite, branch, alpha, mode) == ("coulomb-z", HYDRINO, "0.3", "stencil"):
+        assert (code, wrong) == (EXIT_FAIL, ["coulomb-z-ground-flat-hydrino"])
+    else:
+        assert (code, wrong) == (EXIT_PASS, [])
 
 
 def test_verify_huge_seed_certifies(capsys):

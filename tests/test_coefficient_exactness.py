@@ -20,10 +20,9 @@ from kgconformal import oscillator as ho
 from kgconformal.confmap import ConformalMap
 from kgconformal.core import DomainError, PointSet, natural_units
 from kgconformal.diffengine import DiffConfig, MODE_EXACT, _diff
-from kgconformal.harness import TestFieldSpec, generate_test_field
 
 import scalar_confmap as ref
-from conftest import point_rows
+from conftest import field_family, point_rows
 
 U = natural_units()
 EXACT = DiffConfig(mode=MODE_EXACT)
@@ -33,7 +32,7 @@ MAPS = {
     "lam2-oscillator": ho.oscillator_map(ho.OscillatorModel(omega=1.0), 2.5),
     "lam1.5": ConformalMap(a=-0.4, b=0.9, lam=1.5, E=1.2, units=U),
 }
-FIELD = generate_test_field(TestFieldSpec(seed=11))
+FIELD, _ = field_family([11])
 _RNG = np.random.default_rng(20261018)
 CANDIDATES = PointSet(*_RNG.uniform(-1.0, 1.0, (6000, 3)).T, _RNG.uniform(-0.5, 0.5, 6000))
 

@@ -31,7 +31,7 @@ from kgconformal.harness import Grid
 from kgconformal.report import CaseResult
 
 import scalar_confmap as ref
-from conftest import point_rows
+from conftest import grad, point_rows
 
 U = natural_units()
 OSC_MAP = ConformalMap(a=0.0, b=1.0, lam=2.0, E=2.0, units=U)       # oscillator-shaped
@@ -134,7 +134,7 @@ def test_time_coupling_is_gradient_of_tau(r):
         x = (0.6 * r, -0.48 * r, 0.64 * r)  # direction with all components
         rr = math.sqrt(sum(v * v for v in x))
         (r_jet,) = dual.variables(np.array([rr]))
-        dtau_dr = cmap.tau(r_jet).g[0, 0]
+        dtau_dr = grad(cmap.tau(r_jet))[0, 0]
         a_vec = cmap.time_coupling(x, rr)
         for xi, ai in zip(x, a_vec):
             assert ai == pytest.approx(-(xi / rr) * dtau_dr, rel=1e-12, abs=1e-14)
@@ -147,7 +147,7 @@ def test_divergence_closed_form(r):
     for cmap in (OSC_MAP, COU_MAP):
         xs = dual.variables(*(np.array([r / math.sqrt(3.0)]),) * 3)
         a_vec = cmap.time_coupling(xs, dual.norm3(*xs))
-        div = sum(a_vec[i].g[i, 0] for i in range(3))
+        div = sum(grad(a_vec[i])[i, 0] for i in range(3))
         assert div == pytest.approx(cmap.second_order_couplings(r)[0], rel=1e-11)
 
 

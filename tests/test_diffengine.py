@@ -11,11 +11,10 @@ from kgconformal.core import (
     ComplexField, ConfigError, DomainError, NonFiniteError, PointSet, natural_units,
 )
 from kgconformal.diffengine import STEP, DiffConfig, MODE_EXACT, MODE_STENCIL, T_AXIS, _clamped_step, _diff
-from kgconformal.harness import (
-    Grid, TestFieldSpec, _family_points, _field_sample_points, _with_energy, generate_test_family, generate_test_field,
-)
+from kgconformal.harness import Grid, _with_energy
 
 import per_shift_stencil
+from conftest import field_family
 
 GAUSS = ComplexField(fn=lambda x1, x2, x3, t: dual.exp(-(x1 * x1) / 2.0), label="gauss")
 
@@ -186,11 +185,10 @@ def _coulomb_case(draw):
 def _test_field_case(draw):
     seed = draw(st.integers(min_value=0, max_value=10**6))
     if draw(st.booleans()):
-        spec = TestFieldSpec(seed=seed, r_max=3.0)
-        return generate_test_field(spec), _field_sample_points(spec), DiffConfig(mode=MODE_STENCIL)
-    spec = TestFieldSpec(seed=seed, r_max=3.0 * COULOMB_GROUND.r_scale)
-    fld = _with_energy(generate_test_field(spec), COULOMB_GROUND.energy)
-    return fld, _field_sample_points(spec), DiffConfig(mode=MODE_STENCIL, length_scale=COULOMB_GROUND.r_scale)
+        return (*field_family([seed], r_max=3.0), DiffConfig(mode=MODE_STENCIL))
+    fld, points = field_family([seed], r_max=3.0 * COULOMB_GROUND.r_scale)
+    fld = _with_energy(fld, COULOMB_GROUND.energy)
+    return fld, points, DiffConfig(mode=MODE_STENCIL, length_scale=COULOMB_GROUND.r_scale)
 
 
 @st.composite
@@ -211,8 +209,7 @@ def test_stencil_estimate_bounds_error_everywhere(case):
 
 
 def _test_family():
-    specs = [TestFieldSpec(seed=seed, r_max=3.0) for seed in range(40, 52)]
-    return generate_test_family(specs), _family_points(specs), DiffConfig(mode=MODE_STENCIL)
+    return (*field_family(range(40, 52), r_max=3.0), DiffConfig(mode=MODE_STENCIL))
 
 
 def _clamped_coulomb():

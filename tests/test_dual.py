@@ -15,6 +15,8 @@ from hypothesis import given, strategies as st
 
 from kgconformal import dual
 
+from conftest import grad, hess
+
 xs = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 xs_pos = st.floats(min_value=0.05, max_value=5.0, allow_nan=False)
 
@@ -26,7 +28,7 @@ def jet(x):
 
 def d2(f, x):
     out = f(jet(x))
-    return out.v[0], out.g[0, 0], out.h[0, 0]
+    return out.v[0], grad(out)[0, 0], hess(out)[0, 0]
 
 
 def test_exp_derivatives():
@@ -69,14 +71,14 @@ def test_powr_noninteger():
 
 def test_int_pow_matches_repeated_product():
     x = jet(1.3)
-    assert (x**5).h[0, 0] == pytest.approx((x * x * x * x * x).h[0, 0], rel=1e-14)
-    assert (x**5).g[0, 0] == pytest.approx(5 * 1.3**4, rel=1e-14)
+    assert hess(x**5)[0, 0] == pytest.approx(hess(x * x * x * x * x)[0, 0], rel=1e-14)
+    assert grad(x**5)[0, 0] == pytest.approx(5 * 1.3**4, rel=1e-14)
 
 
 def test_complex_coefficients():
     # d/dx exp(i x) = i exp(i x)
     out = dual.exp(1j * jet(0.4))
-    assert out.g[0, 0] == pytest.approx(1j * cmath.exp(0.4j), rel=1e-15)
+    assert grad(out)[0, 0] == pytest.approx(1j * cmath.exp(0.4j), rel=1e-15)
 
 
 def test_norm3_gradient():
@@ -84,7 +86,7 @@ def test_norm3_gradient():
     x1, x2, x3 = dual.variables(np.array([1.0]), np.array([2.0]), np.array([2.0]))
     out = dual.norm3(x1, x2, x3)
     assert out.v[0] == pytest.approx(3.0, rel=1e-15)
-    assert out.g[:, 0] == pytest.approx([1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], rel=1e-15)
+    assert grad(out)[:, 0] == pytest.approx([1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], rel=1e-15)
 
 
 @given(xs, xs)
@@ -93,26 +95,26 @@ def test_product_rule(a, b):
     f = dual.exp(0.3 * x)
     g = x * x + (2.0 + b)
     fg = f * g
-    assert fg.g[0, 0] == pytest.approx(f.g[0, 0] * g.v[0] + f.v[0] * g.g[0, 0], rel=1e-12, abs=1e-12)
+    assert grad(fg)[0, 0] == pytest.approx(grad(f)[0, 0] * g.v[0] + f.v[0] * grad(g)[0, 0], rel=1e-12, abs=1e-12)
     # second derivative: f''g + 2f'g' + fg''
-    want = f.h[0, 0] * g.v[0] + 2.0 * f.g[0, 0] * g.g[0, 0] + f.v[0] * g.h[0, 0]
-    assert fg.h[0, 0] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    want = hess(f)[0, 0] * g.v[0] + 2.0 * grad(f)[0, 0] * grad(g)[0, 0] + f.v[0] * hess(g)[0, 0]
+    assert hess(fg)[0, 0] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @given(xs_pos)
 def test_exp_log_roundtrip(x):
     out = dual.exp(dual.log(jet(x)))
     assert out.v[0] == pytest.approx(x, rel=1e-13)
-    assert out.g[0, 0] == pytest.approx(1.0, rel=1e-12, abs=1e-12)
-    assert abs(out.h[0, 0]) < 1e-10 * max(1.0, 1.0 / x)
+    assert grad(out)[0, 0] == pytest.approx(1.0, rel=1e-12, abs=1e-12)
+    assert abs(hess(out)[0, 0]) < 1e-10 * max(1.0, 1.0 / x)
 
 
 def test_reciprocal_and_division():
     x = jet(2.0)
     inv = 1.0 / x
     assert inv.v[0] == pytest.approx(0.5)
-    assert inv.g[0, 0] == pytest.approx(-0.25)
-    assert inv.h[0, 0] == pytest.approx(0.25)  # 2/x^3 at x=2
+    assert grad(inv)[0, 0] == pytest.approx(-0.25)
+    assert hess(inv)[0, 0] == pytest.approx(0.25)  # 2/x^3 at x=2
 
 
 # -- array primitives round as CPython's scalar arithmetic ------------------

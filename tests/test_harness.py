@@ -18,20 +18,17 @@ from kgconformal.harness import (
     FIELD_POINTS,
     Grid,
     SUITES,
-    TestFieldSpec,
     _family_bounds,
-    _family_points,
     _field_sample_points,
     _uniform,
     _with_energy,
     default_tolerance,
-    generate_test_family,
     generate_test_field,
     run_suite,
 )
 from kgconformal.specfun import hermite
 
-from conftest import point_rows
+from conftest import field_family, point_rows
 
 
 def test_grid_shape():
@@ -81,9 +78,7 @@ def test_length_scale_scales_x_steps_only():
 
 
 def test_generate_test_field_deterministic():
-    a = generate_test_field(TestFieldSpec(seed=7))
-    b = generate_test_field(TestFieldSpec(seed=7))
-    c = generate_test_field(TestFieldSpec(seed=8))
+    (a, _), (b, _), (c, _) = field_family([7]), field_family([7]), field_family([8])
     p = (0.4, -0.2, 0.1, 0.3)
     assert complex(a.at(p)) == complex(b.at(p))
     assert complex(a.at(p)) != complex(c.at(p))
@@ -91,8 +86,7 @@ def test_generate_test_field_deterministic():
 
 
 def test_generate_test_field_decays_at_boundary():
-    spec = TestFieldSpec(seed=3, r_max=3.0)
-    fld = generate_test_field(spec)
+    fld, _ = field_family([3], r_max=3.0)
     near = abs(complex(fld.at((0.1, 0.1, 0.1, 0.0))))
     far = abs(complex(fld.at((3.0, 0.0, 0.0, 0.0))))
     assert far < 1e-4 * max(near, 1e-30)
@@ -180,7 +174,7 @@ def test_point_set_radii_are_each_points_r():
     """PointSet's array radii round as CPython's (x1^2 + x2^2 + x3^2) ** 0.5
     does at each point, on every suite's default grids and on a family of
     1,500 test fields."""
-    family = _family_points([TestFieldSpec(seed=s, r_max=3.0 * GROUND.r_scale) for s in range(1500)])
+    _, family = field_family(range(1500), r_max=3.0 * GROUND.r_scale)
     for name, points in list(_declared_point_sets()) + [("family", family)]:
         want = [(x1 * x1 + x2 * x2 + x3 * x3) ** 0.5 for x1, x2, x3, _ in point_rows(points)]
         assert points.radii.tolist() == want, name
@@ -301,9 +295,8 @@ def test_all_suites_registered():
 
 GROUND = cb.make_state(cb.CoulombModel(alpha=0.0072973525693), 0, 0)
 FAMILIES = {
-    "oscillator": ([TestFieldSpec(seed=s, r_max=3.0) for s in (0, 1, 2, 7, 11, 5000, 12345)], None),
-    "coulomb": ([TestFieldSpec(seed=5000 + s, r_max=3.0 * GROUND.r_scale) for s in (0, 1, 2, 3, 4, 9, 77)],
-                GROUND.energy),
+    "oscillator": ((0, 1, 2, 7, 11, 5000, 12345), 3.0, None),
+    "coulomb": (tuple(5000 + s for s in (0, 1, 2, 3, 4, 9, 77)), 3.0 * GROUND.r_scale, GROUND.energy),
 }
 
 
@@ -312,20 +305,37 @@ FAMILIES = {
 def test_family_derivatives_equal_each_fields(family, mode):
     """One pass over a family gives, bit for bit, what each field's own
     pass gives on its own points, in both modes."""
-    specs, energy = FAMILIES[family]
+    seeds, r_max, energy = FAMILIES[family]
     cfg = DiffConfig(mode=mode) if energy is None else DiffConfig(mode=mode, length_scale=GROUND.r_scale)
 
     def energized(fld):
         return fld if energy is None else _with_energy(fld, energy)
 
-    fam = _diff(energized(generate_test_family(specs)), _family_points(specs), cfg)
-    singles = [_diff(energized(generate_test_field(s)), _field_sample_points(s), cfg) for s in specs]
+    def differentiated(some):
+        fld, points = field_family(some, r_max)
+        return _diff(energized(fld), points, cfg)
+
+    fam = differentiated(seeds)
+    singles = [differentiated([s]) for s in seeds]
     assert point_rows(fam.points) == [p for d in singles for p in point_rows(d.points)]
     for part in ("value", "grad", "hess", "grad_err", "hess_err"):
         want = np.concatenate([getattr(d, part) for d in singles], axis=-1)
         assert np.array_equal(getattr(fam, part), want), part
     assert np.array_equal(np.broadcast_to(fam.field.energy_hint, len(fam.points)),
                           [d.field.energy_hint for d in singles for _ in range(len(d.points))])
+
+
+@pytest.mark.parametrize("seed,r_max", [(7, 3.0), (5003, 3.0 * GROUND.r_scale), (2**64 + 5, 3.0)])
+def test_generate_test_field_is_the_seeds_family_of_one(seed, r_max):
+    """generate_test_field and _field_sample_points give the field and points
+    that the suites' seed-array draw gives for the one seed."""
+    seeds = np.array([seed], dtype=object)
+    rows, drawn_points = harness._draw(seeds, np.full(1, r_max))
+    want, points = harness._family(seeds, rows), point_rows(harness._points(drawn_points))
+    got = generate_test_field(seed, r_max)
+    assert (got.label, got.energy_hint) == (want.label, want.energy_hint) == (f"testfield-{seed}", rows[0, -1])
+    assert point_rows(_field_sample_points(seed, r_max)) == points
+    assert [complex(got(*p)) for p in points] == [complex(want(*p)) for p in points]
 
 
 def test_drawn_widths_round_as_each_centres_norm():
@@ -387,19 +397,6 @@ def test_seeds_past_64_bit_integers_draw_numpys_fields(monkeypatch, seed):
         point_calls = ((-r_max[0] / 3.0, r_max[0] / 3.0, 3), (-0.5, 0.5, None)) * FIELD_POINTS
         assert np.array_equal(np.delete(rows, 10, axis=1), [_uniform_calls(int(s), field_calls) for s in seeds])
         assert np.array_equal(points, [_uniform_calls(int(s) + 987654321, point_calls) for s in seeds])
-
-
-def test_operator_identities_at_1500_fields_makes_no_field_specs(monkeypatch):
-    """The suite draws its fields from seed arrays: not one TestFieldSpec."""
-    made = []
-
-    def counted(**fields):
-        made.append(fields)
-        return TestFieldSpec(**fields)
-
-    monkeypatch.setattr(harness, "TestFieldSpec", counted)
-    assert run_suite("operator-identities", {"n_fields": 1500}).passed
-    assert made == []
 
 
 @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_STENCIL])

@@ -18,16 +18,9 @@ from kgconformal import dual
 from kgconformal import oscillator as ho
 from kgconformal.core import ComplexField, natural_units
 from kgconformal.diffengine import DiffConfig, MODE_EXACT, _diff
-from kgconformal.harness import (
-    Grid,
-    TestFieldSpec,
-    _field_sample_points,
-    _plane_wave,
-    _with_energy,
-    generate_test_field,
-)
+from kgconformal.harness import Grid, _plane_wave, _with_energy
 
-from conftest import point_rows
+from conftest import field_family, point_rows
 from scalar_hyperdual import partials
 
 EXACT = DiffConfig(mode=MODE_EXACT)
@@ -87,9 +80,7 @@ def test_coulomb_z(nlk):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_test_fields(seed):
-    spec = TestFieldSpec(seed=seed, r_max=3.0)
-    fld = generate_test_field(spec)
-    points = _field_sample_points(spec)
+    fld, points = field_family([seed], r_max=3.0)
     assert_jet_matches_reference(fld, points)
     assert_value_matches_plain(fld, points)
     energized = _with_energy(fld, 0.9999)

@@ -94,7 +94,7 @@ class ConformalMap:
     # -- chain-rule coefficients, generic over floats, per-point arrays and jets
 
     def _power(self, r):
-        """(r/b)^lambda, per element in CPython arithmetic (see d_z)."""
+        """(r/b)^lambda through dual.powr (see d_z)."""
         return dual.powr(r / self.b, self.lam) if not math.isinf(self.b) else 0.0
 
     def time_coupling(self, x, r):
@@ -114,8 +114,8 @@ class ConformalMap:
 
 
 def _bracket_at(cmap: ConformalMap, pts: PointSet, singular: str):
-    """a ln r + (r/b)^lambda at every point, each power in CPython's pow
-    as the scalar ``bracket`` takes it (see d_z)."""
+    """a ln r + (r/b)^lambda at every point, the power through dual.powr
+    (see d_z)."""
     if cmap.a != 0.0 and 0.0 in pts.radii:
         raise DomainError(singular)
     term = cmap._power(pts.radii)
@@ -149,11 +149,10 @@ def _require_off_origin(cmap, pts):
 # arrays over the grid, and each result equals the point-by-point scalar
 # expression in its docstring bit for bit.  Sums, products and quotients
 # round alike in numpy and CPython, so they run on whole arrays, in the
-# scalar expression's left-to-right order.  Powers do not: numpy's ** takes
-# fast paths (a square for x**2, a square root for x**0.5) that round
-# otherwise than CPython's libm pow, so (r/b)^lambda, r^2 and squares of
-# coefficients go through dual.powr, per element in CPython.  Complex
-# products go through dual.mul.
+# scalar expression's left-to-right order.  Powers go through dual.powr:
+# r^2, squares of coefficients and (r/b)^2 as products, any other
+# (r/b)^lambda per element in CPython's pow, since numpy's general power
+# rounds otherwise.  Complex products go through dual.mul.
 
 
 def d_z(cmap: ConformalMap, d: Derivatives, axis=None):

@@ -75,11 +75,11 @@ class PointSet:
     """A grid of n points as its four coordinate arrays.
 
     ``coords`` is (x1, x2, x3, t), one float array each.  ``radii`` holds
-    every point's r = (x1^2 + x2^2 + x3^2)^(1/2), each rounded as CPython's
-    ``** 0.5`` rounds it, so per-point geometry computed from it matches a
-    loop over the points bit for bit.  ``jets`` is None until an
-    exact-forward pass makes the grid's seed jets (see diffengine), which
-    every field on the grid then shares.
+    every point's r = sqrt(x1 x1 + x2 x2 + x3 x3), correctly rounded as
+    ``math.sqrt`` takes it at each point, and equal to the r that the
+    grid's seed jets compute (``dual.norm3``) bit for bit.  ``jets`` is
+    None until an exact-forward pass makes the grid's seed jets (see
+    diffengine), which every field on the grid then shares.
 
     A grid made by ``tiled`` is ``tiles`` copies of its ``base`` grid, one
     after another: its coordinates and radii are the base's, tiled.  Its
@@ -93,8 +93,7 @@ class PointSet:
         if len({c.shape for c in self.coords}) != 1 or self.coords[0].ndim != 1 or not len(self.coords[0]):
             raise ConfigError("a point set needs at least one point, as four 1-d arrays of one length")
         x1, x2, x3, _ = self.coords
-        # CPython's ** 0.5 (libm pow): numpy's ** 0.5 is a square root, which can round otherwise
-        self.radii = dual.powr(x1 * x1 + x2 * x2 + x3 * x3, 0.5)
+        self.radii = dual.norm3(x1, x2, x3)  # the value of the seed jets' r, bit for bit
         self.jets = None
         self._base, self.tiles = None, 1
 

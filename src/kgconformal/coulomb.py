@@ -107,8 +107,9 @@ def transformed_eigenvalue(model: CoulombModel, state: CoulombState, E: float) -
 
 
 def _eigenfunction(model: CoulombModel, state: CoulombState, form: str, rate: float, power: float, cmap=None):
-    """exp(rate rho) r^power p_n(rho) Y_lk exp(-i E s / hbar), rho = r / r_nl,
-    with s = t, or with s(x, t) of ``cmap``."""
+    """exp(rate rho - i E s / hbar) r^power p_n(rho) Y_lk, rho = r / r_nl,
+    with s = t, or with s(x, t) of ``cmap``.  One exp: on the hydrino branch
+    exp(rate rho) alone overflows where exp(-i E s / hbar) cancels it."""
     poly = radial_polynomial(state.n, state.l, model.alpha, state.branch)
     hbar, E, r_nl, l, k = model.units.hbar, state.energy, state.r_scale, state.l, state.k
 
@@ -116,8 +117,8 @@ def _eigenfunction(model: CoulombModel, state: CoulombState, form: str, rate: fl
         r = dual.norm3(x1, x2, x3)
         rho = r / r_nl
         s = t if cmap is None else t + 1j * cmap.tau(r)
-        radial = dual.exp(rate * rho) * dual.powr(r, power) * poly(rho)
-        return radial * sph_harm_cartesian(l, k, x1, x2, x3) * dual.exp(-1j * E * s / hbar)
+        phase = dual.exp(rate * rho - 1j * E * s / hbar)
+        return phase * dual.powr(r, power) * poly(rho) * sph_harm_cartesian(l, k, x1, x2, x3)
 
     label = f"coulomb-{form}({state.n},{state.l},{state.k})[{state.branch}]"
     return ComplexField(fn=fn, label=label, energy_hint=E, singular_at_origin=True)

@@ -20,11 +20,14 @@ and add of a complex product and has its own exp, log and pow, so:
 * complex-by-complex products are split into real products (``mul``);
 * the complex reciprocal follows CPython's division (``_recip``);
 * real exp goes through complex exp, which matches libm's real exp;
-  log and non-integer powers are evaluated per element in CPython.
+  log, complex sqrt and powers other than 2 and 0.5 are evaluated per
+  element in CPython.
 
-Real products, sums, ``sqrt`` and complex-by-real products round alike
-in numpy and CPython.  Components are combined in the order of the
-scalar hyperdual: the second partial of a product is
+A square x**2 is the product x * x and a real x**0.5 is the IEEE square
+root: both correctly rounded, unlike libm's pow, and both whole-array
+operations.  Real products, sums, ``sqrt`` and complex-by-real products
+round alike in numpy and CPython.  Components are combined in the order
+of the scalar hyperdual: the second partial of a product is
 ((v oh + h ov) + g og) + g og, and of a lifted function fp h + (fpp g) g.
 
 A constant combined with a jet is a Python scalar, or an array of shape
@@ -126,6 +129,10 @@ def _sqrt(x):
 
 
 def _pow(x, p):
+    if p == 2:
+        return mul(x, x)
+    if p == 0.5:
+        return _sqrt(x)
     if isinstance(x, np.ndarray):
         return np.array([v**p for v in x.ravel().tolist()]).reshape(x.shape)
     return x**p
@@ -318,12 +325,14 @@ def log(x):
 def sqrt(x):
     if hasattr(x, "_lift"):
         s = _sqrt(x.v)
-        return x._lift(s, 0.5 / s, -0.25 / mul(s, x.v))
+        half = 0.5 / s  # f'' = -f'^2 / s: no r^3 to overflow
+        return x._lift(s, half, mul(-half, half) / s)
     return _sqrt(x)
 
 
 def powr(x, p):
-    """x**p for real (possibly non-integer) exponent p, x > 0."""
+    """x**p for real (possibly non-integer) exponent p, x > 0; a square is
+    x * x and a square root sqrt(x)."""
     if hasattr(x, "_lift"):
         f = _pow(x.v, p)
         return x._lift(f, p * f / x.v, p * (p - 1.0) * f / (x.v * x.v))

@@ -7,7 +7,12 @@ taken at that point's energy, and the results collected with
 ``np.array``.  The operators below are the package's operators as they
 ran on those per-point coefficients.  The tests require the package to
 give the same numbers, compared with ``==``.
+
+Squares are products and square roots ``math.sqrt``, both correctly
+rounded; every other power is CPython's ``**``, libm's pow.
 """
+
+import math
 
 import numpy as np
 
@@ -16,8 +21,10 @@ from kgconformal.diffengine import T_AXIS
 
 
 def _pow_lam(w, lam):
-    if float(lam).is_integer():
-        return w ** int(lam)
+    if lam == 2:
+        return w * w
+    if lam == 0.5:
+        return math.sqrt(w)
     return w**lam
 
 
@@ -42,24 +49,31 @@ def time_coupling_divergence(cmap, E, r):
 def time_coupling_sq_sum(cmap, E, r):
     if cmap.is_identity:
         return 0.0
-    return ((cmap.units.hbar / E) * (cmap.a + cmap.lam * _power(cmap, r))) ** 2 / (r * r)
+    base = (cmap.units.hbar / E) * (cmap.a + cmap.lam * _power(cmap, r))
+    return base * base / (r * r)
 
 
 def _r(x):
     x1, x2, x3 = x
-    return (x1 * x1 + x2 * x2 + x3 * x3) ** 0.5
+    return math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+
+
+def _bracket(cmap, r):
+    """a ln r + (r/b)^lam at one radius."""
+    term = _power(cmap, r)
+    return term + cmap.a * math.log(r) if cmap.a != 0.0 else term
 
 
 def forward(cmap, row):
     """s at one (x1, x2, x3, t) row: t - i (hbar/E) [a ln r + (r/b)^lam]."""
     if cmap.is_identity:
         return complex(row[3])
-    return row[3] - 1j * (cmap.units.hbar / cmap.E) * cmap.bracket(_r(row[:3]))
+    return row[3] - 1j * (cmap.units.hbar / cmap.E) * _bracket(cmap, _r(row[:3]))
 
 
 def inverse(cmap, row, s):
     """t at one row from its s: s + i (hbar/E) [a ln r_z + (r_z/b)^lam]."""
-    return (s + 1j * (cmap.units.hbar / cmap.E) * cmap.bracket(_r(row[:3]))).real
+    return (s + 1j * (cmap.units.hbar / cmap.E) * _bracket(cmap, _r(row[:3]))).real
 
 
 def energies(cmap, n):
@@ -107,7 +121,7 @@ def qprop_identity_residual(cmap, d, operator=dzstar_dz):
     ddz, e1 = operator(cmap, d)
     lap, e2 = _laplacian(d)
     lhs = -ddz + 3.0 * np.array(omega_hc) * f
-    rhs = -lap + np.array([w**2 * (r**2) for w, r in zip(omega_hc, d.points.radii.tolist())]) * f
+    rhs = -lap + np.array([w**2 * (r * r) for w, r in zip(omega_hc, d.points.radii.tolist())]) * f
     return dual.modulus(lhs - rhs), e1 + e2, np.maximum(dual.modulus(rhs), 1e-30)
 
 
@@ -128,7 +142,7 @@ def coulomb_potential(model, E, pts):
 
 def r_squared(pts):
     """r^2 at every point, as oscillator.kg_residual_x takes it."""
-    return np.array([r**2 for r in pts.radii.tolist()])
+    return np.array([r * r for r in pts.radii.tolist()])
 
 
 def oscillator_kg_residual_x(model, E, d):

@@ -7,7 +7,9 @@ partial along it.  This is the arithmetic the package used point by point
 before its jets; the tests evaluate the package's field closures with it,
 one axis at a time, and require the jets to give the same numbers.
 ``kgconformal.dual``'s exp, log, sqrt and powr lift it through its
-``_lift`` method.
+``_lift`` method, with the values and derivatives they give jets: a square
+is the product x * x, a root math.sqrt, and sqrt's second derivative
+-(0.5 / s)^2 / s, which forms no r^3 to overflow.
 """
 
 from kgconformal import dual

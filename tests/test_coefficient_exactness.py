@@ -2,10 +2,10 @@
 grid, equal the point-by-point scalar formulas of ``scalar_confmap`` bit
 for bit, compared with ``==``.
 
-The grid holds points where numpy's ``x**2`` and CPython's ``x**2`` round
-differently, for each base the operators square: r, r/b and
-(hbar/E)[a + lam (r/b)^lam].  A power that went through numpy would
-change a coefficient there.
+The grid holds points where the correctly rounded square x*x and libm's
+``pow(x, 2)`` (CPython's ``x**2``) round differently, for each base the
+operators square: r, r/b and (hbar/E)[a + lam (r/b)^lam].  A square that
+went through libm's pow would change a coefficient there.
 """
 
 import warnings
@@ -38,8 +38,8 @@ CANDIDATES = PointSet(*_RNG.uniform(-1.0, 1.0, (6000, 3)).T, _RNG.uniform(-0.5, 
 
 
 def _squares_differ(base) -> np.ndarray:
-    """Where numpy's base**2 rounds otherwise than CPython's, per element."""
-    return base**2 != np.array([v**2 for v in base.tolist()])
+    """Where base * base rounds otherwise than libm's pow(base, 2), per element."""
+    return base * base != np.array([v**2 for v in base.tolist()])
 
 
 def _sq_base(cmap, radii):
@@ -54,7 +54,7 @@ def _grid(cmap) -> PointSet:
     picks = list(range(8))
     for base in (r, r / cmap.b, _sq_base(cmap, r)):
         where = np.flatnonzero(_squares_differ(base))
-        assert len(where) >= 3  # else nothing here tells numpy's power apart
+        assert len(where) >= 3  # else nothing here tells libm's pow apart
         picks += where[:3].tolist()
     return PointSet(*(c[picks] for c in CANDIDATES.coords))
 

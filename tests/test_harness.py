@@ -171,13 +171,23 @@ def _declared_point_sets():
 
 
 def test_point_set_radii_are_each_points_r():
-    """PointSet's array radii round as CPython's (x1^2 + x2^2 + x3^2) ** 0.5
-    does at each point, on every suite's default grids and on a family of
-    1,500 test fields."""
+    """PointSet's array radii round as math.sqrt(x1^2 + x2^2 + x3^2) does at
+    each point, on every suite's default grids and on a family of 1,500
+    test fields."""
     _, family = field_family(range(1500), r_max=3.0 * GROUND.r_scale)
     for name, points in list(_declared_point_sets()) + [("family", family)]:
-        want = [(x1 * x1 + x2 * x2 + x3 * x3) ** 0.5 for x1, x2, x3, _ in point_rows(points)]
+        want = [math.sqrt(x1 * x1 + x2 * x2 + x3 * x3) for x1, x2, x3, _ in point_rows(points)]
         assert points.radii.tolist() == want, name
+
+
+def test_point_set_radii_are_the_seed_jets_r():
+    """PointSet's radii equal the value of dual.norm3 on the grid's own seed
+    jets, the r every exact-mode field computes, bit for bit."""
+    exact = DiffConfig(mode=MODE_EXACT)
+    for name, points in _declared_point_sets():
+        _diff(ComplexField(fn=lambda x1, x2, x3, t: x1), points, exact)  # makes the seed jets
+        x1, x2, x3, _ = points.base.jets
+        assert np.array_equal(points.radii, np.tile(dual.norm3(x1, x2, x3).v, points.tiles)), name
 
 
 def _grid_points_per_point(grid):

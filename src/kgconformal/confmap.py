@@ -42,6 +42,8 @@ from .report import CaseResult, ResidualReport
 
 
 def _pow_lam(w, lam: float):
+    if lam == 2:  # a float's w ** 2 would be libm's pow (see d_z)
+        return w * w
     if float(lam).is_integer():
         return w ** int(lam)
     return dual.powr(w, lam)

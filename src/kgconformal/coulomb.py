@@ -117,8 +117,8 @@ def _eigenfunction(model: CoulombModel, state: CoulombState, form: str, rate: fl
         r = dual.norm3(x1, x2, x3)
         rho = r / r_nl
         s = t if cmap is None else t + 1j * cmap.tau(r)
-        phase = dual.exp(rate * rho - 1j * E * s / hbar)
-        return phase * dual.powr(r, power) * poly(rho) * sph_harm_cartesian(l, k, x1, x2, x3)
+        exponential = dual.exp(rate * rho - 1j * E * s / hbar)
+        return exponential * dual.powr(r, power) * poly(rho) * sph_harm_cartesian(l, k, x1, x2, x3)
 
     label = f"coulomb-{form}({state.n},{state.l},{state.k})[{state.branch}]"
     return ComplexField(fn=fn, label=label, energy_hint=E, singular_at_origin=True)

@@ -331,8 +331,7 @@ def sqrt(x):
 
 
 def powr(x, p):
-    """x**p for real (possibly non-integer) exponent p, x > 0; a square is
-    x * x and a square root sqrt(x)."""
+    """x**p for real exponent p, x > 0; x * x and sqrt(x) for p = 2 and 0.5."""
     if hasattr(x, "_lift"):
         f = _pow(x.v, p)
         return x._lift(f, p * f / x.v, p * (p - 1.0) * f / (x.v * x.v))

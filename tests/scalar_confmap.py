@@ -58,22 +58,16 @@ def _r(x):
     return math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
 
 
-def _bracket(cmap, r):
-    """a ln r + (r/b)^lam at one radius."""
-    term = _power(cmap, r)
-    return term + cmap.a * math.log(r) if cmap.a != 0.0 else term
-
-
 def forward(cmap, row):
     """s at one (x1, x2, x3, t) row: t - i (hbar/E) [a ln r + (r/b)^lam]."""
     if cmap.is_identity:
         return complex(row[3])
-    return row[3] - 1j * (cmap.units.hbar / cmap.E) * _bracket(cmap, _r(row[:3]))
+    return row[3] - 1j * (cmap.units.hbar / cmap.E) * cmap.bracket(_r(row[:3]))
 
 
 def inverse(cmap, row, s):
     """t at one row from its s: s + i (hbar/E) [a ln r_z + (r_z/b)^lam]."""
-    return (s + 1j * (cmap.units.hbar / cmap.E) * _bracket(cmap, _r(row[:3]))).real
+    return (s + 1j * (cmap.units.hbar / cmap.E) * cmap.bracket(_r(row[:3]))).real
 
 
 def energies(cmap, n):

@@ -111,9 +111,16 @@ SHAPED_MAPS = [
 @pytest.mark.parametrize("cmap", SHAPED_MAPS, ids=range(len(SHAPED_MAPS)))
 def test_forward_and_inverse_equal_the_scalar_map_at_each_point(cmap):
     """s and the round trip's t on a grid equal the per-point scalar map's,
-    signed zeros included."""
+    signed zeros included, and at lambda = 2 on points where (r/b)^2 as a
+    product rounds otherwise than libm's pow."""
     rows = point_rows(Grid(r_min=0.01, r_max=50.0, shells=12, times=(-0.0, 0.0, -2.5, 3.75)).points())
     rows += [(-0.0, 0.0, 2.0, -0.0), (1.0, -0.0, -0.0, 0.0)]
+    if cmap.lam == 2.0 and not math.isinf(cmap.b):
+        r = np.random.default_rng(3).uniform(0.1, 20.0, 20000)
+        w = r / cmap.b
+        apart = r[w * w != np.array([x**2 for x in w.tolist()])][:3].tolist()
+        assert len(apart) == 3
+        rows += [(x, 0.0, 0.0, 0.5) for x in apart]
     pts = PointSet(*zip(*rows))
     s = forward(cmap, pts)
     want = [ref.forward(cmap, row) for row in rows]

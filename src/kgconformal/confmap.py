@@ -42,9 +42,9 @@ from .report import CaseResult, ResidualReport
 
 
 def _pow_lam(w, lam: float):
-    if lam == 2:  # a float's w ** 2 would be libm's pow (see d_z)
-        return w * w
-    if float(lam).is_integer():
+    # a jet takes an integer power as products, whose order fixes its
+    # derivative rows; floats and arrays round as dual.powr (see d_z)
+    if hasattr(w, "_lift") and float(lam).is_integer():
         return w ** int(lam)
     return dual.powr(w, lam)
 
@@ -152,9 +152,9 @@ def _require_off_origin(cmap, pts):
 # expression in its docstring bit for bit.  Sums, products and quotients
 # round alike in numpy and CPython, so they run on whole arrays, in the
 # scalar expression's left-to-right order.  Powers go through dual.powr:
-# r^2, squares of coefficients and (r/b)^2 as products, any other
-# (r/b)^lambda per element in CPython's pow, since numpy's general power
-# rounds otherwise.  Complex products go through dual.mul.
+# r^2, squares of coefficients and (r/b)^2 as products, (r/b)^1 as r/b,
+# any other (r/b)^lambda per element in CPython's pow, since numpy's
+# general power rounds otherwise.  Complex products go through dual.mul.
 
 
 def d_z(cmap: ConformalMap, d: Derivatives, axis=None):

@@ -20,15 +20,16 @@ and add of a complex product and has its own exp, log and pow, so:
 * complex-by-complex products are split into real products (``mul``);
 * the complex reciprocal follows CPython's division (``_recip``);
 * real exp goes through complex exp, which matches libm's real exp;
-  log, complex sqrt and powers other than 2 and 0.5 are evaluated per
-  element in CPython.
+  log, complex sqrt and the other powers are evaluated per element in
+  CPython.
 
 A square x**2 is the product x * x and a real x**0.5 is the IEEE square
 root: both correctly rounded, unlike libm's pow, and both whole-array
-operations.  Real products, sums, ``sqrt`` and complex-by-real products
-round alike in numpy and CPython.  Components are combined in the order
-of the scalar hyperdual: the second partial of a product is
-((v oh + h ov) + g og) + g og, and of a lifted function fp h + (fpp g) g.
+operations, and so is a real x**1, which libm's pow returns as x.  Real
+products, sums, ``sqrt`` and complex-by-real products round alike in
+numpy and CPython.  Components are combined in the order of the scalar
+hyperdual: the second partial of a product is ((v oh + h ov) + g og) +
+g og, and of a lifted function fp h + (fpp g) g.
 
 A constant combined with a jet is a Python scalar, or an array of shape
 (n,) with one value per point (a family of fields whose parameters differ
@@ -129,6 +130,8 @@ def _sqrt(x):
 
 
 def _pow(x, p):
+    if p == 1 and not _is_complex(x):
+        return x * 1.0  # libm's pow(x, 1) is x; a copy, as x ** 1 is
     if p == 2:
         return mul(x, x)
     if p == 0.5:
@@ -331,7 +334,8 @@ def sqrt(x):
 
 
 def powr(x, p):
-    """x**p for real exponent p, x > 0; x * x and sqrt(x) for p = 2 and 0.5."""
+    """x**p for real exponent p, x > 0; x * x and sqrt(x) for p = 2 and 0.5,
+    and a real x itself for p = 1."""
     if hasattr(x, "_lift"):
         f = _pow(x.v, p)
         return x._lift(f, p * f / x.v, p * (p - 1.0) * f / (x.v * x.v))

@@ -8,6 +8,7 @@ an independently known derivative.
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -180,6 +181,19 @@ def test_squares_and_roots_are_correctly_rounded():
         assert _nearest_double(sq, lambda f: exact < f, lambda f: exact > f), v
         # the midpoints of the root's neighbours, squared, straddle v
         assert _nearest_double(root, lambda f: v < f * f, lambda f: v > f * f), v
+
+
+def test_first_power_is_libms_pow():
+    """powr(x, 1) is CPython's x ** 1.0 (libm's pow) on arrays and floats
+    of 10,000 random doubles, zero, the smallest subnormal and the largest
+    double, and on complex values, which it still takes per element."""
+    rng = np.random.default_rng(2027)
+    x = rng.uniform(1.0, 2.0, 10_000) * 2.0 ** rng.integers(-1000, 1000, 10_000).astype(float)
+    x = np.concatenate((x, [0.0, 5e-324, sys.float_info.max]))
+    want = [v**1.0 for v in x.tolist()]
+    assert dual.powr(x, 1).tolist() == want
+    assert [dual.powr(v, 1) for v in x.tolist()] == want
+    assert dual.powr(COMPLEX, 1.0).tolist() == [v**1.0 for v in COMPLEX.tolist()]
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])

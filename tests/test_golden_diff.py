@@ -3,12 +3,16 @@
 import importlib.util
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
 
 
 def _golden_diff():
@@ -36,35 +40,53 @@ def _edit(path: Path, case: str, **fields):
 def test_identical_sets_report_no_change(tmp_path, capsys):
     old, new = _copy(tmp_path, "old"), _copy(tmp_path, "new")
     assert _golden_diff().main([str(old), str(new)]) == 0
-    assert capsys.readouterr().out == "0 changes, 0 beyond a drift of 0\n"
+    assert capsys.readouterr().out == "0 changes, 0 beyond a residual drift of 1e-15 * max(1, |old|)\n"
 
 
-@pytest.mark.parametrize("max_drift,code", [([], 1), (["--max-drift", "1e-15"], 0)])
-def test_one_edited_residual_is_the_one_change(tmp_path, capsys, max_drift, code):
+# (report, case, move of its max_residual, exit code): 1e-15 is absolute
+# below a residual of 1 and relative above it, as in the benchmark's check
+EDITS = [
+    ("coulomb-x.json", "coulomb-x-(1, 0, 0)-sommerfeld", 1e-16, 0),
+    ("coulomb-x.json", "coulomb-x-(1, 0, 0)-sommerfeld", 2e-15, 1),
+    ("holomorphy.json", "probe:t-squared", 1.5e-15, 0),
+    ("holomorphy.json", "probe:t-squared", 3e-15, 1),
+]
+
+
+@pytest.mark.parametrize("report,case,move,code", EDITS, ids=range(len(EDITS)))
+def test_one_edited_residual_is_the_one_change(tmp_path, capsys, report, case, move, code):
+    """One moved residual is the one line, beyond exactly when the
+    benchmark's reference check (workloads.check_report) refuses it."""
     old, new = _copy(tmp_path, "old"), _copy(tmp_path, "new")
-    case = json.loads((old / "coulomb-x.json").read_text())["cases"][1]
-    _edit(new / "coulomb-x.json", case["name"], max_residual=case["max_residual"] + 1e-16)
-    assert _golden_diff().main([str(old), str(new), *max_drift]) == code
+    doc = json.loads((old / report).read_text())
+    (was,) = [c["max_residual"] for c in doc["cases"] if c["name"] == case]
+    _edit(new / report, case, max_residual=was + move)
+    assert _golden_diff().main([str(old), str(new)]) == code
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and lines[1].startswith("1 changes")
-    assert lines[0].startswith(f"coulomb-x.json  {case['name']}  max_residual  {case['max_residual']!r} -> ")
+    assert lines[0].startswith(f"{report}  {case}  max_residual  {was!r} -> ")
     assert lines[0].endswith("BEYOND") == (code == 1)
 
+    checks = workloads.Checks()
+    reference = {c["name"]: (c["max_residual"], c["tolerance"]) for c in doc["cases"]}
+    workloads.check_report(json.loads((new / report).read_text()), checks, reference)
+    assert bool(checks.failures) == (code == 1)
 
-def test_verdicts_and_cases_on_one_side_are_beyond_any_drift(tmp_path, capsys):
+
+def test_verdicts_and_cases_on_one_side_are_beyond_the_bound(tmp_path, capsys):
     old, new = _copy(tmp_path, "old"), _copy(tmp_path, "new")
     doc = json.loads((new / "ladder.json").read_text())
     first, dropped = doc["cases"][0]["name"], doc["cases"].pop()["name"]
     (new / "ladder.json").write_text(json.dumps(doc, indent=2))
     _edit(new / "ladder.json", first, **{"pass": False})
     (new / "holomorphy.json").unlink()
-    assert _golden_diff().main([str(old), str(new), "--max-drift", "1"]) == 1
+    assert _golden_diff().main([str(old), str(new)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
         "holomorphy.json  (file)  only in OLD  BEYOND",
         f"ladder.json  {dropped}  only in OLD  BEYOND",
         f"ladder.json  {first}  pass  true -> false  BEYOND",
-        "3 changes, 3 beyond a drift of 1",
+        "3 changes, 3 beyond a residual drift of 1e-15 * max(1, |old|)",
     ]
 
 

@@ -41,14 +41,6 @@ from .diffengine import Derivatives, DiffConfig, T_AXIS, _diff
 from .report import CaseResult, ResidualReport
 
 
-def _pow_lam(w, lam: float):
-    # a jet takes an integer power as products, whose order fixes its
-    # derivative rows; floats and arrays round as dual.powr (see d_z)
-    if hasattr(w, "_lift") and float(lam).is_integer():
-        return w ** int(lam)
-    return dual.powr(w, lam)
-
-
 @dataclass(frozen=True)
 class ConformalMap:
     """Parameters (a, b, lambda, E) of the transformation.
@@ -84,10 +76,8 @@ class ConformalMap:
 
     def bracket(self, r):
         """a ln r + (r/b)^lambda, generic over floats, arrays and jets."""
-        term = _pow_lam(r / self.b, self.lam) if not math.isinf(self.b) else 0.0
-        if self.a != 0.0:
-            term = term + self.a * dual.log(r)
-        return term
+        term = self._power(r)
+        return term + self.a * dual.log(r) if self.a != 0.0 else term
 
     def tau(self, r):
         """Imaginary time displacement tau(r) = -(hbar/E) [a ln r + (r/b)^lam]."""
@@ -96,7 +86,7 @@ class ConformalMap:
     # -- chain-rule coefficients, generic over floats, per-point arrays and jets
 
     def _power(self, r):
-        """(r/b)^lambda through dual.powr (see d_z)."""
+        """(r/b)^lambda through dual.powr (see d_z), 0 for b = inf."""
         return dual.powr(r / self.b, self.lam) if not math.isinf(self.b) else 0.0
 
     def time_coupling(self, x, r):
@@ -116,12 +106,10 @@ class ConformalMap:
 
 
 def _bracket_at(cmap: ConformalMap, pts: PointSet, singular: str):
-    """a ln r + (r/b)^lambda at every point, the power through dual.powr
-    (see d_z)."""
+    """a ln r + (r/b)^lambda at every point; ``singular`` names r = 0 when a != 0."""
     if cmap.a != 0.0 and 0.0 in pts.radii:
         raise DomainError(singular)
-    term = cmap._power(pts.radii)
-    return term + cmap.a * dual.log(pts.radii) if cmap.a != 0.0 else term
+    return cmap.bracket(pts.radii)
 
 
 def forward(cmap: ConformalMap, pts: PointSet) -> np.ndarray:
@@ -153,8 +141,9 @@ def _require_off_origin(cmap, pts):
 # round alike in numpy and CPython, so they run on whole arrays, in the
 # scalar expression's left-to-right order.  Powers go through dual.powr:
 # r^2, squares of coefficients and (r/b)^2 as products, (r/b)^1 as r/b,
-# any other (r/b)^lambda per element in CPython's pow, since numpy's
-# general power rounds otherwise.  Complex products go through dual.mul.
+# any other (r/b)^lambda per element in CPython's pow (numpy's rounds
+# otherwise), and integer powers of jets (in time_field) as products.
+# Complex products go through dual.mul.
 
 
 def d_z(cmap: ConformalMap, d: Derivatives, axis=None):
@@ -203,13 +192,24 @@ def dz_dzstar(cmap: ConformalMap, d: Derivatives):
     return value - dual.mul(2j * div_a, d.grad[T_AXIS]), err
 
 
+def kg_residual(units: UnitSystem, second, potential, scale, d: Derivatives):
+    """Operator |-hbar^2 c^2 D psi + m0^2 c^4 psi + sum_k w_k psi|, scaled by ``scale``,
+    of the Klein-Gordon equation in either form: ``second`` is (D psi, its estimate),
+    _laplacian(d) or dzstar_dz(cmap, d), and ``potential`` the terms w_k, numbers or
+    arrays over the grid, added left to right."""
+    psi = d.value
+    hc2 = (units.hbar * units.c) ** 2
+    value, err = second
+    res = -hc2 * value + units.rest_energy**2 * psi
+    for w in potential:
+        res = res + w * psi
+    return dual.modulus(res), hc2 * err, scale
+
+
 def zform_residual(cmap: ConformalMap, eig, scale, d: Derivatives):
     """Operator of the z-form equation under ``cmap``, free of any potential term:
-    |-hbar^2 c^2 sum_i d_zstar_i d_z_i psi + m0^2 c^4 psi - eig psi|, scaled by ``scale``."""
-    u, psi = cmap.units, d.value
-    hc2 = (u.hbar * u.c) ** 2
-    ddz, e = dzstar_dz(cmap, d)
-    return dual.modulus(-hc2 * ddz + u.rest_energy**2 * psi - eig * psi), hc2 * e, scale
+    kg_residual of sum_i d_zstar_i d_z_i psi with the one term -eig."""
+    return kg_residual(cmap.units, dzstar_dz(cmap, d), (-eig,), scale, d)
 
 
 def _laplacian(d: Derivatives):

@@ -9,7 +9,7 @@ Everything else here is an immutable value, and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable
 
 import numpy as np
 
@@ -150,17 +150,13 @@ class ComplexField:
     (n,) and broadcasts against the rows, and it must not take ``len`` of,
     or ``zip`` over, its arguments' points.  A field of T tiles (see
     PointSet) is evaluated on its grid's base points and returns every
-    tile: T n values along the last axis, tile-major.  ``energy_hint``
-    carries the energy eigenvalue for fields with exp(-i E t / hbar) time
-    dependence, which several operator reductions rely on; a family of
-    fields evaluated on their concatenated points carries one energy per
-    point.  ``singular_at_origin`` declares an r = 0 singular locus that
-    finite-difference stencils must not cross.
+    tile: T n values along the last axis, tile-major.  ``singular_at_origin``
+    declares an r = 0 singular locus that finite-difference stencils must
+    not cross.  A field carries no energy: operators take it as an argument.
     """
 
     fn: Callable
     label: str = ""
-    energy_hint: Optional[Union[float, np.ndarray]] = None
     singular_at_origin: bool = False
 
     def __call__(self, x1, x2, x3, t):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import dual
 from .core import ComplexField, ConfigError, QuantumNumberError, UnitSystem, natural_units
-from .confmap import ConformalMap, _laplacian, dzstar_dz, zform_residual
+from .confmap import ConformalMap, _laplacian, dzstar_dz, kg_residual, zform_residual
 from .diffengine import Derivatives
 from .specfun import (
     SOMMERFELD,
@@ -121,7 +121,7 @@ def _eigenfunction(model: CoulombModel, state: CoulombState, form: str, rate: fl
         return exponential * dual.powr(r, power) * poly(rho) * sph_harm_cartesian(l, k, x1, x2, x3)
 
     label = f"coulomb-{form}({state.n},{state.l},{state.k})[{state.branch}]"
-    return ComplexField(fn=fn, label=label, energy_hint=E, singular_at_origin=True)
+    return ComplexField(fn=fn, label=label, singular_at_origin=True)
 
 
 def eigenfunction_x(model: CoulombModel, state: CoulombState) -> ComplexField:
@@ -141,16 +141,10 @@ def eigenfunction_z(model: CoulombModel, state: CoulombState) -> ComplexField:
 
 
 def kg_residual_x(model: CoulombModel, E: float, d: Derivatives):
-    """Operator of -hbar^2 c^2 lap psi + m0^2 c^4 psi - (E + hbar c alpha / r)^2 psi,
-    with scale E^2 max|psi| over each tile of the grid."""
-    u = model.units
-    psi = d.value
-    hc = u.hbar * u.c
-    scale = d.scale(E * E)
-    lap, e_sum = _laplacian(d)
-    pot = E + hc * model.alpha / d.points.radii
-    res = -hc * hc * lap + u.rest_energy**2 * psi - pot * pot * psi
-    return dual.modulus(res), hc * hc * e_sum, scale
+    """Operator of -hbar^2 c^2 lap psi + m0^2 c^4 psi - (E + hbar c alpha / r)^2 psi
+    (confmap.kg_residual), with scale E^2 max|psi| over each tile of the grid."""
+    pot = E + model.units.hbar * model.units.c * model.alpha / d.points.radii
+    return kg_residual(model.units, _laplacian(d), (-(pot * pot),), d.scale(E * E), d)
 
 
 def kg_residual_z(model: CoulombModel, state: CoulombState, E: float, d: Derivatives):

@@ -80,7 +80,6 @@ class Derivatives:
     complex except the estimates.
     """
 
-    field: ComplexField
     points: PointSet
     value: np.ndarray
     grad: np.ndarray
@@ -107,7 +106,7 @@ def _diff(field: ComplexField, pts: PointSet, cfg: DiffConfig) -> Derivatives:
         raise NonFiniteError(f"{field.label or 'field'}: non-finite arithmetic on the grid ({exc})") from None
     if not all(np.isfinite(a).all() for a in parts[:3]):
         raise NonFiniteError(f"{field.label or 'field'}: non-finite value or derivative on the grid")
-    return Derivatives(field, pts, *parts)
+    return Derivatives(pts, *parts)
 
 
 def _jet_pass(field: ComplexField, pts: PointSet):

@@ -25,7 +25,9 @@ and add of a complex product and has its own exp, log and pow, so:
 
 A square x**2 is the product x * x and a real x**0.5 is the IEEE square
 root: both correctly rounded, unlike libm's pow, and both whole-array
-operations, and so is a real x**1, which libm's pow returns as x.  Real
+operations, and so is a real x**1, which libm's pow returns as x.  On a
+jet, ``powr`` takes any integer power as products, square and multiply
+as ``x ** n`` runs them, and lifts only the other exponents.  Real
 products, sums, ``sqrt`` and complex-by-real products round alike in
 numpy and CPython.  Components are combined in the order of the scalar
 hyperdual: the second partial of a product is ((v oh + h ov) + g og) +
@@ -335,8 +337,11 @@ def sqrt(x):
 
 def powr(x, p):
     """x**p for real exponent p, x > 0; x * x and sqrt(x) for p = 2 and 0.5,
-    and a real x itself for p = 1."""
+    and a real x itself for p = 1.  A jet takes an integer-valued p as
+    products (``x ** int(p)``), whose order fixes its derivative rows."""
     if hasattr(x, "_lift"):
+        if float(p).is_integer():
+            return x ** int(p)
         f = _pow(x.v, p)
         return x._lift(f, p * f / x.v, p * (p - 1.0) * f / (x.v * x.v))
     return _pow(x, p)

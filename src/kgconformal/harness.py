@@ -101,14 +101,6 @@ FIELD_POINTS = 3
 PASS_POINTS = 720
 
 
-def _uniform(seeds, lo, hi) -> np.ndarray:
-    """Generator.uniform(lo[j], hi[j]) for j = 0..k-1 from each seed's
-    stream, one row per seed: numpy draws a uniform as lo + (hi - lo) u from
-    one standard double u, so each seed's ``random(k)`` gives the same draws
-    bit for bit, and standard_doubles draws those for all seeds at once."""
-    return lo + (hi - lo) * standard_doubles(seeds, lo.shape[-1])
-
-
 def _family_bounds(r_max: np.ndarray):
     """(lo, hi) of the draws of fields of radii ``r_max``, one row each:
     centre, linear and quadratic coefficients, constant term and energy."""
@@ -129,8 +121,13 @@ def _draw(seeds: np.ndarray, r_max: np.ndarray):
     """(parameters, points) of the fields of ``seeds`` and radii ``r_max``,
     one row each: the draws of _family_bounds with 1 / (2 sigma^2) before the
     energy, and FIELD_POINTS times (x1, x2, x3, t) from seed + 987654321, x
-    uniform within a third of r_max on each axis and t in (-0.5, 0.5)."""
-    draws = _uniform(seeds, *_family_bounds(r_max))
+    uniform within a third of r_max on each axis and t in (-0.5, 0.5).  Each
+    is Generator.uniform(lo, hi), which numpy draws as lo + (hi - lo) u from
+    a standard double u; one standard_doubles call draws 12 u per seed and
+    point seed, and a seed's first 11 are its ``random(11)``."""
+    n, (lo, hi) = len(seeds), _family_bounds(r_max)
+    u = standard_doubles(np.concatenate((seeds, seeds + 987654321)), 4 * FIELD_POINTS)
+    draws = lo + (hi - lo) * u[:n, : lo.shape[1]]
     center = draws[:, :3]
     # sqrt(c . c) is how np.linalg.norm rounds a 3-vector; a (1, 3) @ (3, 1)
     # product runs the same dot, a row sum rounds otherwise
@@ -139,17 +136,22 @@ def _draw(seeds: np.ndarray, r_max: np.ndarray):
     rows = np.column_stack((draws[:, :10], 1.0 / (2.0 * sigma * sigma), draws[:, 10]))
     h = r_max[:, None] / 3.0
     hi = np.tile(np.hstack((h, h, h, np.full_like(h, 0.5))), FIELD_POINTS)
-    return rows, _uniform(seeds + 987654321, -hi, hi)
+    return rows, -hi + (hi - -hi) * u[n:]
+
+
+def _energies(rows) -> np.ndarray:
+    """The energy of each field of parameter rows from _draw, at each of its points."""
+    return np.repeat(rows[:, -1], FIELD_POINTS)
 
 
 def _family(seeds, rows) -> ComplexField:
     """The fields of seeds ``seeds``, of parameter rows ``rows`` from _draw,
     as one field on their points: each is a low-order polynomial times a
     gaussian bump, below 1e-6 of its peak at r_max, times exp(-i E t / hbar),
-    E its energy hint.  Every parameter holds one value per point, so one
-    pass over the points gives each field on its own points, rounded
+    E the last entry of its row.  Every parameter holds one value per point,
+    so one pass over the points gives each field on its own points, rounded
     as the field alone would round.  A family of one keeps floats, so it can
-    be evaluated anywhere, and its energy hint is a float."""
+    be evaluated anywhere."""
     if len(seeds) == 1:
         values = rows[0].tolist()
         label = f"testfield-{seeds[0]}"
@@ -164,7 +166,7 @@ def _family(seeds, rows) -> ComplexField:
         poly = c0 + l1 * x1 + l2 * x2 + l3 * x3 + q1 * x1 * x1 + q2 * x2 * x2 + q3 * x3 * x3
         return poly * bump * dual.exp(-1j * e_val * t)
 
-    return ComplexField(fn=fn, label=label, energy_hint=e_val)
+    return ComplexField(fn=fn, label=label)
 
 
 def _points(rows) -> PointSet:
@@ -183,17 +185,17 @@ def _field_sample_points(seed: int, r_max: float = 3.0) -> PointSet:
     return _points(_draw(_seed_range(seed, 1), np.full(1, r_max))[1])
 
 
-def _with_energy(fld: ComplexField, e_val: float) -> ComplexField:
-    """Rebind a test field's phase energy so map reductions apply exactly;
-    a family's old energies are per point, the new one is shared."""
+def _with_energy(fld: ComplexField, old_e, e_val: float) -> ComplexField:
+    """Rebind a test field's phase energy from ``old_e``, its drawn energy
+    (a family's, one per point: see _energies), to the shared ``e_val``, so
+    map reductions apply exactly."""
     inner = fld.fn
-    old_e = fld.energy_hint
 
     def fn(x1, x2, x3, t):
         # swap exp(-i old_e t) for exp(-i e_val t)
         return inner(x1, x2, x3, t) * dual.exp(-1j * (e_val - old_e) * t)
 
-    return ComplexField(fn=fn, label=fld.label, energy_hint=e_val)
+    return ComplexField(fn=fn, label=fld.label)
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +329,17 @@ def _suite_oscillator_z(params, tol):
     yield from _oscillator_levels(params, tol, "z", ho.eigenfunction_z, operators)
 
 
-def _annihilation_residual(model, d):
-    """|a_i psi| over the three components, with a_i's estimate, scaled by
-    max|psi| over each tile."""
-    values, errs = zip(*(ho.ladder_apply(model, ("lower", i), d) for i in range(3)))
+def _annihilation_residual(model, E, d):
+    """|a_i psi| over the three components at energy E, with a_i's estimate,
+    scaled by max|psi| over each tile."""
+    values, errs = zip(*(ho.ladder_apply(model, ("lower", i), E, d) for i in range(3)))
     return dual.modulus(np.stack(values)), np.stack(errs), d.scale()
 
 
-def _number_residual(model, n, eigenvalue, d):
-    """|N psi - eigenvalue psi| on level-n states, scaled by max|psi| max(n, 1)
-    over each tile."""
-    val, err = ho.number_operator_apply(model, d)
+def _number_residual(model, E, n, eigenvalue, d):
+    """|N psi - eigenvalue psi| on level-n states of energy E, scaled by
+    max|psi| max(n, 1) over each tile."""
+    val, err = ho.number_operator_apply(model, E, d)
     scale = d.scale(max(n, 1))
     return dual.modulus(val - eigenvalue * d.value), err, scale
 
@@ -355,7 +357,7 @@ def _lowering_proportionality(model, ground, state1, d):
     # divide out the E_1 - E_0 phase difference before comparing ratios
     d_e = state1.energy - ground.energy
     hbar = model.units.hbar
-    lowered, lowered_err = ho.ladder_apply(model, ("lower", 0), d)
+    lowered, lowered_err = ho.ladder_apply(model, ("lower", 0), state1.energy, d)
     ratios = [
         val / denom * complex(math.cos(d_e * t / hbar), math.sin(d_e * t / hbar))
         for val, denom, t in zip(lowered.tolist(), psi0.tolist(), d.points.coords[3].tolist())
@@ -376,13 +378,13 @@ def _suite_ladder(params, tol):
     closing = (
         Read("lowering-proportionality", partial(_lowering_proportionality, model, ground, state1), tol_number),
         # probe: the number operator must NOT return n+1
-        Read("probe:number-operator-off-by-one", partial(_number_residual, model, 1, 2), tol_number),
+        Read("probe:number-operator-off-by-one", partial(_number_residual, model, state1.energy, 1, 2), tol_number),
     )
     for n in range(params.get("nmax", 4) + 1):
         # one case for the level: its tiles fold by max
-        reads = (Read(f"number-operator-n{n}", partial(_number_residual, model, n, n), tol_number),)
+        reads = (Read(f"number-operator-n{n}", partial(_number_residual, model, ho.energy(model, n), n, n), tol_number),)
         if n == 0:
-            reads = (Read("annihilate-ground", partial(_annihilation_residual, model), tol),) + reads
+            reads = (Read("annihilate-ground", partial(_annihilation_residual, model, ground.energy), tol),) + reads
         for states, tiled in _passes([state for state in ho.states_with_n(model, n) if state != state1], points):
             yield Sample(ho.eigenfunction_x(model, states), tiled, reads, length)
         if n == 1:  # (1,0,0), the last n = 1 state, is read with the closing reads
@@ -425,7 +427,7 @@ def _suite_coulomb_z(params, tol):
     identity = Read("d2z-operator-identity", partial(d2z_identity_residual, cb.coulomb_map(model, ground)), tol)
     seeds = _seed_range(params.get("seed", 0) * 1000, 5)
     field_rows, point_rows = _draw(seeds, np.full(5, 3.0 * ground.r_scale))
-    fld = _with_energy(_family(seeds, field_rows), ground.energy)
+    fld = _with_energy(_family(seeds, field_rows), _energies(field_rows), ground.energy)
     yield Sample(fld, _points(point_rows), (identity,), ground.r_scale)
 
 
@@ -490,7 +492,7 @@ def _suite_operator_identities(params, tol):
         chunk = slice(start, start + family_size)
         family = _family(osc_seeds[chunk], osc_rows[chunk])
         # each point reads the map of its own field's energy
-        cmap = ho.oscillator_map(osc, family.energy_hint)
+        cmap = ho.oscillator_map(osc, _energies(osc_rows[chunk]))
         reads = (Read("qprop-oscillator", partial(qprop_identity_residual, cmap), tol),)
         if start == 0:
             # probe: reversing the composition order must break the identity
@@ -499,7 +501,7 @@ def _suite_operator_identities(params, tol):
             reads += (Read("probe:reversed-composition", partial(_first_field, reversed_order), tol),)
         yield Sample(family, _points(osc_point_rows[chunk]), reads)
 
-        family = _with_energy(_family(c_seeds[chunk], c_rows[chunk]), cstate.energy)
+        family = _with_energy(_family(c_seeds[chunk], c_rows[chunk]), _energies(c_rows[chunk]), cstate.energy)
         yield Sample(family, _points(c_point_rows[chunk]), (d2z,), cstate.r_scale)
 
 
@@ -509,7 +511,7 @@ def _plane_wave(kvec, e_val) -> ComplexField:
     def fn(x1, x2, x3, t):
         return dual.exp(1j * (k1 * x1 + k2 * x2 + k3 * x3 - e_val * t))
 
-    return ComplexField(fn=fn, label=f"plane-wave{kvec}", energy_hint=e_val)
+    return ComplexField(fn=fn, label=f"plane-wave{kvec}")
 
 
 def _suite_reductions(params, tol):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dual
 from .core import ComplexField, ConfigError, QuantumNumberError, UnitSystem, natural_units
-from .confmap import ConformalMap, _laplacian, d_z, d_zstar, dzstar_dz, zform_residual
+from .confmap import ConformalMap, _laplacian, d_z, d_zstar, dzstar_dz, kg_residual, zform_residual
 from .diffengine import Derivatives, T_AXIS
 from .specfun import HermiteLadder, hermite
 
@@ -150,7 +150,7 @@ def eigenfunction_x(model: OscillatorModel, states) -> ComplexField:
         phase = dual.cached((t,), ("phase", E, hbar), lambda: dual.exp(-1j * E * t / hbar))
         return _tiled_product(phase, factors, states, x1, x2, x3)
 
-    return ComplexField(fn=fn, label=_label("osc-x", states), energy_hint=E)
+    return ComplexField(fn=fn, label=_label("osc-x", states))
 
 
 def eigenfunction_z(model: OscillatorModel, states) -> ComplexField:
@@ -178,23 +178,17 @@ def eigenfunction_z(model: OscillatorModel, states) -> ComplexField:
         out = dual.cached((x1, x2, x3, t), ("z-phase", E, hbar, cmap), lambda: phase(x1, x2, x3, t))
         return _tiled_product(out, factors, states, x1, x2, x3)
 
-    return ComplexField(fn=fn, label=_label("osc-z", states), energy_hint=E)
+    return ComplexField(fn=fn, label=_label("osc-z", states))
 
 
 def kg_residual_x(model: OscillatorModel, E: float, d: Derivatives):
     """Operator of the x-representation Klein-Gordon equation at energy E:
 
     | -hbar^2 c^2 laplacian(psi) + m0^2 c^4 psi + Omega^2 r^2 psi - E^2 psi |
-    with scale E^2 max|psi| over each tile of the grid.
+    (confmap.kg_residual) with scale E^2 max|psi| over each tile of the grid.
     """
-    u = model.units
-    psi = d.value
-    hc2 = (u.hbar * u.c) ** 2
-    scale = d.scale(E * E)
-    lap, e_sum = _laplacian(d)
-    r2 = d.points.radial(dual.powr, 2)
-    res = -hc2 * lap + u.rest_energy**2 * psi + model.omega**2 * r2 * psi - E * E * psi
-    return dual.modulus(res), hc2 * e_sum, scale
+    potential = (model.omega**2 * d.points.radial(dual.powr, 2), -(E * E))
+    return kg_residual(model.units, _laplacian(d), potential, d.scale(E * E), d)
 
 
 def kg_residual_z(model: OscillatorModel, E: float, d: Derivatives):
@@ -214,37 +208,25 @@ def energy_operator_residual(model: OscillatorModel, E: float, d: Derivatives):
     return dual.modulus(eop), u.hbar * d.grad_err[T_AXIS], scale
 
 
-def _map_for(model: OscillatorModel, d: Derivatives) -> ConformalMap:
-    if d.field.energy_hint is None:
-        raise ConfigError("ladder operators need the field's energy hint")
-    return oscillator_map(model, d.field.energy_hint)
-
-
-def ladder_apply(model: OscillatorModel, which, d: Derivatives):
+def ladder_apply(model: OscillatorModel, which, E: float, d: Derivatives):
     """Apply a single lowering or raising operator component on the grid,
     as (value, error estimate).
 
     ``which`` is ("lower", i) or ("raise", i) with i in {0, 1, 2}:
-    a_i = sqrt(hbar c / 2 Omega) d_z_i, a_i^dag = -sqrt(hbar c / 2 Omega) d_zstar_i.
-    The map energy comes from the field's energy hint.
+    a_i = sqrt(hbar c / 2 Omega) d_z_i, a_i^dag = -sqrt(hbar c / 2 Omega) d_zstar_i,
+    under the map of energy E, the field's.
     """
     kind, axis = which
     if kind not in ("lower", "raise") or axis not in (0, 1, 2):
         raise ConfigError(f"bad ladder selector: {which!r}")
-    cmap = _map_for(model, d)
-    u = model.units
-    coef = math.sqrt(u.hbar * u.c / (2.0 * model.omega))
-    if kind == "lower":
-        value, err = d_z(cmap, d, axis=axis)
-        return coef * value, coef * err
-    value, err = d_zstar(cmap, d, axis=axis)
-    return -coef * value, coef * err
+    coef = math.sqrt(model.units.hbar * model.units.c / (2.0 * model.omega))
+    value, err = (d_z if kind == "lower" else d_zstar)(oscillator_map(model, E), d, axis=axis)
+    return (coef if kind == "lower" else -coef) * value, coef * err
 
 
-def number_operator_apply(model: OscillatorModel, d: Derivatives):
-    """sum_i a_i^dag a_i psi = -(hbar c / 2 Omega) sum_i d_zstar_i d_z_i psi."""
-    cmap = _map_for(model, d)
-    value, err = dzstar_dz(cmap, d)
-    u = model.units
-    coef = u.hbar * u.c / (2.0 * model.omega)
+def number_operator_apply(model: OscillatorModel, E: float, d: Derivatives):
+    """sum_i a_i^dag a_i psi = -(hbar c / 2 Omega) sum_i d_zstar_i d_z_i psi,
+    under the map of energy E, the field's."""
+    value, err = dzstar_dz(oscillator_map(model, E), d)
+    coef = model.units.hbar * model.units.c / (2.0 * model.omega)
     return -coef * value, coef * err

@@ -28,6 +28,13 @@ def field_family(seeds, r_max=3.0):
     return harness._family(seeds, rows), harness._points(drawn_points)
 
 
+def family_energies(seeds, r_max=3.0):
+    """The drawn energy of each test field of ``field_family(seeds, r_max)``,
+    at each of its points."""
+    seeds = np.asarray(seeds, dtype=np.int64)
+    return harness._energies(harness._draw(seeds, np.full(len(seeds), r_max))[0])
+
+
 @pytest.fixture
 def exact_cfg():
     return DiffConfig(mode=MODE_EXACT)

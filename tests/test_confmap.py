@@ -194,7 +194,7 @@ def _phase_field(cmap):
         s = t + 1j * cmap.tau(r)
         return dual.exp(-1j * cmap.E * s / hbar)
 
-    return ComplexField(fn=fn, label="phase", energy_hint=cmap.E)
+    return ComplexField(fn=fn, label="phase")
 
 
 def test_dz_annihilates_pure_phase(exact_cfg):

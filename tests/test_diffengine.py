@@ -14,7 +14,7 @@ from kgconformal.diffengine import STEP, DiffConfig, MODE_EXACT, MODE_STENCIL, T
 from kgconformal.harness import Grid, _with_energy
 
 import per_shift_stencil
-from conftest import field_family
+from conftest import family_energies, field_family
 
 GAUSS = ComplexField(fn=lambda x1, x2, x3, t: dual.exp(-(x1 * x1) / 2.0), label="gauss")
 
@@ -187,7 +187,7 @@ def _test_field_case(draw):
     if draw(st.booleans()):
         return (*field_family([seed], r_max=3.0), DiffConfig(mode=MODE_STENCIL))
     fld, points = field_family([seed], r_max=3.0 * COULOMB_GROUND.r_scale)
-    fld = _with_energy(fld, COULOMB_GROUND.energy)
+    fld = _with_energy(fld, family_energies([seed], 3.0 * COULOMB_GROUND.r_scale), COULOMB_GROUND.energy)
     return fld, points, DiffConfig(mode=MODE_STENCIL, length_scale=COULOMB_GROUND.r_scale)
 
 

@@ -70,6 +70,17 @@ def test_powr_noninteger():
     assert dd == pytest.approx(p * (p - 1) * 2.0 ** (p - 2), rel=1e-15)
 
 
+def test_powr_takes_integer_powers_of_jets_as_products():
+    """An integer-valued real exponent of a jet gives the jet's own products,
+    coefficient for coefficient, and the power 0 the constant 1."""
+    rng = np.random.default_rng(24)
+    r = dual.norm3(*dual.variables(*rng.uniform(0.2, 3.0, (3, 50)))) / 1.7
+    assert np.array_equal(dual.powr(r, 2.0).c, (r * r).c)
+    assert np.array_equal(dual.powr(r, 3.0).c, (r**3).c)
+    assert np.array_equal(dual.powr(r, 1.0).c, r.c)
+    assert dual.powr(r, 0.0) == 1.0
+
+
 def test_int_pow_matches_repeated_product():
     x = jet(1.3)
     assert hess(x**5)[0, 0] == pytest.approx(hess(x * x * x * x * x)[0, 0], rel=1e-14)

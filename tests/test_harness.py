@@ -18,9 +18,7 @@ from kgconformal.harness import (
     FIELD_POINTS,
     Grid,
     SUITES,
-    _family_bounds,
     _field_sample_points,
-    _uniform,
     _with_energy,
     default_tolerance,
     generate_test_field,
@@ -28,7 +26,7 @@ from kgconformal.harness import (
 )
 from kgconformal.specfun import hermite
 
-from conftest import field_family, point_rows
+from conftest import family_energies, field_family, point_rows
 
 
 def test_grid_shape():
@@ -82,7 +80,7 @@ def test_generate_test_field_deterministic():
     p = (0.4, -0.2, 0.1, 0.3)
     assert complex(a.at(p)) == complex(b.at(p))
     assert complex(a.at(p)) != complex(c.at(p))
-    assert a.energy_hint == b.energy_hint
+    assert np.array_equal(family_energies([7]), family_energies([7]))
 
 
 def test_generate_test_field_decays_at_boundary():
@@ -318,12 +316,11 @@ def test_family_derivatives_equal_each_fields(family, mode):
     seeds, r_max, energy = FAMILIES[family]
     cfg = DiffConfig(mode=mode) if energy is None else DiffConfig(mode=mode, length_scale=GROUND.r_scale)
 
-    def energized(fld):
-        return fld if energy is None else _with_energy(fld, energy)
-
     def differentiated(some):
         fld, points = field_family(some, r_max)
-        return _diff(energized(fld), points, cfg)
+        if energy is not None:
+            fld = _with_energy(fld, family_energies(some, r_max), energy)
+        return _diff(fld, points, cfg)
 
     fam = differentiated(seeds)
     singles = [differentiated([s]) for s in seeds]
@@ -331,8 +328,8 @@ def test_family_derivatives_equal_each_fields(family, mode):
     for part in ("value", "grad", "hess", "grad_err", "hess_err"):
         want = np.concatenate([getattr(d, part) for d in singles], axis=-1)
         assert np.array_equal(getattr(fam, part), want), part
-    assert np.array_equal(np.broadcast_to(fam.field.energy_hint, len(fam.points)),
-                          [d.field.energy_hint for d in singles for _ in range(len(d.points))])
+    assert np.array_equal(family_energies(seeds, r_max),
+                          [e for s in seeds for e in family_energies([s], r_max).tolist()])
 
 
 @pytest.mark.parametrize("seed,r_max", [(7, 3.0), (5003, 3.0 * GROUND.r_scale), (2**64 + 5, 3.0)])
@@ -343,7 +340,10 @@ def test_generate_test_field_is_the_seeds_family_of_one(seed, r_max):
     rows, drawn_points = harness._draw(seeds, np.full(1, r_max))
     want, points = harness._family(seeds, rows), point_rows(harness._points(drawn_points))
     got = generate_test_field(seed, r_max)
-    assert (got.label, got.energy_hint) == (want.label, want.energy_hint) == (f"testfield-{seed}", rows[0, -1])
+    assert got.label == want.label == f"testfield-{seed}"
+    # the field's phase is exp(-i E t) at its drawn energy E, the row's last entry
+    d = _diff(got, harness._points(drawn_points), DiffConfig(mode=MODE_EXACT))
+    assert (d.grad[3] / d.value).tolist() == pytest.approx([-1j * rows[0, -1]] * FIELD_POINTS, rel=1e-14)
     assert point_rows(_field_sample_points(seed, r_max)) == points
     assert [complex(got(*p)) for p in points] == [complex(want(*p)) for p in points]
 
@@ -375,14 +375,33 @@ def test_one_random_call_per_seed_reproduces_uniform_draws():
         radii = np.full(len(seeds), r_max)
         q, e_lo, e_hi = r_max / 4.0, *ENERGY_RANGE
         field_calls = ((-q, q, 3), (-1.0, 1.0, 3), (-0.5, 0.5, 3), (0.5, 1.5, None), (e_lo, e_hi, None))
-        got = _uniform(seeds, *_family_bounds(radii))
+        rows, drawn_points = harness._draw(seeds, radii)
+        got = np.delete(rows, 10, axis=1)
         want = np.array([_uniform_calls(s, field_calls) for s in seeds.tolist()])
         assert np.array_equal(got, want)
 
         point_calls = ((-r_max / 3.0, r_max / 3.0, 3), (-0.5, 0.5, None)) * FIELD_POINTS
-        got = np.array(point_rows(harness._points(harness._draw(seeds, radii)[1])))
+        got = np.array(point_rows(harness._points(drawn_points)))
         want = np.array([_uniform_calls(s + 987654321, point_calls) for s in seeds.tolist()]).reshape(-1, 4)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("suite,params,family_sizes", [
+    ("operator-identities", {"n_fields": 7}, (7, 7)),
+    ("coulomb-z", {}, (5,)),
+])
+def test_each_family_is_drawn_in_one_random_call(monkeypatch, suite, params, family_sizes):
+    """A family's parameters and points come from one standard_doubles call
+    over its seeds and their point seeds."""
+    calls, doubles = [], harness.standard_doubles
+
+    def counted(seeds, k):
+        calls.append((len(seeds), k))
+        return doubles(seeds, k)
+
+    monkeypatch.setattr(harness, "standard_doubles", counted)
+    assert run_suite(suite, params).passed
+    assert calls == [(2 * n, 4 * FIELD_POINTS) for n in family_sizes]
 
 
 @pytest.mark.parametrize("seed", [2**62 // 10000, 2**63 // 10000, 2**63 // 10000 + 1,
@@ -499,7 +518,7 @@ def _two_amplitudes(energy):
         g = dual.exp(-0.5 * (x1 * x1 + x2 * x2 + x3 * x3) - 1j * energy * t)
         return dual.join_tiles([g, 2.0 * g])
 
-    return ComplexField(fn=fn, label="two-amplitudes", energy_hint=energy)
+    return ComplexField(fn=fn, label="two-amplitudes")
 
 
 def _scaled_operators():
@@ -514,8 +533,8 @@ def _scaled_operators():
         "coulomb.kg_residual_x": partial(cb.kg_residual_x, cmodel, state.energy),
         "coulomb.kg_residual_z": partial(cb.kg_residual_z, cmodel, state, state.energy),
         "coulomb.ground_state_flatness": partial(cb.ground_state_flatness, cmodel, state),
-        "harness._annihilation_residual": partial(harness._annihilation_residual, osc),
-        "harness._number_residual": partial(harness._number_residual, osc, 1, 1),
+        "harness._annihilation_residual": partial(harness._annihilation_residual, osc, e_osc),
+        "harness._number_residual": partial(harness._number_residual, osc, e_osc, 1, 1),
     }
 
 

@@ -20,7 +20,7 @@ from kgconformal.core import ComplexField, natural_units
 from kgconformal.diffengine import DiffConfig, MODE_EXACT, _diff
 from kgconformal.harness import Grid, _plane_wave, _with_energy
 
-from conftest import field_family, point_rows
+from conftest import family_energies, field_family, point_rows
 from scalar_hyperdual import partials
 
 EXACT = DiffConfig(mode=MODE_EXACT)
@@ -83,7 +83,8 @@ def test_test_fields(seed):
     fld, points = field_family([seed], r_max=3.0)
     assert_jet_matches_reference(fld, points)
     assert_value_matches_plain(fld, points)
-    energized = _with_energy(fld, 0.9999)
+    # one float, so the field still evaluates anywhere
+    energized = _with_energy(fld, float(family_energies([seed], 3.0)[0]), 0.9999)
     assert_jet_matches_reference(energized, points)
     assert_value_matches_plain(energized, points)
 

@@ -5,8 +5,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from kgconformal.confmap import Read, Sample, evaluate
-from kgconformal.core import ConfigError, PointSet, QuantumNumberError, natural_units
+from kgconformal.confmap import Read, Sample, d_z, d_zstar, dzstar_dz, evaluate
+from kgconformal.core import ComplexField, ConfigError, PointSet, QuantumNumberError, natural_units
 from kgconformal.diffengine import _diff
 from kgconformal.harness import Grid
 from kgconformal import dual
@@ -138,8 +138,26 @@ def test_ladder_annihilates_ground(exact_cfg):
     psi0 = ho.eigenfunction_x(MODEL, ground)
     d = _diff(psi0, PointSet([0.5], [-0.3], [0.8], [0.2]), exact_cfg)
     for i in range(3):
-        lowered, err = ho.ladder_apply(MODEL, ("lower", i), d)
+        lowered, err = ho.ladder_apply(MODEL, ("lower", i), ground.energy, d)
         assert abs(lowered[0]) < 1e-13 and err[0] == 0.0
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.5])
+def test_ladder_operators_read_the_map_of_the_energy_given(exact_cfg, factor):
+    """Given E, a_i, a_i^dag and N apply d_z_i, d_zstar_i and dzstar_dz under
+    oscillator_map(model, E), scaled, to a field that carries no energy."""
+    state = ho.make_state(MODEL, 1, 0, 1)
+    energy = factor * state.energy
+    d = _diff(ComplexField(fn=ho.eigenfunction_x(MODEL, state).fn), POINTS, exact_cfg)
+    cmap = ho.oscillator_map(MODEL, energy)
+    k = MODEL.units.hbar * MODEL.units.c / (2.0 * MODEL.omega)
+    for i in range(3):
+        (lowered, lowered_err), (dz, dz_err) = ho.ladder_apply(MODEL, ("lower", i), energy, d), d_z(cmap, d, axis=i)
+        assert np.array_equal(lowered, math.sqrt(k) * dz) and np.array_equal(lowered_err, math.sqrt(k) * dz_err)
+        (raised, raised_err), (dzs, dzs_err) = ho.ladder_apply(MODEL, ("raise", i), energy, d), d_zstar(cmap, d, axis=i)
+        assert np.array_equal(raised, -math.sqrt(k) * dzs) and np.array_equal(raised_err, math.sqrt(k) * dzs_err)
+    (number, number_err), (ddz, ddz_err) = ho.number_operator_apply(MODEL, energy, d), dzstar_dz(cmap, d)
+    assert np.array_equal(number, -k * ddz) and np.array_equal(number_err, k * ddz_err)
 
 
 def test_raise_then_lower_is_diagonal(exact_cfg):
@@ -147,7 +165,7 @@ def test_raise_then_lower_is_diagonal(exact_cfg):
     state = ho.make_state(MODEL, 2, 1, 0)
     fld = ho.eigenfunction_x(MODEL, state)
     p = (0.4, 0.9, -0.2, 0.1)
-    val, err = ho.number_operator_apply(MODEL, _diff(fld, PointSet(*([v] for v in p)), exact_cfg))
+    val, err = ho.number_operator_apply(MODEL, state.energy, _diff(fld, PointSet(*([v] for v in p)), exact_cfg))
     assert val[0] == pytest.approx(3.0 * complex(fld.at(p)), rel=1e-11)
     assert err[0] == 0.0
 
@@ -158,7 +176,7 @@ def test_ladder_raises_degree(exact_cfg):
     psi0 = ho.eigenfunction_x(MODEL, ground)
     excited = ho.eigenfunction_x(MODEL, ho.make_state(MODEL, 1, 0, 0))
     p1, p2 = (0.5, 0.2, 0.1, 0.0), (1.1, -0.4, 0.3, 0.0)
-    raised, _ = ho.ladder_apply(MODEL, ("raise", 0), _diff(psi0, PointSet(*zip(p1, p2)), exact_cfg))
+    raised, _ = ho.ladder_apply(MODEL, ("raise", 0), ground.energy, _diff(psi0, PointSet(*zip(p1, p2)), exact_cfg))
     r1 = raised[0] / complex(excited.at(p1))
     r2 = raised[1] / complex(excited.at(p2))
     assert r1 == pytest.approx(r2, rel=1e-11)

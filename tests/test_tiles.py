@@ -86,15 +86,15 @@ def _with_vanishing_tile(states, vanishing):
     def fn(x1, x2, x3, t):
         return dual.join_tiles([f(x1, x2, x3, t) * (0.0 if j == vanishing else 1.0) for j, f in enumerate(fields)])
 
-    return ComplexField(fn=fn, label="vanishing", energy_hint=states[0].energy)
+    return ComplexField(fn=fn, label="vanishing")
 
 
 TILED_OPERATORS = {
     "kg-x": lambda E, n: partial(ho.kg_residual_x, MODEL, E),
     "kg-z": lambda E, n: partial(ho.kg_residual_z, MODEL, E),
     "energy-op": lambda E, n: partial(ho.energy_operator_residual, MODEL, E),
-    "number": lambda E, n: partial(harness._number_residual, MODEL, n, n),
-    "annihilation": lambda E, n: partial(harness._annihilation_residual, MODEL),
+    "number": lambda E, n: partial(harness._number_residual, MODEL, E, n, n),
+    "annihilation": lambda E, n: partial(harness._annihilation_residual, MODEL, E),
 }
 
 

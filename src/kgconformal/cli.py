@@ -34,6 +34,7 @@ from .core import (
 )
 from .diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL
 from .harness import SUITES, run_suite
+from .shooting import EPS_RTOL, binding_parameter, shooting_eigenvalue
 from .specfun import HYDRINO, SOMMERFELD
 from . import coulomb as cb
 from . import oscillator as ho
@@ -121,8 +122,23 @@ def _parse_states(text: str):
 # spectrum
 
 
+def _oracle_fields(n, l, alpha, energy, units) -> dict:
+    """The oracle's energy of (n, l), and how far its eps = (1 - Ebar^2) / alpha^2
+    and the nonrelativistic eps = 1/N^2 are from the closed form's, relatively."""
+    e_shoot = shooting_eigenvalue(n, l, alpha, units)
+    eps = binding_parameter(energy / units.rest_energy, alpha)
+    return {
+        "shooting_energy": e_shoot,
+        "eps_rel_diff": abs(binding_parameter(e_shoot / units.rest_energy, alpha) - eps) / eps,
+        "nonrel_eps_rel_diff": abs(1.0 / (n + l + 1) ** 2 - eps) / eps,
+    }
+
+
 def _spectrum_rows(args):
+    """Every row of the table, computed before any is written."""
     units = _units(args)
+    if args.check_shooting and (args.system != "coulomb" or args.branch != SOMMERFELD):
+        raise ConfigError("--check-shooting checks the coulomb system's sommerfeld branch only")
     if args.system == "oscillator":
         model = ho.OscillatorModel(omega=args.omega, units=units)
         return [{"n": n, "energy": ho.energy(model, n)} for n in _parse_range(args.n)]
@@ -133,19 +149,20 @@ def _spectrum_rows(args):
         k = spec[2] if len(spec) > 2 else 0
         state = cb.make_state(model, n, l, k, args.branch)
         cmap = cb.coulomb_map(model, state)
-        rows.append(
-            {
-                "n": n,
-                "l": l,
-                "k": k,
-                "branch": args.branch,
-                "eta_l": state.eta,
-                "energy": state.energy,
-                "r_nl": state.r_scale,
-                "a": cmap.a,
-                "b": cmap.b,
-            }
-        )
+        row = {
+            "n": n,
+            "l": l,
+            "k": k,
+            "branch": args.branch,
+            "eta_l": state.eta,
+            "energy": state.energy,
+            "r_nl": state.r_scale,
+            "a": cmap.a,
+            "b": cmap.b,
+        }
+        if args.check_shooting:
+            row.update(_oracle_fields(n, l, args.alpha, state.energy, units))
+        rows.append(row)
     return rows
 
 
@@ -179,6 +196,10 @@ def cmd_spectrum(args) -> int:
     else:
         text = json.dumps({"system": args.system, "rows": rows}, indent=2, allow_nan=False) + "\n"
     _emit(text, args.output)
+    missed = [(row["n"], row["l"]) for row in rows if "eps_rel_diff" in row and not row["eps_rel_diff"] < EPS_RTOL]
+    if missed:
+        print(f"the oracle misses the relative eps gate {EPS_RTOL:.0e} on {missed}", file=sys.stderr)
+        return EXIT_FAIL
     return EXIT_PASS
 
 
@@ -333,6 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", default="0..4", help="oscillator range, e.g. 0..6")
     sp.add_argument("--states", default="(0,0);(1,0);(0,1)")
     sp.add_argument("--branch", choices=(SOMMERFELD, HYDRINO), default=SOMMERFELD)
+    sp.add_argument("--check-shooting", action="store_true",
+                    help="add the independent oracle's energy to each coulomb row; exit 1 if its eps misses EPS_RTOL")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--output")
     add_units(sp)

@@ -115,8 +115,6 @@ def _bracket_at(cmap: ConformalMap, pts: PointSet, singular: str):
 def forward(cmap: ConformalMap, pts: PointSet) -> np.ndarray:
     """s = t - i (hbar/E) [a ln r + (r/b)^lam] at every point, as a complex
     array; z = x is ``pts.coords[:3]`` itself, so |z| = |x| exactly."""
-    if cmap.is_identity:
-        return pts.coords[3].astype(complex)  # keeps t = -0.0 as Re s = -0.0
     bracket = _bracket_at(cmap, pts, "forward map undefined at r = 0 when a != 0 (ln r)")
     return pts.coords[3] - 1j * (cmap.units.hbar / cmap.E) * bracket
 
@@ -240,7 +238,7 @@ class Sample(NamedTuple):
     the fields' grids, so one pass differentiates them all.  Or it may give
     one field per tile of a tiled grid (see core.PointSet), all on the same
     base points.  In stencil mode the spatial steps scale with
-    ``length_scale`` (see DiffConfig).
+    ``length_scale`` (see diffengine._diff).
     """
 
     field: ComplexField
@@ -269,7 +267,7 @@ def _readings(item: Sample, mode: str) -> list:
     """(case, max |residual| / scale, max error / scale, tolerance) of every
     read of one Sample, tile by tile and within a tile read by read.  The
     Sample's derivatives are dropped on return, before the next pass."""
-    d = _diff(item.field, item.points, DiffConfig(mode, item.length_scale))
+    d = _diff(item.field, item.points, DiffConfig(mode), length_scale=item.length_scale)
     tiles = item.points.tiles
     per_read = []
     for read in item.reads:

@@ -1,9 +1,9 @@
 """Derivatives of complex fields on grids of points.
 
-One entry point, ``_diff(field, points, cfg)``, gives at every point of a
-grid the field's value, its four first partials and its four pure second
-partials, each derivative with an error estimate.  Two interchangeable
-modes:
+One entry point, ``_diff(field, points, cfg, length_scale)``, gives at
+every point of a grid the field's value, its four first partials and its
+four pure second partials, each derivative with an error estimate.  Two
+interchangeable modes:
 
 * ``exact-forward`` -- one field evaluation on diagonal jets (``dual``)
   over the whole grid; no truncation error, rounding only, and every
@@ -56,18 +56,13 @@ LEVELS = 2
 
 @dataclass(frozen=True)
 class DiffConfig:
-    """The derivative mode, and in stencil mode the problem's natural
-    length: the spatial steps are ``STEP * length_scale``, the time step
-    is ``STEP``."""
+    """The derivative mode."""
 
     mode: str = MODE_EXACT
-    length_scale: float = 1.0
 
     def __post_init__(self):
         if self.mode not in (MODE_EXACT, MODE_STENCIL):
             raise ConfigError(f"unknown differentiation mode: {self.mode!r}")
-        if not self.length_scale > 0:
-            raise ConfigError("length_scale must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,15 +88,17 @@ class Derivatives:
         return residual_scale(factor * self.points.tile_max(dual.modulus(self.value)))
 
 
-def _diff(field: ComplexField, pts: PointSet, cfg: DiffConfig) -> Derivatives:
+def _diff(field: ComplexField, pts: PointSet, cfg: DiffConfig, length_scale: float = 1.0) -> Derivatives:
     """Differentiate ``field`` at every point of the grid ``pts`` in one pass.
+    In stencil mode the spatial steps are ``STEP * length_scale``, the time
+    step is ``STEP``.
 
     Raises NonFiniteError if any value or derivative is not finite, or if
     evaluating the field overflows or divides by zero.
     """
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
-            parts = _jet_pass(field, pts) if cfg.mode == MODE_EXACT else _stencil_pass(field, pts, cfg)
+            parts = _jet_pass(field, pts) if cfg.mode == MODE_EXACT else _stencil_pass(field, pts, length_scale)
     except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
         raise NonFiniteError(f"{field.label or 'field'}: non-finite arithmetic on the grid ({exc})") from None
     if not all(np.isfinite(a).all() for a in parts[:3]):
@@ -123,11 +120,11 @@ def _jet_pass(field: ComplexField, pts: PointSet):
     return c[0], c[1 : 1 + N_AXES], c[1 + N_AXES :], zeros, zeros
 
 
-def _clamped_step(field: ComplexField, pts: PointSet, cfg: DiffConfig, axis: int):
+def _clamped_step(field: ComplexField, pts: PointSet, length_scale: float, axis: int):
     """The axis's step, per point of the base grid for a field singular at r = 0."""
     if axis == T_AXIS:
         return STEP
-    h = STEP * cfg.length_scale
+    h = STEP * length_scale
     if field.singular_at_origin:
         r = pts.base.radii
         if (r == 0.0).any():
@@ -158,10 +155,10 @@ def _sample(field: ComplexField, pts: PointSet, shifts):
 _ROWS = ((-2, 0), (2, 0), (-1, 0), (1, 0), (-1, 1), (1, 1), (-1, 2), (1, 2))
 
 
-def _stencil_pass(field: ComplexField, pts: PointSet, cfg: DiffConfig):
+def _stencil_pass(field: ComplexField, pts: PointSet, length_scale: float):
     h = np.empty((N_AXES, 1, len(pts.base)))
     for axis in range(N_AXES):
-        h[axis] = _clamped_step(field, pts, cfg, axis)
+        h[axis] = _clamped_step(field, pts, length_scale, axis)
     steps = h / 2.0 ** np.arange(LEVELS + 1)[:, np.newaxis]  # steps[axis, k] = h_k = h / 2^k, at every base point
     offsets, levels = zip(*_ROWS)
     shifts = np.array(offsets, dtype=float)[:, np.newaxis] * steps[:, list(levels)]  # (axis, row, base point)

@@ -57,6 +57,10 @@ TOL_STENCIL = 1e-8
 #: most test fields operator-identities draws: about 1 kB each while they
 #: are drawn, so a run at the cap peaked at 140 MB (31 MB at 1,500 fields)
 MAX_FIELDS = 100_000
+#: largest ``seed`` parameter: every field and point seed it names, at most
+#: seed * 10,000 + 5,000 + MAX_FIELDS + 987,654,321 (about 4.3e13), stays
+#: below 2^62, so an int64 seed array holds them all
+MAX_SEED = 2**32 - 1
 
 @dataclass(frozen=True)
 class Grid:
@@ -112,9 +116,8 @@ def _family_bounds(r_max: np.ndarray):
 
 
 def _seed_range(first: int, n: int) -> np.ndarray:
-    """The seeds first .. first + n - 1: int64 up to 2^62, where they and
-    their point seeds (under 2^30 more) fit, else Python ints, so none wraps."""
-    return np.arange(first, first + n, dtype=np.int64 if first + n <= 2**62 else object)
+    """The seeds first .. first + n - 1, as int64."""
+    return np.arange(first, first + n, dtype=np.int64)
 
 
 def _draw(seeds: np.ndarray, r_max: np.ndarray):
@@ -207,7 +210,7 @@ def run_suite(name: str, params: dict = None, cfg: DiffConfig = None) -> Residua
     cfg = cfg or DiffConfig()
     if name not in SUITES:
         raise ConfigError(f"unknown suite: {name!r}")
-    params = _checked(dict(params or {}))
+    params = _checked(name, dict(params or {}))
     tol = params.get("tolerance", default_tolerance(cfg))
     t0 = time.perf_counter()
     report = evaluate(name, cfg.mode, _DECLARATIONS[name](params, tol))
@@ -236,7 +239,7 @@ def _states(v) -> bool:
 #: every parameter a suite reads, with the values it accepts
 _PARAMS = {
     "nmax": _count(0),
-    "seed": _count(0),
+    "seed": _count(0, MAX_SEED),
     "n_fields": _count(1, MAX_FIELDS),
     "omega": _positive,
     "alpha": _positive,
@@ -248,11 +251,14 @@ _PARAMS = {
 }
 
 
-def _checked(params: dict) -> dict:
-    """Reject unknown parameters and out-of-range values with ConfigError."""
+def _checked(name: str, params: dict) -> dict:
+    """Reject unknown parameters, parameters that suite ``name`` does not
+    read and out-of-range values with ConfigError."""
     for key, value in params.items():
         if key not in _PARAMS:
             raise ConfigError(f"unknown suite parameter: {key!r}")
+        if key != "tolerance" and key not in _SUITE_PARAMS[name]:
+            raise ConfigError(f"suite {name!r} does not read parameter {key!r}")
         if not _PARAMS[key](value):
             raise ConfigError(f"bad value for suite parameter {key!r}: {value!r}")
     return params
@@ -271,9 +277,11 @@ def _osc_model(params) -> ho.OscillatorModel:
 def _osc_grid(params, model):
     """(points, length) of the oscillator suites: the oscillator's own length
     b / sqrt(2) = (hbar c / Omega)^(1/2), exactly 1.0 at Omega = 1, and the
-    ``grid`` parameter's points or r in [0.1, 4] lengths."""
+    ``grid`` parameter's points, or r in [0.1, 4] lengths at DEFAULT_TIMES in
+    the time unit length / c (c = 1), so that E t stays of order 1 at any Omega."""
     length = model.b / math.sqrt(2.0)
-    return (params.get("grid") or Grid(r_min=0.1 * length, r_max=4.0 * length, shells=10)).points(), length
+    times = tuple(t * length for t in DEFAULT_TIMES)
+    return (params.get("grid") or Grid(r_min=0.1 * length, r_max=4.0 * length, shells=10, times=times)).points(), length
 
 
 def _coulomb_model(params) -> cb.CoulombModel:
@@ -547,3 +555,15 @@ _DECLARATIONS = {
     "reductions": _suite_reductions,
 }
 SUITES = tuple(_DECLARATIONS)
+#: the parameters each suite reads, by name; every suite reads ``tolerance`` too
+_SUITE_PARAMS = {
+    "oscillator-x": ("omega", "nmax", "grid"),
+    "oscillator-z": ("omega", "nmax", "grid"),
+    "ladder": ("omega", "nmax", "grid"),
+    "coulomb-x": ("alpha", "states", "branch"),
+    "coulomb-z": ("alpha", "states", "branch", "seed"),
+    "map-independence": ("omega", "alpha"),
+    "holomorphy": ("energy",),
+    "operator-identities": ("omega", "alpha", "seed", "n_fields"),
+    "reductions": (),
+}

@@ -1,10 +1,11 @@
 """``np.random.default_rng(seed).random(k)`` for many seeds in one array pass.
 
 numpy's own algorithms, bit for bit, over arrays of seeds and without
-``numpy.random``: ``SeedSequence`` hashes each seed's 32-bit words into a
-pool of 4 and expands it into 4 uint64 words, in uint32 arithmetic that
-wraps; ``PCG64`` (O'Neill 2014) takes those as its 128-bit state and
-stream, held as uint64 (hi, lo) limbs, and a draw is ``(next64 >> 11) 2^-53``.
+``numpy.random``: ``SeedSequence`` hashes each seed's two 32-bit words (a
+seed is below 2^64) into a pool of 4 and expands it into 4 uint64 words,
+in uint32 arithmetic that wraps; ``PCG64`` (O'Neill 2014) takes those as
+its 128-bit state and stream, held as uint64 (hi, lo) limbs, and a draw is
+``(next64 >> 11) 2^-53``.
 """
 
 from __future__ import annotations
@@ -46,24 +47,16 @@ def _mix(x, y):
 
 def _seed_state(seeds: np.ndarray) -> np.ndarray:
     """SeedSequence(seed).generate_state(4, uint64) of every seed, (4, n)."""
-    top = int(seeds.max(initial=0))
-    width = (top.bit_length() + 31) // 32
-    # a seed's words, least significant first, by uint64 shifts below 2^64 and
-    # as Python ints past it; past its top word, 0s, which is what the pool
-    # hashes in place of a missing word
-    split = seeds if width > 2 else seeds.astype(np.uint64)
-    words = np.zeros((max(4, width), len(seeds)), np.uint32)
-    for j in range(width):
-        words[j] = (split >> (32 * j)) & _M32
-    pool = _hash(words[:4], _consts(_INIT_A, _MULT_A, 0, 4))
+    split = seeds.astype(np.uint64)
+    # a seed's two 32-bit words, least significant first, then two 0s, which
+    # is what the pool hashes in place of a missing word
+    words = np.zeros((4, len(seeds)), np.uint32)
+    words[0], words[1] = split & _M32, split >> 32
+    pool = _hash(words, _consts(_INIT_A, _MULT_A, 0, 4))
     for src in range(4):
         # the three destinations read the same source word: one (3, n) update
         dst = [d for d in range(4) if d != src]
         pool[dst] = _mix(pool[dst], _hash(pool[src], _consts(_INIT_A, _MULT_A, 4 + 3 * src, 3)))
-    for j in range(4, len(words)):
-        # a word past the fourth mixes into every pool word, where it exists
-        mixed = _mix(pool, _hash(words[j], _consts(_INIT_A, _MULT_A, 16 + 4 * (j - 4), 4)))
-        pool = np.where(words[j:].any(axis=0), mixed, pool)
     state = _hash(np.concatenate((pool, pool)), _consts(_INIT_B, _MULT_B, 0, 8)).astype(np.uint64)
     return state[0::2] | (state[1::2] << 32)
 
@@ -80,12 +73,9 @@ def _step(hi, lo, inc_hi, inc_lo):
     return top + (lo < inc_lo), lo
 
 
-def standard_doubles(seeds, k: int) -> np.ndarray:
+def standard_doubles(seeds: np.ndarray, k: int) -> np.ndarray:
     """``np.random.default_rng(seed).random(k)`` of each seed, as the rows of
-    a (len(seeds), k) array.  Seeds are an integer ndarray, or ints >= 0 of
-    any size."""
-    if not isinstance(seeds, np.ndarray):
-        seeds = np.array(list(seeds), dtype=object)
+    a (len(seeds), k) array.  Seeds are a non-negative int64 or uint64 array."""
     if seeds.size and seeds.min() < 0:
         raise ValueError(f"a seed must be non-negative, not {seeds.min()}")
     s_hi, s_lo, q_hi, q_lo = _seed_state(seeds)  # initstate, initseq

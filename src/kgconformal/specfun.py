@@ -95,9 +95,6 @@ class RadialPolynomial:
     pair (n, l) and branch that produced them.
     """
 
-    n: int
-    l: int
-    branch: str
     coefficients: tuple[float, ...]
 
     def __call__(self, rho):
@@ -167,4 +164,4 @@ def radial_polynomial(n: int, l: int, alpha: float, branch: str = SOMMERFELD) ->
         raise NoTerminationError(
             f"series does not terminate: c_{n + 1} = {c_next:.3e}"
         )
-    return RadialPolynomial(n, l, branch, tuple(coeffs))
+    return RadialPolynomial(tuple(coeffs))

@@ -10,7 +10,7 @@ stencil mode to give the same numbers, compared with ``==``.
 import numpy as np
 
 from kgconformal.core import ComplexField, PointSet
-from kgconformal.diffengine import _EPS, _W1, _W2, LEVELS, N_AXES, DiffConfig, _clamped_step, _richardson
+from kgconformal.diffengine import _EPS, _W1, _W2, LEVELS, N_AXES, _clamped_step, _richardson
 
 
 def _sample(field: ComplexField, pts: PointSet, axis: int, delta):
@@ -20,13 +20,13 @@ def _sample(field: ComplexField, pts: PointSet, axis: int, delta):
     return np.broadcast_to(np.asarray(field(*args), dtype=complex), (len(pts),))
 
 
-def stencil_pass(field: ComplexField, pts: PointSet, cfg: DiffConfig):
+def stencil_pass(field: ComplexField, pts: PointSet, length_scale: float):
     """(value, grad, hess, grad_err, hess_err), as ``_diff`` returns them."""
     center = _sample(field, pts, 0, 0.0)
     raw = []  # per axis: (steps, first-derivative stencils, second-derivative stencils)
     f_max = np.abs(center)
     for axis in range(N_AXES):
-        h = _clamped_step(field, pts, cfg, axis)
+        h = _clamped_step(field, pts, length_scale, axis)
         steps = [h / 2.0**k for k in range(LEVELS + 1)]
         samples = {}
 

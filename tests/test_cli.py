@@ -149,8 +149,18 @@ def test_coulomb_suites_across_alpha_and_branch(capsys, suite, alpha, branch, mo
     every probe failing, except two hydrino coulomb-z runs in stencil mode,
     asserted as they are.  At alpha = 0.3 the stencil misses ground-state
     flatness; at alpha = 0.05 it misses every regular case, each with an
-    estimate above its residual, so the stencil does not resolve them."""
-    argv = ["verify", "--suite", suite, "--mode", mode, "--alpha", alpha, "--branch", branch]
+    estimate above its residual, so the stencil does not resolve them.
+    A suite that reads no branch runs on the default one, and refuses a
+    branch given (exit 2) before anything runs."""
+    argv = ["verify", "--suite", suite, "--mode", mode, "--alpha", alpha]
+    reads_branch = "branch" in harness._SUITE_PARAMS[suite]
+    if not reads_branch and branch == HYDRINO:
+        code, out, err = run(capsys, *argv, "--branch", branch)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"config error: suite {suite!r} does not read parameter 'branch'\n"
+        return
+    if reads_branch:
+        argv += ["--branch", branch]
     if branch == HYDRINO:
         argv += ["--state", "1,0;2,1"]
     code, out, err = run(capsys, *argv)
@@ -164,14 +174,6 @@ def test_coulomb_suites_across_alpha_and_branch(capsys, suite, alpha, branch, mo
     else:
         assert (code, wrong) == (EXIT_FAIL, [c["name"] for c in cases if not c["name"].startswith("probe:")])
         assert all(c["error_estimate"] > c["max_residual"] for c in cases if c["name"] in wrong)
-
-
-def test_verify_huge_seed_certifies(capsys):
-    """Field seeds of 150 bits hash five 32-bit words each."""
-    code, out, _ = run(capsys, "verify", "--suite", "operator-identities",
-                       "--seed", str(10**41), "--n-fields", "2")
-    assert code == EXIT_PASS
-    assert json.loads(out)["summary"]["pass"] is True
 
 
 def test_verify_config_file(tmp_path, capsys):
@@ -344,6 +346,10 @@ def test_map_names_the_point_whose_r2_underflows(tmp_path, capsys):
     (("--suite", "holomorphy", "--nmax", "two"), EXIT_CONFIG),
     # the grid reaches r = 4e150: the jets' sqrt takes f'' without forming r^3, which would overflow
     (("--suite", "oscillator-z", "--omega", "1e-300"), EXIT_PASS),
+    # past MAX_SEED a field seed could leave int64
+    (("--suite", "operator-identities", "--seed", str(harness.MAX_SEED + 1)), EXIT_CONFIG),
+    # a parameter the suite does not read
+    (("--suite", "map-independence", "--branch", "hydrino", "--state", "1,0;2,1"), EXIT_CONFIG),
 ])
 def test_verify_bad_input_exit_codes(capsys, argv, code):
     got, _, err = run(capsys, "verify", "--mode", "exact", *argv)
@@ -367,6 +373,13 @@ def test_ladder_ground_state_underflow_is_a_named_domain_error(mode):
     with pytest.raises(DomainError) as exc:
         run_suite("ladder", {"omega": 100.0, "grid": grid}, DiffConfig(MODE_EXACT if mode == "exact" else MODE_STENCIL))
     assert str(exc.value) == "lowering-proportionality: psi_0 underflows to 0 at x = (4.0, 0.0, 0.0), t = 0.0"
+
+
+@pytest.mark.parametrize("argv", [("--system", "oscillator"), ("--system", "coulomb", "--branch", "hydrino")])
+def test_spectrum_check_shooting_takes_the_sommerfeld_coulomb_system_only(capsys, argv):
+    code, out, err = run(capsys, "spectrum", "--check-shooting", *argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "config error: --check-shooting checks the coulomb system's sommerfeld branch only\n"
 
 
 def test_spectrum_nonfinite_option_is_config_error(capsys):
@@ -405,8 +418,12 @@ options = st.fixed_dictionaries({}, optional={
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_verify_fuzz_keeps_the_exit_code_contract(suite, mode, opts):
     """Whatever the input, verify exits 0-3 and reports an error as one
-    stderr line, never a traceback."""
+    stderr line, never a traceback.  Only the options the suite reads are
+    passed, so that the values, not the refusal of an unread one, are
+    fuzzed."""
     argv = ["verify", "--suite", suite, "--mode", mode]
+    reads = harness._SUITE_PARAMS[suite] + ("tolerance",)
+    opts = {key: value for key, value in opts.items() if FLAG_PARAMS[key][1] in reads}
     if suite in ("oscillator-x", "oscillator-z", "ladder") and "--nmax" not in opts:
         opts["--nmax"] = "1"
     if suite == "operator-identities" and "--n-fields" not in opts:

@@ -181,7 +181,7 @@ def test_zform_has_no_potential_term():
                           (ConformalMap.identity(), 1.0)):
         points = Grid(r_min=0.1 * r_scale, r_max=20.0 * r_scale, shells=6).points()
         for mode in (MODE_EXACT, MODE_STENCIL):
-            value, _ = dzstar_dz(cmap, _diff(one, points, DiffConfig(mode=mode, length_scale=r_scale)))
+            value, _ = dzstar_dz(cmap, _diff(one, points, DiffConfig(mode=mode), length_scale=r_scale))
             assert (value == 0.0).all(), (cmap, mode)
 
 
@@ -250,7 +250,7 @@ def test_dzstar_dz_matches_brute_force(exact_cfg):
             return d_z(cmap, _diff(fld, pts, exact_cfg), axis=i)[0].reshape(x1.shape)
 
         inner = ComplexField(fn=dz_i_field)
-        value, _ = d_zstar(cmap, _diff(inner, PointSet(*p), DiffConfig(mode=MODE_STENCIL, length_scale=2.0)), axis=i)
+        value, _ = d_zstar(cmap, _diff(inner, PointSet(*p), DiffConfig(mode=MODE_STENCIL), length_scale=2.0), axis=i)
         total += value[0]
 
     direct, _ = dzstar_dz(cmap, _diff(fld, PointSet(*p), exact_cfg))

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -118,9 +117,9 @@ def test_decay_rate_bookkeeping():
         assert lhs - c1 == pytest.approx(1.0, abs=1e-13)
 
 
-def _case(field, operator, state, cfg, shells=6, tolerance=1e-10):
+def _case(field, operator, state, cfg, shells=6, tolerance=1e-10, length_scale=1.0):
     """``operator`` on ``field`` of ``state`` over the state's grid, one pass."""
-    sample = Sample(field(MODEL, state), _points(state, shells), (Read("case", operator, tolerance),), cfg.length_scale)
+    sample = Sample(field(MODEL, state), _points(state, shells), (Read("case", operator, tolerance),), length_scale)
     (case,) = evaluate("case", cfg.mode, [sample]).cases
     return case
 
@@ -177,8 +176,8 @@ def test_pointwise_z_equals_x(exact_cfg):
 def test_stencil_mode_with_scaled_steps(stencil_cfg):
     """Stencil differentiation needs steps on the Bohr scale to converge."""
     state = cb.make_state(MODEL, 0, 0)
-    cfg = replace(stencil_cfg, length_scale=state.r_scale)
-    case = _case(cb.eigenfunction_x, partial(cb.kg_residual_x, MODEL, state.energy), state, cfg, 4, 1e-8)
+    case = _case(cb.eigenfunction_x, partial(cb.kg_residual_x, MODEL, state.energy), state, stencil_cfg, 4, 1e-8,
+                 length_scale=state.r_scale)
     assert case.passed
 
 

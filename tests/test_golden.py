@@ -1,29 +1,20 @@
 """Reports of every suite at default parameters, against goldens.
 
-The files under ``tests/golden/`` are the CLI's exact-mode reports.  Each
-case must come back with the same name and bit-identical numbers and
-verdict; the order of the cases is not compared.  The files under
-``tests/golden/stencil/`` are the stencil-mode reports with ``wall_ms``
-zeroed; they must come back byte for byte.  Regenerate them, after a
-deliberate change to a report, with
-
-    for s in oscillator-x oscillator-z ladder coulomb-x coulomb-z \\
-             map-independence holomorphy operator-identities reductions; do
-        kgconformal verify --suite $s --mode exact --output tests/golden/$s.json
-        kgconformal verify --suite $s --mode stencil --output tests/golden/stencil/$s.json
-    done
-
-and set ``wall_ms`` to 0.0 in each stencil file.
+The files under ``tests/golden/`` are the CLI's exact-mode reports, and
+those under ``tests/golden/stencil/`` the stencil-mode reports, each with
+``wall_ms`` 0.0.  Both must come back byte for byte.
 
 The files under ``tests/golden/map/`` pin the ``map`` command: for each run
 in MAP_RUNS, its stdout (``<run>.out``) and stderr (``<run>.err``) on one of
-the points files there.  Regenerate them with
-``PYTHONPATH=src python tests/test_golden.py``.
+the points files there.
+
+After a deliberate change to a report, regenerate every golden, in both
+modes and of every map run, with ``PYTHONPATH=src python tests/test_golden.py``,
+and compare the old and new reports with ``scripts/golden_diff.py``.
 """
 
 import contextlib
 import io
-import json
 from pathlib import Path
 
 import pytest
@@ -35,21 +26,24 @@ from kgconformal.harness import SUITES, run_suite
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def _golden(suite, mode) -> Path:
+    """The golden report's file of the suite in ``mode``."""
+    return (GOLDEN if mode == MODE_EXACT else GOLDEN / "stencil") / f"{suite}.json"
+
+
+def _report(suite, mode) -> str:
+    """The suite's report at default parameters, with ``wall_ms`` 0.0."""
+    return run_suite(suite, {}, DiffConfig(mode=mode)).with_wall_ms(0.0).to_json()
+
+
 @pytest.mark.parametrize("suite", SUITES)
 def test_exact_report_matches_golden(suite):
-    golden = json.loads((GOLDEN / f"{suite}.json").read_text())
-    doc = json.loads(run_suite(suite, {}, DiffConfig(mode=MODE_EXACT)).with_wall_ms(0.0).to_json())
-    assert doc["suite"] == golden["suite"] and doc["mode"] == golden["mode"]
-    assert doc["summary"] == golden["summary"]
-    by_name = {c["name"]: c for c in doc["cases"]}
-    assert len(by_name) == len(doc["cases"])
-    assert by_name == {c["name"]: c for c in golden["cases"]}
+    assert _report(suite, MODE_EXACT) == _golden(suite, MODE_EXACT).read_text()
 
 
 @pytest.mark.parametrize("suite", SUITES)
 def test_stencil_report_matches_golden(suite):
-    golden = (GOLDEN / "stencil" / f"{suite}.json").read_text()
-    assert run_suite(suite, {}, DiffConfig(mode=MODE_STENCIL)).with_wall_ms(0.0).to_json() == golden
+    assert _report(suite, MODE_STENCIL) == _golden(suite, MODE_STENCIL).read_text()
 
 
 RAW_LOG = ["--a", "0.2", "--b", "1.5", "--lam", "3", "--energy", "2"]
@@ -94,6 +88,9 @@ def test_map_output_matches_golden(name):
 
 
 if __name__ == "__main__":
+    for suite in SUITES:
+        for mode in (MODE_EXACT, MODE_STENCIL):
+            _golden(suite, mode).write_text(_report(suite, mode))
     for run in MAP_RUNS:
         _, stdout, stderr = _map_run(run)
         (GOLDEN / "map" / f"{run}.out").write_text(stdout)

@@ -1,7 +1,10 @@
 """The Coulomb oracle: its eigensolve, the confirming shot's node-count
-bracket, its input contract and its cost per state."""
+bracket, its input contract, its cost per state, and the spectrum table's
+check against it (``kgconformal spectrum --check-shooting``)."""
 
-import importlib.util
+import csv
+import io
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kgconformal import cli
 from kgconformal import coulomb as cb
 from kgconformal import shooting
 from kgconformal.core import BranchError, ConfigError
@@ -238,48 +242,62 @@ def test_edge_of_the_validated_range_meets_the_eps_gate(n, l, alpha):
     assert eps_shoot == pytest.approx(eps_formula, rel=shooting.EPS_RTOL)
 
 
-def _spectrum_table():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "spectrum_table.py"
-    spec = importlib.util.spec_from_file_location("spectrum_table", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _spectrum(capsys, *argv):
+    """``kgconformal spectrum --system coulomb`` with ``argv``: (exit code, stdout, stderr)."""
+    code = cli.main(["spectrum", "--system", "coulomb", *argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+SIX_STATES = "(0,0);(1,0);(0,1);(2,0);(1,1);(0,2)"
+ORACLE_FIELDS = ("shooting_energy", "eps_rel_diff", "nonrel_eps_rel_diff")
 
 
 def test_spectrum_table_check_passes_the_oracle_and_fails_bohr(monkeypatch, capsys):
-    table = _spectrum_table()
-    assert table.main(["--check-shooting"]) == 0
+    """spectrum --check-shooting adds the oracle's energy and the relative eps
+    differences to every row, in JSON and CSV; an oracle that gives the Bohr
+    energies misses the gate, which exits 1 with one stderr line."""
+    for fmt in ("json", "csv"):
+        code, out, err = _spectrum(capsys, "--check-shooting", "--states", SIX_STATES, "--format", fmt)
+        rows = json.loads(out)["rows"] if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+        assert (code, err, len(rows)) == (cli.EXIT_PASS, "", 6)
+        for row in rows:
+            eps_diff, nonrel_diff = float(row["eps_rel_diff"]), float(row["nonrel_eps_rel_diff"])
+            assert eps_diff < shooting.EPS_RTOL < nonrel_diff
+            assert float(row["shooting_energy"]) == pytest.approx(float(row["energy"]), rel=1e-12)
 
-    def bohr(n, l, alpha):
-        return 1.0 + cb.nonrelativistic_binding(cb.CoulombModel(alpha=alpha), n, l)
+    def bohr(n, l, alpha, units):
+        return units.rest_energy + cb.nonrelativistic_binding(cb.CoulombModel(alpha=alpha, units=units), n, l)
 
-    monkeypatch.setattr(table, "shooting_eigenvalue", bohr)
-    assert table.main(["--check-shooting"]) == 1
-    assert "misses the relative eps gate" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "shooting_eigenvalue", bohr)
+    code, out, err = _spectrum(capsys, "--check-shooting", "--states", SIX_STATES)
+    assert code == cli.EXIT_FAIL and len(json.loads(out)["rows"]) == 6
+    assert err.count("\n") == 1 and "misses the relative eps gate" in err and "(0, 0)" in err
 
 
 @pytest.mark.parametrize("argv", [["--alpha", "0.9"], ["--alpha", "0"], ["--alpha", "0.6", "--check-shooting"]])
 def test_spectrum_table_bad_alpha_exits_2_with_one_line(argv, capsys):
-    assert _spectrum_table().main(argv) == 2
-    err = capsys.readouterr().err
+    code, out, err = _spectrum(capsys, *argv)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [["--alpha", "nan"], ["--alpha", "inf"], ["--omega", "nan"], ["--omega", "inf"]])
 def test_spectrum_table_non_finite_parameter_exits_2_with_one_line(argv, capsys):
-    assert _spectrum_table().main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1 and "finite" in err
+    code, out, err = _spectrum(capsys, "--check-shooting", *argv)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.count("\n") == 1 and "finite" in err
 
 
 @pytest.mark.parametrize("state", ["0,150", "0,100", "9,6", "3,9", "0,15"])
 def test_spectrum_table_state_outside_the_range_exits_2_with_one_line(state, capsys):
-    assert _spectrum_table().main(["--check-shooting", "--states", "0,0", state]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1 and "validated for n <= 9 and l <= 4" in err
+    """Every row is computed before any is written, so no table is printed."""
+    code, out, err = _spectrum(capsys, "--check-shooting", "--states", f"(0,0);({state})")
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.count("\n") == 1 and "validated for n <= 9 and l <= 4" in err
 
 
 def test_spectrum_table_prints_the_states_asked_for(capsys):
-    assert _spectrum_table().main(["--check-shooting", "--states", "9,4", "0,3"]) == 0
-    rows = capsys.readouterr().out.split("coulomb")[1].splitlines()[2:]
-    assert [tuple(map(int, row.split()[:2])) for row in rows] == [(9, 4), (0, 3)]
+    code, out, _ = _spectrum(capsys, "--check-shooting", "--states", "9,4;0,3")
+    assert code == cli.EXIT_PASS
+    assert [(row["n"], row["l"]) for row in json.loads(out)["rows"]] == [(9, 4), (0, 3)]

@@ -250,7 +250,6 @@ def _spectrum(capsys, *argv):
 
 
 SIX_STATES = "(0,0);(1,0);(0,1);(2,0);(1,1);(0,2)"
-ORACLE_FIELDS = ("shooting_energy", "eps_rel_diff", "nonrel_eps_rel_diff")
 
 
 def test_spectrum_table_check_passes_the_oracle_and_fails_bohr(monkeypatch, capsys):

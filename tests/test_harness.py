@@ -441,6 +441,20 @@ def test_each_family_is_drawn_in_one_random_call(monkeypatch, suite, params, fam
     assert calls == [(2 * n, 4 * FIELD_POINTS) for n in family_sizes]
 
 
+@pytest.mark.parametrize("seed", [2**62 // 10000, 2**63 // 10000, 2**63 // 10000 + 1,
+                                  2**64 // 10000, 2**64 // 10000 + 1])
+def test_seeds_past_64_bit_integers_draw_numpys_fields(monkeypatch, seed):
+    """operator-identities at seeds whose seed * 10000, + 5000 or point
+    seeds cross 2^62, 2^63 and 2^64 draws no field from a wrapped seed: the
+    seed is past MAX_SEED and is refused before any draw."""
+    drawn = []
+    monkeypatch.setattr(harness, "_draw", lambda seeds, r_max: drawn.append(seeds))
+    assert seed > harness.MAX_SEED
+    with pytest.raises(ConfigError, match="^bad value for suite parameter 'seed'"):
+        run_suite("operator-identities", {"seed": seed, "n_fields": 3})
+    assert drawn == []
+
+
 def test_the_largest_seed_draws_numpys_fields(monkeypatch):
     """operator-identities at MAX_SEED, whose field seeds seed * 10000 + 5000
     + i and point seeds take two 32-bit words: every field and point draw

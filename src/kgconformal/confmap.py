@@ -127,7 +127,7 @@ def inverse(cmap: ConformalMap, pts: PointSet, s) -> np.ndarray:
 
 
 def _require_off_origin(cmap, pts):
-    if not cmap.is_identity and 0.0 in pts.radii:
+    if not cmap.is_identity and 0.0 in pts.base.radii:
         raise DomainError("operator coefficients singular at r = 0")
 
 

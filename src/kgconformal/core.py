@@ -8,6 +8,7 @@ Everything else here is an immutable value, and all operations are pure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -85,7 +86,7 @@ class PointSet:
     after another: its coordinates and radii are the base's, tiled.  Its
     fields are evaluated on the base's points (and jets) and give one value
     per tile at each, tile-major.  Any other grid is its own base, of one
-    tile.
+    tile.  A tiled grid builds its coordinates and radii on first read.
     """
 
     def __init__(self, x1, x2, x3, t):
@@ -100,11 +101,17 @@ class PointSet:
     def tiled(self, tiles: int) -> "PointSet":
         """``tiles`` copies of this grid, one after another, as one grid."""
         out = object.__new__(PointSet)
-        out.coords = tuple(np.tile(c, tiles) for c in self.coords)
-        out.radii = np.tile(self.radii, tiles)
         out.jets = None  # a tiled grid's fields read its base's jets
         out._base, out.tiles = self.base, self.tiles * tiles
         return out
+
+    @functools.cached_property
+    def coords(self):
+        return tuple(np.tile(c, self.tiles) for c in self.base.coords)
+
+    @functools.cached_property
+    def radii(self):
+        return np.tile(self.base.radii, self.tiles)
 
     @property
     def base(self) -> "PointSet":
@@ -125,7 +132,7 @@ class PointSet:
         return np.repeat(values.reshape(self.tiles, n).max(axis=1), n)
 
     def __len__(self):
-        return len(self.radii)
+        return len(self.base.radii) * self.tiles
 
 
 def residual_scale(value):

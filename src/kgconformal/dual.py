@@ -41,6 +41,16 @@ array constant rounds at each point as that point's scalar would.
 The functions ``exp``, ``log``, ``sqrt`` and ``powr`` also take plain
 scalars and arrays, and lift any argument that has ``_lift``.
 
+Axes.  A jet's ``axes`` is a bitmask of the axes whose rows may be nonzero
+(-1, all, for a jet built elsewhere).  Seed jet j has 1 << j; sums,
+products and ``join_tiles`` take the union (a constant's is 0); negation,
+constant operands, lifts and ``reshape_points`` keep it.  A product with a
+factor b of one axis j computes only b's rows (v ov on every row, then v og
+and v oh on j's), and g og only if the masks share an axis; a lift of a jet
+of one axis fills rows 0, g_j and h_j only.  The terms kept are summed as
+above (IEEE sums commute), and where the general formula adds a * 0, only
+the sign of a zero can differ.
+
 Memo.  The jets of one ``variables`` call share a memo, read by
 ``cached(args, key, make)``, so the fields of a grid compute a factor they
 share once.  It lives with its jets (diffengine keeps them on their grid),
@@ -52,6 +62,7 @@ stencil tables).  Seed jets and kept values are read-only.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -73,7 +84,7 @@ def mul(a, b):
     computes the real and imaginary parts from separately rounded real
     products instead.
     """
-    if _is_complex(a) and _is_complex(b) and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+    if _is_complex(b) and _is_complex(a) and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
         ar, ai, br, bi = a.real, a.imag, b.real, b.imag
         re = ar * br
         re -= ai * bi
@@ -116,18 +127,21 @@ def _exp(x):
     return cmath.exp(x) if isinstance(x, complex) else math.exp(x)
 
 
+def _each(f, x, *args):
+    """``f(v, *args)`` for each element v of the array ``x``, in CPython."""
+    values = map(f, x.ravel().tolist(), *map(itertools.repeat, args))
+    return np.fromiter(values, np.result_type(x, 0.0), x.size).reshape(x.shape)
+
+
 def _log(x):
     if isinstance(x, np.ndarray):
-        f = cmath.log if x.dtype.kind == "c" else math.log
-        return np.array(list(map(f, x.ravel().tolist()))).reshape(x.shape)
+        return _each(cmath.log if x.dtype.kind == "c" else math.log, x)
     return cmath.log(x) if isinstance(x, complex) else math.log(x)
 
 
 def _sqrt(x):
     if isinstance(x, np.ndarray):
-        if x.dtype.kind == "c":
-            return np.array(list(map(cmath.sqrt, x.ravel().tolist()))).reshape(x.shape)
-        return np.sqrt(x)
+        return _each(cmath.sqrt, x) if x.dtype.kind == "c" else np.sqrt(x)
     return cmath.sqrt(x) if isinstance(x, complex) else math.sqrt(x)
 
 
@@ -139,8 +153,12 @@ def _pow(x, p):
     if p == 0.5:
         return _sqrt(x)
     if isinstance(x, np.ndarray):
-        return np.array([v**p for v in x.ravel().tolist()]).reshape(x.shape)
+        return _each(pow, x, p)
     return x**p
+
+
+def _one_axis(axes) -> int:  # the row of g_j for a mask of the one axis j, else 0
+    return axes.bit_length() if axes > 0 and not axes & (axes - 1) else 0
 
 
 class HyperDual:
@@ -150,12 +168,12 @@ class HyperDual:
     partials g, rows k+1..2k the pure second partials h.
     """
 
-    __slots__ = ("c", "axis", "memo")  # axis and memo: on the jets of variables only
+    __slots__ = ("c", "axes", "axis", "memo")  # axis and memo: on the jets of variables only
     # numpy must hand mixed operations to the jet, not build object arrays
     __array_ufunc__ = None
 
-    def __init__(self, c):
-        self.c = c
+    def __init__(self, c, axes=-1):
+        self.c, self.axes = c, axes
 
     @property
     def v(self):
@@ -165,17 +183,17 @@ class HyperDual:
 
     def __add__(self, o):
         if isinstance(o, HyperDual):
-            return HyperDual(self.c + o.c)
+            return HyperDual(self.c + o.c, self.axes | o.axes)
         if isinstance(o, _CONSTANTS):
             c = self.c.astype(np.result_type(self.c, o))
             c[0] += o
-            return HyperDual(c)
+            return HyperDual(c, self.axes)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HyperDual(-self.c)
+        return HyperDual(-self.c, self.axes)
 
     def __sub__(self, o):
         return self + (-o)
@@ -185,16 +203,23 @@ class HyperDual:
 
     def __mul__(self, o):
         if isinstance(o, HyperDual):
-            a, b = self.c, o.c
+            a, b = (o, self) if _one_axis(self.axes) else (self, o)  # b: of one axis, if either is
+            g, shared, axes, a, b = _one_axis(b.axes), a.axes & b.axes, a.axes | b.axes, a.c, b.c
             k = len(a) // 2
-            out = mul(a[0], b)  # v ov, v og, v oh
-            out[1:] += mul(a[1:], b[0])  # + g ov, + h ov
-            gg = mul(a[1 : 1 + k], b[1 : 1 + k])
-            out[1 + k :] += gg
-            out[1 + k :] += gg
-            return HyperDual(out)
+            if g:  # b's partials are 0 but g_j (row g) and h_j (row g + k)
+                out = mul(a, b[0])  # v ov, g ov, h ov
+                out[g::k] += mul(a[0], b[g::k])  # + v og_j, + v oh_j
+            else:
+                out = mul(a[0], b)  # v ov, v og, v oh
+                out[1:] += mul(a[1:], b[0])  # + g ov, + h ov
+            if shared:  # else g og is 0 on every axis
+                first = slice(g, g + 1) if g else slice(1, 1 + k)
+                gg = mul(a[first], b[first])
+                out[k:][first] += gg
+                out[k:][first] += gg
+            return HyperDual(out, axes)
         if isinstance(o, _CONSTANTS):
-            return HyperDual(mul(self.c, o))
+            return HyperDual(mul(self.c, o), self.axes)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -235,12 +260,15 @@ class HyperDual:
 
     def _lift(self, f, fp, fpp):
         """Compose with a scalar analytic function given f, f', f'' at v."""
-        a = self.c
+        a, g = self.c, _one_axis(self.axes)
         k = len(a) // 2
-        d = mul(fp, a[1:])  # fp g, fp h
-        fpp_g = d[:k] if fpp is fp else mul(fpp, a[1 : 1 + k])
-        d[k:] += mul(fpp_g, a[1 : 1 + k])
-        return HyperDual(np.concatenate((np.asarray(f)[np.newaxis], d)))
+        rows, m = (slice(g, None, k), 1) if g else (slice(1, None), k)  # m rows g, then m rows h
+        d = mul(fp, a[rows])  # fp g, fp h
+        fpp_g = d[:m] if fpp is fp else mul(fpp, a[rows][:m])
+        d[m:] += mul(fpp_g, a[rows][:m])
+        out = (np.zeros if g else np.empty)((len(a),) + d.shape[1:], np.result_type(f, d))
+        out[0], out[rows] = f, d  # a jet of one axis keeps its other rows 0
+        return HyperDual(out, self.axes)
 
 
 def variables(*coords):
@@ -252,7 +280,7 @@ def variables(*coords):
         c = np.zeros((1 + 2 * k, len(x)))
         c[0] = x
         c[1 + i] = 1.0
-        out.append(HyperDual(frozen(c)))
+        out.append(HyperDual(frozen(c), 1 << i))
         out[-1].axis, out[-1].memo = i, memo
     return out
 
@@ -276,14 +304,17 @@ def join_tiles(parts):
         c[0] = p
         return c
 
-    return HyperDual(np.concatenate([coefficients(p) for p in parts], axis=-1))
+    axes = 0
+    for p in parts:
+        axes |= getattr(p, "axes", 0)  # a constant's is 0
+    return HyperDual(np.concatenate([coefficients(p) for p in parts], axis=-1), axes)
 
 
 def reshape_points(x, shape, axes=1):
     """A view of ``x`` (of a jet's coefficients) with its last ``axes``
     axes, the points, reshaped to ``shape``; a constant as it is."""
     if isinstance(x, HyperDual):
-        return HyperDual(reshape_points(x.c, shape, axes))
+        return HyperDual(reshape_points(x.c, shape, axes), x.axes)
     if isinstance(x, np.ndarray):
         return x.reshape(x.shape[: x.ndim - axes] + shape)
     return x
@@ -293,7 +324,7 @@ def cached(args, key, make):
     """``make()``, kept under ``key`` in the memo of the seed jets ``args``;
     ``key`` must hold every value ``make`` reads besides ``args``."""
     memo = getattr(args[0], "memo", None)
-    if memo is None or any(getattr(a, "memo", None) is not memo for a in args):
+    if memo is None or (len(args) > 1 and any(getattr(a, "memo", None) is not memo for a in args)):
         return make()
     # a memo has one seed jet per axis, so the axes name the jets themselves
     key = (key, tuple(a.axis for a in args))

@@ -116,7 +116,9 @@ def _family_bounds(r_max: np.ndarray):
 
 
 def _seed_range(first: int, n: int) -> np.ndarray:
-    """The seeds first .. first + n - 1, as int64."""
+    """The seeds first .. first + n - 1, as int64, in 0 .. 2^62 - 1: no point seed wraps."""
+    if first < 0 or first + n - 1 > 2**62 - 1:
+        raise ConfigError(f"test-field seed {first if first < 0 else first + n - 1} is outside 0 .. 2^62 - 1")
     return np.arange(first, first + n, dtype=np.int64)
 
 

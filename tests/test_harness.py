@@ -385,6 +385,16 @@ def test_generate_test_field_is_the_seeds_family_of_one(seed, r_max):
     assert [complex(got(*p)) for p in points] == [complex(want(*p)) for p in points]
 
 
+@pytest.mark.parametrize("seed", [-1, 2**62, 2**63 - 10, 2**63])
+@pytest.mark.parametrize("draw", [generate_test_field, _field_sample_points])
+def test_one_seed_draws_refuse_seeds_outside_the_int64_range(draw, seed):
+    """A seed below 0, or past 2^62 - 1 where its point seed (+ 987654321)
+    would wrap in int64 or the seed itself would not fit, is a config error
+    that names it, not a bare ValueError or OverflowError from numpy."""
+    with pytest.raises(ConfigError, match=f"^test-field seed {seed} is outside 0 .. 2\\^62 - 1$"):
+        draw(seed)
+
+
 def test_drawn_widths_round_as_each_centres_norm():
     """1 / (2 sigma^2) of 1,500 fields drawn at once is what np.linalg.norm
     of each field's own centre gives."""

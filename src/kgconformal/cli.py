@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="energy spectra as JSON or CSV tables")
     sp.add_argument("--system", choices=("oscillator", "coulomb"), required=True)
     sp.add_argument("--omega", type=_finite_float, default=1.0)
-    sp.add_argument("--alpha", type=_finite_float, default=0.0072973525693)
+    sp.add_argument("--alpha", type=_finite_float, default=cb.FINE_STRUCTURE)
     sp.add_argument("--n", default="0..4", help="oscillator range, e.g. 0..6")
     sp.add_argument("--states", default="(0,0);(1,0);(0,1)")
     sp.add_argument("--branch", choices=(SOMMERFELD, HYDRINO), default=SOMMERFELD)
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--points", required=True, help="lines of 'x1 x2 x3 t', '#' comments")
     mp.add_argument("--system", choices=("oscillator", "coulomb", "raw"), default="raw")
     mp.add_argument("--omega", type=_finite_float, default=1.0)
-    mp.add_argument("--alpha", type=_finite_float, default=0.0072973525693)
+    mp.add_argument("--alpha", type=_finite_float, default=cb.FINE_STRUCTURE)
     mp.add_argument("--state", help="one coulomb state as 'n,l' (default 0,0)")
     mp.add_argument("--branch", choices=(SOMMERFELD, HYDRINO), default=SOMMERFELD)
     mp.add_argument("--a", type=_finite_float, default=0.0)

@@ -32,6 +32,9 @@ from .specfun import (
     sph_harm_cartesian,
 )
 
+#: the fine-structure constant: alpha when none is given
+FINE_STRUCTURE = 0.0072973525693
+
 
 @dataclass(frozen=True)
 class CoulombModel:

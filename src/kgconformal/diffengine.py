@@ -12,10 +12,13 @@ interchangeable modes:
   acceptance runs.
 * ``stencil`` -- 4th-order central differences with Richardson
   extrapolation, from the field on shifted copies of the grid, all 33 of
-  them in one evaluation on (33, n) coordinate arrays (the +-h and +-2h
-  samples serve both derivative orders and neighbouring Richardson
-  levels).  Stencils and Richardson tables run on all four axes at once.
-  The estimate is the last Richardson correction plus a roundoff bound
+  them in one evaluation on (33, n) coordinate arrays.  The table is
+  shift-major: the centre, then one row per axis for each shift -2h_0,
+  -h_0 .. -h_L, +2h_0, +h_0 .. +h_L (h_k = h / 2^k, L = ``LEVELS``).  As
+  2h_k is h_(k-1), the samples at -2h_k, -h_k, +2h_k and +h_k of every
+  level are four contiguous slices, and the stencils and the Richardson
+  extrapolation are array arithmetic over (level, axis, point).  The
+  estimate is the last Richardson correction plus a roundoff bound
   carried through the Richardson table.
 
 A grid of T tiles (see core.PointSet) is differentiated in the same one
@@ -42,9 +45,6 @@ N_AXES = 4
 MODE_EXACT = "exact-forward"
 MODE_STENCIL = "stencil"
 
-# 4th-order central stencils
-_W1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))          # / 12h
-_W2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))  # / 12h^2
 _EPS = sys.float_info.epsilon
 #: stencil step at unit length: 5e-3 balances roundoff (~eps/h^2 on second
 #: derivatives) against truncation for the fields at desk scale; 1e-3
@@ -120,81 +120,69 @@ def _jet_pass(field: ComplexField, pts: PointSet):
     return c[0], c[1 : 1 + N_AXES], c[1 + N_AXES :], zeros, zeros
 
 
-def _clamped_step(field: ComplexField, pts: PointSet, length_scale: float, axis: int):
-    """The axis's step, per point of the base grid for a field singular at r = 0."""
-    if axis == T_AXIS:
-        return STEP
-    h = STEP * length_scale
+def _steps(field: ComplexField, pts: PointSet, length_scale: float):
+    """The step along each axis at every point of the base grid: a (4, n)
+    table.  The spatial steps are ``STEP * length_scale``, for a field
+    singular at r = 0 at most a quarter of the distance to r = 0; the time
+    step is ``STEP``."""
+    h = np.full((N_AXES, len(pts.base)), STEP)
+    h[:T_AXIS] = STEP * length_scale
     if field.singular_at_origin:
         r = pts.base.radii
         if (r == 0.0).any():
             raise DomainError("stencil centered on the singular locus r = 0")
         # widest stencil reach is 2h; keep it at half the distance to r = 0
-        h = np.minimum(h, 0.25 * r)
+        h[:T_AXIS] = np.minimum(h[:T_AXIS], 0.25 * r)
     return h
 
 
 def _sample(field: ComplexField, pts: PointSet, shifts):
     """The field on shifted copies of the grid, in one call: a (rows, n) table.
 
-    Row 0 is the base grid shifted by 0.0 along axis 0; then, axis by axis,
-    the base grid shifted along that axis by each row of ``shifts[axis]``.
-    The field gives every tile of ``pts`` at each base point, so n is
+    Row 0 is the base grid shifted by 0.0 along axis 0; row 1 + 4 s + axis
+    is the base grid shifted along that axis by ``shifts[s, axis]``.  The
+    field gives every tile of ``pts`` at each base point, so n is
     ``len(pts)``.
     """
-    per_axis, coords = shifts.shape[1], pts.base.coords
-    args = [np.repeat(x[np.newaxis], 1 + N_AXES * per_axis, axis=0) for x in coords]
+    coords = pts.base.coords
+    args = [np.repeat(x[np.newaxis], 1 + N_AXES * len(shifts), axis=0) for x in coords]
     for axis, x in enumerate(coords):
-        args[axis][1 + axis * per_axis : 1 + (axis + 1) * per_axis] = x + shifts[axis]
+        args[axis][1 + axis :: N_AXES] = x + shifts[:, axis]
     args[0][0] = coords[0] + 0.0
     return np.broadcast_to(np.asarray(field(*args), dtype=complex), (len(args[0]), len(pts)))
 
 
-#: the shifted rows of the sample table along each axis, as (offset, level)
-#: for +-2h_0, +-h_0, +-h_1, +-h_2; x + 2h_k is x + h_(k-1) for k > 0
-_ROWS = ((-2, 0), (2, 0), (-1, 0), (1, 0), (-1, 1), (1, 1), (-1, 2), (1, 2))
-
-
 def _stencil_pass(field: ComplexField, pts: PointSet, length_scale: float):
-    h = np.empty((N_AXES, 1, len(pts.base)))
-    for axis in range(N_AXES):
-        h[axis] = _clamped_step(field, pts, length_scale, axis)
-    steps = h / 2.0 ** np.arange(LEVELS + 1)[:, np.newaxis]  # steps[axis, k] = h_k = h / 2^k, at every base point
-    offsets, levels = zip(*_ROWS)
-    shifts = np.array(offsets, dtype=float)[:, np.newaxis] * steps[:, list(levels)]  # (axis, row, base point)
-    table = _sample(field, pts, shifts)
-    center, shifted = table[0], table[1:].reshape(N_AXES, len(_ROWS), len(pts))
-    steps = np.tile(steps, pts.tiles)  # at every point of every tile
-
-    def at(off, k):  # the samples at x + off h_k, for all four axes
-        if off == 0:
-            return center
-        if abs(off) == 2 and k > 0:
-            off, k = off // 2, k - 1
-        return shifted[:, _ROWS.index((off, k))]
-
-    hks = steps.swapaxes(0, 1)  # hks[k] is h_k along every axis
-    first = [sum(w * at(off, k) for off, w in _W1) / (12.0 * hk) for k, hk in enumerate(hks)]
-    second = [sum(w * at(off, k) for off, w in _W2) / (12.0 * hk * hk) for k, hk in enumerate(hks)]
+    # steps[k, axis] = h_k = h / 2^k at every base point, k = 0 .. LEVELS
+    steps = _steps(field, pts, length_scale) / 2.0 ** np.arange(LEVELS + 1)[:, np.newaxis, np.newaxis]
+    reach = np.concatenate((2.0 * steps[:1], steps))  # 2h_0, h_0, h_1, ..., h_L; 2h_k is h_(k-1)
+    table = _sample(field, pts, np.concatenate((-reach, reach)))
+    center, shifted = table[0], table[1:].reshape(-1, N_AXES, len(pts))  # (shift, axis, point)
+    # the samples at x - 2h_k, x - h_k, x + 2h_k and x + h_k: (level, axis, point)
+    m2, m1, p2, p1 = (shifted[start : start + LEVELS + 1] for start in (0, 1, LEVELS + 2, LEVELS + 3))
+    hk = np.tile(steps, pts.tiles)  # at every point of every tile
+    # 4th-order central stencils, on every level and axis at once
+    first = (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * hk)
+    second = (-m2 + 16.0 * m1 - 30.0 * center + 16.0 * p1 - p2) / (12.0 * hk * hk)
     # roundoff of one sample: two ulps of |f|, and of every coordinate the
     # field reads, each weighted by the gradient along it
     f_max = np.abs(table).max(axis=0)
     noise = 2.0 * _EPS * (f_max + sum(np.abs(x) * np.abs(g) for x, g in zip(pts.coords, first[0])))
-    grad, grad_err = _richardson(first, [18.0 * noise / (12.0 * hk) for hk in hks])
-    hess, hess_err = _richardson(second, [64.0 * noise / (12.0 * hk**2) for hk in hks])
+    grad, grad_err = _richardson(first, 18.0 * noise / (12.0 * hk))
+    hess, hess_err = _richardson(second, 64.0 * noise / (12.0 * hk**2))
     return center, grad, hess, grad_err, hess_err
 
 
 def _richardson(raw, rnd):
-    """Extrapolated value and its error estimate from stencil values at h / 2^k.
+    """Extrapolated value and its error estimate from stencil values at
+    h / 2^k, stacked along the first axis.
 
     ``rnd`` bounds each raw value's roundoff; it is carried through the
     table with the same weights, taken in absolute value.
     """
-    table, rtable = [raw], [rnd]
     for j in range(1, len(raw)):
         fac = 2.0 ** (4 + 2 * (j - 1))  # leading error h^4, then h^6, h^8, ...
-        prev, rprev = table[-1], rtable[-1]
-        table.append([(fac * prev[k + 1] - prev[k]) / (fac - 1.0) for k in range(len(prev) - 1)])
-        rtable.append([(fac * rprev[k + 1] + rprev[k]) / (fac - 1.0) for k in range(len(rprev) - 1)])
-    return table[-1][0], np.abs(table[-1][0] - table[-2][0]) + rtable[-1][0]
+        prev = raw
+        raw = (fac * raw[1:] - raw[:-1]) / (fac - 1.0)
+        rnd = (fac * rnd[1:] + rnd[:-1]) / (fac - 1.0)
+    return raw[0], np.abs(raw[0] - prev[0]) + rnd[0]

@@ -72,10 +72,12 @@ class Grid:
     times: tuple = DEFAULT_TIMES
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r_min, self.r_max, *self.times))):
+            raise ConfigError("grid needs finite radii and times")
         if self.r_min <= 0 or self.r_max <= self.r_min:
             raise ConfigError("grid needs 0 < r_min < r_max")
-        if self.shells < 2:
-            raise ConfigError("grid needs at least 2 shells")
+        if not isinstance(self.shells, int) or isinstance(self.shells, bool) or self.shells < 2:
+            raise ConfigError(f"grid needs an integer number of shells, at least 2, not {self.shells!r}")
 
     def radii(self):
         return np.geomspace(self.r_min, self.r_max, self.shells)
@@ -287,7 +289,7 @@ def _osc_grid(params, model):
 
 
 def _coulomb_model(params) -> cb.CoulombModel:
-    return cb.CoulombModel(alpha=params.get("alpha", 0.0072973525693))
+    return cb.CoulombModel(alpha=params.get("alpha", cb.FINE_STRUCTURE))
 
 
 def _coulomb_sample(field, state, reads) -> Sample:

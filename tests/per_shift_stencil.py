@@ -3,14 +3,19 @@
 This is how the package sampled stencils before it evaluated every
 shifted grid in one call: the field on the centre, then on each of the
 32 shifted copies of the grid in its own call, and the stencils and
-Richardson table built axis by axis.  The tests require ``_diff`` in
-stencil mode to give the same numbers, compared with ``==``.
+Richardson table built axis by axis, level by level, with weights and a
+Richardson table of its own.  The tests require ``_diff`` in stencil mode
+to give the same numbers, compared with ``==``.
 """
 
 import numpy as np
 
 from kgconformal.core import ComplexField, PointSet
-from kgconformal.diffengine import _EPS, _W1, _W2, LEVELS, N_AXES, _clamped_step, _richardson
+from kgconformal.diffengine import _EPS, LEVELS, N_AXES, _steps
+
+# 4th-order central stencils
+_W1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))          # / 12h
+_W2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))  # / 12h^2
 
 
 def _sample(field: ComplexField, pts: PointSet, axis: int, delta):
@@ -26,7 +31,7 @@ def stencil_pass(field: ComplexField, pts: PointSet, length_scale: float):
     raw = []  # per axis: (steps, first-derivative stencils, second-derivative stencils)
     f_max = np.abs(center)
     for axis in range(N_AXES):
-        h = _clamped_step(field, pts, length_scale, axis)
+        h = np.tile(_steps(field, pts, length_scale)[axis], pts.tiles)
         steps = [h / 2.0**k for k in range(LEVELS + 1)]
         samples = {}
 
@@ -52,3 +57,18 @@ def stencil_pass(field: ComplexField, pts: PointSet, length_scale: float):
             out[dst].append(value)
             out[dst + 2].append(err)
     return (center, *(np.array(part) for part in out))
+
+
+def _richardson(raw, rnd):
+    """Extrapolated value and its error estimate from stencil values at h / 2^k.
+
+    ``rnd`` bounds each raw value's roundoff; it is carried through the
+    table with the same weights, taken in absolute value.
+    """
+    table, rtable = [raw], [rnd]
+    for j in range(1, len(raw)):
+        fac = 2.0 ** (4 + 2 * (j - 1))  # leading error h^4, then h^6, h^8, ...
+        prev, rprev = table[-1], rtable[-1]
+        table.append([(fac * prev[k + 1] - prev[k]) / (fac - 1.0) for k in range(len(prev) - 1)])
+        rtable.append([(fac * rprev[k + 1] + rprev[k]) / (fac - 1.0) for k in range(len(rprev) - 1)])
+    return table[-1][0], np.abs(table[-1][0] - table[-2][0]) + rtable[-1][0]

@@ -10,7 +10,7 @@ from kgconformal import oscillator as ho
 from kgconformal.core import (
     ComplexField, ConfigError, DomainError, NonFiniteError, PointSet, natural_units,
 )
-from kgconformal.diffengine import STEP, DiffConfig, MODE_EXACT, MODE_STENCIL, T_AXIS, _clamped_step, _diff
+from kgconformal.diffengine import STEP, DiffConfig, MODE_EXACT, MODE_STENCIL, T_AXIS, _diff, _steps
 from kgconformal.harness import Grid, _with_energy
 
 import per_shift_stencil
@@ -214,7 +214,7 @@ def _clamped_coulomb():
     # the points with r < 4 STEP r_scale take a step of r / 4 of their own
     points = Grid(r_min=0.002 * state.r_scale, r_max=5.0 * state.r_scale, shells=6).points()
     fld = cb.eigenfunction_x(COULOMB, state)
-    h = _clamped_step(fld, points, state.r_scale, 0)
+    h = _steps(fld, points, state.r_scale)[0]
     assert 0 < (h < STEP * state.r_scale).sum() < len(points)
     return fld, points, state.r_scale
 

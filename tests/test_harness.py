@@ -45,6 +45,20 @@ def test_grid_validation():
         Grid(r_min=2.0, r_max=1.0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"shells": 2.5}, {"shells": True}, {"shells": np.float64(4.0)}, {"r_min": math.nan}, {"r_max": math.nan},
+     {"r_max": math.inf}, {"r_min": -math.inf}, {"times": (math.nan,)}, {"times": (0.0, math.inf)}],
+    ids=str,
+)
+def test_grid_refuses_fractional_shells_and_nonfinite_radii_or_times(bad):
+    """A bad grid is refused when it is made, by name: a fractional shell
+    count would otherwise fail in numpy, and a non-finite radius or time
+    only later, as a field's NonFiniteError."""
+    with pytest.raises(ConfigError, match="grid needs"):
+        Grid(**{"r_min": 0.1, "r_max": 1.0, **bad})
+
+
 def test_default_tolerance():
     assert default_tolerance(DiffConfig(mode=MODE_EXACT)) == 1e-10
     assert default_tolerance(DiffConfig(mode=MODE_STENCIL)) == 1e-8

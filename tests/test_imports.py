@@ -52,11 +52,17 @@ TRACER_ONLY = {
 
 
 def _definitions(tree):
-    """(qualified name, node) of every top-level function and class of a
-    module, and of every public method of its classes."""
+    """(qualified name, node) of every top-level function, class and
+    non-dunder assigned name of a module, and of every public method of its
+    classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else (node.target,):
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not (name.id.startswith("__") and name.id.endswith("__")):
+                        yield name.id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
@@ -78,11 +84,11 @@ def _names(tree):
 
 
 def _dead_names(src: Path, programs=()) -> list:
-    """The functions, classes and public methods under ``src`` whose name
-    appears nowhere under ``src`` outside their own definition, nor in
-    ``programs``, as ``module.name``; a method counts only as an attribute.
-    The check is by name alone: a name read anywhere, for anything, counts
-    as a use."""
+    """The functions, classes, module constants and public methods under
+    ``src`` whose name appears nowhere under ``src`` outside their own
+    definition or assignment, nor in ``programs``, as ``module.name``; a
+    method counts only as an attribute.  The check is by name alone: a name
+    read anywhere, for anything, counts as a use."""
     trees = {path: ast.parse(path.read_text()) for path in sorted(src.rglob("*.py")) + list(programs)}
     named = {path: list(_names(tree)) for path, tree in trees.items()}
     dead = []

@@ -21,19 +21,9 @@ import tempfile
 import numpy as np
 
 from .confmap import ConformalMap, forward, inverse
-from .core import (
-    BranchError,
-    ConfigError,
-    DomainError,
-    KgcError,
-    NoTerminationError,
-    NonFiniteError,
-    PointSet,
-    QuantumNumberError,
-    UnitSystem,
-)
+from .core import ConfigError, DomainError, KgcError, NonFiniteError, PointSet, UnitSystem
 from .diffengine import DiffConfig, MODE_EXACT, MODE_STENCIL
-from .harness import SUITES, run_suite
+from .harness import _PARAMS, SUITES, run_suite
 from .shooting import EPS_RTOL, binding_parameter, shooting_eigenvalue
 from .specfun import HYDRINO, SOMMERFELD
 from . import coulomb as cb
@@ -213,8 +203,8 @@ def cmd_verify(args) -> int:
     if args.config:
         params.update(_load_config_file(args.config))
     # a flag given overrides the same key of the config file
-    for key in ("tolerance", "nmax", "omega", "alpha", "branch", "seed", "n_fields"):
-        if getattr(args, key) is not None:
+    for key in _PARAMS:
+        if getattr(args, key, None) is not None:
             params[key] = getattr(args, key)
     if args.state is not None:
         params["states"] = _parse_states(args.state)
@@ -402,10 +392,10 @@ def main(argv=None) -> int:
         # raise too, instead of leaking inf or nan into a report
         with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
             return args.func(args)
-    except (ConfigError, BranchError, QuantumNumberError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DomainError, NonFiniteError, NoTerminationError, ArithmeticError) as exc:
+    except (DomainError, ArithmeticError) as exc:
         print(f"domain error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except KgcError as exc:

@@ -9,6 +9,7 @@ Everything else here is an immutable value, and all operations are pure.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,31 +26,32 @@ class DomainError(KgcError):
     """Evaluation requested at (or across) a singular locus, e.g. r = 0."""
 
 
-class NonFiniteError(KgcError):
+class NonFiniteError(DomainError):
     """A field value or derivative on the grid was NaN or infinite."""
-
-
-class QuantumNumberError(KgcError):
-    """Invalid quantum-number combination (e.g. |k| > l)."""
-
-
-class BranchError(KgcError):
-    """The fine-structure exponent radicand is negative for this (l, alpha)."""
-
-
-class NoTerminationError(KgcError):
-    """The radial series recurrence failed to terminate at the quantized energy."""
 
 
 class ConfigError(KgcError):
     """Invalid configuration (unknown suite, bad parameter, ...)."""
 
 
+class QuantumNumberError(ConfigError):
+    """Invalid quantum-number combination (e.g. |k| > l)."""
+
+
+class BranchError(ConfigError):
+    """The fine-structure exponent radicand is negative for this (l, alpha)."""
+
+
+class NoTerminationError(DomainError):
+    """The radial series recurrence failed to terminate at the quantized energy."""
+
+
 @dataclass(frozen=True)
 class UnitSystem:
     """Values of hbar, c and the rest mass m0 fixing the unit convention.
 
-    m0 may be zero (massless edge case); hbar and c must be positive.
+    m0 may be zero (massless edge case); hbar and c must be positive, and
+    hbar c and m0 c^2 finite.
     """
 
     hbar: float = 1.0
@@ -61,6 +63,8 @@ class UnitSystem:
             raise ConfigError("hbar and c must be strictly positive")
         if self.m0 < 0:
             raise ConfigError("m0 must be non-negative")
+        if not (math.isfinite(self.hbar * self.c) and math.isfinite(self.m0 * (self.c * self.c))):
+            raise ConfigError(f"units hbar = {self.hbar!r}, c = {self.c!r}, m0 = {self.m0!r}: hbar c or m0 c^2 is not finite")
 
     @property
     def rest_energy(self) -> float:

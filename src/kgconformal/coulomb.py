@@ -52,6 +52,9 @@ class CoulombModel:
             raise ConfigError(f"alpha must be positive and finite (b diverges as alpha -> 0), not {self.alpha!r}")
         if self.units is None:
             object.__setattr__(self, "units", natural_units())
+        if self.units.rest_energy == 0.0:
+            # E_nl scales with m0 c^2, and r_nl = hbar c nu / (alpha E_nl) has no massless limit
+            raise ConfigError(f"the coulomb system needs a rest energy m0 c^2 > 0, not {self.units.rest_energy!r}")
 
 
 @dataclass(frozen=True)

@@ -214,10 +214,9 @@ def run_suite(name: str, params: dict = None, cfg: DiffConfig = None) -> Residua
     cfg = cfg or DiffConfig()
     if name not in SUITES:
         raise ConfigError(f"unknown suite: {name!r}")
-    params = _checked(name, dict(params or {}))
-    tol = params.get("tolerance", default_tolerance(cfg))
+    params = _checked(name, dict(params or {}), cfg)
     t0 = time.perf_counter()
-    report = evaluate(name, cfg.mode, _DECLARATIONS[name](params, tol))
+    report = evaluate(name, cfg.mode, _DECLARATIONS[name][0](params, params["tolerance"]))
     wall = (time.perf_counter() - t0) * 1000.0
     return report.with_wall_ms(wall)
 
@@ -240,42 +239,48 @@ def _states(v) -> bool:
     )
 
 
-#: every parameter a suite reads, with the values it accepts
+#: every parameter a suite reads: (the values it accepts, its default).  The
+#: tolerance's default is the mode's, default_tolerance(cfg); a grid of None
+#: is the oscillator suites' own (see _osc_grid)
 _PARAMS = {
-    "nmax": _count(0),
-    "seed": _count(0, MAX_SEED),
-    "n_fields": _count(1, MAX_FIELDS),
-    "omega": _positive,
-    "alpha": _positive,
-    "energy": _positive,
-    "tolerance": _positive,
-    "states": _states,
-    "branch": lambda v: v in (SOMMERFELD, HYDRINO),
-    "grid": lambda v: isinstance(v, Grid),
+    "nmax": (_count(0), 4),
+    "seed": (_count(0, MAX_SEED), 0),
+    "n_fields": (_count(1, MAX_FIELDS), 100),
+    "omega": (_positive, 1.0),
+    "alpha": (_positive, cb.FINE_STRUCTURE),
+    "energy": (_positive, 1.0),
+    "tolerance": (_positive, default_tolerance),
+    "states": (_states, ((0, 0), (1, 0), (0, 1))),
+    "branch": (lambda v: v in (SOMMERFELD, HYDRINO), SOMMERFELD),
+    "grid": (lambda v: isinstance(v, Grid), None),
 }
 
 
-def _checked(name: str, params: dict) -> dict:
-    """Reject unknown parameters, parameters that suite ``name`` does not
-    read and out-of-range values with ConfigError."""
+def _checked(name: str, params: dict, cfg: DiffConfig) -> dict:
+    """Every parameter suite ``name`` reads, and ``tolerance``: each given
+    one, else its default.  Unknown parameters, parameters that the suite
+    does not read and out-of-range values are a ConfigError."""
+    keys = _DECLARATIONS[name][1] + ("tolerance",)
     for key, value in params.items():
         if key not in _PARAMS:
             raise ConfigError(f"unknown suite parameter: {key!r}")
-        if key != "tolerance" and key not in _SUITE_PARAMS[name]:
+        if key not in keys:
             raise ConfigError(f"suite {name!r} does not read parameter {key!r}")
-        if not _PARAMS[key](value):
+        if not _PARAMS[key][0](value):
             raise ConfigError(f"bad value for suite parameter {key!r}: {value!r}")
-    return params
+    defaults = {key: _PARAMS[key][1] for key in keys}
+    return defaults | {"tolerance": defaults["tolerance"](cfg)} | params
 
 
 # Each suite is a generator that declares its Samples (a field on a grid,
 # and the cases that read it) and its direct CaseResults, checked against
-# the suite tolerance ``tol``; run_suite hands it to confmap.evaluate,
-# which differentiates each Sample once in the run's mode.
+# the suite tolerance ``tol``; it indexes its parameters in the dict that
+# _checked fills, and run_suite hands it to confmap.evaluate, which
+# differentiates each Sample once in the run's mode.
 
 
 def _osc_model(params) -> ho.OscillatorModel:
-    return ho.OscillatorModel(omega=params.get("omega", 1.0))
+    return ho.OscillatorModel(omega=params["omega"])
 
 
 def _osc_grid(params, model):
@@ -285,11 +290,11 @@ def _osc_grid(params, model):
     the time unit length / c (c = 1), so that E t stays of order 1 at any Omega."""
     length = model.b / math.sqrt(2.0)
     times = tuple(t * length for t in DEFAULT_TIMES)
-    return (params.get("grid") or Grid(r_min=0.1 * length, r_max=4.0 * length, shells=10, times=times)).points(), length
+    return (params["grid"] or Grid(r_min=0.1 * length, r_max=4.0 * length, shells=10, times=times)).points(), length
 
 
 def _coulomb_model(params) -> cb.CoulombModel:
-    return cb.CoulombModel(alpha=params.get("alpha", cb.FINE_STRUCTURE))
+    return cb.CoulombModel(alpha=params["alpha"])
 
 
 def _coulomb_sample(field, state, reads) -> Sample:
@@ -318,7 +323,7 @@ def _oscillator_levels(params, tol, form, eigenfunction, operators):
     points, length = _osc_grid(params, model)
     e0 = ho.energy(model, 0)
     probe = Read("probe:perturbed-energy", partial(operators[0][1], model, e0 + 0.05 * e0), tol)
-    for n in range(params.get("nmax", 4) + 1):
+    for n in range(params["nmax"] + 1):
         # a level's states share their energy: one field and one read per operator and pass
         for states, tiled in _passes(list(ho.states_with_n(model, n)), points):
             reads = tuple(
@@ -392,7 +397,7 @@ def _suite_ladder(params, tol):
         # probe: the number operator must NOT return n+1
         Read("probe:number-operator-off-by-one", partial(_number_residual, model, state1.energy, 1, 2), tol_number),
     )
-    for n in range(params.get("nmax", 4) + 1):
+    for n in range(params["nmax"] + 1):
         # one case for the level: its tiles fold by max
         reads = (Read(f"number-operator-n{n}", partial(_number_residual, model, ho.energy(model, n), n, n), tol_number),)
         if n == 0:
@@ -410,8 +415,8 @@ def _coulomb_states_read(model, params, tol, form, eigenfunction, operator):
     """Each state of the ``states`` parameter, (n, l) or (n, l, k), as one
     Sample of its ``eigenfunction`` in ``form``, read by ``operator(state, E)``
     at its energy.  The probe reads the first state's sample at E off by 1e-4."""
-    branch = params.get("branch", SOMMERFELD)
-    states = [cb.make_state(model, *qn, branch=branch) for qn in params.get("states", ((0, 0), (1, 0), (0, 1)))]
+    branch = params["branch"]
+    states = [cb.make_state(model, *qn, branch=branch) for qn in params["states"]]
     first = states[0]
     probe = Read("probe:perturbed-energy", operator(first, first.energy * (1.0 + 1e-4)), tol)
     for state in states:
@@ -430,14 +435,14 @@ def _suite_coulomb_z(params, tol):
     model = _coulomb_model(params)
     yield from _coulomb_states_read(model, params, tol, "z", cb.eigenfunction_z,
                                     lambda state, energy: partial(cb.kg_residual_z, model, state, energy))
-    branch = params.get("branch", SOMMERFELD)
+    branch = params["branch"]
     ground = cb.make_state(model, 0, 0, 0, branch)
     flat = Read(f"coulomb-z-ground-flat-{branch}", partial(cb.ground_state_flatness, model, ground), tol)
     yield _coulomb_sample(cb.eigenfunction_z(model, ground), ground, (flat,))
 
     # the second-order operator identity, on a family of seeded smooth test fields
     identity = Read("d2z-operator-identity", partial(d2z_identity_residual, cb.coulomb_map(model, ground)), tol)
-    seeds = _seed_range(params.get("seed", 0) * 1000, 5)
+    seeds = _seed_range(params["seed"] * 1000, 5)
     field_rows, point_rows = _draw(seeds, np.full(5, 3.0 * ground.r_scale))
     fld = _with_energy(_family(seeds, field_rows), _energies(field_rows), ground.energy)
     yield Sample(fld, _points(point_rows), (identity,), ground.r_scale)
@@ -462,7 +467,7 @@ def _suite_map_independence(params, tol):
 
 
 def _suite_holomorphy(params, tol):
-    e_val = params.get("energy", 1.0)
+    e_val = params["energy"]
     t_win = (-1.0, 1.0)
     tau_win = (0.1, 2.0)
 
@@ -487,8 +492,8 @@ def _first_field(operator, d):
 
 
 def _suite_operator_identities(params, tol):
-    seed0 = params.get("seed", 0) * 10000
-    n_fields = params.get("n_fields", 100)
+    seed0 = params["seed"] * 10000
+    n_fields = params["n_fields"]
     osc = _osc_model(params)
     cmodel = _coulomb_model(params)
     cstate = cb.make_state(cmodel, 0, 0, 0)
@@ -546,28 +551,17 @@ def _suite_reductions(params, tol):
     yield zform_sample("probe:off-shell-plane-wave", (0.5, 0.0, 0.0), math.sqrt(0.25 + 1.0) + 0.2)
 
 
-#: every suite's declaration, by name
+#: every suite's declaration and the parameters it reads, by name; every
+#: suite reads ``tolerance`` too, through run_suite
 _DECLARATIONS = {
-    "oscillator-x": _suite_oscillator_x,
-    "oscillator-z": _suite_oscillator_z,
-    "ladder": _suite_ladder,
-    "coulomb-x": _suite_coulomb_x,
-    "coulomb-z": _suite_coulomb_z,
-    "map-independence": _suite_map_independence,
-    "holomorphy": _suite_holomorphy,
-    "operator-identities": _suite_operator_identities,
-    "reductions": _suite_reductions,
+    "oscillator-x": (_suite_oscillator_x, ("omega", "nmax", "grid")),
+    "oscillator-z": (_suite_oscillator_z, ("omega", "nmax", "grid")),
+    "ladder": (_suite_ladder, ("omega", "nmax", "grid")),
+    "coulomb-x": (_suite_coulomb_x, ("alpha", "states", "branch")),
+    "coulomb-z": (_suite_coulomb_z, ("alpha", "states", "branch", "seed")),
+    "map-independence": (_suite_map_independence, ("omega", "alpha")),
+    "holomorphy": (_suite_holomorphy, ("energy",)),
+    "operator-identities": (_suite_operator_identities, ("omega", "alpha", "seed", "n_fields")),
+    "reductions": (_suite_reductions, ()),
 }
 SUITES = tuple(_DECLARATIONS)
-#: the parameters each suite reads, by name; every suite reads ``tolerance`` too
-_SUITE_PARAMS = {
-    "oscillator-x": ("omega", "nmax", "grid"),
-    "oscillator-z": ("omega", "nmax", "grid"),
-    "ladder": ("omega", "nmax", "grid"),
-    "coulomb-x": ("alpha", "states", "branch"),
-    "coulomb-z": ("alpha", "states", "branch", "seed"),
-    "map-independence": ("omega", "alpha"),
-    "holomorphy": ("energy",),
-    "operator-identities": ("omega", "alpha", "seed", "n_fields"),
-    "reductions": (),
-}

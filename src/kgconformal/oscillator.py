@@ -184,10 +184,12 @@ def eigenfunction_z(model: OscillatorModel, states) -> ComplexField:
 def kg_residual_x(model: OscillatorModel, E: float, d: Derivatives):
     """Operator of the x-representation Klein-Gordon equation at energy E:
 
-    | -hbar^2 c^2 laplacian(psi) + m0^2 c^4 psi + Omega^2 r^2 psi - E^2 psi |
+    | -hbar^2 c^2 laplacian(psi) + m0^2 c^4 psi + (Omega r)^2 psi - E^2 psi |
     (confmap.kg_residual) with scale E^2 max|psi| over each tile of the grid.
+    (Omega r)^2 is one square, finite on the grids of r ~ Omega^(-1/2) at
+    any Omega; Omega^2 alone overflows past Omega ~ 1.3e154.
     """
-    potential = (model.omega**2 * d.points.radial(dual.powr, 2), -(E * E))
+    potential = (d.points.radial(lambda r: dual.powr(model.omega * r, 2)), -(E * E))
     return kg_residual(model.units, _laplacian(d), potential, d.scale(E * E), d)
 
 

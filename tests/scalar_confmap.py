@@ -134,17 +134,13 @@ def coulomb_potential(model, E, pts):
     return np.array([E + hc * model.alpha / r for r in pts.radii.tolist()])
 
 
-def r_squared(pts):
-    """r^2 at every point, as oscillator.kg_residual_x takes it."""
-    return np.array([r * r for r in pts.radii.tolist()])
-
-
 def oscillator_kg_residual_x(model, E, d):
     u = model.units
     psi = d.value
     hc2 = (u.hbar * u.c) ** 2
     lap, e_sum = _laplacian(d)
-    res = -hc2 * lap + u.rest_energy**2 * psi + model.omega**2 * r_squared(d.points) * psi - E * E * psi
+    potential = np.array([(model.omega * r) * (model.omega * r) for r in d.points.radii.tolist()])
+    res = -hc2 * lap + u.rest_energy**2 * psi + potential * psi - E * E * psi
     return dual.modulus(res), hc2 * e_sum, E * E * dual.modulus(psi).max()
 
 

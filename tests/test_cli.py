@@ -153,7 +153,7 @@ def test_coulomb_suites_across_alpha_and_branch(capsys, suite, alpha, branch, mo
     A suite that reads no branch runs on the default one, and refuses a
     branch given (exit 2) before anything runs."""
     argv = ["verify", "--suite", suite, "--mode", mode, "--alpha", alpha]
-    reads_branch = "branch" in harness._SUITE_PARAMS[suite]
+    reads_branch = "branch" in harness._DECLARATIONS[suite][1]
     if not reads_branch and branch == HYDRINO:
         code, out, err = run(capsys, *argv, "--branch", branch)
         assert (code, out) == (EXIT_CONFIG, "")
@@ -350,11 +350,33 @@ def test_map_names_the_point_whose_r2_underflows(tmp_path, capsys):
     (("--suite", "operator-identities", "--seed", str(harness.MAX_SEED + 1)), EXIT_CONFIG),
     # a parameter the suite does not read
     (("--suite", "map-independence", "--branch", "hydrino", "--state", "1,0;2,1"), EXIT_CONFIG),
+    # Omega^2 overflows past Omega ~ 1.3e154; (Omega r)^2 on the grid of r ~ Omega^(-1/2) does not
+    (("--suite", "oscillator-x", "--omega", "1e300"), EXIT_PASS),
 ])
 def test_verify_bad_input_exit_codes(capsys, argv, code):
     got, _, err = run(capsys, "verify", "--mode", "exact", *argv)
     assert got == code
     assert len(err.splitlines()) == (code != EXIT_PASS) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("units", [("--m0", "0"), ("--hbar", "1e-200", "--c", "1e-200"), ("--c", "1e200")])
+@pytest.mark.parametrize("command", ["spectrum", "map"])
+def test_coulomb_units_without_a_finite_nonzero_rest_energy_are_config_errors(tmp_path, capsys, command, units):
+    """E_nl scales with m0 c^2, which is 0 at m0 = 0 and underflows to 0 at
+    hbar = c = 1e-200, and r_nl = hbar c nu / (alpha E_nl) has no massless
+    limit; at c = 1e200, m0 c^2 overflows."""
+    pts = tmp_path / "pts.txt"
+    pts.write_text("1.0 0.0 0.0 0.5\n")
+    argv = ("--points", str(pts)) if command == "map" else ()
+    code, out, err = run(capsys, command, "--system", "coulomb", *argv, *units)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+
+
+def test_massless_oscillator_spectrum_passes(capsys):
+    code, out, err = run(capsys, "spectrum", "--system", "oscillator", "--m0", "0")
+    assert (code, err) == (EXIT_PASS, "")
+    assert json.loads(out)["rows"][0]["energy"] == math.sqrt(3.0)
 
 
 def test_hydrino_state_without_radial_scale_is_config_error(capsys):
@@ -422,7 +444,7 @@ def test_verify_fuzz_keeps_the_exit_code_contract(suite, mode, opts):
     passed, so that the values, not the refusal of an unread one, are
     fuzzed."""
     argv = ["verify", "--suite", suite, "--mode", mode]
-    reads = harness._SUITE_PARAMS[suite] + ("tolerance",)
+    reads = harness._DECLARATIONS[suite][1] + ("tolerance",)
     opts = {key: value for key, value in opts.items() if FLAG_PARAMS[key][1] in reads}
     if suite in ("oscillator-x", "oscillator-z", "ladder") and "--nmax" not in opts:
         opts["--nmax"] = "1"

@@ -6,10 +6,12 @@ import kgconformal
 from hypothesis import given, strategies as st
 
 from kgconformal.core import (
+    BranchError,
     ComplexField,
     ConfigError,
     DomainError,
     KgcError,
+    NoTerminationError,
     NonFiniteError,
     PointSet,
     QuantumNumberError,
@@ -41,6 +43,18 @@ def test_star_import_defines_every_exported_name():
 def test_error_hierarchy():
     for exc in (DomainError, NonFiniteError, QuantumNumberError, ConfigError):
         assert issubclass(exc, KgcError)
+
+
+def test_errors_subclass_the_error_of_their_exit_code():
+    """The CLI maps ConfigError to exit 2 and DomainError to exit 3."""
+    assert issubclass(BranchError, ConfigError) and issubclass(QuantumNumberError, ConfigError)
+    assert issubclass(NonFiniteError, DomainError) and issubclass(NoTerminationError, DomainError)
+
+
+@pytest.mark.parametrize("units", [dict(c=1e200), dict(hbar=1e200, c=1e200), dict(m0=1e-300, c=1e200)])
+def test_units_with_a_nonfinite_hbar_c_or_rest_energy_are_config_errors(units):
+    with pytest.raises(ConfigError, match="is not finite$"):
+        UnitSystem(**units)
 
 
 def radial_norm(x):

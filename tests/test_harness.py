@@ -1,5 +1,7 @@
 import math
+import re
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,11 +111,16 @@ def test_unknown_suite_rejected():
         run_suite("no-such-suite")
 
 
-class _RecordedReads(dict):
-    """An empty parameter dict that records every key a suite reads."""
+def _resolved(suite, **given):
+    """The parameter dict run_suite hands suite ``suite``: ``given``, and every other default."""
+    return harness._checked(suite, given, DiffConfig())
 
-    def __init__(self):
-        super().__init__()
+
+class _RecordedReads(dict):
+    """A parameter dict that records every key a suite reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
         self.keys_read = set()
 
     def get(self, key, default=None):
@@ -131,19 +138,42 @@ class _RecordedReads(dict):
 
 @pytest.mark.parametrize("suite", SUITES)
 def test_each_suite_reads_exactly_its_declared_parameters(suite):
-    """A suite's declaration reads the parameters _SUITE_PARAMS lists for
+    """A suite's declaration reads the parameters _DECLARATIONS lists for
     it (run_suite reads ``tolerance``), and run_suite refuses every other
     parameter before anything runs, naming the suite and the key."""
-    params = _RecordedReads()
-    for _ in harness._DECLARATIONS[suite](params, 1e-10):
+    declare, names = harness._DECLARATIONS[suite]
+    params = _RecordedReads(_resolved(suite))
+    for _ in declare(params, 1e-10):
         pass
-    assert params.keys_read == set(harness._SUITE_PARAMS[suite])
+    assert params.keys_read == set(names)
     valid = {"nmax": 1, "seed": 1, "n_fields": 1, "omega": 1.0, "alpha": 0.01, "energy": 1.0,
              "states": [(0, 0)], "branch": "sommerfeld", "grid": Grid(r_min=0.1, r_max=4.0)}
     assert set(valid) | {"tolerance"} == set(harness._PARAMS)
     for key in set(valid) - params.keys_read:
         with pytest.raises(ConfigError, match=f"^suite '{suite}' does not read parameter '{key}'$"):
             run_suite(suite, {key: valid[key]})
+
+
+def test_readme_parameter_table_matches_the_declarations():
+    """README's table of suite parameters lists every parameter of _PARAMS,
+    in order, with its default and the suites that read it."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| parameter   | default | read by |")
+    rows = {}
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        key, default, suites = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[key.strip("`")] = (re.findall(r"`([^`]*)`", default), suites)
+    assert list(rows) == list(harness._PARAMS)
+    for key, (defaults, suites) in rows.items():
+        default = harness._PARAMS[key][1]
+        if key == "tolerance":
+            assert defaults == [repr(default(DiffConfig(mode=mode))) for mode in (MODE_EXACT, MODE_STENCIL)]
+            assert suites == "every suite"
+        else:
+            assert defaults[0] == repr(default)
+            assert suites == ", ".join(f"`{name}`" for name, (_, keys) in harness._DECLARATIONS.items() if key in keys)
 
 
 @pytest.mark.parametrize("suite", ["holomorphy", "map-independence", "reductions"])
@@ -199,7 +229,7 @@ def test_ladder_differentiates_each_state_once(monkeypatch):
     level's read and the closing reads; at nmax 0 it stands alone."""
     tiles = _recorded_tiles(monkeypatch, ho, "eigenfunction_x")
     for nmax in (0, 1, 4, 6):
-        samples = [s for s in harness._suite_ladder({"nmax": nmax}, 1e-10) if isinstance(s, Sample)]
+        samples = [s for s in harness._suite_ladder(_resolved("ladder", nmax=nmax), 1e-10) if isinstance(s, Sample)]
         per_sample = [tiles[id(s.field)] for s in samples]
         assert [s.points.tiles for s in samples] == [len(states) for states in per_sample]
         assert all(len({sum(ls) for ls in states}) == 1 for states in per_sample)
@@ -213,8 +243,8 @@ def test_ladder_differentiates_each_state_once(monkeypatch):
 
 
 def _declared_point_sets():
-    for name, declare in harness._DECLARATIONS.items():
-        for item in declare({}, 1e-10):
+    for name, (declare, _) in harness._DECLARATIONS.items():
+        for item in declare(_resolved(name), 1e-10):
             if isinstance(item, Sample):
                 yield name, item.points
 
@@ -284,7 +314,7 @@ def test_grid_arrays_equal_the_per_point_construction(suite, monkeypatch):
     monkeypatch.setattr(Grid, "points", grid_points)
     monkeypatch.setattr(harness, "_points", row_points)
     monkeypatch.setattr(harness, "holomorphy_residual", holomorphy_sample)
-    declared = [item.points for item in harness._DECLARATIONS[suite]({}, 1e-10) if isinstance(item, Sample)]
+    declared = [item.points for item in harness._DECLARATIONS[suite][0](_resolved(suite), 1e-10) if isinstance(item, Sample)]
     # a tiled grid holds its base grid's coordinates once per tile
     assert made and all(any(pts.base is m for m, _ in made) for pts in declared)
     for pts in declared:

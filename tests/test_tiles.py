@@ -32,8 +32,8 @@ def _report(suite, mode, nmax):
 
 
 def _tiles_per_sample(suite, nmax):
-    return [s.points.tiles for s in harness._DECLARATIONS[suite]({"nmax": nmax, "grid": GRID}, 1e-10)
-            if isinstance(s, Sample)]
+    params = harness._checked(suite, {"nmax": nmax, "grid": GRID}, DiffConfig())
+    return [s.points.tiles for s in harness._DECLARATIONS[suite][0](params, 1e-10) if isinstance(s, Sample)]
 
 
 @pytest.mark.parametrize("mode, nmax", [(MODE_EXACT, 6), (MODE_STENCIL, 3)])

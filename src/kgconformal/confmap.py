@@ -355,15 +355,17 @@ def _dz_ds(d: Derivatives):
     return dual.modulus(d.grad[T_AXIS]), d.grad_err[T_AXIS], 1.0
 
 
-def independence_check(cmap: ConformalMap, pts: PointSet, length_scale: float, tolerance: float, prefix: str):
+def independence_check(cmap: ConformalMap, pts: PointSet, length_scale: float, tolerance: float, prefix: str,
+                       probes=()):
     """Samples verifying ds/dz_i = 0 and dz_i/ds = 0 on the given points.
 
     ds/dz_i applies the d_z operator to the field s(x, t); dz_i/ds
     applies d/ds = d/dt to the coordinate fields z_i(x, t) = x_i, the tiles
     of one Sample.  Each case reports its own derivative's error estimate.
-    Case names carry ``prefix``.
+    Case names carry ``prefix``.  The reads ``probes`` read s(x, t) too.
     """
-    yield Sample(time_field(cmap), pts, (Read(prefix + "ds/dz", partial(ds_dz, cmap), tolerance),), length_scale)
+    reads = (Read(prefix + "ds/dz", partial(ds_dz, cmap), tolerance),) + tuple(probes)
+    yield Sample(time_field(cmap), pts, reads, length_scale)
     z_fields = ComplexField(fn=lambda x1, x2, x3, t: dual.join_tiles([x1, x2, x3]), label="z1..z3")
     yield Sample(z_fields, pts.tiled(3), (Read(prefix + "dz/ds", _dz_ds, tolerance),), length_scale)
 

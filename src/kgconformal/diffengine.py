@@ -12,7 +12,9 @@ interchangeable modes:
   acceptance runs.
 * ``stencil`` -- 4th-order central differences with Richardson
   extrapolation, from the field on shifted copies of the grid, all 33 of
-  them in one evaluation on (33, n) coordinate arrays.  The table is
+  them in one evaluation on (33, n) coordinate arrays.  That table is kept
+  read-only on the PointSet with one memo, as the seed jets are, so the
+  fields of a grid share their factors in this mode too.  It is
   shift-major: the centre, then one row per axis for each shift -2h_0,
   -h_0 .. -h_L, +2h_0, +h_0 .. +h_L (h_k = h / 2^k, L = ``LEVELS``).  As
   2h_k is h_(k-1), the samples at -2h_k, -h_k, +2h_k and +h_k of every
@@ -142,14 +144,20 @@ def _sample(field: ComplexField, pts: PointSet, shifts):
     Row 0 is the base grid shifted by 0.0 along axis 0; row 1 + 4 s + axis
     is the base grid shifted along that axis by ``shifts[s, axis]``.  The
     field gives every tile of ``pts`` at each base point, so n is
-    ``len(pts)``.
+    ``len(pts)``.  The coordinate table is kept read-only on the base grid,
+    with a memo its fields share (see dual.cached), until a pass over the
+    grid brings other shifts.
     """
-    coords = pts.base.coords
-    args = [np.repeat(x[np.newaxis], 1 + N_AXES * len(shifts), axis=0) for x in coords]
-    for axis, x in enumerate(coords):
-        args[axis][1 + axis :: N_AXES] = x + shifts[:, axis]
-    args[0][0] = coords[0] + 0.0
-    return np.broadcast_to(np.asarray(field(*args), dtype=complex), (len(args[0]), len(pts)))
+    base = pts.base
+    if base.table is None or not np.array_equal(base.table[0], shifts):
+        coords = base.coords
+        args = [np.repeat(x[np.newaxis], 1 + N_AXES * len(shifts), axis=0) for x in coords]
+        for axis, x in enumerate(coords):
+            args[axis][1 + axis :: N_AXES] = x + shifts[:, axis]
+        args[0][0] = coords[0] + 0.0
+        base.table = (shifts, tuple(map(dual.frozen, args)), {})
+    _, rows, memo = base.table
+    return np.broadcast_to(np.asarray(dual.call_on(field, rows, memo), dtype=complex), (len(rows[0]), len(pts)))
 
 
 def _stencil_pass(field: ComplexField, pts: PointSet, length_scale: float):

@@ -20,8 +20,10 @@ and add of a complex product and has its own exp, log and pow, so:
 * complex-by-complex products are split into real products (``mul``);
 * the complex reciprocal follows CPython's division (``_recip``);
 * real exp goes through complex exp, which matches libm's real exp;
-  log, complex sqrt and the other powers are evaluated per element in
-  CPython.
+  log, complex sqrt and the other powers are evaluated in CPython, once
+  per distinct value of the argument (``_each``): values with one bit
+  pattern round alike, and -0.0 and +0.0, or the two sides of a branch
+  cut, are two values.
 
 A square x**2 is the product x * x and a real x**0.5 is the IEEE square
 root: both correctly rounded, unlike libm's pow, and both whole-array
@@ -54,14 +56,19 @@ the sign of a zero can differ.
 Memo.  The jets of one ``variables`` call share a memo, read by
 ``cached(args, key, make)``, so the fields of a grid compute a factor they
 share once.  It lives with its jets (diffengine keeps them on their grid),
-not at module level.  A value is found again only under the same key for
-the very same seed jets, and never for other arguments (floats, arrays,
-stencil tables).  Seed jets and kept values are read-only.
+not at module level.  A stencil table kept on a grid has a memo too:
+``call_on(field, rows, memo)`` calls the field on the table's rows, and
+while it runs ``cached`` keeps values for those very rows in that memo.
+A value is found again only under the same key for the very same seed
+jets or rows, and never for other arguments (floats, other arrays or
+stencil tables, the rows outside ``call_on``, jets built elsewhere).  Seed
+jets, kept rows and kept values are read-only.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextvars
 import itertools
 import math
 
@@ -69,6 +76,8 @@ import numpy as np
 
 #: constants a jet combines with: scalars, and (n,) arrays of one value per point
 _CONSTANTS = (int, float, complex, np.ndarray)
+#: (rows, memo) only while ``call_on`` calls a field on the rows
+_ROWS = contextvars.ContextVar("rows", default=None)
 
 
 def _is_complex(x) -> bool:
@@ -128,9 +137,18 @@ def _exp(x):
 
 
 def _each(f, x, *args):
-    """``f(v, *args)`` for each element v of the array ``x``, in CPython."""
-    values = map(f, x.ravel().tolist(), *map(itertools.repeat, args))
-    return np.fromiter(values, np.result_type(x, 0.0), x.size).reshape(x.shape)
+    """``f(v, *args)`` for each element v of the array ``x``, in CPython: once
+    per distinct bit pattern (a float's one word, a complex's two, so -0.0
+    and +0.0, and the two sides of a branch cut, stay apart), gathered back."""
+    flat = x.ravel()
+    bits = flat.view(np.uint64 if flat.itemsize == 8 else f"V{flat.itemsize}")
+    ranked = np.sort(bits)
+    new = np.empty(len(ranked), dtype=bool)  # where a run of equal patterns starts
+    new[:1] = True
+    new[1:] = ranked[1:] != ranked[:-1]
+    distinct = ranked[new]
+    values = map(f, distinct.view(flat.dtype).tolist(), *map(itertools.repeat, args))
+    return np.fromiter(values, np.result_type(x, 0.0), len(distinct))[distinct.searchsorted(bits)].reshape(x.shape)
 
 
 def _log(x):
@@ -320,14 +338,29 @@ def reshape_points(x, shape, axes=1):
     return x
 
 
+def call_on(field, rows, memo):
+    """``field(*rows)``, during which ``cached`` keeps values in ``memo`` for
+    arguments that are among ``rows`` themselves (a kept stencil table)."""
+    token = _ROWS.set((rows, memo))
+    try:
+        return field(*rows)
+    finally:
+        _ROWS.reset(token)
+
+
 def cached(args, key, make):
-    """``make()``, kept under ``key`` in the memo of the seed jets ``args``;
-    ``key`` must hold every value ``make`` reads besides ``args``."""
+    """``make()``, kept under ``key`` in the memo of ``args``: seed jets, or
+    the rows of ``call_on``; ``key`` must hold every value ``make`` reads
+    besides ``args``."""
     memo = getattr(args[0], "memo", None)
-    if memo is None or (len(args) > 1 and any(getattr(a, "memo", None) is not memo for a in args)):
+    if memo is not None:  # seed jets: a memo has one per axis, so the axes name the jets
+        axes = tuple(a.axis if getattr(a, "memo", None) is memo else None for a in args)
+    elif (table := _ROWS.get()) is not None:
+        rows, memo = table
+        axes = tuple(next((i for i, row in enumerate(rows) if row is a), None) for a in args)
+    if memo is None or None in axes:
         return make()
-    # a memo has one seed jet per axis, so the axes name the jets themselves
-    key = (key, tuple(a.axis for a in args))
+    key = (key, axes)
     if key not in memo:
         memo[key] = frozen(make())
     return memo[key]

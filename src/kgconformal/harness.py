@@ -30,7 +30,6 @@ from .confmap import (
     holomorphy_residual,
     independence_check,
     qprop_identity_residual,
-    time_field,
     zform_residual,
 )
 from .core import ComplexField, ConfigError, DomainError, PointSet
@@ -283,14 +282,14 @@ def _osc_model(params) -> ho.OscillatorModel:
     return ho.OscillatorModel(omega=params["omega"])
 
 
-def _osc_grid(params, model):
-    """(points, length) of the oscillator suites: the oscillator's own length
+def _osc_grid(model, r_min=0.1, r_max=4.0, shells=10, grid=None):
+    """(points, length) of an oscillator grid: the oscillator's own length
     b / sqrt(2) = (hbar c / Omega)^(1/2), exactly 1.0 at Omega = 1, and the
-    ``grid`` parameter's points, or r in [0.1, 4] lengths at DEFAULT_TIMES in
-    the time unit length / c (c = 1), so that E t stays of order 1 at any Omega."""
+    points of ``grid``, or r in [r_min, r_max] lengths at DEFAULT_TIMES in the
+    time unit length / c (c = 1), so that E t stays of order 1 at any Omega."""
     length = model.b / math.sqrt(2.0)
     times = tuple(t * length for t in DEFAULT_TIMES)
-    return (params["grid"] or Grid(r_min=0.1 * length, r_max=4.0 * length, shells=10, times=times)).points(), length
+    return (grid or Grid(r_min=r_min * length, r_max=r_max * length, shells=shells, times=times)).points(), length
 
 
 def _coulomb_model(params) -> cb.CoulombModel:
@@ -320,7 +319,7 @@ def _oscillator_levels(params, tol, form, eigenfunction, operators):
     declared, at E_0 off by 5%: a fixed shift would vanish against E_0 at
     large Omega."""
     model = _osc_model(params)
-    points, length = _osc_grid(params, model)
+    points, length = _osc_grid(model, grid=params["grid"])
     e0 = ho.energy(model, 0)
     probe = Read("probe:perturbed-energy", partial(operators[0][1], model, e0 + 0.05 * e0), tol)
     for n in range(params["nmax"] + 1):
@@ -390,7 +389,7 @@ def _lowering_proportionality(model, ground, state1, d):
 def _suite_ladder(params, tol):
     model = _osc_model(params)
     tol_number = max(1e-8, tol)
-    points, length = _osc_grid(params, model)
+    points, length = _osc_grid(model, grid=params["grid"])
     ground, state1 = ho.make_state(model, 0, 0, 0), ho.make_state(model, 1, 0, 0)
     closing = (
         Read("lowering-proportionality", partial(_lowering_proportionality, model, ground, state1), tol_number),
@@ -451,19 +450,19 @@ def _suite_coulomb_z(params, tol):
 def _suite_map_independence(params, tol):
     osc = _osc_model(params)
     osc_map = ho.oscillator_map(osc, ho.energy(osc, 0))
-    osc_points = Grid(r_min=0.2, r_max=3.0, shells=8).points()
-    yield from independence_check(osc_map, osc_points, 1.0, tol, "oscillator-map-")
+    # r in [0.2, 3] oscillator lengths: (r/b)^2 stays of order 1 at any Omega
+    osc_points, length = _osc_grid(osc, 0.2, 3.0, 8)
+    # probe: operating with a detuned map must break ds/dz = 0, read on the map's own s(x, t)
+    broken = ConformalMap(a=osc_map.a, b=osc_map.b * 1.1, lam=osc_map.lam, E=osc_map.E, units=osc_map.units)
+    probe = Read("probe:detuned-map", partial(ds_dz, broken), tol)
+    yield from independence_check(osc_map, osc_points, length, tol, "oscillator-map-", probes=(probe,))
 
     cmodel = _coulomb_model(params)
     cstate = cb.make_state(cmodel, 0, 0, 0)
     c_points = Grid(r_min=0.2 * cstate.r_scale, r_max=20.0 * cstate.r_scale, shells=8).points()
     yield from independence_check(cb.coulomb_map(cmodel, cstate), c_points, cstate.r_scale, tol, "coulomb-map-")
 
-    yield from independence_check(ConformalMap.identity(E=1.0), osc_points, 1.0, tol, "identity-map-")
-
-    # probe: operating with a detuned map must break ds/dz = 0
-    broken = ConformalMap(a=osc_map.a, b=osc_map.b * 1.1, lam=osc_map.lam, E=osc_map.E, units=osc_map.units)
-    yield Sample(time_field(osc_map), osc_points, (Read("probe:detuned-map", partial(ds_dz, broken), tol),))
+    yield from independence_check(ConformalMap.identity(E=1.0), osc_points, length, tol, "identity-map-")
 
 
 def _suite_holomorphy(params, tol):

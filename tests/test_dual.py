@@ -209,6 +209,86 @@ def test_per_element_helpers_keep_2d_shape(kind):
         assert got.tolist() == [[scalar(v) for v in row] for row in x.tolist()]
 
 
+# -- _each: CPython once per distinct bit pattern --------------------------
+
+
+class CountedCall:
+    """``f``, counting its calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.f(*args)
+
+
+def _bits(a) -> list:
+    """The bytes of each element of ``a``, in order: equal lists are equal bit for bit."""
+    return [v.tobytes() for v in np.ravel(a)]
+
+
+_REPEATED = np.tile(POSITIVE[:5], (4, 1))
+#: (f, x, extra arguments): repeats, both zeros, NaNs of either sign, the two
+#: sides of sqrt's branch cut, empty and non-contiguous arrays
+EACH_INPUTS = {
+    "repeats": (math.log, _REPEATED, ()),
+    "pow": (pow, _REPEATED, (0.7,)),
+    "signed-zeros": (math.atan2, np.array([0.0, -0.0, 0.0, 1.0, -0.0]), (-1.0,)),
+    "nan": (math.log, np.array([np.nan, 2.0, -np.nan, np.nan, 2.0, -np.nan]), ()),
+    "branch-cut": (cmath.sqrt, np.array([complex(-4.0, -0.0), complex(-4.0, 0.0), complex(-4.0, -0.0)]), ()),
+    "complex-repeats": (cmath.log, COMPLEX[[0, 3, 0, 5, 3, 3]], ()),
+    "empty": (math.log, np.empty((0, 3)), ()),
+    "transposed": (math.log, _REPEATED.T, ()),
+    "strided-real-part": (math.log, np.tile(COMPLEX[:5] + 9.0, 3).real, ()),
+    "strided-complex": (cmath.sqrt, np.tile(COMPLEX[:4], (3, 2))[:, ::3], ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EACH_INPUTS))
+def test_each_is_the_per_element_map_once_per_distinct_bit_pattern(case):
+    f, x, args = EACH_INPUTS[case]
+    counted = CountedCall(f)
+    got = dual._each(counted, x, *args)
+    want = np.array([f(v, *args) for v in x.ravel().tolist()], dtype=np.result_type(x, 0.0)).reshape(x.shape)
+    assert got.shape == x.shape and got.dtype == want.dtype
+    assert _bits(got) == _bits(want)
+    assert counted.calls == len(set(_bits(x)))
+
+
+def test_the_inputs_above_hold_what_they_name():
+    """Repeats, both zeros and NaNs of both signs are there, and the two sides
+    of the cut give roots of opposite sign."""
+    assert len(set(_bits(_REPEATED))) == 5 < _REPEATED.size
+    assert len(set(_bits(EACH_INPUTS["signed-zeros"][1]))) == 3
+    assert len(set(_bits(EACH_INPUTS["nan"][1]))) == 3
+    below, above, _ = (cmath.sqrt(v) for v in EACH_INPUTS["branch-cut"][1].tolist())
+    assert below == -above != 0
+    assert not EACH_INPUTS["strided-real-part"][1].flags.contiguous
+
+
+pool = st.sampled_from([0.0, -0.0, 1.5, -2.5, math.inf, -math.inf, math.nan, -math.nan, 1e-310, 7.0])
+
+
+@given(st.lists(pool, max_size=40), st.lists(pool, max_size=40))
+def test_each_matches_the_per_element_map_on_drawn_arrays(re, im):
+    z = np.empty(min(len(re), len(im)), dtype=complex)
+    z.real, z.imag = re[: len(z)], im[: len(z)]
+    for x, f in ((np.array(re, dtype=float), lambda v: math.atan2(v, -1.0)), (z, cmath.sqrt)):
+        counted = CountedCall(f)
+        got = dual._each(counted, x)
+        assert _bits(got) == _bits(np.array([f(v) for v in x.tolist()], dtype=x.dtype))
+        assert counted.calls == len(set(_bits(x)))
+
+
+@pytest.mark.parametrize("x", [np.array([2.0, 1e300, 2.0]), np.array([2.0 + 1j, 1e300 + 1j, 2.0 + 1j])])
+def test_each_raises_what_the_per_element_map_raises(x):
+    with pytest.raises(OverflowError):
+        [pow(v, 2.5) for v in x.tolist()]
+    with pytest.raises(OverflowError):
+        dual._each(pow, x, 2.5)
+
+
 def test_modulus_is_cpython_abs():
     """Across magnitudes 1e-300 to 1e300, where np.abs rounds otherwise."""
     rng = np.random.default_rng(31)
@@ -313,3 +393,27 @@ def test_two_variables_calls_share_no_memo():
     dual.cached((second[0],), ("key",), make)
     assert make.calls == 2
     assert len(first[0].memo) == len(second[0].memo) == 1
+
+
+def test_memo_keeps_values_for_the_rows_of_call_on_during_the_call_only():
+    """Inside ``call_on`` the rows themselves, by identity, name a memo
+    entry; an equal copy of a row, or a row with another array, does not."""
+    rows = tuple(dual.frozen(np.repeat(REALS[np.newaxis, :5] + k, 33, axis=0)) for k in range(4))
+    memo, make = {}, Counted(np.ones(5))
+
+    def field(x1, x2, x3, t):
+        first = dual.cached((t,), ("phase",), make)
+        assert dual.cached((t,), ("phase",), make) is first
+        dual.cached((x1, t), ("pair",), make)
+        dual.cached((x1.copy(),), ("phase",), make)
+        dual.cached((x1, x1 * 1.0), ("pair",), make)
+        return first
+
+    kept = dual.call_on(field, rows, memo)
+    assert make.calls == 4
+    assert sorted(memo) == [(("pair",), (0, 3)), (("phase",), (3,))]
+    assert memo[(("phase",), (3,))] is kept and not kept.flags.writeable
+    # after the call the rows are plain arrays again
+    dual.cached((rows[3],), ("phase",), make)
+    assert make.calls == 5
+    assert dual.call_on(field, rows, memo) is kept and make.calls == 7

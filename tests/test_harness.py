@@ -580,6 +580,23 @@ def test_no_factor_is_reused_across_runs(monkeypatch):
         assert len(calls) == 21
 
 
+def test_no_stencil_factor_is_reused_across_runs(monkeypatch):
+    """In stencil mode the factors are kept with a run's grid too, on its
+    shifted coordinate table: each run of oscillator-x computes every
+    Hermite factor once per degree and axis (4 x 3 at nmax 3)."""
+    calls = []
+
+    def counted(l, xi):
+        calls.append(l)
+        return hermite(l, xi)
+
+    monkeypatch.setattr(ho, "hermite", counted)
+    for _ in range(2):
+        calls.clear()
+        assert run_suite("oscillator-x", {"nmax": 3}, DiffConfig(mode=MODE_STENCIL)).passed
+        assert sorted(calls) == sorted(list(range(4)) * 3)
+
+
 #: the suites that read the spring constant Omega
 OMEGA_SUITES = ("oscillator-x", "oscillator-z", "ladder", "map-independence", "operator-identities")
 
@@ -593,6 +610,17 @@ def test_oscillator_suites_pass_across_omega(suite, omega, mode):
     report = run_suite(suite, {"omega": omega}, DiffConfig(mode=mode))
     assert [c.name for c in report.cases if not c.behaved] == []
     assert any(c.is_probe for c in report.cases) and report.passed
+
+
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_STENCIL])
+@pytest.mark.parametrize("omega", [1e-6, 0.01, 1e4, 1e10, 1e12, 1e20, 1e30])
+def test_map_independence_passes_from_tiny_to_huge_omega(omega, mode):
+    """The oscillator map is checked on a grid in oscillator lengths: on a
+    fixed grid of r in [0.2, 3], ds/dz failed from Omega = 1e12 on (1e10 in
+    stencil mode), 0.25 at 1e30.  The detuned-map probe fails at every Omega."""
+    report = run_suite("map-independence", {"omega": omega}, DiffConfig(mode=mode))
+    assert [c.name for c in report.cases if not c.behaved] == []
+    assert [c.name for c in report.cases if c.is_probe] == ["probe:detuned-map"] and report.passed
 
 
 @pytest.mark.parametrize("omega", [1e10, 1e30])

@@ -1,7 +1,7 @@
 """Shared domain types, unit conventions and elementary geometry.
 
-A grid is a PointSet, its four coordinate arrays (x1, x2, x3, t), and its
-seed jets and stencil table live on it once made.  A grid may be tiles of
+A grid is a PointSet: its four coordinate arrays (x1, x2, x3, t) and, once
+made, the arguments its fields are called on.  A grid may be tiles of
 a base grid, for fields that give several values (one per tile) at each
 base point.  Everything else here is an immutable value, and all
 operations are pure.
@@ -83,10 +83,9 @@ class PointSet:
     ``coords`` is (x1, x2, x3, t), one float array each.  ``radii`` holds
     every point's r = sqrt(x1 x1 + x2 x2 + x3 x3), correctly rounded as
     ``math.sqrt`` takes it at each point, and equal to the r that the
-    grid's seed jets compute (``dual.norm3``) bit for bit.  ``jets`` is
-    None until an exact-forward pass makes the grid's seed jets, and
-    ``table`` until a stencil pass makes its shifted coordinate table (see
-    diffengine); every field on the grid then shares them and their memo.
+    grid's seed jets compute (``dual.norm3``) bit for bit.  ``kept`` is
+    None until a pass keeps on the grid the arguments its fields are called
+    on, seed jets or a stencil table, with a memo they share (diffengine).
 
     A grid made by ``tiled`` is ``tiles`` copies of its ``base`` grid, one
     after another: its coordinates and radii are the base's, tiled.  Its
@@ -101,13 +100,13 @@ class PointSet:
             raise ConfigError("a point set needs at least one point, as four 1-d arrays of one length")
         x1, x2, x3, _ = self.coords
         self.radii = dual.norm3(x1, x2, x3)  # the value of the seed jets' r, bit for bit
-        self.jets = self.table = None
+        self.kept = None
         self._base, self.tiles = None, 1
 
     def tiled(self, tiles: int) -> "PointSet":
         """``tiles`` copies of this grid, one after another, as one grid."""
         out = object.__new__(PointSet)
-        out.jets = out.table = None  # a tiled grid's fields read its base's
+        out.kept = None  # a tiled grid's fields read its base's
         out._base, out.tiles = self.base, self.tiles * tiles
         return out
 

@@ -7,14 +7,11 @@ interchangeable modes:
 
 * ``exact-forward`` -- one field evaluation on diagonal jets (``dual``)
   over the whole grid; no truncation error, rounding only, and every
-  error estimate is exactly 0.  The fields of one grid all read its one
-  set of seed jets, kept on the PointSet.  This is the reference mode for
-  acceptance runs.
+  error estimate is exactly 0.  This is the reference mode for acceptance
+  runs.
 * ``stencil`` -- 4th-order central differences with Richardson
   extrapolation, from the field on shifted copies of the grid, all 33 of
-  them in one evaluation on (33, n) coordinate arrays.  That table is kept
-  read-only on the PointSet with one memo, as the seed jets are, so the
-  fields of a grid share their factors in this mode too.  It is
+  them in one evaluation on (33, n) coordinate arrays.  It is
   shift-major: the centre, then one row per axis for each shift -2h_0,
   -h_0 .. -h_L, +2h_0, +h_0 .. +h_L (h_k = h / 2^k, L = ``LEVELS``).  As
   2h_k is h_(k-1), the samples at -2h_k, -h_k, +2h_k and +h_k of every
@@ -23,10 +20,12 @@ interchangeable modes:
   estimate is the last Richardson correction plus a roundoff bound
   carried through the Richardson table.
 
-A grid of T tiles (see core.PointSet) is differentiated in the same one
-pass: the field is evaluated on its base grid, on the base's jets or on
-the base's (33, n) shift table, and gives all T n values; the jet rows,
-or the stencils and Richardson tables, then run on every tile at once.
+Either mode calls the field through ``dual.call_on`` on arguments kept
+read-only on the base grid with one memo (``_call_kept``), the seed jets or
+the (33, n) table, so the fields of a grid share their factors.  A grid of
+T tiles (see core.PointSet) is differentiated in the same one pass: the
+field gives all T n values at the base points; the jet rows, or the
+stencils and Richardson tables, then run on every tile at once.
 
 Axes are indexed 0, 1, 2 for x1, x2, x3 and 3 (``T_AXIS``) for time.
 """
@@ -108,11 +107,17 @@ def _diff(field: ComplexField, pts: PointSet, cfg: DiffConfig, length_scale: flo
     return Derivatives(pts, *parts)
 
 
+def _call_kept(field: ComplexField, base: PointSet, key, make):
+    """``field`` called through dual.call_on on the arguments kept on the base
+    grid for ``key``, and what is kept beside them; ``make()`` gives both."""
+    if base.kept is None or base.kept[0] != key:
+        base.kept = (key, *make(), {})
+    _, arguments, beside, memo = base.kept
+    return dual.call_on(field, arguments, memo), beside
+
+
 def _jet_pass(field: ComplexField, pts: PointSet):
-    base = pts.base
-    if base.jets is None:  # once per grid: its fields share the jets' memo (see dual)
-        base.jets = dual.variables(*base.coords)
-    out = field(*base.jets)
+    out, _ = _call_kept(field, pts.base, MODE_EXACT, lambda: (dual.variables(*pts.base.coords), None))
     if isinstance(out, dual.HyperDual):
         c = out.c.astype(complex, copy=False)
     else:  # the field ignores its arguments
@@ -138,33 +143,34 @@ def _steps(field: ComplexField, pts: PointSet, length_scale: float):
     return h
 
 
-def _sample(field: ComplexField, pts: PointSet, shifts):
-    """The field on shifted copies of the grid, in one call: a (rows, n) table.
+def _sample(field: ComplexField, pts: PointSet, length_scale: float):
+    """The steps h_k = h / 2^k, k = 0 .. LEVELS, at every base point, and the
+    field on shifted copies of the grid, in one call: a (33, n) table.
 
     Row 0 is the base grid shifted by 0.0 along axis 0; row 1 + 4 s + axis
-    is the base grid shifted along that axis by ``shifts[s, axis]``.  The
-    field gives every tile of ``pts`` at each base point, so n is
-    ``len(pts)``.  The coordinate table is kept read-only on the base grid,
-    with a memo its fields share (see dual.cached), until a pass over the
-    grid brings other shifts.
+    is the base grid shifted along that axis by the s-th of -2h_0, -h_0 ..
+    -h_L, +2h_0, +h_0 .. +h_L.  The field gives every tile of ``pts`` at
+    each base point, so n is ``len(pts)``.  The steps and the coordinate
+    table are kept for the length scale and singular locus that fix them.
     """
     base = pts.base
-    if base.table is None or not np.array_equal(base.table[0], shifts):
-        coords = base.coords
-        args = [np.repeat(x[np.newaxis], 1 + N_AXES * len(shifts), axis=0) for x in coords]
-        for axis, x in enumerate(coords):
+
+    def table():
+        steps = _steps(field, pts, length_scale) / 2.0 ** np.arange(LEVELS + 1)[:, np.newaxis, np.newaxis]
+        reach = np.concatenate((2.0 * steps[:1], steps))  # 2h_0, h_0, h_1, ..., h_L; 2h_k is h_(k-1)
+        shifts = np.concatenate((-reach, reach))
+        args = [np.repeat(x[np.newaxis], 1 + N_AXES * len(shifts), axis=0) for x in base.coords]
+        for axis, x in enumerate(base.coords):
             args[axis][1 + axis :: N_AXES] = x + shifts[:, axis]
-        args[0][0] = coords[0] + 0.0
-        base.table = (shifts, tuple(map(dual.frozen, args)), {})
-    _, rows, memo = base.table
-    return np.broadcast_to(np.asarray(dual.call_on(field, rows, memo), dtype=complex), (len(rows[0]), len(pts)))
+        args[0][0] = base.coords[0] + 0.0
+        return tuple(map(dual.frozen, args)), dual.frozen(steps)
+
+    out, steps = _call_kept(field, base, (length_scale, field.singular_at_origin), table)
+    return steps, np.broadcast_to(np.asarray(out, dtype=complex), (1 + 2 * N_AXES * (LEVELS + 2), len(pts)))
 
 
 def _stencil_pass(field: ComplexField, pts: PointSet, length_scale: float):
-    # steps[k, axis] = h_k = h / 2^k at every base point, k = 0 .. LEVELS
-    steps = _steps(field, pts, length_scale) / 2.0 ** np.arange(LEVELS + 1)[:, np.newaxis, np.newaxis]
-    reach = np.concatenate((2.0 * steps[:1], steps))  # 2h_0, h_0, h_1, ..., h_L; 2h_k is h_(k-1)
-    table = _sample(field, pts, np.concatenate((-reach, reach)))
+    steps, table = _sample(field, pts, length_scale)  # steps[k, axis] at every base point
     center, shifted = table[0], table[1:].reshape(-1, N_AXES, len(pts))  # (shift, axis, point)
     # the samples at x - 2h_k, x - h_k, x + 2h_k and x + h_k: (level, axis, point)
     m2, m1, p2, p1 = (shifted[start : start + LEVELS + 1] for start in (0, 1, LEVELS + 2, LEVELS + 3))

@@ -53,16 +53,12 @@ of one axis fills rows 0, g_j and h_j only.  The terms kept are summed as
 above (IEEE sums commute), and where the general formula adds a * 0, only
 the sign of a zero can differ.
 
-Memo.  The jets of one ``variables`` call share a memo, read by
-``cached(args, key, make)``, so the fields of a grid compute a factor they
-share once.  It lives with its jets (diffengine keeps them on their grid),
-not at module level.  A stencil table kept on a grid has a memo too:
-``call_on(field, rows, memo)`` calls the field on the table's rows, and
-while it runs ``cached`` keeps values for those very rows in that memo.
-A value is found again only under the same key for the very same seed
-jets or rows, and never for other arguments (floats, other arrays or
-stencil tables, the rows outside ``call_on``, jets built elsewhere).  Seed
-jets, kept rows and kept values are read-only.
+Memo.  While ``call_on(field, arguments, memo)`` calls a field on the
+arguments diffengine keeps with a grid (its seed jets or stencil table),
+``cached(args, key, make)`` keeps values in ``memo`` for arguments among
+those very ones, so the fields of a grid compute a factor they share once.
+For any other argument, or outside ``call_on``, it keeps nothing; nothing
+is kept at module level.  Seed jets and kept values are read-only.
 """
 
 from __future__ import annotations
@@ -76,8 +72,8 @@ import numpy as np
 
 #: constants a jet combines with: scalars, and (n,) arrays of one value per point
 _CONSTANTS = (int, float, complex, np.ndarray)
-#: (rows, memo) only while ``call_on`` calls a field on the rows
-_ROWS = contextvars.ContextVar("rows", default=None)
+#: ({id(argument): index}, memo) while ``call_on`` calls a field, else no memo
+_CALL = contextvars.ContextVar("call", default=({}, None))
 
 
 def _is_complex(x) -> bool:
@@ -186,7 +182,7 @@ class HyperDual:
     partials g, rows k+1..2k the pure second partials h.
     """
 
-    __slots__ = ("c", "axes", "axis", "memo")  # axis and memo: on the jets of variables only
+    __slots__ = ("c", "axes")
     # numpy must hand mixed operations to the jet, not build object arrays
     __array_ufunc__ = None
 
@@ -290,16 +286,14 @@ class HyperDual:
 
 
 def variables(*coords):
-    """One read-only jet per coordinate array, each seeded along its own
-    axis; the jets share a new memo (see ``cached``)."""
+    """One read-only jet per coordinate array, each seeded along its own axis."""
     k = len(coords)
-    memo, out = {}, []
+    out = []
     for i, x in enumerate(coords):
         c = np.zeros((1 + 2 * k, len(x)))
         c[0] = x
         c[1 + i] = 1.0
         out.append(HyperDual(frozen(c), 1 << i))
-        out[-1].axis, out[-1].memo = i, memo
     return out
 
 
@@ -338,27 +332,24 @@ def reshape_points(x, shape, axes=1):
     return x
 
 
-def call_on(field, rows, memo):
-    """``field(*rows)``, during which ``cached`` keeps values in ``memo`` for
-    arguments that are among ``rows`` themselves (a kept stencil table)."""
-    token = _ROWS.set((rows, memo))
+def call_on(field, arguments, memo):
+    """``field(*arguments)``, during which ``cached`` keeps values in ``memo``
+    for arguments that are among ``arguments`` themselves.  They stay alive
+    for the whole call, so an id names one of them."""
+    token = _CALL.set(({id(a): i for i, a in enumerate(arguments)}, memo))
     try:
-        return field(*rows)
+        return field(*arguments)
     finally:
-        _ROWS.reset(token)
+        _CALL.reset(token)
 
 
 def cached(args, key, make):
-    """``make()``, kept under ``key`` in the memo of ``args``: seed jets, or
-    the rows of ``call_on``; ``key`` must hold every value ``make`` reads
-    besides ``args``."""
-    memo = getattr(args[0], "memo", None)
-    if memo is not None:  # seed jets: a memo has one per axis, so the axes name the jets
-        axes = tuple(a.axis if getattr(a, "memo", None) is memo else None for a in args)
-    elif (table := _ROWS.get()) is not None:
-        rows, memo = table
-        axes = tuple(next((i for i, row in enumerate(rows) if row is a), None) for a in args)
-    if memo is None or None in axes:
+    """``make()``, kept under ``key`` in the memo of the current ``call_on``
+    when every one of ``args`` is among its arguments; ``key`` must hold
+    every value ``make`` reads besides ``args``."""
+    index, memo = _CALL.get()
+    axes = tuple(index.get(id(a)) for a in args)  # the arguments' places: ids are never kept
+    if None in axes:
         return make()
     key = (key, axes)
     if key not in memo:

@@ -60,6 +60,9 @@ MAX_FIELDS = 100_000
 #: seed * 10,000 + 5,000 + MAX_FIELDS + 987,654,321 (about 4.3e13), stays
 #: below 2^62, so an int64 seed array holds them all
 MAX_SEED = 2**32 - 1
+#: largest ``nmax``: the oscillator suites grow as nmax^3; at the cap the slowest,
+#: stencil oscillator-z, took 42 s (25 s exact) and 203 MB on a 2-core Xeon
+MAX_NMAX = 100
 
 @dataclass(frozen=True)
 class Grid:
@@ -242,7 +245,7 @@ def _states(v) -> bool:
 #: tolerance's default is the mode's, default_tolerance(cfg); a grid of None
 #: is the oscillator suites' own (see _osc_grid)
 _PARAMS = {
-    "nmax": (_count(0), 4),
+    "nmax": (_count(0, MAX_NMAX), 4),
     "seed": (_count(0, MAX_SEED), 0),
     "n_fields": (_count(1, MAX_FIELDS), 100),
     "omega": (_positive, 1.0),

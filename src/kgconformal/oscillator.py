@@ -111,13 +111,13 @@ def _label(prefix: str, states) -> str:
 
 def _tiled_product(phase, factors, states, x1, x2, x3):
     """phase * f_1 * f_2 * f_3 in that order, each tile with its own state's
-    one-axis factors; ``factors(ls, axis, x_axis)`` maps each distinct
+    one-axis factors; ``factors(ls, x_axis)`` maps each distinct
     degree to its factor.  The one phase is broadcast over the tiles, and a
     product array that holds every tile takes the next factor in place."""
     out = dual.reshape_points(phase, (1, -1))
     for axis, xj in enumerate((x1, x2, x3)):
         ls = [state.ls[axis] for state in states]
-        made = factors(set(ls), axis, xj)
+        made = factors(set(ls), xj)
         factor = dual.reshape_points(dual.join_tiles([made[l] for l in ls]), (len(states), -1))
         if axis and isinstance(out, np.ndarray) and out.shape[-2] == len(states):
             out *= factor
@@ -127,8 +127,8 @@ def _tiled_product(phase, factors, states, x1, x2, x3):
 
 
 def _ladder(scale, xj):
-    """The Hermite ladder of xi_j = scale x_j: kept with the grid's jets, or
-    shared by the degrees of one field call."""
+    """The Hermite ladder of xi_j = scale x_j: kept with the grid's arguments
+    (see dual.cached), or shared by the degrees of one field call."""
     return dual.cached((xj,), ("hermite", scale), lambda: HermiteLadder(scale * xj))
 
 
@@ -141,10 +141,10 @@ def eigenfunction_x(model: OscillatorModel, states) -> ComplexField:
     scale = model.xi_scale
     hbar = model.units.hbar
 
-    def factors(ls, axis, xj):
+    def factors(ls, xj):
         ladder = _ladder(scale, xj)
         gauss = dual.cached((xj,), ("gauss", scale), lambda: dual.exp(-0.5 * (ladder.xi * ladder.xi)))
-        return {l: dual.cached((xj,), ("x-factor", scale, l, axis), lambda: hermite(l, ladder) * gauss) for l in ls}
+        return {l: dual.cached((xj,), ("x-factor", scale, l), lambda: hermite(l, ladder) * gauss) for l in ls}
 
     def fn(x1, x2, x3, t):
         phase = dual.cached((t,), ("phase", E, hbar), lambda: dual.exp(-1j * E * t / hbar))
@@ -170,9 +170,9 @@ def eigenfunction_z(model: OscillatorModel, states) -> ComplexField:
         s = t + 1j * cmap.tau(dual.norm3(x1, x2, x3))
         return dual.exp(-1j * E * s / hbar)
 
-    def factors(ls, axis, xj):
+    def factors(ls, xj):
         ladder = _ladder(scale, xj)
-        return {l: dual.cached((xj,), ("z-factor", scale, l, axis), lambda: hermite(l, ladder)) for l in ls}
+        return {l: dual.cached((xj,), ("z-factor", scale, l), lambda: hermite(l, ladder)) for l in ls}
 
     def fn(x1, x2, x3, t):
         out = dual.cached((x1, x2, x3, t), ("z-phase", E, hbar, cmap), lambda: phase(x1, x2, x3, t))

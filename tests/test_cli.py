@@ -352,6 +352,8 @@ def test_map_names_the_point_whose_r2_underflows(tmp_path, capsys):
     (("--suite", "map-independence", "--branch", "hydrino", "--state", "1,0;2,1"), EXIT_CONFIG),
     # Omega^2 overflows past Omega ~ 1.3e154; (Omega r)^2 on the grid of r ~ Omega^(-1/2) does not
     (("--suite", "oscillator-x", "--omega", "1e300"), EXIT_PASS),
+    # the oscillator suites grow as nmax^3: past MAX_NMAX a run would take minutes
+    (("--suite", "ladder", "--nmax", str(harness.MAX_NMAX + 1)), EXIT_CONFIG),
 ])
 def test_verify_bad_input_exit_codes(capsys, argv, code):
     got, _, err = run(capsys, "verify", "--mode", "exact", *argv)

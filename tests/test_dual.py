@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kgconformal import dual
+from kgconformal.core import ComplexField, PointSet
+from kgconformal.diffengine import MODE_EXACT, DiffConfig, _diff
 
 from conftest import grad, hess
 
@@ -321,7 +323,7 @@ def test_array_constant_is_each_points_scalar(kind):
             assert np.array_equal(batched[:, i], single)
 
 
-# -- the memo of one variables call ------------------------------------------
+# -- the memo of one call_on ------------------------------------------------
 
 
 class Counted:
@@ -336,45 +338,59 @@ class Counted:
 
 
 def test_memo_hit_returns_the_identical_object():
-    x, t = dual.variables(REALS[:5], REALS[5:10])
-    make = Counted(dual.exp(-1j * t))
-    first = dual.cached((t,), ("phase", 2.0), make)
-    assert dual.cached((t,), ("phase", 2.0), make) is first
+    jets = dual.variables(REALS[:5], REALS[5:10])
+    make = Counted(dual.exp(-1j * jets[1]))
+
+    def field(x, t):
+        first = dual.cached((t,), ("phase", 2.0), make)
+        assert dual.cached((t,), ("phase", 2.0), make) is first
+
+    dual.call_on(field, jets, {})
     assert make.calls == 1
 
 
 def test_memo_recomputes_for_another_key_or_another_argument():
-    x, y = dual.variables(REALS[:5], REALS[5:10])
+    jets = dual.variables(REALS[:5], REALS[5:10])
     (other_x,) = dual.variables(REALS[:5])  # the same coordinates, another call
-    make = Counted(x * x)
-    dual.cached((x,), ("square", 0), make)
-    dual.cached((x,), ("square", 1), make)
-    assert make.calls == 2
-    dual.cached((y,), ("square", 1), make)
-    assert make.calls == 3
-    dual.cached((other_x,), ("square", 1), make)
-    assert make.calls == 4
-    dual.cached((x, y), ("square", 1), make)
-    assert make.calls == 5
-    # a jet from another call among the arguments keeps nothing
-    dual.cached((x, other_x), ("pair", 0), make)
-    dual.cached((x, other_x), ("pair", 0), make)
-    assert make.calls == 7
+    make = Counted(jets[0] * jets[0])
+
+    def field(x, y):
+        dual.cached((x,), ("square", 0), make)
+        dual.cached((x,), ("square", 1), make)
+        assert make.calls == 2
+        dual.cached((y,), ("square", 1), make)
+        assert make.calls == 3
+        dual.cached((other_x,), ("square", 1), make)
+        assert make.calls == 4
+        dual.cached((x, y), ("square", 1), make)
+        assert make.calls == 5
+        # a jet that is not an argument of the call keeps nothing
+        dual.cached((x, other_x), ("pair", 0), make)
+        dual.cached((x, other_x), ("pair", 0), make)
+        assert make.calls == 7
+
+    dual.call_on(field, jets, {})
 
 
 def test_memo_keeps_nothing_for_plain_arguments():
     (x,) = dual.variables(REALS[:5])
     table = np.repeat(REALS[np.newaxis, :5], 33, axis=0)  # a stencil mode argument, (33, n)
-    for arg in (0.7, REALS[:5], table, x * 1.0):
-        make = Counted(1.0)
-        for _ in range(3):
-            dual.cached((arg,), ("key",), make)
-        assert make.calls == 3
+
+    def field(x):
+        for arg in (0.7, REALS[:5], table, x * 1.0):
+            make = Counted(1.0)
+            for _ in range(3):
+                dual.cached((arg,), ("key",), make)
+            assert make.calls == 3
+
+    memo = {}
+    dual.call_on(field, (x,), memo)
+    assert memo == {}
 
 
 def test_seed_jets_and_kept_values_are_read_only():
     x, t = dual.variables(REALS[:5], REALS[5:10])
-    kept = dual.cached((t,), ("phase",), lambda: dual.exp(-1j * t))
+    kept = dual.call_on(lambda x, t: dual.cached((t,), ("phase",), lambda: dual.exp(-1j * t)), (x, t), {})
     for jet in (x, t, kept):
         with pytest.raises(ValueError):
             jet.c[0, 0] = 1.0
@@ -385,14 +401,17 @@ def test_seed_jets_and_kept_values_are_read_only():
     out.c[0, 0] = 1.0
 
 
-def test_two_variables_calls_share_no_memo():
-    first, second = dual.variables(REALS[:5]), dual.variables(REALS[:5])
-    assert first[0].memo is not second[0].memo
+def test_two_grids_share_no_memo():
+    """Two grids of the same points each keep their own seed jets and memo."""
+    grids = [PointSet(*REALS[:20].reshape(4, 5)) for _ in range(2)]
     make = Counted(2.0)
-    dual.cached((first[0],), ("key",), make)
-    dual.cached((second[0],), ("key",), make)
+    field = ComplexField(lambda x1, x2, x3, t: t * dual.cached((t,), ("key",), make))
+    for grid in grids:
+        _diff(field, grid, DiffConfig(MODE_EXACT))
+    (_, first, _, first_memo), (_, second, _, second_memo) = (grid.kept for grid in grids)
+    assert first_memo is not second_memo and first[3] is not second[3]
     assert make.calls == 2
-    assert len(first[0].memo) == len(second[0].memo) == 1
+    assert len(first_memo) == len(second_memo) == 1
 
 
 def test_memo_keeps_values_for_the_rows_of_call_on_during_the_call_only():

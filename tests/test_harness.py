@@ -265,7 +265,7 @@ def test_point_set_radii_are_the_seed_jets_r():
     exact = DiffConfig(mode=MODE_EXACT)
     for name, points in _declared_point_sets():
         _diff(ComplexField(fn=lambda x1, x2, x3, t: x1), points, exact)  # makes the seed jets
-        x1, x2, x3, _ = points.base.jets
+        _, (x1, x2, x3, _), _, _ = points.base.kept
         assert np.array_equal(points.radii, np.tile(dual.norm3(x1, x2, x3).v, points.tiles)), name
 
 

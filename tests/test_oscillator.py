@@ -202,7 +202,7 @@ def test_fields_sharing_a_grid_equal_fields_on_fresh_jets(exact_cfg):
                     assert np.array_equal(d.value, fresh.v), fld.label
                     assert np.array_equal(d.grad, grad(fresh)), fld.label
                     assert np.array_equal(d.hess, hess(fresh)), fld.label
-    assert shared.jets[0].memo  # the fields did share factors
+    assert shared.kept[3]  # the memo: the fields did share factors
 
 
 def test_a_grid_keeps_one_read_only_hermite_ladder_per_axis(exact_cfg):
@@ -214,7 +214,8 @@ def test_a_grid_keeps_one_read_only_hermite_ladder_per_axis(exact_cfg):
         states = list(ho.states_with_n(MODEL, n))
         for make in (ho.eigenfunction_x, ho.eigenfunction_z):
             _diff(make(MODEL, states), grid.tiled(len(states)), exact_cfg)
-    ladders = {key[1]: v for key, v in grid.jets[0].memo.items() if isinstance(v, HermiteLadder)}
+    _, _, _, memo = grid.kept
+    ladders = {key[1]: v for key, v in memo.items() if isinstance(v, HermiteLadder)}
     assert sorted(ladders) == [(0,), (1,), (2,)]
     fresh = dual.variables(*grid.coords)
     for (axis,), ladder in ladders.items():

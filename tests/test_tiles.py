@@ -172,11 +172,12 @@ def test_a_grid_and_its_memo_go_with_their_last_reference():
         points = GRID.points()
         states = list(ho.states_with_n(MODEL, 1))
         _diff(ho.eigenfunction_x(MODEL, states), points.tiled(len(states)), DiffConfig(mode=MODE_EXACT))
-        ladder = points.jets[0].memo[(("hermite", MODEL.xi_scale), (0,))]
-        kept = weakref.ref(ladder.terms[1].c)  # the memo's arrays
-        del ladder
+        _, jets, _, memo = points.kept
+        ladder = memo[(("hermite", MODEL.xi_scale), (0,))]
+        kept = [weakref.ref(ladder.terms[1].c), weakref.ref(jets[0].c)]  # the memo's and the jets' arrays
+        del ladder, memo, jets
         grid = weakref.ref(points)
         del points
-        assert grid() is None and kept() is None
+        assert grid() is None and [ref() for ref in kept] == [None, None]
     finally:
         gc.enable()

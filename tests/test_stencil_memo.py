@@ -121,7 +121,9 @@ def test_seed_jets_used_outside_a_pass_keep_nothing(monkeypatch):
     """The field called on a grid's kept seed jets, or on fresh jets of its
     coordinates, outside an exact pass, builds its factors every time, and
     the memo is untouched."""
-    calls, untouched = _kept_outside_a_pass(monkeypatch, DiffConfig(MODE_EXACT), lambda jets: dual.variables(*(j.v for j in jets)))
+    calls, untouched = _kept_outside_a_pass(
+        monkeypatch, DiffConfig(MODE_EXACT), lambda jets: dual.variables(*(jet.v for jet in jets))
+    )
     assert calls == [0, 0, 0] * 4
     assert untouched
 
@@ -248,9 +250,9 @@ def test_a_stencil_run_builds_each_factor_once_per_grid(monkeypatch):
 def test_a_stencil_run_makes_the_steps_once_per_grid(monkeypatch):
     """oscillator-x differentiates its 8 passes on one grid, one length scale
     and one singular locus: the steps are made once, with the table."""
-    passes, steps, stencil_pass = [], [], diffengine._stencil_pass
+    passes, steps = [], []
     monkeypatch.setattr(diffengine, "_steps", _recording(steps, diffengine._steps))
-    monkeypatch.setattr(diffengine, "_stencil_pass", _recording(passes, stencil_pass))
+    monkeypatch.setattr(diffengine, "_stencil_pass", _recording(passes, diffengine._stencil_pass))
     assert run_suite("oscillator-x", {}, STENCIL).passed
     assert len(passes) == 8 and len(steps) == 1
 
